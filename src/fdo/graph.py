@@ -7,7 +7,6 @@ comparisons treat infinity as maximal, so no wrapper type is needed.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappush, heappop
 
@@ -162,24 +161,31 @@ class ShortestPathTree:
 def distances(g: Graph, source, excluded=frozenset(), reverse=False):
     """Distance row from (or, with reverse=True, to) ``source`` in g minus
     the excluded edge ids.  BFS on unit weights, Dijkstra otherwise."""
+    return _search(g, source, excluded, reverse)[0]
+
+
+def _search(g, source, excluded, reverse):
+    # (dist, order): the distance row plus the reachable vertices in the
+    # order the search settled them, which the parent rows need.
     nbrs = g._in_nbrs if reverse else g._out_nbrs
     dist = [INF] * g.n
     dist[source] = 0
     if not g.weighted:
-        q = deque([source])
-        while q:
-            u = q.popleft()
-            du = dist[u]
+        order = [source]
+        for u in order:  # the list grows while it is walked: a FIFO queue
+            dv = dist[u] + 1
             for v, eid, _ in nbrs[u]:
                 if dist[v] == INF and eid not in excluded:
-                    dist[v] = du + 1
-                    q.append(v)
-        return dist
+                    dist[v] = dv
+                    order.append(v)
+        return dist, order
+    order = []
     heap = [(0, source)]
     while heap:
         du, u = heappop(heap)
         if du > dist[u]:
             continue
+        order.append(u)
         for v, eid, w in nbrs[u]:
             if eid in excluded:
                 continue
@@ -187,54 +193,48 @@ def distances(g: Graph, source, excluded=frozenset(), reverse=False):
             if dv < dist[v]:
                 dist[v] = dv
                 heappush(heap, (dv, v))
-    return dist
+    return dist, order
 
 
-def _parents_from(g, dist, excluded):
+def _parents(g, root, dist, order, excluded, reverse):
     # Among equal-distance predecessors pick the smallest vertex id, which
-    # makes every tree (and everything built on top) deterministic.
+    # makes every tree (and everything built on top) deterministic.  A
+    # predecessor qualifies only if the search settled it earlier.  Across a
+    # positive weight that always holds; across a zero weight it keeps
+    # equal-distance vertices from choosing each other and closing a cycle.
+    nbrs = g._out_nbrs if reverse else g._in_nbrs
+    rank = [0] * g.n
+    for i, v in enumerate(order):
+        rank[v] = i
     parent = [None] * g.n
-    in_nbrs = g._in_nbrs
-    for v in range(g.n):
-        dv = dist[v]
-        if dv == 0 or dv == INF:
+    for v in order:
+        if v == root:
             continue
+        dv = dist[v]
+        rv = rank[v]
         best = None
-        for u, eid, w in in_nbrs[v]:
-            if eid not in excluded and dist_eq(dist[u] + w, dv):
+        for u, eid, w in nbrs[v]:
+            if (rank[u] < rv and eid not in excluded
+                    and dist_eq(dist[u] + w, dv)):
                 if best is None or u < best[0]:
                     best = (u, eid)
         parent[v] = best
     return parent
 
 
-def _parents_to(g, dist, excluded):
-    parent = [None] * g.n
-    out_nbrs = g._out_nbrs
-    for u in range(g.n):
-        du = dist[u]
-        if du == 0 or du == INF:
-            continue
-        best = None
-        for v, eid, w in out_nbrs[u]:
-            if eid not in excluded and dist_eq(w + dist[v], du):
-                if best is None or v < best[0]:
-                    best = (v, eid)
-        parent[u] = best
-    return parent
-
-
 def sssp(g: Graph, source, excluded=frozenset()) -> ShortestPathTree:
     """Shortest-path tree from ``source`` in g minus the excluded edge ids."""
-    dist = distances(g, source, excluded)
-    return ShortestPathTree(source, "from", dist, _parents_from(g, dist, excluded))
+    dist, order = _search(g, source, excluded, False)
+    return ShortestPathTree(source, "from", dist,
+                            _parents(g, source, dist, order, excluded, False))
 
 
 def in_tree(g: Graph, root, excluded=frozenset()) -> ShortestPathTree:
     """Tree of shortest paths TO ``root`` (edge-reversed search).  Identical
     to sssp on undirected graphs."""
-    dist = distances(g, root, excluded, reverse=True)
-    return ShortestPathTree(root, "to", dist, _parents_to(g, dist, excluded))
+    dist, order = _search(g, root, excluded, True)
+    return ShortestPathTree(root, "to", dist,
+                            _parents(g, root, dist, order, excluded, True))
 
 
 def apsp(g: Graph):
@@ -347,7 +347,10 @@ def parse_graph(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 4 or head[2] not in ("D", "U") or head[3] not in ("W", "UW"):
         raise GraphError(f"bad header {lines[0]!r}, want 'n m D|U W|UW'")
-    n, m = int(head[0]), int(head[1])
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise GraphError(f"bad header {lines[0]!r}, want 'n m D|U W|UW'") from None
     directed = head[2] == "D"
     weighted = head[3] == "W"
     if len(lines) - 1 != m:
@@ -355,14 +358,15 @@ def parse_graph(text: str) -> Graph:
     edge_list = []
     for ln in lines[1:]:
         toks = ln.split()
-        if weighted:
-            if len(toks) != 3:
-                raise GraphError(f"bad weighted edge line {ln!r}")
-            edge_list.append((int(toks[0]), int(toks[1]), parse_dist(toks[2])))
-        else:
-            if len(toks) != 2:
-                raise GraphError(f"bad edge line {ln!r}")
-            edge_list.append((int(toks[0]), int(toks[1])))
+        if len(toks) != (3 if weighted else 2):
+            raise GraphError(f"bad {'weighted ' if weighted else ''}edge line {ln!r}")
+        try:
+            edge = [int(toks[0]), int(toks[1])]
+            if weighted:
+                edge.append(parse_dist(toks[2]))
+        except ValueError:
+            raise GraphError(f"bad number in edge line {ln!r}") from None
+        edge_list.append(edge)
     return build_graph(n, directed, edge_list)
 
 

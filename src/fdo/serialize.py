@@ -73,13 +73,17 @@ def dumps_oracle(oracle) -> str:
 
 
 def loads_oracle(text: str):
+    """Parse an oracle file; any malformed content raises GraphError."""
     lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("FDO "):
         raise GraphError("not an oracle file (missing FDO header)")
     head = lines[0].split()
     if len(head) < 5:
         raise GraphError(f"truncated oracle header {lines[0]!r}")
-    kind, n, m = head[1], int(head[2]), int(head[3])
+    try:
+        kind, n, m = head[1], int(head[2]), int(head[3])
+    except ValueError:
+        raise GraphError(f"bad oracle header {lines[0]!r}") from None
     params = {}
     for tok in head[4:]:
         if "=" not in tok:
@@ -95,24 +99,44 @@ def loads_oracle(text: str):
     vrows = [None] * n
     dlines = []
     for ln in lines[1:]:
-        tag, rest = ln.split(" ", 1)
-        toks = rest.split()
-        if tag == "E":
-            eid = int(toks[0])
-            edges[eid] = (int(toks[1]), int(toks[2]), parse_dist(toks[3]))
-        elif tag == "P":
-            pivots.append(int(toks[0]))
-        elif tag == "V":
-            vid = int(toks[0])
-            peid = None if toks[2] == "-" else int(toks[2])
-            vrows[vid] = (parse_dist(toks[1]), peid)
-        elif tag == "D":
-            dlines.append(toks)
-        else:
-            raise GraphError(f"unknown oracle line tag {tag!r}")
+        try:
+            tag, rest = ln.split(" ", 1)
+            toks = rest.split()
+            if tag == "E":
+                eid = int(toks[0])
+                if eid < 0:
+                    raise IndexError(eid)
+                edges[eid] = (int(toks[1]), int(toks[2]), parse_dist(toks[3]))
+            elif tag == "P":
+                pivots.append(int(toks[0]))
+            elif tag == "V":
+                vid = int(toks[0])
+                if vid < 0:
+                    raise IndexError(vid)
+                peid = None if toks[2] == "-" else int(toks[2])
+                vrows[vid] = (parse_dist(toks[1]), peid)
+            elif tag == "D":
+                dlines.append(toks)
+            else:
+                raise GraphError(f"unknown oracle line tag {tag!r}")
+        except GraphError:
+            raise
+        except (IndexError, ValueError):
+            raise GraphError(f"malformed oracle line {ln!r}") from None
     if any(e is None for e in edges):
         raise GraphError("oracle file is missing edge dictionary lines")
+    try:
+        return _build(kind, n, m, directed, params, edges, pivots, vrows,
+                      dlines)
+    except KeyError as exc:
+        raise GraphError(f"oracle header lacks {exc.args[0]}=") from None
+    except GraphError:
+        raise
+    except (IndexError, ValueError) as exc:
+        raise GraphError(f"malformed oracle value: {exc}") from None
 
+
+def _build(kind, n, m, directed, params, edges, pivots, vrows, dlines):
     if kind == "exact":
         values = _dense_values(dlines, m)
         return ExactFDO(n, directed, edges, values, parse_dist(params["base"]))
@@ -151,7 +175,10 @@ def loads_oracle(text: str):
 def _dense_values(dlines, m):
     values = [None] * m
     for k, v in dlines:
-        values[int(k)] = parse_dist(v)
+        eid = int(k)
+        if eid < 0:
+            raise IndexError(f"edge id {k} is negative")
+        values[eid] = parse_dist(v)
     if any(v is None for v in values):
         raise GraphError("oracle file is missing stored entries")
     return values

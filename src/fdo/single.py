@@ -10,17 +10,20 @@ non-edges answered without error):
                  shortest paths or a pivot-based scan plus additive slack,
                  with randomized or deterministic pivot selection.
 
-All oracles are immutable after build; concurrent queries are safe.
+All four builds get their per-edge values from one kernel,
+raise_by_replacement_ecc, which repairs each source's shortest-path tree
+below every tree edge.  All oracles are immutable after build; concurrent
+queries are safe.
 """
 from __future__ import annotations
 
 import math
 import random
+from heapq import heapify, heappop, heappush
 
 from .dso import SingleDSO
-from .graph import (Graph, GraphError, INF, distances, diameter, in_tree,
-                    index_edges, is_connected, resolve_pairs, sssp,
-                    strong_bridges)
+from .graph import (Graph, GraphError, INF, diameter, in_tree, index_edges,
+                    is_connected, resolve_pairs, sssp, strong_bridges)
 
 
 def _single_failure_eid(oracle, pairs):
@@ -57,23 +60,108 @@ def build_exact_fdo(g: Graph, dso: SingleDSO | None = None) -> ExactFDO:
     """Folklore exact oracle: initialize every entry to diam(G), then raise
     it with the replacement eccentricities of each source over its own tree
     edges (edges off a source's tree leave that source's distances intact).
+
+    The replacement eccentricities come from :func:`raise_by_replacement_ecc`
+    over all n trees, which repairs only the subtree below each tree edge:
+    the cost is the sum over sources of the edge volume of every tree-edge
+    subtree, instead of one full shortest-path run (O(m) and more) per
+    source and tree edge.  A bridge lies on some source's tree and that
+    source's replacement eccentricity is infinite, so bridges need no pass
+    of their own.  ``dso`` lends its stored trees and nothing else.
     """
     if not is_connected(g):
         raise GraphError("exact FDO needs a (strongly) connected graph")
-    if dso is None:
-        dso = SingleDSO(g)
-    base = max(max(row) for row in dso.dist)
+    trees = _source_trees(g, range(g.n), dso)
+    base = max(max(t.dist) for t in trees)
     values = [base] * g.m
-    for v in range(g.n):
-        tree = dso.trees[v]
-        tree_eids = {entry[1] for entry in tree.parent if entry is not None}
-        for eid in tree_eids:
-            ecc = max(dso.replacement_tree(v, eid).dist)
+    raise_by_replacement_ecc(g, trees, values)
+    return ExactFDO(g.n, g.directed, list(g.edges), values, base)
+
+
+def _source_trees(g, sources, dso):
+    if dso is not None:
+        return [dso.trees[s] for s in sources]
+    return [sssp(g, s) for s in sources]
+
+
+def raise_by_replacement_ecc(g: Graph, trees, values, edge_filter=None):
+    """Raise ``values[eid]`` to ecc_{G-e}(s) for every source tree and every
+    tree edge e = (p -> v) on it.
+
+    Only the subtree below v can change distance when e fails.  Each of its
+    vertices is seeded with its cheapest in-edge from outside the subtree
+    (e excluded), whose tail keeps its tree distance, and a Dijkstra run
+    confined to the subtree settles the rest; a vertex left unreached makes
+    the value infinite.  Distances outside the subtree stay within diam(G)
+    (ecc(s) for a one-source oracle), which the entries must already hold.
+    Entries that are already infinite, and edges outside ``edge_filter``
+    when one is given, are skipped.  Zero weights are fine; the trees must
+    be proper trees, as :func:`graph.sssp` builds them.
+    """
+    n = g.n
+    in_nbrs, out_nbrs = g._in_nbrs, g._out_nbrs
+    for tree in trees:
+        dist, parent = tree.dist, tree.parent
+        children = [[] for _ in range(n)]
+        for v, entry in enumerate(parent):
+            if entry is not None:
+                children[entry[0]].append(v)
+        # preorder numbering: the subtree of v is pre[tin[v]:tin[v]+size[v]]
+        pre = []
+        stack = [tree.source]
+        while stack:
+            v = stack.pop()
+            pre.append(v)
+            stack += children[v]
+        tin = [0] * n
+        for i, v in enumerate(pre):
+            tin[v] = i
+        size = [1] * n
+        for v in reversed(pre):
+            if parent[v] is not None:
+                size[parent[v][0]] += size[v]
+        new = [INF] * n
+        inside = [-1] * n       # tin of the subtree root whose run marked it
+        for v in pre[1:]:
+            eid = parent[v][1]
+            if edge_filter is not None and eid not in edge_filter:
+                continue
+            if values[eid] == INF:
+                continue
+            lo = tin[v]
+            sub = pre[lo:lo + size[v]]
+            for x in sub:
+                inside[x] = lo
+            heap = []
+            for x in sub:
+                best = INF
+                for y, yeid, w in in_nbrs[x]:
+                    if inside[y] != lo and yeid != eid:
+                        d = dist[y] + w
+                        if d < best:
+                            best = d
+                new[x] = best
+                if best < INF:
+                    heap.append((best, x))
+            heapify(heap)
+            # the last vertex settled is the farthest; any left unsettled
+            # were cut off
+            left = len(sub)
+            while heap:
+                dx, x = heappop(heap)
+                if dx > new[x]:
+                    continue
+                left -= 1
+                far = dx
+                for z, _, w in out_nbrs[x]:
+                    if inside[z] == lo:
+                        dz = dx + w
+                        if dz < new[z]:
+                            new[z] = dz
+                            heappush(heap, (dz, z))
+            ecc = INF if left else far
             if ecc > values[eid]:
                 values[eid] = ecc
-    for eid in strong_bridges(g):
-        values[eid] = INF
-    return ExactFDO(g.n, g.directed, list(g.edges), values, base)
 
 
 def query_exact(oracle: ExactFDO, pairs):
@@ -111,11 +199,13 @@ def build_ecc_fdo(g: Graph, source=0) -> EccFDO:
         raise GraphError("eccentricity FDO requires an undirected graph")
     if not is_connected(g):
         raise GraphError("eccentricity FDO needs a connected graph")
-    fallback = 2 * max(distances(g, source))
     tree = sssp(g, source)
-    tree_eids = {entry[1] for entry in tree.parent if entry is not None}
-    values = {eid: 2 * max(distances(g, source, {eid})) for eid in sorted(tree_eids)}
-    return EccFDO(g.n, g.directed, list(g.edges), source, values, fallback)
+    ecc = max(tree.dist)
+    tree_eids = sorted(entry[1] for entry in tree.parent if entry is not None)
+    values = dict.fromkeys(tree_eids, ecc)
+    raise_by_replacement_ecc(g, [tree], values)
+    return EccFDO(g.n, g.directed, list(g.edges), source,
+                  {eid: 2 * val for eid, val in values.items()}, 2 * ecc)
 
 
 def query_ecc(oracle: EccFDO, pairs):
@@ -175,7 +265,13 @@ def _limited_bfs_dist(adj, s, t, limit):
 
 def build_spanner_fdo(g: Graph, k: int) -> SpannerFDO:
     """Greedy spanner in edge-id order: keep an edge iff the spanner built
-    so far connects its endpoints only with more than 2k-1 hops."""
+    so far connects its endpoints only with more than 2k-1 hops.
+
+    diam(G-e) for the spanner edges comes from
+    :func:`raise_by_replacement_ecc` over all n BFS trees, restricted to
+    the spanner edges: the cost is the sum over sources of the edge volume
+    of every spanner-edge subtree, instead of a full diameter computation
+    (n BFS runs, O(n*m)) per spanner edge."""
     if k < 1:
         raise GraphError(f"spanner parameter must be >= 1, got {k}")
     if g.directed or g.weighted:
@@ -190,8 +286,10 @@ def build_spanner_fdo(g: Graph, k: int) -> SpannerFDO:
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
             spanner.append(eid)
-    base = diameter(g)
-    values = {eid: diameter(g, {eid}) for eid in spanner}
+    trees = [sssp(g, s) for s in range(g.n)]
+    base = max(max(t.dist) for t in trees)
+    values = dict.fromkeys(spanner, base)
+    raise_by_replacement_ecc(g, trees, values, edge_filter=values)
     return SpannerFDO(g.n, g.directed, list(g.edges), k, values, base)
 
 
@@ -235,25 +333,6 @@ def query_approx(oracle: ApproxFDO, pairs):
     return oracle.query(pairs)
 
 
-def _scan_sources(dso, sources, values):
-    # For each stored path from a scanned source, raise the entry of every
-    # path edge to the replacement distance of that pair.  Edges off the
-    # stored path keep their value: removing them does not change the pair's
-    # distance, which the initialization to diam(G) already covers.
-    for s in sources:
-        tree = dso.trees[s]
-        parent = tree.parent
-        for t in range(dso.g.n):
-            if t == s or tree.dist[t] == INF:
-                continue
-            v = t
-            while parent[v] is not None:
-                v, eid = parent[v]
-                val = dso.replacement_tree(s, eid).dist[t]
-                if val > values[eid]:
-                    values[eid] = val
-
-
 def default_scan_threshold(n: int) -> int:
     """Additive budgets up to this bound are cheap enough to scan exactly."""
     return 4 * math.ceil(math.log2(max(n, 2)))
@@ -262,22 +341,30 @@ def default_scan_threshold(n: int) -> int:
 def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
                      C=3.0, dso: SingleDSO | None = None,
                      scan_threshold=None) -> ApproxFDO:
+    """(1+eps)-approximate oracle on an unweighted graph.
+
+    With the additive slack floor(eps * diam(G)) at most ``scan_threshold``
+    the entries are exact: :func:`raise_by_replacement_ecc` over all n
+    trees, as in :func:`build_exact_fdo`.  Otherwise only the pivots' trees
+    are repaired, each entry gets the slack added, and bridges answer
+    infinity.  The cost of the repair is the sum over the scanned sources
+    of the edge volume of every tree-edge subtree, instead of n*m per
+    source.  ``dso`` lends its stored trees and distance rows.
+    """
     if epsilon <= 0:
         raise GraphError(f"epsilon must be positive, got {epsilon}")
     if g.weighted:
         raise GraphError("approximate FDO requires an unweighted graph")
     if not is_connected(g):
         raise GraphError("approximate FDO needs a strongly connected graph")
-    if dso is None:
-        dso = SingleDSO(g)
-    base = max(max(row) for row in dso.dist)
+    base = diameter(g) if dso is None else max(max(row) for row in dso.dist)
     slack = math.floor(epsilon * base)
     if scan_threshold is None:
         scan_threshold = default_scan_threshold(g.n)
 
     values = [base] * g.m
     if slack <= scan_threshold:
-        _scan_sources(dso, range(g.n), values)
+        raise_by_replacement_ecc(g, _source_trees(g, range(g.n), dso), values)
         return ApproxFDO(g.n, g.directed, list(g.edges), values, base,
                          epsilon, slack, "exact-scan", [])
 
@@ -290,7 +377,7 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
         pivots = deterministic_pivots(g, slack, bridges=bridges)
     else:
         raise GraphError(f"unknown pivot mode {pivot_mode!r}")
-    _scan_sources(dso, pivots, values)
+    raise_by_replacement_ecc(g, _source_trees(g, pivots, dso), values)
     for eid in range(g.m):
         if eid in bridges:
             values[eid] = INF
@@ -338,7 +425,7 @@ def deterministic_pivots(g: Graph, theta: int, bridges=None):
     paths = []
     detour_trees = {}
     for s in range(g.n):
-        if base.dist[s] == 0:
+        if s == root:
             continue
         verts, eids = _prefix_toward_root(base, s, prefix_len)
         if base.dist[s] > prefix_len:

@@ -53,3 +53,16 @@ def small_graph_corpus():
         gen_random("er-weighted", seed=14, n=10, p=0.35),
     ]
     return graphs
+
+
+def zero_weight_graphs():
+    """Graphs whose zero-weight edges put vertices at equal distance."""
+    return [
+        build_graph(3, False, [(0, 1, 0), (1, 2, 1), (0, 2, 5)]),
+        # from 0, vertex 1 has a single predecessor: 2, over a zero weight
+        build_graph(3, False, [(0, 2, 1), (2, 1, 0), (0, 1, 5)]),
+        build_graph(5, False, [(0, 1, 1), (1, 2, 0), (2, 3, 0), (3, 4, 1),
+                               (4, 0, 2), (1, 3, 0)]),
+        build_graph(4, True, [(0, 1, 0), (1, 2, 0), (2, 0, 0), (2, 3, 1),
+                              (3, 0, 0)]),
+    ]

@@ -117,6 +117,21 @@ def test_query_bad_oracle_file(capsys, tmp_path):
     assert code == 2 and "FDO header" in err
 
 
+def test_query_oracle_edge_id_out_of_range(capsys, tmp_path):
+    bad = tmp_path / "bad.fdo"
+    bad.write_text("FDO exact 2 1 fmt=1 dir=0 base=1\nE 1 0 1 1\nD 0 1\n")
+    code, _, err = run(capsys, ["query", "--oracle", str(bad)])
+    assert code == 2 and "malformed oracle line" in err
+
+
+def test_build_bad_edge_line(capsys, tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("2 1 U UW\n0 x\n")
+    code, _, err = run(capsys, ["build", "--graph", str(graph), "--kind",
+                                "exact", "--out", str(tmp_path / "g.fdo")])
+    assert code == 2 and err.startswith("fdo: error: bad number")
+
+
 # ------------------------------------------------------------------------ gen
 
 def test_gen_gadget_with_manifest(capsys, tmp_path):

@@ -1,0 +1,84 @@
+"""Differential test: every single-failure oracle kind against brute force.
+
+Random small graphs of four types (unit undirected, unit strongly connected
+digraphs, integer weights including 0, float weights) are built into every
+single-failure kind that accepts them, and every edge's answer is checked
+against ``fdo.verify.brute_diam`` at that kind's contract.
+"""
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fdo import (INF, brute_diam, build_approx_fdo, build_ecc_fdo,
+                 build_exact_fdo, build_graph, build_spanner_fdo)
+from fdo.graph import DIST_EPS, dist_eq
+
+WEIGHTS = {
+    "int": st.integers(0, 3),
+    # positive float weights stay well above the comparison tolerance
+    "float": st.one_of(st.just(0.0), st.floats(0.01, 4.0)),
+}
+
+
+@st.composite
+def graphs(draw, kind):
+    """Connected (strongly, if directed) graph with 2..10 vertices: a
+    spanning tree or a directed Hamiltonian cycle plus random extra pairs."""
+    n = draw(st.integers(2, 10))
+    directed = kind == "digraph" or (kind in WEIGHTS and draw(st.booleans()))
+    order = draw(st.permutations(range(n)))
+    if directed:
+        pairs = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    else:
+        pairs = [(order[draw(st.integers(0, i - 1))], order[i])
+                 for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    seen = {p if directed else frozenset(p) for p in pairs}
+    for u, v in extra:
+        key = (u, v) if directed else frozenset((u, v))
+        if u != v and key not in seen:
+            seen.add(key)
+            pairs.append((u, v))
+    if kind in WEIGHTS:
+        return build_graph(n, directed, [(u, v, draw(WEIGHTS[kind]))
+                                         for u, v in pairs])
+    return build_graph(n, directed, pairs)
+
+
+def oracles(g):
+    """(name, oracle, check(answer, truth, eid)) for every kind g admits."""
+    out = [("exact", build_exact_fdo(g), lambda a, t, e: dist_eq(a, t))]
+    if not g.directed:
+        out.append(("ecc", build_ecc_fdo(g), lambda a, t, e: within(a, t, 2)))
+    if not g.weighted:
+        if not g.directed:
+            for k in (1, 2):
+                o = build_spanner_fdo(g, k)
+                out.append((f"spanner{k}", o, lambda a, t, e, o=o, k=k:
+                            a == t if e in o.values
+                            else a == t == INF or t <= a <= t + 2 * (k - 1)))
+        for eps in (0.5, 1.0):
+            for threshold in (None, 0):
+                o = build_approx_fdo(g, eps, scan_threshold=threshold)
+                out.append((f"approx{eps}/{o.mode}", o,
+                            lambda a, t, e, eps=eps: within(a, t, 1 + eps)))
+    return out
+
+
+def within(answer, truth, stretch):
+    if answer == INF or truth == INF:
+        return answer == truth
+    return truth - DIST_EPS <= answer <= stretch * truth + DIST_EPS
+
+
+@pytest.mark.parametrize("kind", ["undirected", "digraph", "int", "float"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_single_failure_kinds_match_brute(kind, data):
+    g = data.draw(graphs(kind))
+    built = oracles(g)
+    for eid, (u, v, _) in enumerate(g.edges):
+        truth = brute_diam(g, [(u, v)])
+        for name, oracle, check in built:
+            answer = oracle.query([(u, v)])
+            assert check(answer, truth, eid), (name, (u, v), answer, truth)

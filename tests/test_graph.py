@@ -1,13 +1,15 @@
 import math
+import random
 
 import pytest
 
 from fdo import (GraphError, INF, apsp, build_graph, diameter, distances,
-                 eccentricity, extract_path, in_tree, is_connected,
-                 parse_graph, save_graph, load_graph, sssp, strong_bridges)
+                 eccentricity, extract_path, gen_random, in_tree,
+                 is_connected, parse_graph, save_graph, load_graph, sssp,
+                 strong_bridges)
 from fdo.graph import format_graph
 
-from conftest import small_graph_corpus
+from conftest import small_graph_corpus, zero_weight_graphs
 
 
 # ---------------------------------------------------------------- build_graph
@@ -57,6 +59,47 @@ def test_sssp_parent_tiebreak():
     g = build_graph(4, False, [(0, 1), (0, 2), (1, 3), (2, 3)])
     tree = sssp(g, 0)
     assert tree.parent[3][0] == 1
+
+
+def test_sssp_zero_weight_parent():
+    g = zero_weight_graphs()[0]
+    # vertex 1 sits at distance 0 from the source but is not the source
+    assert sssp(g, 0).parent == [None, (0, 0), (1, 1)]
+    # the only zero-weight predecessor of 1 has the larger id
+    g = zero_weight_graphs()[1]
+    assert sssp(g, 0).parent[1] == (2, 1)
+    assert sssp(g, 1).parent == [(2, 0), None, (1, 1)]
+
+
+def zero_weight_sweep():
+    rng = random.Random(7)
+    graphs = zero_weight_graphs()
+    for seed in range(20):
+        directed = seed % 2 == 1
+        kind = "er-strongly-connected-digraph" if directed else "er-undirected"
+        g = gen_random(kind, seed, n=8, p=0.35)
+        graphs.append(build_graph(g.n, directed, [(u, v, rng.choice((0, 0, 1, 2)))
+                                                  for u, v, _ in g.edges]))
+    return graphs
+
+
+def test_zero_weight_parents_form_trees():
+    # every reachable vertex reaches the root within n parent steps, along
+    # edges whose weights add up to its distance
+    for g in zero_weight_sweep():
+        for root in range(g.n):
+            for tree in (sssp(g, root), in_tree(g, root)):
+                for v in range(g.n):
+                    if tree.dist[v] == INF:
+                        assert tree.parent[v] is None
+                        continue
+                    total, x = 0, v
+                    for _ in range(g.n):
+                        if tree.parent[x] is None:
+                            break
+                        x, eid = tree.parent[x]
+                        total += g.weight(eid)
+                    assert x == root and total == tree.dist[v]
 
 
 def test_in_tree_directed(dicycle3):
@@ -200,6 +243,7 @@ def test_edge_list_weighted_and_comments():
 
 @pytest.mark.parametrize("text", [
     "", "3 2 X UW\n0 1\n1 2", "3 2 U UW\n0 1", "2 1 U W\n0 1",
+    "2 1 U UW\n0 x", "2 1 U W\n0 1 w", "x 1 U UW\n0 1",
 ])
 def test_edge_list_rejects(text):
     with pytest.raises(GraphError):

@@ -4,9 +4,9 @@ from itertools import combinations
 import pytest
 
 from fdo import (GraphError, INF, brute_diam, build_graph, build_multi_fdo,
-                 distances, gen_random, is_connected)
+                 distances, enumerate_failures, gen_random, is_connected)
 
-from conftest import small_graph_corpus
+from conftest import small_graph_corpus, zero_weight_graphs
 
 
 def kruskal_msf_weight(g, failed_eids, swap_weight):
@@ -173,3 +173,15 @@ def test_swap_weights_match_reference():
         assert o.swap_weight == ref
         assert o.tree_eids == tree_eids
         assert all(o.swap_weight[e] == 0 for e in o.tree_eids)
+
+
+def test_zero_weight_within_contract():
+    for g in zero_weight_graphs():
+        if g.directed:
+            continue
+        for f in (1, 2):
+            o = build_multi_fdo(g, f)
+            for pairs in enumerate_failures(g, f):
+                truth = brute_diam(g, pairs)
+                ans = o.query(pairs)
+                assert ans == truth == INF or truth <= ans <= (f + 2) * truth

@@ -62,6 +62,8 @@ def test_loaded_oracle_answers_identically():
     ("FDO exact 2 1 fmt=1 dir=0 base=1\nD 0 1\n", "edge dictionary"),
     ("FDO exact 2 1 fmt=1 dir=0 base=1\nE 0 0 1 1\n", "missing stored"),
     ("FDO wat 2 1 fmt=1 dir=0\nE 0 0 1 1\nD 0 1\n", "unknown oracle kind"),
+    ("FDO exact 2 1 fmt=1 dir=0 base=1\nE 1 0 1 1\nD 0 1\n", "malformed"),
+    ("FDO exact 2 1 fmt=1 dir=0 base=1\nE\nD 0 1\n", "malformed"),
 ])
 def test_loader_rejects(text, msg):
     with pytest.raises(GraphError, match=msg):

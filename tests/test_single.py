@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from fdo import (GraphError, INF, SingleDSO, brute_diam, build_approx_fdo,
-                 build_ecc_fdo, build_exact_fdo, build_graph,
-                 build_spanner_fdo, deterministic_pivots, diameter, distances,
-                 gen_random, greedy_hitting_set, random_pivots,
-                 strong_bridges)
+from fdo import (ExactFDO, GraphError, INF, SingleDSO, SpannerFDO,
+                 brute_diam, build_approx_fdo, build_ecc_fdo, build_exact_fdo,
+                 build_graph, build_spanner_fdo, deterministic_pivots,
+                 diameter, distances, dumps_oracle, gen_random,
+                 greedy_hitting_set, random_pivots, strong_bridges)
 
-from conftest import small_graph_corpus
+from conftest import small_graph_corpus, zero_weight_graphs
 
 
 def dicycle_with_chord(n, chords=((0, None),)):
@@ -55,6 +55,41 @@ def test_exact_matches_brute_exhaustively():
         for u, v, _ in g.edges:
             assert o.query([(u, v)]) == brute_diam(g, [(u, v)])
         assert len(o.values) == g.m  # space accounting: one entry per edge
+
+
+def test_files_match_per_edge_diameters():
+    # the replacement-eccentricity kernel against its definition,
+    # diam(G-e) from n fresh shortest-path runs per edge, byte for byte
+    graphs = small_graph_corpus()
+    for seed in (21, 22):
+        graphs += [gen_random("er-undirected", seed, n=14, p=0.25),
+                   gen_random("er-weighted", seed, n=12, p=0.3),
+                   gen_random("er-strongly-connected-digraph", seed, n=10,
+                              p=0.3)]
+    for g in graphs:
+        base = diameter(g)
+        per_edge = [diameter(g, {eid}) for eid in range(g.m)]
+        ref = ExactFDO(g.n, g.directed, list(g.edges), per_edge, base)
+        assert dumps_oracle(build_exact_fdo(g)) == dumps_oracle(ref)
+        if g.directed or g.weighted:
+            continue
+        for k in (1, 2):
+            o = build_spanner_fdo(g, k)
+            ref = SpannerFDO(g.n, False, list(g.edges), k,
+                             {eid: per_edge[eid] for eid in o.values}, base)
+            assert dumps_oracle(o) == dumps_oracle(ref)
+
+
+def test_zero_weight_exact_and_ecc_match_brute():
+    for g in zero_weight_graphs():
+        exact = build_exact_fdo(g)
+        ecc = None if g.directed else build_ecc_fdo(g)
+        for u, v, _ in g.edges:
+            truth = brute_diam(g, [(u, v)])
+            assert exact.query([(u, v)]) == truth
+            if ecc is not None:
+                ans = ecc.query([(u, v)])
+                assert ans == truth == INF or truth <= ans <= 2 * truth
 
 
 # --------------------------------------------------------------------- EccFDO
