@@ -21,7 +21,7 @@ from .graph import GraphError, INF, diameter, fmt_dist, load_graph, save_graph
 from .instances import (format_manifest, gen_dense_lb, gen_multi_lb,
                         gen_multi_lb_f1, gen_random, gen_sparse_lb,
                         gen_weighted_lb, random_payload)
-from .lowdiam import build_lowdiam_fdo
+from .lowdiam import EXACT_THRESHOLD, build_lowdiam_fdo
 from .multi import build_multi_fdo
 from .serialize import load_oracle, save_oracle
 from .single import (build_approx_fdo, build_ecc_fdo, build_exact_fdo,
@@ -74,8 +74,10 @@ def _build_oracle(g, args):
         info.update(f=args.f, mode=oracle.mode)
     elif kind == "lowdiam":
         backend = args.backend
-        if backend == "auto":
-            backend = "exact" if g.n <= 64 else "sampled"
+        if args.f == 1:     # built as the exact single-failure oracle
+            backend = "exact"
+        elif backend == "auto":
+            backend = "exact" if g.n <= EXACT_THRESHOLD else "sampled"
         seed = _seed_for(args, backend == "sampled")
         oracle = build_lowdiam_fdo(g, args.f, args.delta, backend=backend,
                                    seed=seed, dso_delta=args.dso_delta,

@@ -20,6 +20,10 @@ from .graph import (Graph, GraphError, INF, diameter, extract_path,
                     index_edges, is_connected, resolve_pairs, sssp)
 from .single import build_exact_fdo
 
+# ``backend="auto"`` enumerates failure subsets exactly up to this many
+# vertices and samples subgraphs above it.
+EXACT_THRESHOLD = 64
+
 
 class ExactPathDSO:
     """Enumeration fallback: a fresh shortest-path tree per (source, failure
@@ -59,13 +63,17 @@ class LowDiamFDO:
         self.backend = backend
         self.dso = dso              # kept for audits only, never queried here
         self.edge_lookup = index_edges(edges, False)
-        self.stats = {"queries": 0, "probes": 0, "last_probes": 0}
 
     @property
     def m(self):
         return len(self.edges)
 
     def query(self, pairs):
+        return self.query_details(pairs)["answer"]
+
+    def query_details(self, pairs):
+        """Answer plus its cost: ``probes`` table lookups, one per subset of
+        the failed edges (2^|F| after non-edges are dropped)."""
         pairs = list(pairs)
         if len(pairs) > self.f:
             raise GraphError(
@@ -79,15 +87,13 @@ class LowDiamFDO:
                 val = self.table.get(key)
                 if val is not None and (best is None or val > best):
                     best = val
-        self.stats["queries"] += 1
-        self.stats["probes"] += probes
-        self.stats["last_probes"] = probes
-        return best
+        return {"answer": best, "probes": probes}
 
 
 def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
                       seed=None, dso_delta=None, dso_C=3.0,
-                      exact_threshold=64, dedupe=True, max_subgraphs=50_000):
+                      exact_threshold=EXACT_THRESHOLD, dedupe=True,
+                      max_subgraphs=50_000):
     """Build the oracle; f=1 falls back to the exact single-failure oracle
     (no subset machinery needed there).
 

@@ -7,11 +7,18 @@ the failed tree edges with minimum-swap-weight edges, derives a certified
 lower bound on the new diameter from the most expensive reconnection, and
 answers f*gap + 2*maxdist.  Infinity is returned exactly when the failures
 disconnect the graph.
+
+Query cost: after k tree-edge cuts every component but the source's lies
+in the Euler-tour slice of a cut subtree, and only non-tree edges cross
+components (cf. Duan & Pettie, "Connectivity oracles for failure prone
+graphs", STOC 2010).  A query labels those slices and scans their vertices'
+non-tree edges: O(k + sum of the cut-subtree sizes + their non-tree degree)
+rather than O(m + n*k).  With f=1 a query is one lookup in a precomputed
+swap table.
 """
 from __future__ import annotations
 
-from .graph import (Graph, GraphError, INF, index_edges, is_connected,
-                    resolve_pairs, sssp)
+from .graph import Graph, GraphError, INF, index_edges, resolve_pairs, sssp
 
 
 class MultiFDO:
@@ -48,6 +55,12 @@ class MultiFDO:
             ]
         self.swap_weight = swap_weight
         self.maxdist = max(dist) if maxdist is None else maxdist
+        # per vertex, the ids of its incident non-tree edges
+        self.nontree_eids = nontree = [[] for _ in range(n)]
+        for eid, (u, v, _) in enumerate(edges):
+            if eid not in self.tree_eids:
+                nontree[u].append(eid)
+                nontree[v].append(eid)
         self._index_tree()
         self.f1_swap = self._cover_tree_edges() if f == 1 else None
 
@@ -57,7 +70,8 @@ class MultiFDO:
 
     def _index_tree(self):
         # Euler-tour intervals: nested, so the deepest failed tree edge
-        # enclosing a vertex identifies its component after the cut.
+        # enclosing a vertex identifies its component after the cut.  The
+        # subtree of v is the slice euler[tin[v]:tout[v]].
         children = [[] for _ in range(self.n)]
         parent_vert = [None] * self.n
         for v, eid in enumerate(self.parent_eid):
@@ -72,6 +86,7 @@ class MultiFDO:
         tin = [0] * self.n
         tout = [0] * self.n
         depth = [0] * self.n
+        euler = []
         clock = 0
         stack = [(self.source, False)]
         while stack:
@@ -81,11 +96,13 @@ class MultiFDO:
                 continue
             tin[v] = clock
             clock += 1
+            euler.append(v)
             stack.append((v, True))
             for c in reversed(children[v]):
                 depth[c] = depth[v] + 1
                 stack.append((c, False))
         self.tin, self.tout, self.depth = tin, tout, depth
+        self.euler = euler
         self.parent_vert = parent_vert
         # child endpoint of each tree edge (the component root once it fails)
         self.cut_root = {}
@@ -122,7 +139,12 @@ class MultiFDO:
 
     def query_details(self, pairs, force_general=False):
         """Full query transcript: answer, lower-bound gap, swap edges picked,
-        and the failed-tree-edge count (used by the stretch audits)."""
+        and the failed-tree-edge count (used by the stretch audits).
+
+        The general path costs O(k + sum of the cut-subtree sizes + their
+        non-tree degree) for k failed tree edges; with f=1 (unless
+        ``force_general``) it is one lookup in the precomputed swap table.
+        """
         pairs = list(pairs)
         if len(pairs) > self.f:
             raise GraphError(
@@ -147,18 +169,29 @@ class MultiFDO:
             return detail
 
         roots = [self.cut_root[e] for e in failed_tree]
-        comp = self._components(roots)
+        # Component i+1 is the subtree of roots[i] minus deeper cut subtrees:
+        # label the slices outermost first so nested ones overwrite.  Vertices
+        # left unlabelled are in the source's component 0.
+        tin, tout, euler = self.tin, self.tout, self.euler
+        comp = {}
+        for i in sorted(range(k), key=lambda i: tin[roots[i]]):
+            r = roots[i]
+            comp.update(dict.fromkeys(euler[tin[r]:tout[r]], i + 1))
+        edges, swap_weight = self.edges, self.swap_weight
         crossing = {}
-        for eid, (u, v, _) in enumerate(self.edges):
-            if eid in failed:
-                continue
-            cu, cv = comp[u], comp[v]
-            if cu == cv:
-                continue
-            key = (cu, cv) if cu < cv else (cv, cu)
-            cand = (self.swap_weight[eid], eid)
-            if key not in crossing or cand < crossing[key]:
-                crossing[key] = cand
+        for v, cv in comp.items():
+            for eid in self.nontree_eids[v]:
+                if eid in failed:
+                    continue
+                a, b, _ = edges[eid]
+                cu = comp.get(b if a == v else a, 0)
+                if cu == cv:
+                    continue
+                key = (cu, cv) if cu < cv else (cv, cu)
+                cand = (swap_weight[eid], eid)
+                old = crossing.get(key)
+                if old is None or cand < old:
+                    crossing[key] = cand
         chosen = _forest_completion(k + 1, crossing)
         if chosen is None:
             detail.update(answer=INF, finite=False)
@@ -167,24 +200,13 @@ class MultiFDO:
         swap_eids = []
         for comp_idx, eid in _rooted_parent_edges(k + 1, chosen).items():
             swap_eids.append(eid)
-            g = self.swap_weight[eid] - self.dist[roots[comp_idx - 1]]
+            g = swap_weight[eid] - self.dist[roots[comp_idx - 1]]
             if g > gap:
                 gap = g
         mult = self.f if self.mode == "paper" else k
         detail.update(answer=mult * gap + 2 * self.maxdist, gap=gap,
                       swap_eids=sorted(swap_eids))
         return detail
-
-    def _components(self, roots):
-        tin, tout = self.tin, self.tout
-        comp = [0] * self.n
-        for v in range(self.n):
-            best_tin = -1
-            for i, r in enumerate(roots):
-                if tin[r] <= tin[v] < tout[r] and tin[r] > best_tin:
-                    best_tin = tin[r]
-                    comp[v] = i + 1
-        return comp
 
 
 def _forest_completion(num_comps, crossing):
@@ -235,9 +257,9 @@ def _rooted_parent_edges(num_comps, chosen):
 def build_multi_fdo(g: Graph, f: int, mode="paper") -> MultiFDO:
     if g.directed:
         raise GraphError("multi-failure FDO requires an undirected graph")
-    if not is_connected(g):
-        raise GraphError("multi-failure FDO needs a connected graph")
     tree = sssp(g, 0)
+    if INF in tree.dist:
+        raise GraphError("multi-failure FDO needs a connected graph")
     parent_eid = [entry[1] if entry is not None else None for entry in tree.parent]
     return MultiFDO(g.n, list(g.edges), f, mode, 0, tree.dist, parent_eid)
 

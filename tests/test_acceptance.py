@@ -247,10 +247,11 @@ def test_c5_lowdiam_exactness():
 
         exact = build_lowdiam_fdo(g, 2, delta=2.0, backend="exact")
         for case, truth in zip(cases, truths):
-            if exact.query(case) != truth:
+            detail = exact.query_details(case)
+            if detail["answer"] != truth:
                 bad.append(("exact-backend", case))
-            if exact.stats["last_probes"] > 4:
-                bad.append(("probe-budget", case, exact.stats["last_probes"]))
+            if detail["probes"] > 4:
+                bad.append(("probe-budget", case, detail["probes"]))
 
         nodes = exact.build_stats["nodes"]
         print(f"    size audit n={g.n} m={g.m}: |table|={len(exact.table)} "

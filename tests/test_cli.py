@@ -4,6 +4,7 @@ import pytest
 
 from fdo import save_graph, build_graph, gen_random
 from fdo.cli import main
+from fdo.lowdiam import EXACT_THRESHOLD
 
 
 C4_TEXT = "4 4 U UW\n0 1\n1 2\n2 3\n3 0\n"
@@ -72,6 +73,26 @@ def test_build_random_needs_seed(capsys, tmp_path, c4_file):
     assert code == 2 and "--default-seed" in err
     code, stdout, _ = run(capsys, argv + ["--default-seed"])
     assert code == 0 and records(stdout)[0]["seed"] == 0xFD0
+
+
+def test_lowdiam_auto_backend_threshold(capsys, tmp_path):
+    def argv(n, f=2):
+        g = gen_random("low-diam-hub", seed=3, n=n, p=0.1)
+        gpath = tmp_path / f"hub{n}.txt"
+        save_graph(g, gpath)
+        return ["build", "--graph", str(gpath), "--kind", "lowdiam",
+                "--f", str(f), "--delta", "2.0", "--backend", "auto",
+                "--out", str(tmp_path / f"hub{n}.fdo")]
+
+    code, stdout, _ = run(capsys, argv(12))
+    rec = records(stdout)[0]
+    assert code == 0 and rec["backend"] == "exact" and rec["seed"] is None
+    code, _, err = run(capsys, argv(EXACT_THRESHOLD + 1))
+    assert code == 2 and "--seed" in err
+    # f=1 builds the exact single-failure oracle at any size: no seed needed
+    code, stdout, _ = run(capsys, argv(EXACT_THRESHOLD + 1, f=1))
+    rec = records(stdout)[0]
+    assert code == 0 and rec["backend"] == "exact" and rec["seed"] is None
 
 
 def test_build_deterministic_bytes(capsys, tmp_path, c4_file):

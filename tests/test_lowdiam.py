@@ -100,10 +100,19 @@ def test_query_monotone_in_failures():
 def test_query_probe_budget():
     g = hub_graph(6, n=12)
     o = build_lowdiam_fdo(g, 2, delta=2.0)
-    o.query([(g.edges[0][0], g.edges[0][1]), (g.edges[1][0], g.edges[1][1])])
-    assert o.stats["last_probes"] <= 4
-    o.query([])
-    assert o.stats["last_probes"] == 1
+    pairs = [(g.edges[0][0], g.edges[0][1]), (g.edges[1][0], g.edges[1][1])]
+    d = o.query_details(pairs)
+    assert d["probes"] <= 4 and d["answer"] == o.query(pairs)
+    assert o.query_details([])["probes"] == 1
+
+
+def test_query_leaves_oracle_unchanged():
+    g = hub_graph(6, n=12)
+    o = build_lowdiam_fdo(g, 2, delta=2.0)
+    before = {name: repr(value) for name, value in vars(o).items()}
+    for key in o.table:
+        o.query([(g.edges[e][0], g.edges[e][1]) for e in key])
+    assert {name: repr(value) for name, value in vars(o).items()} == before
 
 
 def test_query_too_many(c4):

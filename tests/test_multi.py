@@ -63,6 +63,15 @@ def test_build_rejects_directed(dicycle3):
         build_multi_fdo(dicycle3, 2)
 
 
+def test_build_rejects_disconnected():
+    two_edges = build_graph(4, False, [(0, 1), (2, 3)])
+    with pytest.raises(GraphError, match="connected graph"):
+        build_multi_fdo(two_edges, 2)
+    isolated = build_graph(3, False, [(1, 2)])   # the source is cut off
+    with pytest.raises(GraphError, match="connected graph"):
+        build_multi_fdo(isolated, 1)
+
+
 # ---------------------------------------------------------------------- query
 
 def test_query_tree_untouched(tri):

@@ -1,0 +1,126 @@
+"""Differential test of the multi-failure oracle.
+
+Hypothesis draws connected undirected graphs with unit, integer (0..3) and
+float weights, and failure sets of up to f pairs (f = 1..4) that mix tree
+edges, non-tree edges and non-edges.  The general query path must give the
+same transcript, field by field, as a reference copy of the plain O(m + n*k)
+reconnection (label every vertex, scan every edge), and every answer must
+meet the oracle's contract against ``fdo.verify.brute_diam``.
+"""
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fdo import INF, brute_diam, build_graph, build_multi_fdo
+from fdo.graph import DIST_EPS, resolve_pairs
+from fdo.multi import _forest_completion, _rooted_parent_edges
+
+WEIGHTS = {
+    "unit": None,
+    "int": st.integers(0, 3),
+    "float": st.one_of(st.just(0.0), st.floats(0.01, 4.0)),
+}
+
+
+@st.composite
+def graphs(draw, kind):
+    """Connected undirected graph with 2..10 vertices: a random spanning
+    tree plus random extra pairs, in random edge order."""
+    n = draw(st.integers(2, 10))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[draw(st.integers(0, i - 1))], order[i])
+             for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    seen = {frozenset(p) for p in pairs}
+    for u, v in extra:
+        if u != v and frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            pairs.append((u, v))
+    # edge ids in random order, so they say nothing about tree depth
+    pairs = draw(st.permutations(pairs))
+    if WEIGHTS[kind] is None:
+        return build_graph(n, False, pairs)
+    return build_graph(n, False, [(u, v, draw(WEIGHTS[kind]))
+                                  for u, v in pairs])
+
+
+def failure_sets(o, f):
+    """Sets of at most f distinct vertex pairs, each drawn from the tree
+    edges, the non-tree edges or the non-edges of the oracle's graph."""
+    tree = [o.edges[e][:2] for e in sorted(o.tree_eids)]
+    nontree = [(u, v) for e, (u, v, _) in enumerate(o.edges)
+               if e not in o.tree_eids]
+    nonedges = [(u, v) for u in range(o.n) for v in range(u + 1, o.n)
+                if (u, v) not in o.edge_lookup]
+    pair = st.one_of([st.sampled_from(c) for c in (tree, nontree, nonedges)
+                      if c])
+    flipped = st.tuples(pair, st.booleans()).map(
+        lambda pf: pf[0][::-1] if pf[1] else pf[0])
+    return st.lists(flipped, max_size=f, unique_by=frozenset)
+
+
+def reference_details(o, pairs):
+    """The general query path as a plain O(m + n*k) pass: every vertex gets
+    its deepest enclosing cut root, then every edge is scanned."""
+    eids, _ = resolve_pairs(pairs, o.n, False, o.edge_lookup)
+    failed = set(eids)
+    failed_tree = sorted(e for e in eids if e in o.tree_eids)
+    k = len(failed_tree)
+    detail = {"k": k, "gap": 0, "swap_eids": [], "finite": True}
+    if k == 0:
+        detail["answer"] = 2 * o.maxdist
+        return detail
+    roots = [o.cut_root[e] for e in failed_tree]
+    comp = [0] * o.n
+    for v in range(o.n):
+        best_tin = -1
+        for i, r in enumerate(roots):
+            if o.tin[r] <= o.tin[v] < o.tout[r] and o.tin[r] > best_tin:
+                best_tin = o.tin[r]
+                comp[v] = i + 1
+    crossing = {}
+    for eid, (u, v, _) in enumerate(o.edges):
+        if eid in failed or comp[u] == comp[v]:
+            continue
+        key = tuple(sorted((comp[u], comp[v])))
+        cand = (o.swap_weight[eid], eid)
+        if key not in crossing or cand < crossing[key]:
+            crossing[key] = cand
+    chosen = _forest_completion(k + 1, crossing)
+    if chosen is None:
+        detail.update(answer=INF, finite=False)
+        return detail
+    parent_edges = _rooted_parent_edges(k + 1, chosen)
+    gap = max([0] + [o.swap_weight[eid] - o.dist[roots[c - 1]]
+                     for c, eid in parent_edges.items()])
+    mult = o.f if o.mode == "paper" else k
+    detail.update(answer=mult * gap + 2 * o.maxdist, gap=gap,
+                  swap_eids=sorted(parent_edges.values()))
+    return detail
+
+
+def meets_contract(detail, truth, f):
+    answer = detail["answer"]
+    if truth == INF or answer == INF:
+        return answer == truth and not detail["finite"]
+    return (detail["finite"]
+            and truth - DIST_EPS <= answer <= (f + 2) * truth + DIST_EPS
+            and detail["gap"] <= truth + DIST_EPS)
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTS))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_multi_matches_reference_and_brute(kind, data):
+    g = data.draw(graphs(kind))
+    for f in (1, 2, 3, 4):
+        o = build_multi_fdo(g, f, mode=data.draw(st.sampled_from(
+            ["paper", "tight"])))
+        for pairs in data.draw(st.lists(failure_sets(o, f), min_size=1,
+                                        max_size=4)):
+            truth = brute_diam(g, pairs)
+            general = o.query_details(pairs, force_general=True)
+            assert general == reference_details(o, pairs), (f, pairs)
+            for detail in (general, o.query_details(pairs)):
+                assert meets_contract(detail, truth, f), (f, pairs, detail,
+                                                          truth)
