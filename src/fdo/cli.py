@@ -84,7 +84,7 @@ def _build_oracle(g, args):
                                    dso_C=args.C)
         info.update(f=args.f, delta=args.delta, backend=backend, seed=seed)
         if backend == "sampled":
-            info["subgraph_count"] = oracle.dso.k
+            info["subgraph_count"] = oracle.subgraph_count
     else:
         raise GraphError(f"unknown oracle kind {kind!r}")
     return oracle, info

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .dso import SampledFDSO, build_sampled_fdso
+from .dso import build_sampled_fdso
 from .graph import (Graph, GraphError, INF, diameter, extract_path,
-                    index_edges, is_connected, resolve_pairs, sssp)
+                    index_edges, resolve_pairs, sssp)
 from .single import build_exact_fdo
 
 # ``backend="auto"`` enumerates failure subsets exactly up to this many
@@ -53,7 +53,7 @@ class LowDiamFDO:
     directed = False
 
     def __init__(self, n, edges, f, delta, base_diam, table, backend="exact",
-                 dso=None):
+                 subgraph_count=None):
         self.n = n
         self.edges = edges
         self.f = f
@@ -61,7 +61,7 @@ class LowDiamFDO:
         self.base_diam = base_diam
         self.table = table          # sorted edge-id tuple -> distance
         self.backend = backend
-        self.dso = dso              # kept for audits only, never queried here
+        self.subgraph_count = subgraph_count    # k of the sampled backend
         self.edge_lookup = index_edges(edges, False)
 
     @property
@@ -100,12 +100,10 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
     ``delta`` gates the admissible diameter, n^(delta/f)/(f+1).  The sampled
     backend may run at its own exponent ``dso_delta`` (defaults to delta):
     it trades the per-subgraph edge-drop rate against the subgraph count and
-    is deliberately independent of the gate.
+    is deliberately independent of the gate.  Disconnected graphs are refused.
     """
     if g.directed or g.weighted:
         raise GraphError("low-diameter FDO requires an undirected unweighted graph")
-    if not is_connected(g):
-        raise GraphError("low-diameter FDO needs a connected graph")
     if f < 1:
         raise GraphError(f"failure budget must be >= 1, got {f}")
     if delta <= 0:
@@ -114,6 +112,8 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
         return build_exact_fdo(g)
 
     base = diameter(g)
+    if base == INF:
+        raise GraphError("low-diameter FDO needs a connected graph")
     bound = g.n ** (delta / f) / (f + 1)
     if base > bound:
         raise GraphError(
@@ -160,7 +160,8 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
                         visited.add(child)
                     stack.append(child)
     oracle = LowDiamFDO(g.n, list(g.edges), f, delta, base, table,
-                        backend=backend, dso=dso)
+                        backend=backend,
+                        subgraph_count=dso.k if backend == "sampled" else None)
     oracle.build_stats = stats
     return oracle
 

@@ -67,12 +67,13 @@ def build_exact_fdo(g: Graph, dso: SingleDSO | None = None) -> ExactFDO:
     subtree, instead of one full shortest-path run (O(m) and more) per
     source and tree edge.  A bridge lies on some source's tree and that
     source's replacement eccentricity is infinite, so bridges need no pass
-    of their own.  ``dso`` lends its stored trees and nothing else.
+    of their own; an infinite distance in them shows a graph that is not
+    (strongly) connected.  ``dso`` lends its stored trees and nothing else.
     """
-    if not is_connected(g):
-        raise GraphError("exact FDO needs a (strongly) connected graph")
     trees = _source_trees(g, range(g.n), dso)
     base = max(max(t.dist) for t in trees)
+    if base == INF:
+        raise GraphError("exact FDO needs a (strongly) connected graph")
     values = [base] * g.m
     raise_by_replacement_ecc(g, trees, values)
     return ExactFDO(g.n, g.directed, list(g.edges), values, base)
@@ -355,9 +356,9 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
         raise GraphError(f"epsilon must be positive, got {epsilon}")
     if g.weighted:
         raise GraphError("approximate FDO requires an unweighted graph")
-    if not is_connected(g):
-        raise GraphError("approximate FDO needs a strongly connected graph")
     base = diameter(g) if dso is None else max(max(row) for row in dso.dist)
+    if base == INF:
+        raise GraphError("approximate FDO needs a strongly connected graph")
     slack = math.floor(epsilon * base)
     if scan_threshold is None:
         scan_threshold = default_scan_threshold(g.n)

@@ -55,14 +55,20 @@ def test_sampled_build_deterministic():
     g = cycle(8)
     d1 = build_sampled_fdso(g, f=2, delta=1.0, C=2.0, seed=9)
     d2 = build_sampled_fdso(g, f=2, delta=1.0, C=2.0, seed=9)
-    assert [s[0] for s in d1.subgraphs] == [s[0] for s in d2.subgraphs]
+    assert d1.drop == d2.drop
+    assert any(d1.drop)
 
 
 def test_sampled_drop_lists_match_subgraphs():
+    # bit i of drop[eid] is subgraph i's draw for edge eid: replay the
+    # per-subgraph streams, in edge-id order, one subgraph after another
     d = build_sampled_fdso(cycle(8), f=1, delta=1.0, C=1.0, seed=5)
-    for eid in range(8):
-        for i in range(d.k):
-            assert (i in d.dropped_in[eid]) == (eid in d.subgraphs[i][0])
+    for i in range(d.k):
+        rng = random.Random(5 * 2654435761 + i)
+        dropped = {eid for eid in range(8) if rng.random() < 8 ** -1.0}
+        for eid in range(8):
+            assert bool(d.drop[eid] >> i & 1) == (eid in dropped)
+    assert all(mask < 1 << d.k for mask in d.drop)
 
 
 def test_sampled_budget_rejected():
@@ -86,6 +92,27 @@ def test_sampled_query_c4(c4):
 def test_sampled_query_bridge(p4):
     d = build_sampled_fdso(p4, f=1, delta=1.0, C=3.0, seed=7)
     assert d.query(0, 3, [1]) == (INF, None)
+
+
+def test_sampled_query_details_counts_survivors(c4):
+    d = build_sampled_fdso(c4, f=2, delta=1.0, C=3.0, seed=7)
+    assert d.query_details(0, 2, [])["survivors"] == d.k
+    got = d.query_details(0, 2, [0, 3])
+    both = sum(1 for i in range(d.k)
+               if d.drop[0] >> i & 1 and d.drop[3] >> i & 1)
+    assert got["survivors"] == both
+    assert (got["dist"], got["path"]) == d.query(0, 2, [0, 3])
+
+
+def test_sampled_query_leaves_dso_unchanged(c4):
+    d = build_sampled_fdso(c4, f=2, delta=1.0, C=3.0, seed=7)
+    before = {name: repr(value) for name, value in vars(d).items()}
+    for s in range(4):
+        for t in range(4):
+            for eids in ([], [0], [1, 2]):
+                d.query(s, t, eids)
+                d.query_details(s, t, eids)
+    assert {name: repr(value) for name, value in vars(d).items()} == before
 
 
 def test_sampled_query_too_many_failures(c4):

@@ -53,6 +53,19 @@ def test_f1_delegates_to_exact():
     assert o.query([(0, 1)]) == brute_diam(g, [(0, 1)])
 
 
+@pytest.mark.parametrize("f, backend, message", [
+    (1, "auto", "exact FDO needs a (strongly) connected graph"),
+    (2, "exact", "low-diameter FDO needs a connected graph"),
+    (2, "sampled", "low-diameter FDO needs a connected graph"),
+])
+def test_build_rejects_disconnected(f, backend, message):
+    # refused as disconnected, not by the diameter gate on an inf diameter
+    g = build_graph(6, False, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    with pytest.raises(GraphError) as err:
+        build_lowdiam_fdo(g, f, delta=3.0, backend=backend, seed=1)
+    assert str(err.value) == message
+
+
 def test_sampled_backend_needs_seed():
     with pytest.raises(GraphError, match="seed"):
         build_lowdiam_fdo(chorded_c4(), 2, delta=3.0, backend="sampled")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -45,6 +46,26 @@ def test_exact_rejects(p4):
         build_exact_fdo(p4).query([(0, 1), (1, 2)])
     with pytest.raises(GraphError, match="connected"):
         build_exact_fdo(build_graph(4, False, [(0, 1), (2, 3)]))
+
+
+# weakly but not strongly connected: 3 reaches the cycle, nothing reaches 3
+ONE_WAY = build_graph(4, True, [(0, 1), (1, 2), (2, 0), (3, 0)])
+TWO_PARTS = build_graph(4, False, [(0, 1), (2, 3)])
+
+
+@pytest.mark.parametrize("g", [TWO_PARTS, ONE_WAY], ids=["undirected", "digraph"])
+@pytest.mark.parametrize("build, message", [
+    (build_exact_fdo, "exact FDO needs a (strongly) connected graph"),
+    (lambda g: build_exact_fdo(g, dso=SingleDSO(g)),
+     "exact FDO needs a (strongly) connected graph"),
+    (lambda g: build_approx_fdo(g, 0.5),
+     "approximate FDO needs a strongly connected graph"),
+    (lambda g: build_approx_fdo(g, 0.5, dso=SingleDSO(g)),
+     "approximate FDO needs a strongly connected graph"),
+], ids=["exact", "exact-dso", "approx", "approx-dso"])
+def test_builders_reject_disconnected(g, build, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        build(g)
 
 
 def test_exact_matches_brute_exhaustively():
