@@ -114,11 +114,15 @@ def cmd_build(args):
 
 def _parse_query_line(line):
     pairs = []
-    for tok in line.split():
-        u, sep, v = tok.partition("-")
-        if not sep or not u.lstrip("-").isdigit() or not v.lstrip("-").isdigit():
-            raise GraphError(f"malformed pair {tok!r}, want 'u-v'")
-        pairs.append((int(u), int(v)))
+    try:
+        for tok in line.split():
+            u, sep, v = tok.partition("-")
+            if not sep or not u.lstrip("-").isdigit() or not v.lstrip("-").isdigit():
+                raise ValueError(tok)
+            pairs.append((int(u), int(v)))
+    except ValueError:
+        # int() also refuses tokens that pass isdigit(), e.g. '--2' or '²'
+        raise GraphError(f"malformed pair {tok!r}, want 'u-v'") from None
     return pairs
 
 

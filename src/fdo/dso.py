@@ -75,13 +75,15 @@ class SampledFDSO:
     edge eid; ``rows[s][t][d]`` those where t is exactly d hops from s (the
     list ends at the last level that reaches t).  A query ANDs the failed
     edges' drop masks into the survivor mask and answers with the first
-    level that meets it.  Every reported distance is the length of a
-    genuine path avoiding the failures, so never below the true one, and
-    matches it with high probability over the build seed.  Nothing changes
-    after the build, so concurrent queries are safe.
+    level that meets it.  ``adj[v]`` lists v's neighbours u in id order,
+    each with the mask of the subgraphs that keep the edge to u.  Every
+    reported distance is the length of a genuine path avoiding the
+    failures, so never below the true one, and matches it with high
+    probability over the build seed.  Nothing changes after the build, so
+    concurrent queries are safe.
     """
 
-    def __init__(self, g, f, delta, C, seed, k, drop, rows):
+    def __init__(self, g, f, delta, C, seed, k, drop, rows, adj):
         self.g = g
         self.f = f
         self.delta = delta
@@ -90,21 +92,25 @@ class SampledFDSO:
         self.k = k
         self.drop = drop
         self.rows = rows
+        self.adj = adj
 
     def query(self, s, t, failed_eids):
         return sampled_fdso_query(self, s, t, failed_eids)
+
+    def distance(self, s, t, failed_eids):
+        """The ``dist`` of :meth:`query_details`, without the path."""
+        surv = self._survivors(failed_eids)
+        for d, mask in enumerate(self.rows[s][t]):
+            if mask & surv:
+                return d
+        return INF
 
     def query_details(self, s, t, failed_eids):
         """``{"dist", "path", "survivors"}``: the minimum s-t distance over
         the subgraphs avoiding the failed edges with a realizing vertex path
         (inf and None when none connects), and how many subgraphs avoid
         them.  Among subgraphs at the minimum the smallest index reports."""
-        failed = set(failed_eids)
-        if len(failed) > self.f:
-            raise GraphError(f"failure set of size {len(failed)} exceeds f={self.f}")
-        surv = (1 << self.k) - 1
-        for eid in failed:
-            surv &= self.drop[eid]
+        surv = self._survivors(failed_eids)
         dist, path = INF, None
         row = self.rows[s]
         for d, mask in enumerate(row[t]):
@@ -114,17 +120,26 @@ class SampledFDSO:
                 break
         return {"dist": dist, "path": path, "survivors": surv.bit_count()}
 
+    def _survivors(self, failed_eids):
+        failed = set(failed_eids)
+        if len(failed) > self.f:
+            raise GraphError(f"failure set of size {len(failed)} exceeds f={self.f}")
+        surv = (1 << self.k) - 1
+        for eid in failed:
+            surv &= self.drop[eid]
+        return surv
+
     def _path(self, row, t, d, i):
         # Walk back from t one level at a time inside subgraph i, taking the
-        # smallest-id neighbour, the parent graph.sssp picks on unit weights.
+        # first, so smallest-id, neighbour one level closer: the parent
+        # graph.sssp picks on unit weights.
         bit = 1 << i
-        drop = self.drop
         path = [t]
         v = t
         for level in range(d - 1, -1, -1):
-            v = min(u for u, eid, _ in self.g._out_nbrs[v]
-                    if not drop[eid] & bit and len(row[u]) > level
-                    and row[u][level] & bit)
+            v = next(u for u, alive in self.adj[v]
+                     if alive & bit and len(row[u]) > level
+                     and row[u][level] & bit)
             path.append(v)
         path.reverse()
         return path
@@ -158,7 +173,7 @@ def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
             if rng.random() < drop_p:
                 drop[eid] |= bit
     full = (1 << k) - 1
-    adj = [[(u, full ^ drop[eid]) for u, eid, _ in g._out_nbrs[v]]
+    adj = [sorted((u, full ^ drop[eid]) for u, eid, _ in g._out_nbrs[v])
            for v in range(n)]
     rows = []
     for s in range(n):
@@ -181,7 +196,7 @@ def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
                 row[u] += [0] * (d - len(row[u])) + [new]
             frontier = list(level.items())
         rows.append(row)
-    return SampledFDSO(g, f, delta, C, seed, k, drop, rows)
+    return SampledFDSO(g, f, delta, C, seed, k, drop, rows, adj)
 
 
 def sampled_fdso_query(d: SampledFDSO, s, t, failed_eids):

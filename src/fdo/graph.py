@@ -293,11 +293,16 @@ def is_connected(g: Graph, excluded=frozenset()) -> bool:
 def strong_bridges(g: Graph) -> set:
     """Edges whose removal disconnects (strongly, if directed) the graph.
 
-    Brute force: drop each edge and re-test connectivity, O(m(n+m)).
+    An edge in neither the out-tree from 0 nor the in-tree to 0 leaves both
+    trees whole, so it cannot be a strong bridge.  Each of the at most
+    2(n-1) tree edges is dropped in turn and connectivity re-tested,
+    O(n(n+m)).
     """
-    if not is_connected(g):
+    trees = [sssp(g, 0)] + ([in_tree(g, 0)] if g.directed else [])
+    if any(INF in tree.dist for tree in trees):
         raise GraphError("graph must be (strongly) connected")
-    return {eid for eid in range(g.m) if not is_connected(g, {eid})}
+    candidates = {p[1] for tree in trees for p in tree.parent if p is not None}
+    return {eid for eid in candidates if not is_connected(g, {eid})}
 
 
 # ---------------------------------------------------------------------------

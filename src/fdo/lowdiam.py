@@ -2,7 +2,8 @@
 
 For every vertex pair a tree of failure subsets is explored: each node asks
 a path-reporting distance oracle for the pair's distance avoiding its
-subset, then branches on the edges of the reported path.  All distances are
+subset, then branches on the edges of the reported path; a node whose
+subset already has f edges asks for the distance alone.  All distances are
 aggregated, maxed per subset, into one table keyed by canonical sorted
 edge-id tuples; a query takes the max over the table entries of all subsets
 of the queried failures (at most 2^f probes).
@@ -16,8 +17,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .dso import build_sampled_fdso
-from .graph import (Graph, GraphError, INF, diameter, extract_path,
-                    index_edges, resolve_pairs, sssp)
+from .graph import (Graph, GraphError, INF, diameter, distances, index_edges,
+                    resolve_pairs)
 from .single import build_exact_fdo
 
 # ``backend="auto"`` enumerates failure subsets exactly up to this many
@@ -26,24 +27,49 @@ EXACT_THRESHOLD = 64
 
 
 class ExactPathDSO:
-    """Enumeration fallback: a fresh shortest-path tree per (source, failure
-    subset), memoized.  Deterministic, exact, path-reporting."""
+    """Enumeration fallback: deterministic, exact, path-reporting.
+
+    Keeps one BFS distance row per (source, failure subset) until a query
+    names another source; the subset-table build finishes each source
+    before the next.  A path is walked back from t one level at a time
+    through the smallest-id neighbour one level closer over a surviving
+    edge.  On unit weights every such neighbour is settled before the
+    vertex, so this is the parent ``graph.sssp`` picks.
+    """
 
     def __init__(self, g: Graph, f: int):
         self.g = g
         self.f = f
-        self._memo = {}
+        self._nbrs = [sorted((u, eid) for u, eid, _ in g._out_nbrs[v])
+                      for v in range(g.n)]
+        self._source = None
+        self._rows = {}
+
+    def _row(self, s, key):
+        if s != self._source:
+            self._source, self._rows = s, {}
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = distances(self.g, s, frozenset(key))
+        return row
+
+    def distance(self, s, t, failed_eids):
+        return self._row(s, tuple(sorted(failed_eids)))[t]
 
     def query(self, s, t, failed_eids):
-        key = (s, tuple(sorted(failed_eids)))
-        tree = self._memo.get(key)
-        if tree is None:
-            tree = sssp(self.g, s, frozenset(key[1]))
-            self._memo[key] = tree
-        got = extract_path(tree, t)
-        if got is None:
+        key = tuple(sorted(failed_eids))
+        dist = self._row(s, key)
+        d = dist[t]
+        if d == INF:
             return INF, None
-        return tree.dist[t], got[0]
+        path = [t]
+        v = t
+        for level in range(d - 1, -1, -1):
+            v = next(u for u, eid in self._nbrs[v]
+                     if dist[u] == level and eid not in key)
+            path.append(v)
+        path.reverse()
+        return d, path
 
 
 class LowDiamFDO:
@@ -101,6 +127,13 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
     backend may run at its own exponent ``dso_delta`` (defaults to delta):
     it trades the per-subgraph edge-drop rate against the subgraph count and
     is deliberately independent of the gate.  Disconnected graphs are refused.
+
+    The sampled backend never undershoots, but small graphs leave it few
+    subgraphs: at ``dso_C=3``, ``dso_delta=1`` on hub graphs with n <= 12
+    and f = 2, 3, 1-2% of random failure sets got a larger answer than the
+    truth, ``inf`` on a connected G-F included.  Use the exact backend
+    there (``auto`` does up to ``exact_threshold`` vertices) or raise
+    ``dso_C`` or ``dso_delta``.
     """
     if g.directed or g.weighted:
         raise GraphError("low-diameter FDO requires an undirected unweighted graph")
@@ -141,12 +174,15 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
             visited = {()} if dedupe else None
             while stack:
                 key = stack.pop()
-                dist, path = dso.query(s, t, key)
                 stats["nodes"] += 1
+                if len(key) == f:   # a leaf: only its distance is needed
+                    dist, path = dso.distance(s, t, key), None
+                else:
+                    dist, path = dso.query(s, t, key)
                 old = table.get(key)
                 if old is None or dist > old:
                     table[key] = dist
-                if dist == INF or len(key) == f:
+                if path is None:    # a leaf, or t unreachable
                     continue
                 path_eids = [lookup[(a, b) if a < b else (b, a)]
                              for a, b in zip(path, path[1:])]

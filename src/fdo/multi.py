@@ -71,21 +71,30 @@ class MultiFDO:
     def _index_tree(self):
         # Euler-tour intervals: nested, so the deepest failed tree edge
         # enclosing a vertex identifies its component after the cut.  The
-        # subtree of v is the slice euler[tin[v]:tout[v]].
-        children = [[] for _ in range(self.n)]
-        parent_vert = [None] * self.n
+        # subtree of v is the slice euler[tin[v]:tout[v]].  Loaded rows are
+        # checked to form a spanning tree at the source on the way, or the
+        # walk could loop forever or skip vertices.
+        n, m = self.n, len(self.edges)
+        if not 0 <= self.source < n or self.parent_eid[self.source] is not None:
+            raise GraphError(f"tree rows do not root at source {self.source}")
+        children = [[] for _ in range(n)]
+        parent_vert = [None] * n
         for v, eid in enumerate(self.parent_eid):
             if eid is None:
                 continue
+            if not 0 <= eid < m:
+                raise GraphError(f"tree row of vertex {v} names edge {eid} (m={m})")
             eu, ev, _ = self.edges[eid]
+            if v != eu and v != ev:
+                raise GraphError(f"parent edge {eid} of vertex {v} does not touch it")
             pv = ev if eu == v else eu
             parent_vert[v] = pv
             children[pv].append(v)
         for ch in children:
             ch.sort()
-        tin = [0] * self.n
-        tout = [0] * self.n
-        depth = [0] * self.n
+        tin = [0] * n
+        tout = [0] * n
+        depth = [0] * n
         euler = []
         clock = 0
         stack = [(self.source, False)]
@@ -101,6 +110,10 @@ class MultiFDO:
             for c in reversed(children[v]):
                 depth[c] = depth[v] + 1
                 stack.append((c, False))
+        # every vertex but the source has one parent, so none is pushed twice
+        if clock != n:
+            raise GraphError(f"tree rows reach {clock} of {n} vertices "
+                             f"from source {self.source}")
         self.tin, self.tout, self.depth = tin, tout, depth
         self.euler = euler
         self.parent_vert = parent_vert

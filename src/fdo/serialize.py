@@ -94,9 +94,15 @@ def loads_oracle(text: str):
         raise GraphError(f"unsupported format version {params.get('fmt')!r}")
     directed = params.get("dir") == "1"
 
+    # Each edge has an E line and, in multi files, each vertex a V line:
+    # check the counts before allocating by them.
+    tree_rows = n if kind == "multi" else 0
+    if n < 1 or m < 0 or m + tree_rows > len(lines) - 1:
+        raise GraphError(f"oracle header counts n={n} m={m} do not fit "
+                         f"its {len(lines) - 1} body lines")
     edges = [None] * m
     pivots = []
-    vrows = [None] * n
+    vrows = [None] * tree_rows
     dlines = []
     for ln in lines[1:]:
         try:

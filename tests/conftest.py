@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from fdo import build_graph
 
@@ -66,3 +67,21 @@ def zero_weight_graphs():
         build_graph(4, True, [(0, 1, 0), (1, 2, 0), (2, 0, 0), (2, 3, 1),
                               (3, 0, 0)]),
     ]
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """Connected unit undirected graph: a random spanning tree plus random
+    extra pairs, in random edge order."""
+    n = draw(st.integers(2, max_n))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[draw(st.integers(0, i - 1))], order[i])
+             for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    seen = {frozenset(p) for p in pairs}
+    for u, v in extra:
+        if u != v and frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            pairs.append((u, v))
+    return build_graph(n, False, draw(st.permutations(pairs)))

@@ -116,6 +116,21 @@ def test_query_stream(capsys, tmp_path, c4_file):
         "3", "2", "error: malformed pair 'not-a-pair', want 'u-v'"]
 
 
+@pytest.mark.parametrize("line", ["1---2", "\u00b2-1", "0-1 2-\u00b2"])
+def test_query_unparsable_number_line(capsys, tmp_path, c4_file, line):
+    # each token passes the digit check but int() refuses it
+    out = str(tmp_path / "c4.fdo")
+    run(capsys, ["build", "--graph", c4_file, "--kind", "exact", "--out", out])
+    qfile = tmp_path / "q.txt"
+    qfile.write_text(f"{line}\n0-1\n", encoding="utf-8")
+    code, stdout, _ = run(capsys, ["query", "--oracle", out,
+                                   "--queries", str(qfile)])
+    bad = line.split()[-1]
+    assert code == 0
+    assert stdout.splitlines() == [
+        f"error: malformed pair {bad!r}, want 'u-v'", "3"]
+
+
 def test_query_too_many_failures_line(capsys, tmp_path):
     g = gen_random("er-weighted", seed=2, n=10, p=0.4)
     gpath, opath = tmp_path / "g.txt", str(tmp_path / "g.fdo")

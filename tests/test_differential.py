@@ -3,13 +3,16 @@
 Random small graphs of four types (unit undirected, unit strongly connected
 digraphs, integer weights including 0, float weights) are built into every
 single-failure kind that accepts them, and every edge's answer is checked
-against ``fdo.verify.brute_diam`` at that kind's contract.
+against ``fdo.verify.brute_diam`` at that kind's contract.  The same graphs
+check ``strong_bridges``, which tests only tree edges, against a
+connectivity test of every edge.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdo import (INF, brute_diam, build_approx_fdo, build_ecc_fdo,
-                 build_exact_fdo, build_graph, build_spanner_fdo)
+                 build_exact_fdo, build_graph, build_spanner_fdo, is_connected,
+                 strong_bridges)
 from fdo.graph import DIST_EPS, dist_eq
 
 WEIGHTS = {
@@ -82,3 +85,12 @@ def test_single_failure_kinds_match_brute(kind, data):
         for name, oracle, check in built:
             answer = oracle.query([(u, v)])
             assert check(answer, truth, eid), (name, (u, v), answer, truth)
+
+
+@pytest.mark.parametrize("kind", ["undirected", "digraph", "int", "float"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_strong_bridges_match_per_edge_check(kind, data):
+    g = data.draw(graphs(kind))
+    expect = {eid for eid in range(g.m) if not is_connected(g, {eid})}
+    assert strong_bridges(g) == expect

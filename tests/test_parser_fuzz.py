@@ -1,0 +1,120 @@
+"""Fuzz tests of the three text parsers: ``parse_graph``, ``loads_oracle``
+and the CLI's query-line parser.
+
+Hypothesis mutates valid graph files and valid oracle files of every kind
+(replaced tokens and header values, header counts included; dropped,
+repeated, swapped and inserted lines) and draws free-form query lines.
+Every input must either parse or raise ``GraphError``, which the CLI turns
+into an ``error:`` line or exit code 2; any other exception is a traceback.
+
+Graph headers never get a huge vertex count: such a header is a well-formed
+graph of isolated vertices, and building its adjacency lists runs out of
+memory rather than raising ``GraphError``.
+"""
+from hypothesis import given, settings, strategies as st
+
+from fdo import (GraphError, build_approx_fdo, build_ecc_fdo, build_exact_fdo,
+                 build_graph, build_lowdiam_fdo, build_multi_fdo,
+                 build_spanner_fdo, dumps_oracle, gen_random, loads_oracle,
+                 parse_graph)
+from fdo.cli import _parse_query_line
+from fdo.graph import format_graph
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
+                database=None)
+
+SMALL = st.integers(-3, 40).map(str)
+HUGE = st.sampled_from(["10000000000", "99999999999999999999"])
+ODD = st.sampled_from(["", "x", "-", "--2", "+3", "1.5", "inf", "nan",
+                       "1e999", "0x1", "1_0", "²", "١", "D", "U",
+                       "W", "UW", "E", "V", "P", "FDO", "=", "fmt=1"])
+
+
+def _graph_texts():
+    c4 = build_graph(4, False, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    dg = build_graph(3, True, [(0, 1), (1, 2), (2, 0)])
+    wg = build_graph(4, False, [(0, 1, 2), (1, 2, 0.5), (2, 3, 0), (0, 3, 7)])
+    return [format_graph(g) for g in (c4, dg, wg)]
+
+
+def _oracle_texts():
+    c4 = build_graph(4, False, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    wg = gen_random("er-weighted", seed=5, n=6, p=0.5)
+    dg = build_graph(8, True, [(i, (i + 1) % 8) for i in range(8)]
+                     + [(0, 4)])
+    hub = gen_random("low-diam-hub", seed=3, n=6, p=0.2)
+    oracles = [build_exact_fdo(c4), build_ecc_fdo(wg),
+               build_spanner_fdo(c4, 2),
+               build_approx_fdo(dg, 1.0, scan_threshold=0),
+               build_approx_fdo(c4, 0.5), build_multi_fdo(wg, 2),
+               build_lowdiam_fdo(hub, 2, delta=2.0)]
+    return [dumps_oracle(o) for o in oracles]
+
+
+GRAPH_TEXTS = _graph_texts()
+ORACLE_TEXTS = _oracle_texts()
+
+
+@st.composite
+def mutations(draw, text, huge):
+    """``text`` with one to three random line or token edits.  ``huge``
+    draws the numbers that may become the header's first count."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["token", "token", "value", "drop", "dup",
+                                   "swap", "insert"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "insert" or not lines:
+            number = huge if i == 0 else HUGE
+            lines.insert(i, " ".join(draw(st.lists(
+                st.one_of(SMALL, number, ODD), max_size=5))))
+        elif op in ("token", "value"):
+            toks = lines[i].split(" ")
+            j = draw(st.integers(0, len(toks) - 1))
+            number = huge if (i, j) == (0, 0) else HUGE
+            new = draw(st.one_of(SMALL, number, ODD))
+            key, eq, _ = toks[j].partition("=")
+            toks[j] = f"{key}={new}" if op == "value" and eq else new
+            lines[i] = " ".join(toks)
+        elif op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(data=st.data())
+def test_parse_graph_parses_or_raises_graph_error(data):
+    text = data.draw(st.sampled_from(GRAPH_TEXTS).flatmap(
+        lambda t: mutations(t, huge=SMALL)))
+    try:
+        parse_graph(text)
+    except GraphError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_loads_oracle_parses_or_raises_graph_error(data):
+    text = data.draw(st.sampled_from(ORACLE_TEXTS).flatmap(
+        lambda t: mutations(t, huge=HUGE)))
+    try:
+        loads_oracle(text)
+    except GraphError:
+        pass
+
+
+@FUZZ
+@given(line=st.one_of(
+    st.text(max_size=24),
+    st.text(alphabet="0123456789-+_ \t²١x", max_size=24)))
+def test_query_line_parses_or_raises_graph_error(line):
+    try:
+        pairs = _parse_query_line(line)
+    except GraphError:
+        return
+    assert all(type(u) is int and type(v) is int for u, v in pairs)

@@ -16,8 +16,10 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from fdo import GraphError, INF, build_graph, build_lowdiam_fdo, distances
+from fdo import GraphError, INF, build_lowdiam_fdo, distances
 from fdo.dso import build_sampled_fdso
+
+from conftest import connected_graphs
 
 
 class ScalarSampledDSO:
@@ -67,6 +69,9 @@ class ScalarSampledDSO:
             path.append(parent[path[-1]])
         return best, path[::-1]
 
+    def distance(self, s, t, failed_eids):
+        return self.query(s, t, failed_eids)[0]
+
 
 def parent_row(g, dist, dropped):
     parent = [-1] * g.n
@@ -87,24 +92,6 @@ def contains(sorted_list, x):
     return j < len(sorted_list) and sorted_list[j] == x
 
 
-@st.composite
-def graphs(draw, max_n=12):
-    """Connected unit undirected graph: a random spanning tree plus random
-    extra pairs, in random edge order."""
-    n = draw(st.integers(2, max_n))
-    order = draw(st.permutations(range(n)))
-    pairs = [(order[draw(st.integers(0, i - 1))], order[i])
-             for i in range(1, n)]
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                    st.integers(0, n - 1)), max_size=2 * n))
-    seen = {frozenset(p) for p in pairs}
-    for u, v in extra:
-        if u != v and frozenset((u, v)) not in seen:
-            seen.add(frozenset((u, v)))
-            pairs.append((u, v))
-    return build_graph(n, False, draw(st.permutations(pairs)))
-
-
 SAMPLING = dict(seed=st.integers(0, 10_000),
                 C=st.sampled_from([0.2, 0.5, 1.0, 3.0]),
                 delta=st.sampled_from([0.5, 1.0, 2.0]))
@@ -113,7 +100,7 @@ SAMPLING = dict(seed=st.integers(0, 10_000),
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_masks_match_scalar_construction(data):
-    g = data.draw(graphs())
+    g = data.draw(connected_graphs())
     f = data.draw(st.integers(1, 3))
     params = {name: data.draw(s) for name, s in SAMPLING.items()}
     new = build_sampled_fdso(g, f, **params)
@@ -134,7 +121,7 @@ def test_masks_match_scalar_construction(data):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_lowdiam_tables_match_scalar_construction(data):
-    g = data.draw(graphs(max_n=10))
+    g = data.draw(connected_graphs(max_n=10))
     f = data.draw(st.integers(2, 3))
     seed = data.draw(SAMPLING["seed"])
     dso_C = data.draw(SAMPLING["C"])

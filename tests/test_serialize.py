@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import fdo
 from fdo import (GraphError, brute_diam, build_approx_fdo, build_ecc_fdo,
                  build_exact_fdo, build_graph, build_lowdiam_fdo,
                  build_multi_fdo, build_spanner_fdo, dumps_oracle, gen_random,
@@ -68,3 +73,83 @@ def test_loaded_oracle_answers_identically():
 def test_loader_rejects(text, msg):
     with pytest.raises(GraphError, match=msg):
         loads_oracle(text)
+
+
+MULTI_TEXT = """FDO multi 6 7 fmt=1 dir=0 f=2 mode=paper source=0 maxdist=12
+E 0 0 1 10
+E 1 0 5 5
+E 2 1 2 1
+E 3 1 3 6
+E 4 1 5 2
+E 5 2 4 4
+E 6 3 5 2
+V 0 0 -
+V 1 7 4
+V 2 8 2
+V 3 7 6
+V 4 12 5
+V 5 5 1
+D 0 17
+D 1 0
+D 2 0
+D 3 20
+D 4 0
+D 5 0
+D 6 0
+"""
+
+# Runs loads_oracle in a child capped at 512 MiB of address space, so a
+# loader that loops or allocates without bound fails the test instead of
+# exhausting the machine.
+CAPPED_LOAD = """
+import resource, sys
+cap = 512 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from fdo import GraphError, loads_oracle
+try:
+    loads_oracle(sys.stdin.read())
+except GraphError as exc:
+    print("GraphError:", exc)
+else:
+    print("loaded")
+"""
+
+
+def load_capped(text):
+    src = os.path.dirname(os.path.dirname(fdo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", CAPPED_LOAD], input=text,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.strip()
+
+
+def test_multi_text_loads():
+    assert load_capped(MULTI_TEXT) == "loaded"
+    assert dumps_oracle(loads_oracle(MULTI_TEXT)) == MULTI_TEXT
+
+
+@pytest.mark.parametrize("old, new, msg", [
+    ("V 0 0 -", "V 0 0 5", "do not root at source 0"),     # source with a parent
+    ("source=0", "source=6", "do not root at source 6"),
+    ("source=0", "source=-1", "do not root at source -1"),
+    ("V 2 8 2", "V 2 8 0", "edge 0 of vertex 2 does not touch it"),
+    ("V 2 8 2", "V 2 8 -1", "names edge -1"),
+    ("V 2 8 2", "V 2 8 7", "names edge 7"),
+    ("V 2 8 2", "V 2 8 -", "reach 4 of 6 vertices"),       # second root
+    ("V 5 5 1", "V 5 5 4", "reach 1 of 6 vertices"),       # cycle 1-5 off the tree
+    ("FDO multi 6 7", "FDO multi 6 10000000000", "do not fit"),
+    ("FDO multi 6 7", "FDO multi 10000000000 7", "do not fit"),
+    ("FDO multi 6 7", "FDO multi 6 -1", "do not fit"),
+    ("FDO multi 6 7", "FDO multi 0 7", "do not fit"),
+])
+def test_loader_rejects_bad_multi_tree(old, new, msg):
+    assert old in MULTI_TEXT
+    got = load_capped(MULTI_TEXT.replace(old, new, 1))
+    assert got.startswith("GraphError:") and msg in got, got
+
+
+def test_loader_rejects_huge_edge_count():
+    text = "FDO exact 2 10000000000 fmt=1 dir=0 base=1\nE 0 0 1 1\nD 0 1\n"
+    got = load_capped(text)
+    assert got.startswith("GraphError:") and "do not fit" in got, got
