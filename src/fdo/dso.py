@@ -4,15 +4,16 @@ Two flavours: an exact single-failure oracle that memoizes the rare
 recomputations, and a randomized multi-failure oracle built from sampled
 spanning subgraphs that reports genuine paths (never underestimating).
 The sampled oracle holds its k subgraphs as k-bit ints (see SampledFDSO),
-filled by one bitset BFS per source in O(n * D * m) big-int operations, D
-the largest subgraph eccentricity.
+filled by one :func:`graph.lane_bfs` per source with subgraph i as lane i,
+in O(n * D * m) big-int operations, D the largest subgraph eccentricity.
 """
 from __future__ import annotations
 
 import math
 import random
 
-from .graph import Graph, GraphError, INF, apsp, extract_path, sssp
+from .graph import (Graph, GraphError, INF, apsp, extract_path, lane_bfs,
+                    sssp)
 
 
 class SingleDSO:
@@ -151,10 +152,10 @@ def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
     dropped independently with probability n^(-delta/f); subgraph i draws
     from its own stream derived from (seed, i), in edge-id order.
 
-    One level-synchronous BFS per source serves all k subgraphs: crossing
-    an edge keeps the frontier bits of the subgraphs that contain it and
-    have not reached its far end yet (multi-source bitset BFS, Then et al.,
-    VLDB 2014), O(D * m) big-int operations instead of k scalar runs.
+    One :func:`graph.lane_bfs` per source serves all k subgraphs, lane i
+    keeping the edges subgraph i keeps: crossing an edge keeps the frontier
+    bits of the subgraphs that contain it and have not reached its far end
+    yet, O(D * m) big-int operations instead of k scalar runs.
     """
     if g.directed or g.weighted:
         raise GraphError("sampled f-DSO requires an undirected unweighted graph")
@@ -173,28 +174,15 @@ def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
             if rng.random() < drop_p:
                 drop[eid] |= bit
     full = (1 << k) - 1
-    adj = [sorted((u, full ^ drop[eid]) for u, eid, _ in g._out_nbrs[v])
+    alive = [full ^ mask for mask in drop]
+    adj = [sorted((u, alive[eid]) for u, eid, _ in g._out_nbrs[v])
            for v in range(n)]
     rows = []
     for s in range(n):
         row = [[] for _ in range(n)]
-        row[s].append(full)
-        unreached = [full] * n
-        unreached[s] = 0
-        frontier = [(s, full)]
-        d = 0
-        while frontier:
-            d += 1
-            level = {}
-            for v, mask in frontier:
-                for u, alive in adj[v]:
-                    new = mask & alive & unreached[u]
-                    if new:
-                        unreached[u] ^= new
-                        level[u] = level.get(u, 0) | new
+        for d, level in enumerate(lane_bfs(g._out_nbrs, alive, s, full)[0]):
             for u, new in level.items():
                 row[u] += [0] * (d - len(row[u])) + [new]
-            frontier = list(level.items())
         rows.append(row)
     return SampledFDSO(g, f, delta, C, seed, k, drop, rows, adj)
 

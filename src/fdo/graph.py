@@ -114,8 +114,8 @@ def build_graph(n, directed, edge_list) -> Graph:
     """Validate an edge list and build the graph.
 
     Entries are (u, v) or (u, v, w); missing weights default to 1.  Rejects
-    self-loops, duplicate pairs, negative weights, and out-of-range ids,
-    naming the offending entry.
+    self-loops, duplicate pairs, negative or non-finite weights, and
+    out-of-range ids, naming the offending entry.
     """
     if n < 1:
         raise GraphError(f"vertex count must be positive, got {n}")
@@ -133,6 +133,8 @@ def build_graph(n, directed, edge_list) -> Graph:
             raise GraphError(f"self-loop ({u},{v}) not allowed")
         if w < 0:
             raise GraphError(f"edge ({u},{v}) has negative weight {w}")
+        if not w < INF:  # inf, and nan, which compares false to everything
+            raise GraphError(f"edge ({u},{v}) has non-finite weight {w}")
         key = pair_key(u, v, directed)
         if key in seen:
             raise GraphError(f"duplicate edge pair ({u},{v})")
@@ -264,6 +266,40 @@ def extract_path(tree: ShortestPathTree, endpoint):
     return verts, eids
 
 
+def lane_bfs(nbrs, alive, source, full):
+    """One BFS from ``source`` over many edge subsets at once: bit i of a
+    mask is lane i, and lane i keeps edge eid iff bit i of ``alive[eid]``
+    is set (multi-source bitset BFS, Then et al., VLDB 2014).  ``nbrs`` is
+    an adjacency as ``Graph._out_nbrs`` holds it and ``full`` has every
+    lane's bit.
+
+    Returns ``(levels, missed)``: ``levels[d]`` maps each vertex to the
+    lanes that reach it first at d hops (``levels[0]`` is ``{source:
+    full}``), and ``missed`` holds the lanes that leave some vertex
+    unreached.  A vertex enters a level once per level that newly reaches
+    it, so the cost is O(m) big-int operations per distinct level of each
+    vertex, not per lane.
+    """
+    unreached = [full] * len(nbrs)
+    unreached[source] = 0
+    levels = []
+    frontier = {source: full}
+    while frontier:
+        levels.append(frontier)
+        level = {}
+        for v, mask in frontier.items():
+            for u, eid, _ in nbrs[v]:
+                new = mask & alive[eid] & unreached[u]
+                if new:
+                    unreached[u] ^= new
+                    level[u] = level.get(u, 0) | new
+        frontier = level
+    missed = 0
+    for mask in unreached:
+        missed |= mask
+    return levels, missed
+
+
 def eccentricity(g: Graph, v, excluded=frozenset()):
     """max_t d(v,t) in g minus excluded; inf when some vertex is unreachable."""
     return max(distances(g, v, excluded))
@@ -342,7 +378,10 @@ def resolve_pairs(pairs, n, directed, edge_lookup):
 # edge-list text format
 #
 # First line "n m D|U W|UW" (directed/undirected, weighted/unweighted), then
-# m lines "u v" or "u v w"; '#' starts a comment.
+# m lines "u v" or "u v w"; '#' starts a comment.  A file must have
+# n <= m + 1: every oracle needs a connected graph, which fewer edges cannot
+# give, and the bound keeps a header from allocating adjacency lists for
+# more vertices than the file has lines.
 
 def parse_graph(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines()]
@@ -360,6 +399,9 @@ def parse_graph(text: str) -> Graph:
     weighted = head[3] == "W"
     if len(lines) - 1 != m:
         raise GraphError(f"header says m={m} but {len(lines) - 1} edge lines found")
+    if n > m + 1:
+        raise GraphError(f"header says n={n} but m={m} edges connect at most "
+                         f"{m + 1} vertices")
     edge_list = []
     for ln in lines[1:]:
         toks = ln.split()

@@ -11,9 +11,13 @@ non-edges answered without error):
                  with randomized or deterministic pivot selection.
 
 All four builds get their per-edge values from one kernel,
-raise_by_replacement_ecc, which repairs each source's shortest-path tree
-below every tree edge.  All oracles are immutable after build; concurrent
-queries are safe.
+raise_by_replacement_ecc: ecc_{G-e}(s) for every source tree and tree edge
+e.  On unit weights it runs one bit-lane BFS per tree (graph.lane_bfs), a
+lane per tree edge, at O(m) big-int operations on n-bit masks per distinct
+distance a vertex takes over the failures.  On other weights, zero
+included, it repairs the tree below every tree edge with a Dijkstra run
+confined to that subtree, at the subtree's edge volume times a log factor.
+All oracles are immutable after build; concurrent queries are safe.
 """
 from __future__ import annotations
 
@@ -23,7 +27,8 @@ from heapq import heapify, heappop, heappush
 
 from .dso import SingleDSO
 from .graph import (Graph, GraphError, INF, diameter, in_tree, index_edges,
-                    is_connected, resolve_pairs, sssp, strong_bridges)
+                    is_connected, lane_bfs, resolve_pairs, sssp,
+                    strong_bridges)
 
 
 def _single_failure_eid(oracle, pairs):
@@ -62,13 +67,13 @@ def build_exact_fdo(g: Graph, dso: SingleDSO | None = None) -> ExactFDO:
     edges (edges off a source's tree leave that source's distances intact).
 
     The replacement eccentricities come from :func:`raise_by_replacement_ecc`
-    over all n trees, which repairs only the subtree below each tree edge:
-    the cost is the sum over sources of the edge volume of every tree-edge
-    subtree, instead of one full shortest-path run (O(m) and more) per
-    source and tree edge.  A bridge lies on some source's tree and that
-    source's replacement eccentricity is infinite, so bridges need no pass
-    of their own; an infinite distance in them shows a graph that is not
-    (strongly) connected.  ``dso`` lends its stored trees and nothing else.
+    over all n trees: one bit-lane BFS per tree on unit weights, a repair of
+    the subtree below each tree edge otherwise, instead of one full
+    shortest-path run (O(m) and more) per source and tree edge.  A bridge
+    lies on some source's tree and that source's replacement eccentricity
+    is infinite, so bridges need no pass of their own; an infinite
+    distance in them shows a graph that is not (strongly) connected.
+    ``dso`` lends its stored trees and nothing else.
     """
     trees = _source_trees(g, range(g.n), dso)
     base = max(max(t.dist) for t in trees)
@@ -89,19 +94,86 @@ def raise_by_replacement_ecc(g: Graph, trees, values, edge_filter=None):
     """Raise ``values[eid]`` to ecc_{G-e}(s) for every source tree and every
     tree edge e = (p -> v) on it.
 
-    Only the subtree below v can change distance when e fails.  Each of its
-    vertices is seeded with its cheapest in-edge from outside the subtree
-    (e excluded), whose tail keeps its tree distance, and a Dijkstra run
-    confined to the subtree settles the rest; a vertex left unreached makes
-    the value infinite.  Distances outside the subtree stay within diam(G)
-    (ecc(s) for a one-source oracle), which the entries must already hold.
     Entries that are already infinite, and edges outside ``edge_filter``
-    when one is given, are skipped.  Zero weights are fine; the trees must
-    be proper trees, as :func:`graph.sssp` builds them.
+    when one is given, are skipped.  Entries must already hold at least
+    ecc_G(s) (diam(G) for a per-edge diameter, ecc(s) for a one-source
+    oracle).  The trees must be proper trees, as :func:`graph.sssp` builds
+    them.  The work splits as in :func:`graph.distances`:
+
+    * unit weights: one :func:`graph.lane_bfs` per tree, lane i standing
+      for the failure of the i-th selected tree edge, so O(m) big-int
+      operations on n-bit masks per distinct distance a vertex takes over
+      the failures (see :func:`_raise_by_lanes`);
+    * other weights, zero included: a Dijkstra repair of the subtree below
+      every selected tree edge, the edge volume of that subtree times a
+      log factor per edge (see :func:`_raise_by_subtree_repair`).
     """
+    if g.weighted:
+        _raise_by_subtree_repair(g, trees, values, edge_filter)
+    else:
+        _raise_by_lanes(g, trees, values, edge_filter)
+
+
+def _cut_edges(tree, values, edge_filter):
+    # (v, eid) for every tree edge p -> v whose entry may still rise
+    return [(v, entry[1]) for v, entry in enumerate(tree.parent)
+            if entry is not None
+            and (edge_filter is None or entry[1] in edge_filter)
+            and values[entry[1]] != INF]
+
+
+def _raise_by_lanes(g, trees, values, edge_filter):
+    # Lane i keeps every edge but cut[i].  Its eccentricity is the last
+    # level that reaches any vertex in it, so scanning the levels from the
+    # top down settles each lane once.  The scan stops at the lowest entry,
+    # which no lane at or below it can raise.  A lane that leaves a vertex
+    # unreached is infinite.
+    for tree in trees:
+        cut = [eid for _, eid in _cut_edges(tree, values, edge_filter)]
+        if not cut:
+            continue
+        full = (1 << len(cut)) - 1
+        alive = [full] * g.m
+        for i, eid in enumerate(cut):
+            alive[eid] = full ^ (1 << i)
+        levels, missed = lane_bfs(g._out_nbrs, alive, tree.source, full)
+        floor = min(values[eid] for eid in cut)
+        for i in _bits(missed):
+            values[cut[i]] = INF
+        pending = full ^ missed
+        d = len(levels)
+        while pending and d - 1 > floor:
+            d -= 1
+            reached = 0
+            for mask in levels[d].values():
+                reached |= mask
+            hit = reached & pending
+            pending ^= hit
+            for i in _bits(hit):
+                if d > values[cut[i]]:
+                    values[cut[i]] = d
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _raise_by_subtree_repair(g, trees, values, edge_filter):
+    # Only the subtree below v can change distance when e = (p -> v) fails.
+    # Each of its vertices is seeded with its cheapest in-edge from outside
+    # the subtree (e excluded), whose tail keeps its tree distance, and a
+    # Dijkstra run confined to the subtree settles the rest; a vertex left
+    # unreached makes the value infinite.  Distances outside the subtree
+    # stay within ecc_G(s), which the entries already hold.
     n = g.n
     in_nbrs, out_nbrs = g._in_nbrs, g._out_nbrs
     for tree in trees:
+        cut = _cut_edges(tree, values, edge_filter)
+        if not cut:
+            continue
         dist, parent = tree.dist, tree.parent
         children = [[] for _ in range(n)]
         for v, entry in enumerate(parent):
@@ -123,12 +195,7 @@ def raise_by_replacement_ecc(g: Graph, trees, values, edge_filter=None):
                 size[parent[v][0]] += size[v]
         new = [INF] * n
         inside = [-1] * n       # tin of the subtree root whose run marked it
-        for v in pre[1:]:
-            eid = parent[v][1]
-            if edge_filter is not None and eid not in edge_filter:
-                continue
-            if values[eid] == INF:
-                continue
+        for v, eid in cut:
             lo = tin[v]
             sub = pre[lo:lo + size[v]]
             for x in sub:
@@ -198,10 +265,10 @@ class EccFDO:
 def build_ecc_fdo(g: Graph, source=0) -> EccFDO:
     if g.directed:
         raise GraphError("eccentricity FDO requires an undirected graph")
-    if not is_connected(g):
-        raise GraphError("eccentricity FDO needs a connected graph")
     tree = sssp(g, source)
     ecc = max(tree.dist)
+    if ecc == INF:
+        raise GraphError("eccentricity FDO needs a connected graph")
     tree_eids = sorted(entry[1] for entry in tree.parent if entry is not None)
     values = dict.fromkeys(tree_eids, ecc)
     raise_by_replacement_ecc(g, [tree], values)
@@ -270,14 +337,16 @@ def build_spanner_fdo(g: Graph, k: int) -> SpannerFDO:
 
     diam(G-e) for the spanner edges comes from
     :func:`raise_by_replacement_ecc` over all n BFS trees, restricted to
-    the spanner edges: the cost is the sum over sources of the edge volume
-    of every spanner-edge subtree, instead of a full diameter computation
-    (n BFS runs, O(n*m)) per spanner edge."""
+    the spanner edges: one bit-lane BFS per tree with a lane per spanner
+    edge on it, instead of a full diameter computation (n BFS runs,
+    O(n*m)) per spanner edge."""
     if k < 1:
         raise GraphError(f"spanner parameter must be >= 1, got {k}")
     if g.directed or g.weighted:
         raise GraphError("spanner FDO requires an undirected unweighted graph")
-    if not is_connected(g):
+    trees = [sssp(g, s) for s in range(g.n)]
+    base = max(max(t.dist) for t in trees)
+    if base == INF:
         raise GraphError("spanner FDO needs a connected graph")
     limit = 2 * k - 1
     adj = {}
@@ -287,8 +356,6 @@ def build_spanner_fdo(g: Graph, k: int) -> SpannerFDO:
             adj.setdefault(u, []).append(v)
             adj.setdefault(v, []).append(u)
             spanner.append(eid)
-    trees = [sssp(g, s) for s in range(g.n)]
-    base = max(max(t.dist) for t in trees)
     values = dict.fromkeys(spanner, base)
     raise_by_replacement_ecc(g, trees, values, edge_filter=values)
     return SpannerFDO(g.n, g.directed, list(g.edges), k, values, base)
@@ -347,10 +414,10 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
     With the additive slack floor(eps * diam(G)) at most ``scan_threshold``
     the entries are exact: :func:`raise_by_replacement_ecc` over all n
     trees, as in :func:`build_exact_fdo`.  Otherwise only the pivots' trees
-    are repaired, each entry gets the slack added, and bridges answer
-    infinity.  The cost of the repair is the sum over the scanned sources
-    of the edge volume of every tree-edge subtree, instead of n*m per
-    source.  ``dso`` lends its stored trees and distance rows.
+    are scanned, each entry gets the slack added, and bridges answer
+    infinity.  The kernel runs one bit-lane BFS per scanned source,
+    instead of n*m per source.  ``dso`` lends its stored trees and
+    distance rows.
     """
     if epsilon <= 0:
         raise GraphError(f"epsilon must be positive, got {epsilon}")

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
+import fdo
 from fdo import build_graph
 
 
@@ -34,6 +39,35 @@ def star5():
 @pytest.fixture
 def dicycle3():
     return build_graph(3, True, [(0, 1), (1, 2), (2, 0)])
+
+
+# Runs one fdo parser in a child capped at 512 MiB of address space, so a
+# parser that loops or allocates without bound fails the test instead of
+# exhausting the machine.
+CAPPED_PARSE = """
+import resource, sys
+cap = 512 << 20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+import fdo
+try:
+    getattr(fdo, sys.argv[1])(sys.stdin.read())
+except fdo.GraphError as exc:
+    print("GraphError:", exc)
+else:
+    print("loaded")
+"""
+
+
+def parse_capped(parser, text):
+    """``fdo.<parser>(text)`` in a capped child: "loaded" or the
+    "GraphError: ..." line it raised."""
+    src = os.path.dirname(os.path.dirname(fdo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", CAPPED_PARSE, parser],
+                          input=text, capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.strip()
 
 
 def small_graph_corpus():

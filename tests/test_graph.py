@@ -9,7 +9,7 @@ from fdo import (GraphError, INF, apsp, build_graph, diameter, distances,
                  strong_bridges)
 from fdo.graph import format_graph
 
-from conftest import small_graph_corpus, zero_weight_graphs
+from conftest import parse_capped, small_graph_corpus, zero_weight_graphs
 
 
 # ---------------------------------------------------------------- build_graph
@@ -34,6 +34,8 @@ def test_build_directed_cycle(dicycle3):
     ([(0, 1), (1, 0)], "duplicate"),
     ([(0, 1, -2)], "negative"),
     ([(0, 9)], "out-of-range"),
+    ([(0, 1, math.nan)], "non-finite"),
+    ([(0, 1, math.inf)], "non-finite"),
 ])
 def test_build_rejects(bad, msg):
     with pytest.raises(GraphError, match=msg):
@@ -244,7 +246,20 @@ def test_edge_list_weighted_and_comments():
 @pytest.mark.parametrize("text", [
     "", "3 2 X UW\n0 1\n1 2", "3 2 U UW\n0 1", "2 1 U W\n0 1",
     "2 1 U UW\n0 x", "2 1 U W\n0 1 w", "x 1 U UW\n0 1",
+    # non-finite weights: nan compares false to everything, so a plain
+    # negativity check lets it through
+    "3 3 U W\n0 1 nan\n1 2 1\n0 2 1", "2 1 U W\n0 1 1e999",
+    "2 1 U W\n0 1 inf",
+    "4 2 U UW\n0 1\n1 2",  # two edges connect at most three vertices
 ])
 def test_edge_list_rejects(text):
     with pytest.raises(GraphError):
         parse_graph(text)
+
+
+def test_parse_graph_rejects_huge_vertex_count():
+    # more vertices than the edges can connect is rejected before the
+    # adjacency lists for n are allocated
+    got = parse_capped("parse_graph", "10000000000 0 U UW\n")
+    assert got.startswith("GraphError:") and "connect at most 1" in got, got
+    assert parse_capped("parse_graph", "3 2 U UW\n0 1\n1 2\n") == "loaded"

@@ -7,16 +7,16 @@ repeated, swapped and inserted lines) and draws free-form query lines.
 Every input must either parse or raise ``GraphError``, which the CLI turns
 into an ``error:`` line or exit code 2; any other exception is a traceback.
 
-Graph headers never get a huge vertex count: such a header is a well-formed
-graph of isolated vertices, and building its adjacency lists runs out of
-memory rather than raising ``GraphError``.
+Graph files also get non-finite weight tokens and huge header counts, and
+a graph that parses must have finite non-negative weights and no more than
+m + 1 vertices.
 """
 from hypothesis import given, settings, strategies as st
 
-from fdo import (GraphError, build_approx_fdo, build_ecc_fdo, build_exact_fdo,
-                 build_graph, build_lowdiam_fdo, build_multi_fdo,
-                 build_spanner_fdo, dumps_oracle, gen_random, loads_oracle,
-                 parse_graph)
+from fdo import (INF, GraphError, build_approx_fdo, build_ecc_fdo,
+                 build_exact_fdo, build_graph, build_lowdiam_fdo,
+                 build_multi_fdo, build_spanner_fdo, dumps_oracle, gen_random,
+                 loads_oracle, parse_graph)
 from fdo.cli import _parse_query_line
 from fdo.graph import format_graph
 
@@ -25,6 +25,8 @@ FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
 
 SMALL = st.integers(-3, 40).map(str)
 HUGE = st.sampled_from(["10000000000", "99999999999999999999"])
+NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                              "1e999", "-1e999"])
 ODD = st.sampled_from(["", "x", "-", "--2", "+3", "1.5", "inf", "nan",
                        "1e999", "0x1", "1_0", "²", "١", "D", "U",
                        "W", "UW", "E", "V", "P", "FDO", "=", "fmt=1"])
@@ -86,15 +88,26 @@ def mutations(draw, text, huge):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def weight_edits(draw, text):
+    """``text`` with the weight of one edge line replaced."""
+    lines = text.splitlines()
+    i = draw(st.integers(1, len(lines) - 1))
+    lines[i] = " ".join(lines[i].split(" ")[:2] + [draw(NON_FINITE)])
+    return "\n".join(lines) + "\n"
+
+
 @FUZZ
 @given(data=st.data())
 def test_parse_graph_parses_or_raises_graph_error(data):
     text = data.draw(st.sampled_from(GRAPH_TEXTS).flatmap(
-        lambda t: mutations(t, huge=SMALL)))
+        lambda t: st.one_of(mutations(t, huge=HUGE), weight_edits(t))))
     try:
-        parse_graph(text)
+        g = parse_graph(text)
     except GraphError:
-        pass
+        return
+    assert g.n <= g.m + 1
+    assert all(0 <= w < INF for _, _, w in g.edges)
 
 
 @FUZZ

@@ -1,15 +1,12 @@
-import os
-import subprocess
-import sys
-
 import pytest
 
-import fdo
 from fdo import (GraphError, brute_diam, build_approx_fdo, build_ecc_fdo,
                  build_exact_fdo, build_graph, build_lowdiam_fdo,
                  build_multi_fdo, build_spanner_fdo, dumps_oracle, gen_random,
                  loads_oracle)
 from fdo.verify import enumerate_failures
+
+from conftest import parse_capped
 
 
 def oracle_suite():
@@ -98,34 +95,8 @@ D 5 0
 D 6 0
 """
 
-# Runs loads_oracle in a child capped at 512 MiB of address space, so a
-# loader that loops or allocates without bound fails the test instead of
-# exhausting the machine.
-CAPPED_LOAD = """
-import resource, sys
-cap = 512 << 20
-resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-from fdo import GraphError, loads_oracle
-try:
-    loads_oracle(sys.stdin.read())
-except GraphError as exc:
-    print("GraphError:", exc)
-else:
-    print("loaded")
-"""
-
-
-def load_capped(text):
-    src = os.path.dirname(os.path.dirname(fdo.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", CAPPED_LOAD], input=text,
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout.strip()
-
-
 def test_multi_text_loads():
-    assert load_capped(MULTI_TEXT) == "loaded"
+    assert parse_capped("loads_oracle", MULTI_TEXT) == "loaded"
     assert dumps_oracle(loads_oracle(MULTI_TEXT)) == MULTI_TEXT
 
 
@@ -145,11 +116,11 @@ def test_multi_text_loads():
 ])
 def test_loader_rejects_bad_multi_tree(old, new, msg):
     assert old in MULTI_TEXT
-    got = load_capped(MULTI_TEXT.replace(old, new, 1))
+    got = parse_capped("loads_oracle", MULTI_TEXT.replace(old, new, 1))
     assert got.startswith("GraphError:") and msg in got, got
 
 
 def test_loader_rejects_huge_edge_count():
     text = "FDO exact 2 10000000000 fmt=1 dir=0 base=1\nE 0 0 1 1\nD 0 1\n"
-    got = load_capped(text)
+    got = parse_capped("loads_oracle", text)
     assert got.startswith("GraphError:") and "do not fit" in got, got

@@ -62,8 +62,16 @@ TWO_PARTS = build_graph(4, False, [(0, 1), (2, 3)])
      "approximate FDO needs a strongly connected graph"),
     (lambda g: build_approx_fdo(g, 0.5, dso=SingleDSO(g)),
      "approximate FDO needs a strongly connected graph"),
-], ids=["exact", "exact-dso", "approx", "approx-dso"])
+    # these two take undirected graphs only and say so first on a digraph
+    (build_ecc_fdo, {False: "eccentricity FDO needs a connected graph",
+                     True: "eccentricity FDO requires an undirected graph"}),
+    (lambda g: build_spanner_fdo(g, 2),
+     {False: "spanner FDO needs a connected graph",
+      True: "spanner FDO requires an undirected unweighted graph"}),
+], ids=["exact", "exact-dso", "approx", "approx-dso", "ecc", "spanner"])
 def test_builders_reject_disconnected(g, build, message):
+    if isinstance(message, dict):
+        message = message[g.directed]
     with pytest.raises(GraphError, match=re.escape(message)):
         build(g)
 
