@@ -21,7 +21,7 @@ from .graph import GraphError, INF, diameter, fmt_dist, load_graph, save_graph
 from .instances import (format_manifest, gen_dense_lb, gen_multi_lb,
                         gen_multi_lb_f1, gen_random, gen_sparse_lb,
                         gen_weighted_lb, random_payload)
-from .lowdiam import EXACT_THRESHOLD, build_lowdiam_fdo
+from .lowdiam import build_lowdiam_fdo
 from .multi import build_multi_fdo
 from .serialize import load_oracle, save_oracle
 from .single import (build_approx_fdo, build_ecc_fdo, build_exact_fdo,
@@ -73,17 +73,15 @@ def _build_oracle(g, args):
         oracle = build_multi_fdo(g, args.f, mode="tight" if args.tight else "paper")
         info.update(f=args.f, mode=oracle.mode)
     elif kind == "lowdiam":
-        backend = args.backend
-        if args.f == 1:     # built as the exact single-failure oracle
-            backend = "exact"
-        elif backend == "auto":
-            backend = "exact" if g.n <= EXACT_THRESHOLD else "sampled"
-        seed = _seed_for(args, backend == "sampled")
+        # f=1 builds the exact single-failure oracle
+        sampled = args.backend == "sampled" and args.f > 1
+        backend = "sampled" if sampled else "exact"
+        seed = _seed_for(args, sampled)
         oracle = build_lowdiam_fdo(g, args.f, args.delta, backend=backend,
                                    seed=seed, dso_delta=args.dso_delta,
                                    dso_C=args.C)
         info.update(f=args.f, delta=args.delta, backend=backend, seed=seed)
-        if backend == "sampled":
+        if sampled:
             info["subgraph_count"] = oracle.subgraph_count
     else:
         raise GraphError(f"unknown oracle kind {kind!r}")
@@ -268,7 +266,8 @@ def make_parser():
         p.add_argument("--scan-threshold", type=int, default=None,
                        help="approx: exact-scan cutoff for the additive slack")
         p.add_argument("--backend", choices=("auto", "exact", "sampled"),
-                       default="auto", help="lowdiam distance backend")
+                       default="auto",
+                       help="lowdiam distance backend (auto: exact)")
         p.add_argument("--tight", action="store_true",
                        help="multi: multiply by failed tree edges, not f")
         p.add_argument("--seed", type=int, default=None)

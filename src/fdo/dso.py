@@ -6,6 +6,8 @@ spanning subgraphs that reports genuine paths (never underestimating).
 The sampled oracle holds its k subgraphs as k-bit ints (see SampledFDSO),
 filled by one :func:`graph.lane_bfs` per source with subgraph i as lane i,
 in O(n * D * m) big-int operations, D the largest subgraph eccentricity.
+:func:`lane_rows` and :func:`lane_path` read any bit-lane BFS; the
+``lowdiam`` subset-table build uses them for both of its backends.
 """
 from __future__ import annotations
 
@@ -73,18 +75,18 @@ def single_dso_query(d: SingleDSO, s, t, eid):
 class SampledFDSO:
     """Path-reporting f-DSO over k sampled spanning subgraphs; bit i of a
     mask stands for subgraph i.  ``drop[eid]`` marks the subgraphs without
-    edge eid; ``rows[s][t][d]`` those where t is exactly d hops from s (the
-    list ends at the last level that reaches t).  A query ANDs the failed
-    edges' drop masks into the survivor mask and answers with the first
-    level that meets it.  ``adj[v]`` lists v's neighbours u in id order,
-    each with the mask of the subgraphs that keep the edge to u.  Every
-    reported distance is the length of a genuine path avoiding the
-    failures, so never below the true one, and matches it with high
-    probability over the build seed.  Nothing changes after the build, so
-    concurrent queries are safe.
+    edge eid and ``alive[eid]`` those with it; ``rows[s]`` are the
+    :func:`lane_rows` of source s, so ``rows[s][t][d]`` marks the subgraphs
+    where t is exactly d hops from s.  A query ANDs the failed edges' drop
+    masks into the survivor mask and answers with the first level that
+    meets it.  ``adj[v]`` lists v's neighbours u in id order, each as
+    ``(u, eid)``.  Every reported distance is the length of a genuine path
+    avoiding the failures, so never below the true one, and matches it with
+    high probability over the build seed.  Nothing changes after the build,
+    so concurrent queries are safe.
     """
 
-    def __init__(self, g, f, delta, C, seed, k, drop, rows, adj):
+    def __init__(self, g, f, delta, C, seed, k, drop, alive, rows, adj):
         self.g = g
         self.f = f
         self.delta = delta
@@ -92,36 +94,32 @@ class SampledFDSO:
         self.seed = seed
         self.k = k
         self.drop = drop
+        self.alive = alive
         self.rows = rows
         self.adj = adj
 
     def query(self, s, t, failed_eids):
         return sampled_fdso_query(self, s, t, failed_eids)
 
-    def distance(self, s, t, failed_eids):
-        """The ``dist`` of :meth:`query_details`, without the path."""
-        surv = self._survivors(failed_eids)
-        for d, mask in enumerate(self.rows[s][t]):
-            if mask & surv:
-                return d
-        return INF
-
     def query_details(self, s, t, failed_eids):
         """``{"dist", "path", "survivors"}``: the minimum s-t distance over
         the subgraphs avoiding the failed edges with a realizing vertex path
         (inf and None when none connects), and how many subgraphs avoid
         them.  Among subgraphs at the minimum the smallest index reports."""
-        surv = self._survivors(failed_eids)
+        surv = self.survivors(failed_eids)
         dist, path = INF, None
         row = self.rows[s]
         for d, mask in enumerate(row[t]):
             hit = mask & surv
             if hit:
-                dist, path = d, self._path(row, t, d, (hit & -hit).bit_length() - 1)
+                dist = d
+                path = lane_path(row, self.adj, self.alive, t, d,
+                                 hit & -hit)[0][::-1]
                 break
         return {"dist": dist, "path": path, "survivors": surv.bit_count()}
 
-    def _survivors(self, failed_eids):
+    def survivors(self, failed_eids):
+        """Mask of the subgraphs that keep every failed edge."""
         failed = set(failed_eids)
         if len(failed) > self.f:
             raise GraphError(f"failure set of size {len(failed)} exceeds f={self.f}")
@@ -130,20 +128,35 @@ class SampledFDSO:
             surv &= self.drop[eid]
         return surv
 
-    def _path(self, row, t, d, i):
-        # Walk back from t one level at a time inside subgraph i, taking the
-        # first, so smallest-id, neighbour one level closer: the parent
-        # graph.sssp picks on unit weights.
-        bit = 1 << i
-        path = [t]
-        v = t
-        for level in range(d - 1, -1, -1):
-            v = next(u for u, alive in self.adj[v]
-                     if alive & bit and len(row[u]) > level
-                     and row[u][level] & bit)
-            path.append(v)
-        path.reverse()
-        return path
+
+def lane_rows(levels, n):
+    """Per-vertex rows of the ``levels`` a :func:`graph.lane_bfs` returns:
+    ``row[u][d]`` holds the lanes that first reach u at d hops, and a row
+    ends at the last level that reaches u (an unreached u has ``[]``)."""
+    row = [[] for _ in range(n)]
+    for d, level in enumerate(levels):
+        for u, new in level.items():
+            row[u] += [0] * (d - len(row[u])) + [new]
+    return row
+
+
+def lane_path(row, adj, alive, t, d, bit):
+    """Lane ``bit``'s path to t, d hops from the source of ``row``, walked
+    back through the first, so smallest-id, neighbour one level closer over
+    an edge the lane keeps: the parent ``graph.sssp`` picks on unit weights.
+    ``adj[v]`` lists ``(u, eid)`` in id order.  Returns ``(vertices,
+    eids)``, both from t back to the source."""
+    verts, eids = [t], []
+    v = t
+    for level in range(d - 1, -1, -1):
+        for u, eid in adj[v]:
+            r = row[u]
+            if alive[eid] & bit and len(r) > level and r[level] & bit:
+                break
+        v = u
+        verts.append(v)
+        eids.append(eid)
+    return verts, eids
 
 
 def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
@@ -175,16 +188,10 @@ def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
                 drop[eid] |= bit
     full = (1 << k) - 1
     alive = [full ^ mask for mask in drop]
-    adj = [sorted((u, alive[eid]) for u, eid, _ in g._out_nbrs[v])
-           for v in range(n)]
-    rows = []
-    for s in range(n):
-        row = [[] for _ in range(n)]
-        for d, level in enumerate(lane_bfs(g._out_nbrs, alive, s, full)[0]):
-            for u, new in level.items():
-                row[u] += [0] * (d - len(row[u])) + [new]
-        rows.append(row)
-    return SampledFDSO(g, f, delta, C, seed, k, drop, rows, adj)
+    adj = [sorted((u, eid) for u, eid, _ in g._out_nbrs[v]) for v in range(n)]
+    rows = [lane_rows(lane_bfs(g._out_nbrs, alive, s, full)[0], n)
+            for s in range(n)]
+    return SampledFDSO(g, f, delta, C, seed, k, drop, alive, rows, adj)
 
 
 def sampled_fdso_query(d: SampledFDSO, s, t, failed_eids):

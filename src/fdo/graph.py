@@ -205,10 +205,19 @@ def _parents(g, root, dist, order, excluded, reverse):
     # positive weight that always holds; across a zero weight it keeps
     # equal-distance vertices from choosing each other and closing a cycle.
     nbrs = g._out_nbrs if reverse else g._in_nbrs
+    parent = [None] * g.n
+    if not g.weighted:  # BFS: one level closer is settled earlier
+        for v in order[1:]:
+            up, best = dist[v] - 1, None
+            for u, eid, _ in nbrs[v]:
+                if (dist[u] == up and eid not in excluded
+                        and (best is None or u < best[0])):
+                    best = (u, eid)
+            parent[v] = best
+        return parent
     rank = [0] * g.n
     for i, v in enumerate(order):
         rank[v] = i
-    parent = [None] * g.n
     for v in order:
         if v == root:
             continue
@@ -330,15 +339,25 @@ def strong_bridges(g: Graph) -> set:
     """Edges whose removal disconnects (strongly, if directed) the graph.
 
     An edge in neither the out-tree from 0 nor the in-tree to 0 leaves both
-    trees whole, so it cannot be a strong bridge.  Each of the at most
-    2(n-1) tree edges is dropped in turn and connectivity re-tested,
-    O(n(n+m)).
+    trees whole, so it cannot be a strong bridge.  One :func:`lane_bfs` per
+    tree, from 0 in its direction, gives each tree edge a lane without it;
+    the bridges are the lanes that miss a vertex.  Weights play no part.
     """
-    trees = [sssp(g, 0)] + ([in_tree(g, 0)] if g.directed else [])
-    if any(INF in tree.dist for tree in trees):
-        raise GraphError("graph must be (strongly) connected")
-    candidates = {p[1] for tree in trees for p in tree.parent if p is not None}
-    return {eid for eid in candidates if not is_connected(g, {eid})}
+    trees = [(sssp(g, 0), g._out_nbrs)]
+    if g.directed:
+        trees.append((in_tree(g, 0), g._in_nbrs))
+    bridges = set()
+    for tree, nbrs in trees:
+        if INF in tree.dist:
+            raise GraphError("graph must be (strongly) connected")
+        eids = [p[1] for p in tree.parent if p is not None]
+        full = (1 << len(eids)) - 1
+        alive = [full] * g.m
+        for i, eid in enumerate(eids):
+            alive[eid] ^= 1 << i
+        missed = lane_bfs(nbrs, alive, 0, full)[1]
+        bridges.update(eid for i, eid in enumerate(eids) if missed >> i & 1)
+    return bridges
 
 
 # ---------------------------------------------------------------------------

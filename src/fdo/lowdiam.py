@@ -1,75 +1,36 @@
 """Exact multi-failure diameter oracle for low-diameter graphs.
 
-For every vertex pair a tree of failure subsets is explored: each node asks
-a path-reporting distance oracle for the pair's distance avoiding its
-subset, then branches on the edges of the reported path; a node whose
-subset already has f edges asks for the distance alone.  All distances are
-aggregated, maxed per subset, into one table keyed by canonical sorted
-edge-id tuples; a query takes the max over the table entries of all subsets
-of the queried failures (at most 2^f probes).
+For every vertex pair a tree of failure subsets is explored: each node
+takes the pair's distance avoiding its subset and, below depth f, branches
+on the edges of a shortest path avoiding it.  All distances are maxed per
+subset into one table keyed by canonical sorted edge-id tuples; a query
+takes the max over the table entries of all subsets of the queried
+failures (at most 2^f probes).
 
-With the exact enumeration backend the answer equals the true diameter of
-G-F; with the sampled-subgraph backend it never undershoots and matches
-with high probability over the build seed.
+The build grows the trees of all pairs (s, t > s) together, per source and
+per depth d = 0..f.  The distinct subsets pending at depth d are a batch
+that the backend answers with lane rows (:func:`dso.lane_rows`), one lane
+mask per subset and the edges' alive masks.  A node's distance is the
+first level of t's row meeting its mask, and its path the lowest lane of
+that hit, walked back from t (:func:`dso.lane_path`).  Exact backend: lane
+i keeps every edge outside the batch's i-th subset, so one
+:func:`graph.lane_bfs` per (source, depth) replaces one BFS per (source,
+subset).  Sampled backend (Weimann-Yuster): the lanes are the subgraphs of
+the sampled f-DSO, and a subset's mask those that keep all its edges.  A
+node then costs a row scan and a walk back, O(D) and O(D * degree).
+
+With the exact backend the answer equals the true diameter of G-F; with
+the sampled backend it never undershoots and matches with high probability
+over the build seed.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
-from .dso import build_sampled_fdso
-from .graph import (Graph, GraphError, INF, diameter, distances, index_edges,
+from .dso import build_sampled_fdso, lane_path, lane_rows
+from .graph import (Graph, GraphError, INF, diameter, index_edges, lane_bfs,
                     resolve_pairs)
 from .single import build_exact_fdo
-
-# ``backend="auto"`` enumerates failure subsets exactly up to this many
-# vertices and samples subgraphs above it.
-EXACT_THRESHOLD = 64
-
-
-class ExactPathDSO:
-    """Enumeration fallback: deterministic, exact, path-reporting.
-
-    Keeps one BFS distance row per (source, failure subset) until a query
-    names another source; the subset-table build finishes each source
-    before the next.  A path is walked back from t one level at a time
-    through the smallest-id neighbour one level closer over a surviving
-    edge.  On unit weights every such neighbour is settled before the
-    vertex, so this is the parent ``graph.sssp`` picks.
-    """
-
-    def __init__(self, g: Graph, f: int):
-        self.g = g
-        self.f = f
-        self._nbrs = [sorted((u, eid) for u, eid, _ in g._out_nbrs[v])
-                      for v in range(g.n)]
-        self._source = None
-        self._rows = {}
-
-    def _row(self, s, key):
-        if s != self._source:
-            self._source, self._rows = s, {}
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = distances(self.g, s, frozenset(key))
-        return row
-
-    def distance(self, s, t, failed_eids):
-        return self._row(s, tuple(sorted(failed_eids)))[t]
-
-    def query(self, s, t, failed_eids):
-        key = tuple(sorted(failed_eids))
-        dist = self._row(s, key)
-        d = dist[t]
-        if d == INF:
-            return INF, None
-        path = [t]
-        v = t
-        for level in range(d - 1, -1, -1):
-            v = next(u for u, eid in self._nbrs[v]
-                     if dist[u] == level and eid not in key)
-            path.append(v)
-        path.reverse()
-        return d, path
 
 
 class LowDiamFDO:
@@ -117,23 +78,23 @@ class LowDiamFDO:
 
 
 def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
-                      seed=None, dso_delta=None, dso_C=3.0,
-                      exact_threshold=EXACT_THRESHOLD, dedupe=True,
+                      seed=None, dso_delta=None, dso_C=3.0, dedupe=True,
                       max_subgraphs=50_000):
     """Build the oracle; f=1 falls back to the exact single-failure oracle
     (no subset machinery needed there).
 
-    ``delta`` gates the admissible diameter, n^(delta/f)/(f+1).  The sampled
-    backend may run at its own exponent ``dso_delta`` (defaults to delta):
-    it trades the per-subgraph edge-drop rate against the subgraph count and
-    is deliberately independent of the gate.  Disconnected graphs are refused.
+    ``backend`` is ``"exact"`` (also what ``"auto"`` builds) or
+    ``"sampled"``, which needs a ``seed``.  ``delta`` gates the admissible
+    diameter, n^(delta/f)/(f+1).  The sampled backend may run at its own
+    exponent ``dso_delta`` (defaults to delta): it trades the per-subgraph
+    edge-drop rate against the subgraph count and is deliberately
+    independent of the gate.  Disconnected graphs are refused.
 
     The sampled backend never undershoots, but small graphs leave it few
     subgraphs: at ``dso_C=3``, ``dso_delta=1`` on hub graphs with n <= 12
     and f = 2, 3, 1-2% of random failure sets got a larger answer than the
-    truth, ``inf`` on a connected G-F included.  Use the exact backend
-    there (``auto`` does up to ``exact_threshold`` vertices) or raise
-    ``dso_C`` or ``dso_delta``.
+    truth, ``inf`` on a connected G-F included.  Raise ``dso_C`` or
+    ``dso_delta`` to sample such graphs.
     """
     if g.directed or g.weighted:
         raise GraphError("low-diameter FDO requires an undirected unweighted graph")
@@ -153,52 +114,64 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
             f"diameter {base} exceeds the admissible bound "
             f"n^(delta/f)/(f+1) = {bound:.3f}")
 
-    if backend == "auto":
-        backend = "exact" if g.n <= exact_threshold else "sampled"
-    if backend == "exact":
-        dso = ExactPathDSO(g, f)
+    if backend in ("auto", "exact"):
+        backend = "exact"
+
+        def lanes(s, keys):
+            # lane i keeps every edge outside keys[i]
+            full = (1 << len(keys)) - 1
+            alive = [full] * g.m
+            for i, key in enumerate(keys):
+                for eid in key:
+                    alive[eid] ^= 1 << i
+            row = lane_rows(lane_bfs(g._out_nbrs, alive, s, full)[0], g.n)
+            return row, [1 << i for i in range(len(keys))], alive
     elif backend == "sampled":
         if seed is None:
             raise GraphError("sampled backend requires a seed")
         dso = build_sampled_fdso(g, f, delta=dso_delta or delta, C=dso_C,
                                  seed=seed, max_subgraphs=max_subgraphs)
+
+        def lanes(s, keys):
+            return dso.rows[s], [dso.survivors(key) for key in keys], dso.alive
     else:
         raise GraphError(f"unknown backend {backend!r}")
 
+    adj = [sorted((u, eid) for u, eid, _ in g._out_nbrs[v]) for v in range(g.n)]
     table = {}
-    stats = {"nodes": 0, "max_fanout": 0}
-    lookup = g.edge_lookup
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            stack = [()]
-            visited = {()} if dedupe else None
-            while stack:
-                key = stack.pop()
-                stats["nodes"] += 1
-                if len(key) == f:   # a leaf: only its distance is needed
-                    dist, path = dso.distance(s, t, key), None
-                else:
-                    dist, path = dso.query(s, t, key)
-                old = table.get(key)
-                if old is None or dist > old:
-                    table[key] = dist
-                if path is None:    # a leaf, or t unreachable
-                    continue
-                path_eids = [lookup[(a, b) if a < b else (b, a)]
-                             for a, b in zip(path, path[1:])]
-                if len(path_eids) > stats["max_fanout"]:
-                    stats["max_fanout"] = len(path_eids)
-                for eid in path_eids:
-                    child = tuple(sorted(key + (eid,)))
-                    if dedupe:
-                        if child in visited:
-                            continue
-                        visited.add(child)
-                    stack.append(child)
+    nodes = max_fanout = 0
+    for s in range(g.n - 1):
+        # subset -> {t: the tree nodes of pair (s, t) that hold it}
+        pending = {(): dict.fromkeys(range(s + 1, g.n), 1)}
+        for depth in range(f + 1):
+            row, masks, alive = lanes(s, list(pending))
+            children = {}
+            for (key, targets), mask in zip(pending.items(), masks):
+                worst = table.get(key, -1)
+                for t, count in targets.items():
+                    nodes += count
+                    for dist, hit in enumerate(row[t]):
+                        hit &= mask
+                        if hit:
+                            break
+                    else:       # t unreachable: no path to branch on
+                        worst = INF
+                        continue
+                    if dist > worst:
+                        worst = dist
+                    if depth == f:
+                        continue
+                    if dist > max_fanout:
+                        max_fanout = dist
+                    for eid in lane_path(row, adj, alive, t, dist, hit & -hit)[1]:
+                        child = children.setdefault(tuple(sorted(key + (eid,))), {})
+                        child[t] = 1 if dedupe else child.get(t, 0) + count
+                table[key] = worst
+            pending = children
     oracle = LowDiamFDO(g.n, list(g.edges), f, delta, base, table,
                         backend=backend,
                         subgraph_count=dso.k if backend == "sampled" else None)
-    oracle.build_stats = stats
+    oracle.build_stats = {"nodes": nodes, "max_fanout": max_fanout}
     return oracle
 
 

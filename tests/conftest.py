@@ -119,3 +119,38 @@ def connected_graphs(draw, max_n=12):
             seen.add(frozenset((u, v)))
             pairs.append((u, v))
     return build_graph(n, False, draw(st.permutations(pairs)))
+
+
+def reference_lowdiam_table(g, f, dso, dedupe=True):
+    """The per-pair construction of the lowdiam subset table: for each pair
+    s < t a depth-first walk of its subset tree, one DSO call per node.
+    ``dso.query(s, t, F)`` gives (dist, vertex path or None) and
+    ``dso.distance(s, t, F)`` the distance alone, asked at depth f.
+    Returns (table, build_stats)."""
+    table = {}
+    stats = {"nodes": 0, "max_fanout": 0}
+    for s in range(g.n):
+        for t in range(s + 1, g.n):
+            stack = [()]
+            visited = {()}
+            while stack:
+                key = stack.pop()
+                stats["nodes"] += 1
+                if len(key) == f:
+                    dist, path = dso.distance(s, t, key), None
+                else:
+                    dist, path = dso.query(s, t, key)
+                if key not in table or dist > table[key]:
+                    table[key] = dist
+                if path is None:
+                    continue
+                path_eids = [g.edge_id(a, b) for a, b in zip(path, path[1:])]
+                stats["max_fanout"] = max(stats["max_fanout"], len(path_eids))
+                for eid in path_eids:
+                    child = tuple(sorted(key + (eid,)))
+                    if dedupe:
+                        if child in visited:
+                            continue
+                        visited.add(child)
+                    stack.append(child)
+    return table, stats

@@ -4,7 +4,6 @@ import pytest
 
 from fdo import save_graph, build_graph, gen_random
 from fdo.cli import main
-from fdo.lowdiam import EXACT_THRESHOLD
 
 
 C4_TEXT = "4 4 U UW\n0 1\n1 2\n2 3\n3 0\n"
@@ -76,21 +75,24 @@ def test_build_random_needs_seed(capsys, tmp_path, c4_file):
 
 
 def test_lowdiam_auto_backend_threshold(capsys, tmp_path):
-    def argv(n, f=2):
+    def argv(n, f=2, backend="auto"):
         g = gen_random("low-diam-hub", seed=3, n=n, p=0.1)
         gpath = tmp_path / f"hub{n}.txt"
         save_graph(g, gpath)
         return ["build", "--graph", str(gpath), "--kind", "lowdiam",
-                "--f", str(f), "--delta", "2.0", "--backend", "auto",
+                "--f", str(f), "--delta", "2.0", "--backend", backend,
                 "--out", str(tmp_path / f"hub{n}.fdo")]
 
-    code, stdout, _ = run(capsys, argv(12))
-    rec = records(stdout)[0]
-    assert code == 0 and rec["backend"] == "exact" and rec["seed"] is None
-    code, _, err = run(capsys, argv(EXACT_THRESHOLD + 1))
+    # auto builds the exact backend at every size: no seed needed
+    for n in (12, 65):
+        code, stdout, _ = run(capsys, argv(n))
+        rec = records(stdout)[0]
+        assert code == 0 and rec["backend"] == "exact" and rec["seed"] is None
+    # the sampled backend is opt-in and randomized
+    code, _, err = run(capsys, argv(12, backend="sampled"))
     assert code == 2 and "--seed" in err
-    # f=1 builds the exact single-failure oracle at any size: no seed needed
-    code, stdout, _ = run(capsys, argv(EXACT_THRESHOLD + 1, f=1))
+    # f=1 builds the exact single-failure oracle: no seed needed
+    code, stdout, _ = run(capsys, argv(65, f=1))
     rec = records(stdout)[0]
     assert code == 0 and rec["backend"] == "exact" and rec["seed"] is None
 

@@ -13,19 +13,16 @@ the default sampling (C=3, exponent 1) gave it for 12 of 1800 random
 queries, so the sampled backend runs at C=10, exponent 2 here (0 of 1800),
 and the derandomized examples pin the build seeds that are checked.
 
-The enumeration backend's distance-row ``ExactPathDSO`` is also pinned to
-a copy of the tree-memo DSO it replaced: the same (dist, path) on every
-query, and the same tables and ``build_stats`` when it drives the build.
+The enumeration backend's bit-lane table build is also pinned to the
+per-pair construction driven by a tree-memo DSO: the same tables and
+``build_stats``, with and without ``dedupe``.
 """
-from unittest import mock
-
 from hypothesis import given, settings, strategies as st
 
 from fdo import (INF, brute_diam, build_graph, build_lowdiam_fdo,
                  extract_path, sssp)
-from fdo.lowdiam import ExactPathDSO
 
-from conftest import connected_graphs
+from conftest import connected_graphs, reference_lowdiam_table
 
 
 class TreeMemoExactDSO:
@@ -94,18 +91,10 @@ def test_lowdiam_backends_match_brute(data):
 def test_exact_dso_matches_tree_memo(data):
     g = data.draw(st.one_of(hub_graphs(), connected_graphs(max_n=10)))
     f = data.draw(st.integers(2, 3))
-    new, ref = ExactPathDSO(g, f), TreeMemoExactDSO(g, f)
-    # sources in random order and revisited, unlike the table build
-    queries = data.draw(st.lists(st.tuples(
-        st.integers(0, g.n - 1), st.integers(0, g.n - 1),
-        st.lists(st.integers(0, g.m - 1), max_size=f)), max_size=30))
-    for s, t, failed in queries:
-        assert new.query(s, t, failed) == ref.query(s, t, failed)
-        assert new.distance(s, t, failed) == ref.distance(s, t, failed)
-
-    # gate exponent 3f admits any connected graph of this size
-    got = build_lowdiam_fdo(g, f, 3.0 * f, backend="exact")
-    with mock.patch("fdo.lowdiam.ExactPathDSO", TreeMemoExactDSO):
-        want = build_lowdiam_fdo(g, f, 3.0 * f, backend="exact")
-    assert got.table == want.table
-    assert got.build_stats == want.build_stats
+    for dedupe in (True, False):
+        # gate exponent 3f admits any connected graph of this size
+        got = build_lowdiam_fdo(g, f, 3.0 * f, backend="exact", dedupe=dedupe)
+        table, stats = reference_lowdiam_table(g, f, TreeMemoExactDSO(g, f),
+                                               dedupe)
+        assert got.table == table
+        assert got.build_stats == stats

@@ -7,19 +7,19 @@ sets of 0..f edges.  ``build_sampled_fdso`` must give the same
 construction it replaces: per subgraph, one ``distances`` row and one
 smallest-id parent row per source, and per edge the ascending list of
 subgraphs that drop it, intersected over the failed edges.  A sampled
-``lowdiam`` build must give the same table as one driven by the reference.
+``lowdiam`` build must give the same table and ``build_stats`` as the
+per-pair construction driven by the reference.
 """
 import math
 import random
 from bisect import bisect_left
-from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from fdo import GraphError, INF, build_lowdiam_fdo, distances
 from fdo.dso import build_sampled_fdso
 
-from conftest import connected_graphs
+from conftest import connected_graphs, reference_lowdiam_table
 
 
 class ScalarSampledDSO:
@@ -127,14 +127,12 @@ def test_lowdiam_tables_match_scalar_construction(data):
     dso_C = data.draw(SAMPLING["C"])
     dso_delta = data.draw(SAMPLING["delta"])
 
-    def build():
-        # gate exponent 3f: the admissible diameter n^3/(f+1) admits any
-        # connected graph here, so the draw is never refused
-        return build_lowdiam_fdo(g, f, 3.0 * f, backend="sampled", seed=seed,
-                                 dso_delta=dso_delta, dso_C=dso_C)
-
-    new = build()
-    with mock.patch("fdo.lowdiam.build_sampled_fdso", ScalarSampledDSO):
-        ref = build()
-    assert new.table == ref.table
-    assert new.subgraph_count == ref.subgraph_count
+    # gate exponent 3f: the admissible diameter n^3/(f+1) admits any
+    # connected graph here, so the draw is never refused
+    new = build_lowdiam_fdo(g, f, 3.0 * f, backend="sampled", seed=seed,
+                            dso_delta=dso_delta, dso_C=dso_C)
+    ref = ScalarSampledDSO(g, f, delta=dso_delta, C=dso_C, seed=seed)
+    table, stats = reference_lowdiam_table(g, f, ref)
+    assert new.table == table
+    assert new.build_stats == stats
+    assert new.subgraph_count == ref.k
