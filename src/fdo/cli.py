@@ -11,29 +11,30 @@ Randomized builds refuse to run without an explicit --seed unless
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 import time
-from fractions import Fraction
 
 from .graph import GraphError, INF, diameter, fmt_dist, load_graph, save_graph
-from .instances import (format_manifest, gen_dense_lb, gen_multi_lb,
-                        gen_multi_lb_f1, gen_random, gen_sparse_lb,
-                        gen_weighted_lb, random_payload)
 from .lowdiam import build_lowdiam_fdo
 from .multi import build_multi_fdo
 from .serialize import load_oracle, save_oracle
 from .single import (build_approx_fdo, build_ecc_fdo, build_exact_fdo,
                      build_spanner_fdo)
-from .verify import audit, enumerate_failures
+
+# `query` runs none of json, random, fractions, fdo.verify or fdo.instances,
+# so the commands that do import them themselves: a query starts faster.
 
 DEFAULT_SEED = 0xFD0
 
 ORACLE_KINDS = ("exact", "ecc", "spanner", "approx", "multi", "lowdiam")
 
+# Bytes asked of the query source per read: bulk input is answered in few
+# large writes, and a read returns early with what a pipe holds.
+QUERY_CHUNK = 1 << 16
+
 
 def _emit(record, stream=None):
+    import json
     print(json.dumps(record, sort_keys=True), file=stream or sys.stdout)
 
 
@@ -124,26 +125,67 @@ def _parse_query_line(line):
     return pairs
 
 
+def _line_batches(src, size):
+    """Yield the complete lines of each read from the binary ``src`` as one
+    list of bytes.  Lines end at \\n, \\r\\n or \\r, as in a file read
+    with universal newlines; a partial last line waits for the next read
+    (a \\r\\n split between two reads adds a blank line)."""
+    pending = []
+    while chunk := src.read1(size):
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        yield b"".join(pending).splitlines()
+        pending = [chunk[cut:]]
+    yield b"".join(pending).splitlines()
+
+
+def serve_queries(oracle, src, dst, size=QUERY_CHUNK):
+    """Answer the query lines read from the binary stream ``src`` on the
+    text stream ``dst``, one output line per query line.  Blank and '#'
+    lines are skipped; a line that does not parse or is not UTF-8 gives an
+    'error: ...' line and the stream goes on.  Each read's answers go out
+    in one write and one flush, so a caller that sends one line and waits
+    gets its answer however ``dst`` is buffered."""
+    for batch in _line_batches(src, size):
+        out = []
+        try:
+            for raw in batch:
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    out.append(fmt_dist(oracle.query(_parse_query_line(line))))
+                except GraphError as exc:
+                    out.append(f"error: {exc}")
+                except UnicodeDecodeError as exc:
+                    out.append(f"error: query line is not UTF-8 ({exc.reason}"
+                               f" at byte {exc.start})")
+        finally:
+            if out:
+                dst.write("\n".join(out) + "\n")
+                dst.flush()
+
+
 def cmd_query(args):
     oracle = load_oracle(args.oracle)
-    stream = open(args.queries, encoding="utf-8") if args.queries else sys.stdin
-    try:
-        for line in stream:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                pairs = _parse_query_line(line)
-                print(fmt_dist(oracle.query(pairs)))
-            except GraphError as exc:
-                print(f"error: {exc}")
-    finally:
-        if args.queries:
-            stream.close()
+    if args.queries:
+        with open(args.queries, "rb") as src:
+            serve_queries(oracle, src, sys.stdout)
+    else:
+        serve_queries(oracle, sys.stdin.buffer, sys.stdout)
     return 0
 
 
 def cmd_gen(args):
+    import random
+    from fractions import Fraction
+
+    from .instances import (format_manifest, gen_dense_lb, gen_multi_lb,
+                            gen_multi_lb_f1, gen_random, gen_sparse_lb,
+                            gen_weighted_lb, random_payload)
     random_kinds = {"er": "er-undirected",
                     "er-digraph": "er-strongly-connected-digraph",
                     "er-weighted": "er-weighted",
@@ -212,6 +254,8 @@ def _default_stretch(oracle, g):
 
 
 def cmd_audit(args):
+    from .verify import audit, enumerate_failures
+
     g = load_graph(args.graph)
     if args.oracle:
         oracle = load_oracle(args.oracle)

@@ -7,7 +7,6 @@ comparisons treat infinity as maximal, so no wrapper type is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from heapq import heappush, heappop
 
 INF = math.inf
@@ -147,17 +146,19 @@ def build_graph(n, directed, edge_list) -> Graph:
 # shortest paths
 
 
-@dataclass
 class ShortestPathTree:
     """Parent/distance structure from a source ('from') or to a root ('to').
 
     parent[v] is (next_vertex, edge_id) toward the source/root, None at the
     source and at unreachable vertices.
     """
-    source: int
-    direction: str          # 'from' | 'to'
-    dist: list
-    parent: list
+    __slots__ = ("source", "direction", "dist", "parent")
+
+    def __init__(self, source: int, direction: str, dist: list, parent: list):
+        self.source = source
+        self.direction = direction      # 'from' | 'to'
+        self.dist = dist
+        self.parent = parent
 
 
 def distances(g: Graph, source, excluded=frozenset(), reverse=False):
@@ -444,9 +445,20 @@ def format_graph(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, line ends as they are in the file (the
+    parsers split with ``splitlines``); other bytes raise GraphError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+
+
 def load_graph(path) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(read_text(path))
 
 
 def save_graph(g: Graph, path):

@@ -173,7 +173,3 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
                         subgraph_count=dso.k if backend == "sampled" else None)
     oracle.build_stats = {"nodes": nodes, "max_fanout": max_fanout}
     return oracle
-
-
-def query_lowdiam(oracle, pairs):
-    return oracle.query(pairs)

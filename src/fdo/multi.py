@@ -275,7 +275,3 @@ def build_multi_fdo(g: Graph, f: int, mode="paper") -> MultiFDO:
         raise GraphError("multi-failure FDO needs a connected graph")
     parent_eid = [entry[1] if entry is not None else None for entry in tree.parent]
     return MultiFDO(g.n, list(g.edges), f, mode, 0, tree.dist, parent_eid)
-
-
-def query_multi(oracle: MultiFDO, pairs):
-    return oracle.query(pairs)

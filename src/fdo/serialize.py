@@ -13,7 +13,7 @@ produced, and rebuilding with the same seed yields identical bytes.
 """
 from __future__ import annotations
 
-from .graph import GraphError, fmt_dist, parse_dist
+from .graph import GraphError, fmt_dist, parse_dist, read_text
 from .lowdiam import LowDiamFDO
 from .multi import MultiFDO
 from .single import ApproxFDO, EccFDO, ExactFDO, SpannerFDO
@@ -196,5 +196,4 @@ def save_oracle(oracle, path):
 
 
 def load_oracle(path):
-    with open(path, encoding="utf-8") as fh:
-        return loads_oracle(fh.read())
+    return loads_oracle(read_text(path))

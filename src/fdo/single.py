@@ -232,10 +232,6 @@ def _raise_by_subtree_repair(g, trees, values, edge_filter):
                 values[eid] = ecc
 
 
-def query_exact(oracle: ExactFDO, pairs):
-    return oracle.query(pairs)
-
-
 class EccFDO:
     """2-approximate oracle from a single source: answers twice the source
     eccentricity of G-e for tree edges, twice the base eccentricity else."""
@@ -274,10 +270,6 @@ def build_ecc_fdo(g: Graph, source=0) -> EccFDO:
     raise_by_replacement_ecc(g, [tree], values)
     return EccFDO(g.n, g.directed, list(g.edges), source,
                   {eid: 2 * val for eid, val in values.items()}, 2 * ecc)
-
-
-def query_ecc(oracle: EccFDO, pairs):
-    return oracle.query(pairs)
 
 
 class SpannerFDO:
@@ -361,10 +353,6 @@ def build_spanner_fdo(g: Graph, k: int) -> SpannerFDO:
     return SpannerFDO(g.n, g.directed, list(g.edges), k, values, base)
 
 
-def query_spanner(oracle: SpannerFDO, pairs):
-    return oracle.query(pairs)
-
-
 class ApproxFDO:
     """(1+eps)-approximate per-edge diameters.
 
@@ -395,10 +383,6 @@ class ApproxFDO:
     def query(self, pairs):
         eid = _single_failure_eid(self, pairs)
         return self.base_diam if eid is None else self.values[eid]
-
-
-def query_approx(oracle: ApproxFDO, pairs):
-    return oracle.query(pairs)
 
 
 def default_scan_threshold(n: int) -> int:

@@ -1,9 +1,22 @@
+import io
 import json
+import os
+import select
+import subprocess
+import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdo import save_graph, build_graph, gen_random
-from fdo.cli import main
+import fdo
+from fdo import (GraphError, build_exact_fdo, build_graph, build_multi_fdo,
+                 dumps_oracle, gen_random, save_graph)
+from fdo.cli import _parse_query_line, main, serve_queries
+from fdo.graph import fmt_dist
+
+SRC = os.path.dirname(os.path.dirname(fdo.__file__))
 
 
 C4_TEXT = "4 4 U UW\n0 1\n1 2\n2 3\n3 0\n"
@@ -168,6 +181,222 @@ def test_build_bad_edge_line(capsys, tmp_path):
     code, _, err = run(capsys, ["build", "--graph", str(graph), "--kind",
                                 "exact", "--out", str(tmp_path / "g.fdo")])
     assert code == 2 and err.startswith("fdo: error: bad number")
+
+
+# ------------------------------------------------- query: bytes and chunks
+
+def test_non_utf8_graph_file(capsys, tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_bytes(b"2 1 U UW\n0 1 \xff\n")
+    code, _, err = run(capsys, ["build", "--graph", str(graph), "--kind",
+                                "exact", "--out", str(tmp_path / "g.fdo")])
+    assert code == 2 and "not UTF-8" in err
+
+
+def test_non_utf8_oracle_file(capsys, tmp_path, c4_file):
+    opath = tmp_path / "c4.fdo"
+    run(capsys, ["build", "--graph", c4_file, "--kind", "exact",
+                 "--out", str(opath)])
+    opath.write_bytes(opath.read_bytes() + b"# \xff\n")
+    code, _, err = run(capsys, ["query", "--oracle", str(opath),
+                                "--queries", c4_file])
+    assert code == 2 and "not UTF-8" in err
+
+
+BAD_UTF8_QUERIES = b"0-1\n\xff-1\n0-2 \xc3\n0-2\n"
+
+
+def _assert_bad_utf8_answers(stdout):
+    lines = stdout.splitlines()
+    assert lines[0] == "3" and lines[3] == "2" and len(lines) == 4
+    assert all(ln.startswith("error: query line is not UTF-8")
+               for ln in lines[1:3])
+
+
+def test_non_utf8_query_lines_file(capsys, tmp_path, c4_file):
+    opath = str(tmp_path / "c4.fdo")
+    run(capsys, ["build", "--graph", c4_file, "--kind", "exact",
+                 "--out", opath])
+    qfile = tmp_path / "q.txt"
+    qfile.write_bytes(BAD_UTF8_QUERIES)
+    code, stdout, _ = run(capsys, ["query", "--oracle", opath,
+                                   "--queries", str(qfile)])
+    assert code == 0
+    _assert_bad_utf8_answers(stdout)
+
+
+def test_non_utf8_query_lines_stdin(capsys, monkeypatch, tmp_path, c4_file):
+    opath = str(tmp_path / "c4.fdo")
+    run(capsys, ["build", "--graph", c4_file, "--kind", "exact",
+                 "--out", opath])
+    monkeypatch.setattr(sys, "stdin",
+                        io.TextIOWrapper(io.BytesIO(BAD_UTF8_QUERIES)))
+    code, stdout, _ = run(capsys, ["query", "--oracle", opath])
+    assert code == 0
+    _assert_bad_utf8_answers(stdout)
+
+
+def reference_answers(oracle, text):
+    """The per-line loop that serve_queries must match, over splitlines."""
+    out = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            out.append(fmt_dist(oracle.query(_parse_query_line(line))))
+        except GraphError as exc:
+            out.append(f"error: {exc}")
+    return out
+
+
+class CountingText(io.StringIO):
+    """A text sink that counts writes and flushes."""
+    writes = flushes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+    def flush(self):
+        self.flushes += 1
+
+
+def serve(oracle, data, size):
+    dst = CountingText()
+    serve_queries(oracle, io.BytesIO(data), dst, size)
+    return dst
+
+
+@pytest.fixture(scope="module")
+def c6_multi():
+    g = build_graph(6, False, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
+                               (5, 0), (0, 3)])
+    return build_multi_fdo(g, 2)
+
+
+EDGE_TEXT = ("0-1\r\n"                   # CRLF
+             "\n   \n"                   # blank lines
+             "# comment with é€\U0001d11e\n"
+             "  0-3 1-2  \n"
+             "0-1\r1-2\n"                # a lone CR ends a line too
+             "é-1 €-2\n"       # multi-byte tokens in an error line
+             "0-1 \U0001d11e\n"
+             + "# " + "x" * 300 + "\n"    # longer than every chunk below
+             + " ".join(["0-1"] * 80) + "\n"
+             "1---2\n"
+             "4-5")                      # no final newline
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 7, 64, 4096])
+def test_serve_queries_matches_splitlines(c6_multi, size):
+    want = reference_answers(c6_multi, EDGE_TEXT)
+    assert len(want) == 9 and want[4].startswith("error: malformed pair")
+    dst = serve(c6_multi, EDGE_TEXT.encode("utf-8"), size)
+    assert dst.getvalue().splitlines() == want
+    assert dst.getvalue().endswith("\n")
+    assert dst.flushes == dst.writes
+
+
+def test_serve_queries_one_write_per_read(c6_multi):
+    data = EDGE_TEXT.encode("utf-8")
+    dst = serve(c6_multi, data + b"\n", len(data) + 1)
+    assert (dst.writes, dst.flushes) == (1, 1)
+    # the unterminated last line is answered at the end of the input
+    assert serve(c6_multi, data, len(data)).writes == 2
+    # only blank and comment lines: nothing to write
+    assert serve(c6_multi, b"# a\n\n \r\n", 4).writes == 0
+
+
+QUERY_PIECES = ["0-1", "1-2", "0-3", "4-5", "3-0", "2-9", "x", "1--2",
+                "é", "€-1", "\U0001d11e", "#", " ", "\t", "\n",
+                "\r\n", "\r", "\n\n"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces=st.lists(st.sampled_from(QUERY_PIECES), max_size=40),
+       size=st.integers(1, 16))
+def test_serve_queries_matches_splitlines_fuzz(c6_multi, pieces, size):
+    text = "".join(pieces)
+    got = serve(c6_multi, text.encode("utf-8"), size).getvalue()
+    assert got.splitlines() == reference_answers(c6_multi, text)
+
+
+def _child_env():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _read_answer(proc, timeout=20.0):
+    """One line of the child's stdout, or None if none came in time."""
+    deadline = time.monotonic() + timeout
+    buf = b""
+    while not buf.endswith(b"\n"):
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([proc.stdout], [], [], left)[0]:
+            return None
+        chunk = os.read(proc.stdout.fileno(), 4096)
+        if not chunk:
+            return None
+        buf += chunk
+    return buf.decode()
+
+
+def test_query_answers_each_stdin_line_before_the_next(tmp_path):
+    # A co-process sends one line, waits for its answer, then sends the next;
+    # the child's stdout is a block-buffered pipe unless the CLI flushes.
+    opath = tmp_path / "c4.fdo"
+    g = build_graph(4, False, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    opath.write_text(dumps_oracle(build_exact_fdo(g)))
+    with subprocess.Popen([sys.executable, "-m", "fdo.cli", "query",
+                           "--oracle", str(opath)],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          env=_child_env(), bufsize=0) as proc:
+        try:
+            for line, want in [(b"0-1\n", "3\n"), (b"# skip\n0-2\r\n", "2\n"),
+                               (b"\xff\n", "error: query line is not UTF-8"),
+                               (b"1-2\n", "3\n")]:
+                proc.stdin.write(line)
+                got = _read_answer(proc)
+                assert got is not None, f"no answer to {line!r}"
+                assert got.startswith(want)
+            proc.stdin.close()
+            assert proc.wait(timeout=20) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+
+
+IMPORT_CHECK = """
+import sys
+import fdo.cli
+print(sorted(m for m in ("fdo.verify", "fdo.instances", "dataclasses",
+                         "fractions", "json") if m in sys.modules))
+from fdo import audit, gen_random, GadgetInstance
+import fdo
+print(fdo.brute_diam.__module__, fdo.verify.__name__, audit.__module__,
+      gen_random.__module__, GadgetInstance.__module__)
+"""
+
+
+def test_cli_import_leaves_audit_modules_unloaded():
+    # -S: no site hooks, so only fdo's own imports are counted
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_CHECK],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded, names = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert names.split() == ["fdo.verify", "fdo.verify", "fdo.verify",
+                             "fdo.instances", "fdo.instances"]
+
+
+def test_lazy_names_are_not_cached():
+    import fdo.verify
+    assert fdo.audit is fdo.verify.audit and "audit" not in vars(fdo)
+    with pytest.raises(AttributeError):
+        fdo.no_such_name
 
 
 # ------------------------------------------------------------------------ gen
