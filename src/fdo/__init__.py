@@ -15,8 +15,7 @@ from .graph import (Graph, GraphError, INF, ShortestPathTree, apsp,
                     build_graph, diameter, distances, eccentricity,
                     extract_path, in_tree, is_connected, load_graph,
                     parse_graph, save_graph, sssp, strong_bridges)
-from .dso import (SampledFDSO, SingleDSO, build_sampled_fdso,
-                  sampled_fdso_query, single_dso_query)
+from .dso import SampledFDSO, SingleDSO, build_sampled_fdso
 from .single import (ApproxFDO, EccFDO, ExactFDO, SpannerFDO,
                      build_approx_fdo, build_ecc_fdo, build_exact_fdo,
                      build_spanner_fdo, deterministic_pivots,

@@ -68,10 +68,6 @@ class SingleDSO:
         return False
 
 
-def single_dso_query(d: SingleDSO, s, t, eid):
-    return d.query(s, t, eid)
-
-
 class SampledFDSO:
     """Path-reporting f-DSO over k sampled spanning subgraphs; bit i of a
     mask stands for subgraph i.  ``drop[eid]`` marks the subgraphs without
@@ -99,7 +95,9 @@ class SampledFDSO:
         self.adj = adj
 
     def query(self, s, t, failed_eids):
-        return sampled_fdso_query(self, s, t, failed_eids)
+        """``(dist, path)`` of :meth:`query_details`."""
+        got = self.query_details(s, t, failed_eids)
+        return got["dist"], got["path"]
 
     def query_details(self, s, t, failed_eids):
         """``{"dist", "path", "survivors"}``: the minimum s-t distance over
@@ -193,8 +191,3 @@ def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
             for s in range(n)]
     return SampledFDSO(g, f, delta, C, seed, k, drop, alive, rows, adj)
 
-
-def sampled_fdso_query(d: SampledFDSO, s, t, failed_eids):
-    """(dist, path) of :meth:`SampledFDSO.query_details`."""
-    got = d.query_details(s, t, failed_eids)
-    return got["dist"], got["path"]

@@ -366,7 +366,8 @@ def strong_bridges(g: Graph) -> set:
 
 def index_edges(edges, directed):
     """Pair -> edge id dictionary for an (u, v, w) edge table."""
-    return {pair_key(u, v, directed): eid for eid, (u, v, _) in enumerate(edges)}
+    return {(v, u) if v < u and not directed else (u, v): eid
+            for eid, (u, v, _) in enumerate(edges)}
 
 
 def resolve_pairs(pairs, n, directed, edge_lookup):
@@ -374,24 +375,42 @@ def resolve_pairs(pairs, n, directed, edge_lookup):
     dictionary.  Returns (sorted edge ids, non-edge pair count); removing a
     non-edge leaves the graph unchanged, so callers just drop them."""
     seen = set()
-    eids = set()
+    eids = []
     nonedges = 0
-    for u, v in pairs:
-        if not (isinstance(u, int) and isinstance(v, int)
-                and 0 <= u < n and 0 <= v < n):
-            raise GraphError(f"pair ({u},{v}) has invalid vertex id (n={n})")
-        if u == v:
-            raise GraphError(f"pair ({u},{v}) is not a vertex pair")
-        key = pair_key(u, v, directed)
+    for entry in pairs:
+        try:
+            u, v = entry
+        except (TypeError, ValueError):
+            reject_pair(entry, n)
+        if (not (isinstance(u, int) and isinstance(v, int)
+                 and 0 <= u < n and 0 <= v < n) or u == v):
+            reject_pair(entry, n)
+        key = (v, u) if v < u and not directed else (u, v)
         if key in seen:
-            raise GraphError(f"duplicate pair ({u},{v}) in failure set")
+            reject_pair(entry, n, duplicate=True)
         seen.add(key)
         eid = edge_lookup.get(key)
         if eid is None:
             nonedges += 1
         else:
-            eids.add(eid)
-    return sorted(eids), nonedges
+            eids.append(eid)    # distinct keys, so distinct edge ids
+    eids.sort()
+    return eids, nonedges
+
+
+def reject_pair(entry, n, duplicate=False):
+    """Raise the GraphError for a failure-set entry that is not a pair, has
+    an id outside 0..n-1, a self pair, or (``duplicate``) a repeated pair."""
+    try:
+        u, v = entry
+    except (TypeError, ValueError):
+        raise GraphError(f"failure-set entry {entry!r} is not a vertex pair") from None
+    if duplicate:
+        raise GraphError(f"duplicate pair ({u},{v}) in failure set")
+    if not (isinstance(u, int) and isinstance(v, int)
+            and 0 <= u < n and 0 <= v < n):
+        raise GraphError(f"pair ({u},{v}) has invalid vertex id (n={n})")
+    raise GraphError(f"pair ({u},{v}) is not a vertex pair")
 
 
 # ---------------------------------------------------------------------------

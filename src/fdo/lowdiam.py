@@ -61,20 +61,20 @@ class LowDiamFDO:
     def query_details(self, pairs):
         """Answer plus its cost: ``probes`` table lookups, one per subset of
         the failed edges (2^|F| after non-edges are dropped)."""
-        pairs = list(pairs)
+        if not isinstance(pairs, (tuple, list)):
+            pairs = list(pairs)
         if len(pairs) > self.f:
             raise GraphError(
                 f"too many failures: {len(pairs)} pairs, oracle has f={self.f}")
         eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup)
-        best = None
-        probes = 0
-        for size in range(len(eids) + 1):
+        get = self.table.get
+        best = get(())
+        for size in range(1, len(eids) + 1):
             for key in combinations(eids, size):
-                probes += 1
-                val = self.table.get(key)
+                val = get(key)
                 if val is not None and (best is None or val > best):
                     best = val
-        return {"answer": best, "probes": probes}
+        return {"answer": best, "probes": 1 << len(eids)}
 
 
 def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",

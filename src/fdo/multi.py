@@ -12,9 +12,13 @@ Query cost: after k tree-edge cuts every component but the source's lies
 in the Euler-tour slice of a cut subtree, and only non-tree edges cross
 components (cf. Duan & Pettie, "Connectivity oracles for failure prone
 graphs", STOC 2010).  A query labels those slices and scans their vertices'
-non-tree edges: O(k + sum of the cut-subtree sizes + their non-tree degree)
-rather than O(m + n*k).  With f=1 a query is one lookup in a precomputed
-swap table.
+non-tree half-edges: O(k + sum of the cut-subtree sizes + their non-tree
+degree) rather than O(m + n*k).  ``nontree[v]`` holds v's non-tree
+half-edges as ``(other end, swap weight, eid)``, so the scan reads no edge
+rows.  The spanning step runs inline on the at most k+1 components: a
+Kruskal with a list union-find over the cheapest edge per component pair,
+then a walk from component 0 gives each other component the swap edge to
+its parent.  With f=1 a query is one lookup in a precomputed swap table.
 """
 from __future__ import annotations
 
@@ -47,20 +51,22 @@ class MultiFDO:
         self.dist = dist
         self.parent_eid = parent_eid        # per vertex, None at the source
         self.edge_lookup = index_edges(edges, False)
-        self.tree_eids = {eid for eid in parent_eid if eid is not None}
-        if swap_weight is None:
-            swap_weight = [
-                0 if eid in self.tree_eids else dist[u] + w + dist[v]
-                for eid, (u, v, w) in enumerate(edges)
-            ]
-        self.swap_weight = swap_weight
+        self.tree_eids = tree_eids = {e for e in parent_eid if e is not None}
         self.maxdist = max(dist) if maxdist is None else maxdist
-        # per vertex, the ids of its incident non-tree edges
-        self.nontree_eids = nontree = [[] for _ in range(n)]
-        for eid, (u, v, _) in enumerate(edges):
-            if eid not in self.tree_eids:
-                nontree[u].append(eid)
-                nontree[v].append(eid)
+        # Per vertex, its non-tree half-edges: (other end, swap weight, eid).
+        # A build computes the swap weights on the way; tree edges keep 0.
+        build = swap_weight is None
+        if build:
+            swap_weight = [0] * len(edges)
+        self.swap_weight = swap_weight
+        self.nontree = nontree = [[] for _ in range(n)]
+        for eid, (u, v, w) in enumerate(edges):
+            if eid not in tree_eids:
+                if build:
+                    swap_weight[eid] = dist[u] + w + dist[v]
+                sw = swap_weight[eid]
+                nontree[u].append((v, sw, eid))
+                nontree[v].append((u, sw, eid))
         self._index_tree()
         self.f1_swap = self._cover_tree_edges() if f == 1 else None
 
@@ -158,113 +164,85 @@ class MultiFDO:
         non-tree degree) for k failed tree edges; with f=1 (unless
         ``force_general``) it is one lookup in the precomputed swap table.
         """
-        pairs = list(pairs)
+        if not isinstance(pairs, (tuple, list)):
+            pairs = list(pairs)
         if len(pairs) > self.f:
             raise GraphError(
                 f"too many failures: {len(pairs)} pairs, oracle has f={self.f}")
         eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup)
-        failed = set(eids)
-        failed_tree = sorted(e for e in eids if e in self.tree_eids)
+        tree_eids = self.tree_eids
+        failed_tree = [e for e in eids if e in tree_eids]   # sorted, as eids
         k = len(failed_tree)
-        detail = {"k": k, "gap": 0, "swap_eids": [], "finite": True}
         if k == 0:
-            detail["answer"] = 2 * self.maxdist
-            return detail
+            return {"k": 0, "gap": 0, "swap_eids": [], "finite": True,
+                    "answer": 2 * self.maxdist}
+        swap_weight, dist, cut_root = self.swap_weight, self.dist, self.cut_root
         if self.f == 1 and not force_general:
             swap = self.f1_swap.get(failed_tree[0])
             if swap is None:
-                detail.update(answer=INF, finite=False)
-                return detail
-            root = self.cut_root[failed_tree[0]]
-            gap = self.swap_weight[swap] - self.dist[root]
-            detail.update(answer=gap + 2 * self.maxdist, gap=gap,
-                          swap_eids=[swap])
-            return detail
+                return {"k": k, "gap": 0, "swap_eids": [], "finite": False,
+                        "answer": INF}
+            gap = swap_weight[swap] - dist[cut_root[failed_tree[0]]]
+            return {"k": k, "gap": gap, "swap_eids": [swap], "finite": True,
+                    "answer": gap + 2 * self.maxdist}
 
-        roots = [self.cut_root[e] for e in failed_tree]
-        # Component i+1 is the subtree of roots[i] minus deeper cut subtrees:
-        # label the slices outermost first so nested ones overwrite.  Vertices
-        # left unlabelled are in the source's component 0.
+        roots = [cut_root[e] for e in failed_tree]
+        # Component c = i+1 is the subtree of roots[i] minus deeper cut
+        # subtrees: label the slices outermost first so nested ones
+        # overwrite.  Vertices left unlabelled are in the source's component 0.
         tin, tout, euler = self.tin, self.tout, self.euler
         comp = {}
-        for i in sorted(range(k), key=lambda i: tin[roots[i]]):
-            r = roots[i]
-            comp.update(dict.fromkeys(euler[tin[r]:tout[r]], i + 1))
-        edges, swap_weight = self.edges, self.swap_weight
+        for t, c, r in sorted([(tin[r], i + 1, r) for i, r in enumerate(roots)]):
+            comp.update(dict.fromkeys(euler[t:tout[r]], c))
+        # cheapest (swap weight, eid, c, c') per component pair c < c'; an
+        # edge is checked against the failed ones only if it would improve it
+        nontree = self.nontree
         crossing = {}
         for v, cv in comp.items():
-            for eid in self.nontree_eids[v]:
-                if eid in failed:
-                    continue
-                a, b, _ = edges[eid]
-                cu = comp.get(b if a == v else a, 0)
+            for u, sw, eid in nontree[v]:
+                cu = comp.get(u, 0)
                 if cu == cv:
                     continue
                 key = (cu, cv) if cu < cv else (cv, cu)
-                cand = (swap_weight[eid], eid)
                 old = crossing.get(key)
-                if old is None or cand < old:
-                    crossing[key] = cand
-        chosen = _forest_completion(k + 1, crossing)
-        if chosen is None:
-            detail.update(answer=INF, finite=False)
-            return detail
+                if ((old is None or sw < old[0] or sw == old[0] and eid < old[1])
+                        and eid not in eids):
+                    crossing[key] = (sw, eid, *key)
+        # Kruskal over the k+1 components, then a walk from component 0 that
+        # takes each other component's gap from the swap edge to its parent.
+        # A component the walk misses: the failures disconnect G.
+        uf = list(range(k + 1))
+        adj = [[] for _ in range(k + 1)]
+        for _, eid, a, b in sorted(crossing.values()):
+            ra, rb = a, b
+            while uf[ra] != ra:
+                ra = uf[ra]
+            while uf[rb] != rb:
+                rb = uf[rb]
+            if ra != rb:
+                uf[ra] = rb
+                adj[a].append((b, eid))
+                adj[b].append((a, eid))
         gap = 0
         swap_eids = []
-        for comp_idx, eid in _rooted_parent_edges(k + 1, chosen).items():
-            swap_eids.append(eid)
-            g = swap_weight[eid] - self.dist[roots[comp_idx - 1]]
-            if g > gap:
-                gap = g
+        seen = [True] + [False] * k
+        stack = [0]
+        while stack:
+            for c, eid in adj[stack.pop()]:
+                if not seen[c]:
+                    seen[c] = True
+                    stack.append(c)
+                    swap_eids.append(eid)
+                    g = swap_weight[eid] - dist[roots[c - 1]]
+                    if g > gap:
+                        gap = g
+        if len(swap_eids) < k:
+            return {"k": k, "gap": 0, "swap_eids": [], "finite": False,
+                    "answer": INF}
+        swap_eids.sort()
         mult = self.f if self.mode == "paper" else k
-        detail.update(answer=mult * gap + 2 * self.maxdist, gap=gap,
-                      swap_eids=sorted(swap_eids))
-        return detail
-
-
-def _forest_completion(num_comps, crossing):
-    """Kruskal over the per-component-pair minima; None when the auxiliary
-    graph cannot be connected (the failures disconnect the graph)."""
-    parent = list(range(num_comps))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = {}
-    joined = 0
-    for (ci, cj), (_, eid) in sorted(crossing.items(), key=lambda kv: kv[1]):
-        ri, rj = find(ci), find(cj)
-        if ri == rj:
-            continue
-        parent[ri] = rj
-        chosen[(ci, cj)] = eid
-        joined += 1
-        if joined == num_comps - 1:
-            break
-    return chosen if joined == num_comps - 1 else None
-
-
-def _rooted_parent_edges(num_comps, chosen):
-    """Root the auxiliary tree at component 0; map each other component to
-    the swap edge joining it with its parent."""
-    adj = {i: [] for i in range(num_comps)}
-    for (ci, cj), eid in chosen.items():
-        adj[ci].append((cj, eid))
-        adj[cj].append((ci, eid))
-    parent_edge = {}
-    seen = {0}
-    stack = [0]
-    while stack:
-        c = stack.pop()
-        for nxt, eid in adj[c]:
-            if nxt not in seen:
-                seen.add(nxt)
-                parent_edge[nxt] = eid
-                stack.append(nxt)
-    return parent_edge
+        return {"k": k, "gap": gap, "swap_eids": swap_eids, "finite": True,
+                "answer": mult * gap + 2 * self.maxdist}
 
 
 def build_multi_fdo(g: Graph, f: int, mode="paper") -> MultiFDO:

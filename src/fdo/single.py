@@ -27,16 +27,27 @@ from heapq import heapify, heappop, heappush
 
 from .dso import SingleDSO
 from .graph import (Graph, GraphError, INF, diameter, in_tree, index_edges,
-                    is_connected, lane_bfs, resolve_pairs, sssp,
+                    is_connected, lane_bfs, reject_pair, sssp,
                     strong_bridges)
 
 
 def _single_failure_eid(oracle, pairs):
-    pairs = list(pairs)
+    # resolve_pairs for exactly one pair, inline: the edge id or None
+    if not isinstance(pairs, (tuple, list)):
+        pairs = list(pairs)
     if len(pairs) != 1:
         raise GraphError(f"single-failure oracle queried with {len(pairs)} pairs")
-    eids, _ = resolve_pairs(pairs, oracle.n, oracle.directed, oracle.edge_lookup)
-    return eids[0] if eids else None
+    entry = pairs[0]
+    n = oracle.n
+    try:
+        u, v = entry
+    except (TypeError, ValueError):
+        reject_pair(entry, n)
+    if (not (isinstance(u, int) and isinstance(v, int)
+             and 0 <= u < n and 0 <= v < n) or u == v):
+        reject_pair(entry, n)
+    return oracle.edge_lookup.get(
+        (v, u) if v < u and not oracle.directed else (u, v))
 
 
 class ExactFDO:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fdo import (GraphError, INF, SingleDSO, build_graph, build_sampled_fdso,
-                 brute_replacement, sampled_fdso_query, single_dso_query)
+                 brute_replacement)
 
 from conftest import small_graph_corpus
 
@@ -14,19 +14,19 @@ def test_single_dso_off_path_no_recompute(c4):
     d = SingleDSO(c4)
     # stored P(0,2) is 0-1-2; edge 3-0 (id 3) is off it
     assert d.path_edges(0, 2) == [0, 1]
-    assert single_dso_query(d, 0, 2, 3) == 2
+    assert d.query(0, 2, 3) == 2
     assert not d._memo
 
 
 def test_single_dso_on_path(c4):
     d = SingleDSO(c4)
-    assert single_dso_query(d, 0, 2, 0) == 2  # reroute 0-3-2
+    assert d.query(0, 2, 0) == 2  # reroute 0-3-2
     assert (0, 0) in d._memo
 
 
 def test_single_dso_bridge(p4):
     d = SingleDSO(p4)
-    assert single_dso_query(d, 0, 3, 1) == INF
+    assert d.query(0, 3, 1) == INF
 
 
 def test_single_dso_exhaustive_vs_brute():
@@ -80,7 +80,7 @@ def test_sampled_budget_rejected():
 def test_sampled_query_c4(c4):
     from fdo import brute_replacement as brute
     d = build_sampled_fdso(c4, f=1, delta=1.0, C=3.0, seed=7)
-    val, path = sampled_fdso_query(d, 0, 2, [0])
+    val, path = d.query(0, 2, [0])
     assert val == 2 and path == [0, 3, 2]
     # no failures: min over subgraphs never undershoots, and with this many
     # subgraphs it matches the true distance under the committed seed
