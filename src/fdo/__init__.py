@@ -11,11 +11,11 @@ use of one of their names, so a process that only loads and queries an
 oracle never imports them.
 """
 
-from .graph import (Graph, GraphError, INF, ShortestPathTree, apsp,
-                    build_graph, diameter, distances, eccentricity,
-                    extract_path, in_tree, is_connected, load_graph,
-                    parse_graph, save_graph, sssp, strong_bridges)
-from .dso import SampledFDSO, SingleDSO, build_sampled_fdso
+from .graph import (Graph, GraphError, INF, ShortestPathTree, build_graph,
+                    diameter, distances, eccentricity, extract_path, in_tree,
+                    is_connected, load_graph, parse_graph, save_graph, sssp,
+                    strong_bridges)
+from .dso import SampledFDSO, build_sampled_fdso
 from .single import (ApproxFDO, EccFDO, ExactFDO, SpannerFDO,
                      build_approx_fdo, build_ecc_fdo, build_exact_fdo,
                      build_spanner_fdo, deterministic_pivots,

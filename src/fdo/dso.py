@@ -1,11 +1,10 @@
-"""Distance sensitivity oracles backing the diameter-oracle builders.
+"""Distance sensitivity oracles backing the ``lowdiam`` builder.
 
-Two flavours: an exact single-failure oracle that memoizes the rare
-recomputations, and a randomized multi-failure oracle built from sampled
-spanning subgraphs that reports genuine paths (never underestimating).
-The sampled oracle holds its k subgraphs as k-bit ints (see SampledFDSO),
-filled by one :func:`graph.lane_bfs` per source with subgraph i as lane i,
-in O(n * D * m) big-int operations, D the largest subgraph eccentricity.
+A randomized multi-failure oracle built from sampled spanning subgraphs
+that reports genuine paths (never underestimating).  It holds its k
+subgraphs as k-bit ints (see SampledFDSO), filled by one
+:func:`graph.lane_bfs` per source with subgraph i as lane i, in
+O(n * D * m) big-int operations, D the largest subgraph eccentricity.
 :func:`lane_rows` and :func:`lane_path` read any bit-lane BFS; the
 ``lowdiam`` subset-table build uses them for both of its backends.
 """
@@ -14,58 +13,7 @@ from __future__ import annotations
 import math
 import random
 
-from .graph import (Graph, GraphError, INF, apsp, extract_path, lane_bfs,
-                    sssp)
-
-
-class SingleDSO:
-    """Exact replacement distances d(s,t,{e}) for one failing edge.
-
-    Holds the n shortest-path trees of the base graph; a query only triggers
-    a fresh single-source computation when the failing edge lies on the
-    stored s-t path, and that tree is memoized per (source, edge).  The memo
-    is safe under concurrent insert-if-absent since recomputed values are
-    identical.
-    """
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.dist, self.trees = apsp(g)
-        self._memo = {}
-
-    def distance(self, s, t):
-        return self.dist[s][t]
-
-    def path_edges(self, s, t):
-        """Edge ids of the stored shortest s-t path (None if unreachable)."""
-        got = extract_path(self.trees[s], t)
-        return None if got is None else got[1]
-
-    def replacement_tree(self, s, eid):
-        """Memoized shortest-path tree of G-e from s."""
-        key = (s, eid)
-        tree = self._memo.get(key)
-        if tree is None:
-            tree = sssp(self.g, s, {eid})
-            self._memo[key] = tree
-        return tree
-
-    def query(self, s, t, eid):
-        """Exact d(s,t,{e}); no recomputation when e is off the stored path."""
-        if not self._on_stored_path(s, t, eid):
-            return self.dist[s][t]
-        return self.replacement_tree(s, eid).dist[t]
-
-    def _on_stored_path(self, s, t, eid):
-        tree = self.trees[s]
-        if tree.dist[t] == INF:
-            return True  # unreachable already; recompute is a no-op answer
-        v = t
-        while tree.parent[v] is not None:
-            v, peid = tree.parent[v]
-            if peid == eid:
-                return True
-        return False
+from .graph import Graph, GraphError, INF, lane_bfs
 
 
 class SampledFDSO:

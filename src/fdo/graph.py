@@ -249,12 +249,6 @@ def in_tree(g: Graph, root, excluded=frozenset()) -> ShortestPathTree:
                             _parents(g, root, dist, order, excluded, True))
 
 
-def apsp(g: Graph):
-    """All-pairs distances plus the n per-source trees."""
-    trees = [sssp(g, s) for s in range(g.n)]
-    return [t.dist for t in trees], trees
-
-
 def extract_path(tree: ShortestPathTree, endpoint):
     """Tree path between source/root and ``endpoint`` as (vertices, edge_ids).
 
@@ -382,7 +376,7 @@ def resolve_pairs(pairs, n, directed, edge_lookup):
             u, v = entry
         except (TypeError, ValueError):
             reject_pair(entry, n)
-        if (not (isinstance(u, int) and isinstance(v, int)
+        if (not (type(u) is int and type(v) is int
                  and 0 <= u < n and 0 <= v < n) or u == v):
             reject_pair(entry, n)
         key = (v, u) if v < u and not directed else (u, v)
@@ -407,7 +401,7 @@ def reject_pair(entry, n, duplicate=False):
         raise GraphError(f"failure-set entry {entry!r} is not a vertex pair") from None
     if duplicate:
         raise GraphError(f"duplicate pair ({u},{v}) in failure set")
-    if not (isinstance(u, int) and isinstance(v, int)
+    if not (type(u) is int and type(v) is int
             and 0 <= u < n and 0 <= v < n):
         raise GraphError(f"pair ({u},{v}) has invalid vertex id (n={n})")
     raise GraphError(f"pair ({u},{v}) is not a vertex pair")

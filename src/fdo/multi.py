@@ -51,8 +51,9 @@ class MultiFDO:
         self.dist = dist
         self.parent_eid = parent_eid        # per vertex, None at the source
         self.edge_lookup = index_edges(edges, False)
-        self.tree_eids = tree_eids = {e for e in parent_eid if e is not None}
         self.maxdist = max(dist) if maxdist is None else maxdist
+        self._index_tree()
+        cut_root = self.cut_root
         # Per vertex, its non-tree half-edges: (other end, swap weight, eid).
         # A build computes the swap weights on the way; tree edges keep 0.
         build = swap_weight is None
@@ -61,13 +62,12 @@ class MultiFDO:
         self.swap_weight = swap_weight
         self.nontree = nontree = [[] for _ in range(n)]
         for eid, (u, v, w) in enumerate(edges):
-            if eid not in tree_eids:
+            if eid not in cut_root:
                 if build:
                     swap_weight[eid] = dist[u] + w + dist[v]
                 sw = swap_weight[eid]
                 nontree[u].append((v, sw, eid))
                 nontree[v].append((u, sw, eid))
-        self._index_tree()
         self.f1_swap = self._cover_tree_edges() if f == 1 else None
 
     @property
@@ -123,7 +123,8 @@ class MultiFDO:
         self.tin, self.tout, self.depth = tin, tout, depth
         self.euler = euler
         self.parent_vert = parent_vert
-        # child endpoint of each tree edge (the component root once it fails)
+        # child endpoint of each tree edge (the component root once it
+        # fails); its keys are the tree edges
         self.cut_root = {}
         for v, eid in enumerate(self.parent_eid):
             if eid is not None:
@@ -143,7 +144,7 @@ class MultiFDO:
         # by marking every tree edge on each non-tree edge's endpoint path.
         best = {}
         for eid, (u, v, _) in enumerate(self.edges):
-            if eid in self.tree_eids:
+            if eid in self.cut_root:
                 continue
             cand = (self.swap_weight[eid], eid)
             for teid in self._tree_path_eids(u, v):
@@ -170,13 +171,13 @@ class MultiFDO:
             raise GraphError(
                 f"too many failures: {len(pairs)} pairs, oracle has f={self.f}")
         eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup)
-        tree_eids = self.tree_eids
-        failed_tree = [e for e in eids if e in tree_eids]   # sorted, as eids
+        cut_root = self.cut_root
+        failed_tree = [e for e in eids if e in cut_root]    # sorted, as eids
         k = len(failed_tree)
         if k == 0:
             return {"k": 0, "gap": 0, "swap_eids": [], "finite": True,
                     "answer": 2 * self.maxdist}
-        swap_weight, dist, cut_root = self.swap_weight, self.dist, self.cut_root
+        swap_weight, dist = self.swap_weight, self.dist
         if self.f == 1 and not force_general:
             swap = self.f1_swap.get(failed_tree[0])
             if swap is None:

@@ -10,13 +10,22 @@ non-edges answered without error):
                  shortest paths or a pivot-based scan plus additive slack,
                  with randomized or deterministic pivot selection.
 
-All four builds get their per-edge values from one kernel,
-raise_by_replacement_ecc: ecc_{G-e}(s) for every source tree and tree edge
-e.  On unit weights it runs one bit-lane BFS per tree (graph.lane_bfs), a
-lane per tree edge, at O(m) big-int operations on n-bit masks per distinct
-distance a vertex takes over the failures.  On other weights, zero
-included, it repairs the tree below every tree edge with a Dijkstra run
-confined to that subtree, at the subtree's edge volume times a log factor.
+All four builds get their per-edge values as replacement eccentricities
+ecc_{G-e}(s), raised into entries that already hold ecc_G(s).  On unit
+weights the kernel raise_by_replacement_ecc runs one bit-lane BFS per
+source (graph.lane_bfs), at O(m) big-int operations per distinct distance
+a vertex takes over the failures.  While the finite entries outnumber the
+vertices by at most SHARED_LANE_SURPLUS, each entry gets a lane on one
+alive table shared by all sources and no shortest-path tree is built: a
+lane whose edge is off a shortest-path tree of s reaches every vertex at
+its base distance, so its eccentricity is ecc_G(s), which its entry
+already holds, and such lanes cost bits but never raise an entry.  On
+denser inputs those bits would make every mask m bits wide and the alive
+table m^2 bits, so each source gets n-1 lanes instead, one per edge of
+its own BFS tree.  On other weights, zero included (exact and ecc only),
+each source's graph.sssp tree is repaired below every tree edge with a
+Dijkstra run confined to that subtree, at the subtree's edge volume times
+a log factor.
 All oracles are immutable after build; concurrent queries are safe.
 """
 from __future__ import annotations
@@ -25,7 +34,6 @@ import math
 import random
 from heapq import heapify, heappop, heappush
 
-from .dso import SingleDSO
 from .graph import (Graph, GraphError, INF, diameter, in_tree, index_edges,
                     is_connected, lane_bfs, reject_pair, sssp,
                     strong_bridges)
@@ -43,7 +51,7 @@ def _single_failure_eid(oracle, pairs):
         u, v = entry
     except (TypeError, ValueError):
         reject_pair(entry, n)
-    if (not (isinstance(u, int) and isinstance(v, int)
+    if (not (type(u) is int and type(v) is int
              and 0 <= u < n and 0 <= v < n) or u == v):
         reject_pair(entry, n)
     return oracle.edge_lookup.get(
@@ -72,83 +80,112 @@ class ExactFDO:
         return self.base_diam if eid is None else self.values[eid]
 
 
-def build_exact_fdo(g: Graph, dso: SingleDSO | None = None) -> ExactFDO:
+def build_exact_fdo(g: Graph) -> ExactFDO:
     """Folklore exact oracle: initialize every entry to diam(G), then raise
-    it with the replacement eccentricities of each source over its own tree
-    edges (edges off a source's tree leave that source's distances intact).
+    it with the replacement eccentricities of every source.
 
-    The replacement eccentricities come from :func:`raise_by_replacement_ecc`
-    over all n trees: one bit-lane BFS per tree on unit weights, a repair of
-    the subtree below each tree edge otherwise, instead of one full
-    shortest-path run (O(m) and more) per source and tree edge.  A bridge
-    lies on some source's tree and that source's replacement eccentricity
-    is infinite, so bridges need no pass of their own; an infinite
-    distance in them shows a graph that is not (strongly) connected.
-    ``dso`` lends its stored trees and nothing else.
+    On unit weights they come from :func:`raise_by_replacement_ecc` over
+    all n sources, one bit-lane BFS each; on other weights from a repair
+    of the subtree below each edge of every source's :func:`graph.sssp`
+    tree (:func:`_raise_by_subtree_repair`), whose distances give diam(G)
+    too.  Either replaces one full shortest-path run (O(m) and more) per
+    source and edge.  A bridge lies on some source's tree and that
+    source's replacement eccentricity is infinite, so bridges need no pass
+    of their own; an infinite distance in them shows a graph that is not
+    (strongly) connected.
     """
-    trees = _source_trees(g, range(g.n), dso)
-    base = max(max(t.dist) for t in trees)
+    trees = [sssp(g, s) for s in range(g.n)] if g.weighted else None
+    base = diameter(g) if trees is None else max(max(t.dist) for t in trees)
     if base == INF:
         raise GraphError("exact FDO needs a (strongly) connected graph")
     values = [base] * g.m
-    raise_by_replacement_ecc(g, trees, values)
+    if trees is None:
+        raise_by_replacement_ecc(g, range(g.n), values)
+    else:
+        _raise_by_subtree_repair(g, trees, values)
     return ExactFDO(g.n, g.directed, list(g.edges), values, base)
 
 
-def _source_trees(g, sources, dso):
-    if dso is not None:
-        return [dso.trees[s] for s in sources]
-    return [sssp(g, s) for s in sources]
+def _entry_ids(values):
+    # the edge ids with an entry: every index of a list, every key of a dict
+    return range(len(values)) if isinstance(values, list) else values
 
 
-def raise_by_replacement_ecc(g: Graph, trees, values, edge_filter=None):
-    """Raise ``values[eid]`` to ecc_{G-e}(s) for every source tree and every
-    tree edge e = (p -> v) on it.
+# raise_by_replacement_ecc shares one lane per finite entry across all
+# sources while the entries outnumber the vertices by at most this many;
+# beyond it each source gets n-1 lanes, one per edge of its own BFS tree.
+SHARED_LANE_SURPLUS = 2048
 
-    Entries that are already infinite, and edges outside ``edge_filter``
-    when one is given, are skipped.  Entries must already hold at least
-    ecc_G(s) (diam(G) for a per-edge diameter, ecc(s) for a one-source
-    oracle).  The trees must be proper trees, as :func:`graph.sssp` builds
-    them.  The work splits as in :func:`graph.distances`:
 
-    * unit weights: one :func:`graph.lane_bfs` per tree, lane i standing
-      for the failure of the i-th selected tree edge, so O(m) big-int
-      operations on n-bit masks per distinct distance a vertex takes over
-      the failures (see :func:`_raise_by_lanes`);
-    * other weights, zero included: a Dijkstra repair of the subtree below
-      every selected tree edge, the edge volume of that subtree times a
-      log factor per edge (see :func:`_raise_by_subtree_repair`).
+def raise_by_replacement_ecc(g: Graph, sources, values):
+    """Raise every finite entry ``values[eid]`` (each index of a list, each
+    key of a dict) to ecc_{G-e}(s) for every source s, on unit weights.
+
+    Entries must already hold at least ecc_G(s) for every source (diam(G)
+    for a per-edge diameter, ecc(s) for a one-source oracle).  One
+    :func:`graph.lane_bfs` runs per source, O(m) big-int operations per
+    distinct distance a vertex takes over the failures.  Cutting an edge
+    off any one shortest-path tree of s leaves every distance from s
+    intact, so that lane's eccentricity is ecc_G(s), no more than its
+    entry: only the edges of the tree can raise their entries.  Hence the
+    lanes may be either
+
+    * one per finite entry, on one alive table shared by all sources, with
+      no tree built, while there are at most n + ``SHARED_LANE_SURPLUS``
+      of them: masks of that many bits;
+    * else the n-1 edges of a BFS tree of each source, one alive table per
+      source: n-bit masks, so dense graphs do not pay m-bit masks and an
+      alive table of m^2 bits.
+
+    Weighted graphs, zero weights included, raise :class:`GraphError`;
+    they take :func:`_raise_by_subtree_repair` on the sources'
+    :func:`graph.sssp` trees.
     """
     if g.weighted:
-        _raise_by_subtree_repair(g, trees, values, edge_filter)
-    else:
-        _raise_by_lanes(g, trees, values, edge_filter)
+        raise GraphError("the lane kernel needs unit weights")
+    keys = _entry_ids(values)
+    cut = [eid for eid in keys if values[eid] != INF]
+    if len(cut) - g.n <= SHARED_LANE_SURPLUS:
+        _raise_by_lanes(g, sources, cut, values)
+        return
+    nbrs = g._out_nbrs
+    for s in sources:
+        _raise_by_lanes(g, [s], [eid for eid in _bfs_tree_eids(nbrs, s)
+                                 if eid in keys and values[eid] != INF],
+                        values)
 
 
-def _cut_edges(tree, values, edge_filter):
-    # (v, eid) for every tree edge p -> v whose entry may still rise
-    return [(v, entry[1]) for v, entry in enumerate(tree.parent)
-            if entry is not None
-            and (edge_filter is None or entry[1] in edge_filter)
-            and values[entry[1]] != INF]
+def _bfs_tree_eids(nbrs, s):
+    # the edge ids of one BFS tree from s
+    seen = [False] * len(nbrs)
+    seen[s] = True
+    order = [s]
+    eids = []
+    for u in order:  # the list grows while it is walked: a FIFO queue
+        for v, eid, _ in nbrs[u]:
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+                eids.append(eid)
+    return eids
 
 
-def _raise_by_lanes(g, trees, values, edge_filter):
-    # Lane i keeps every edge but cut[i].  Its eccentricity is the last
-    # level that reaches any vertex in it, so scanning the levels from the
-    # top down settles each lane once.  The scan stops at the lowest entry,
-    # which no lane at or below it can raise.  A lane that leaves a vertex
-    # unreached is infinite.
-    for tree in trees:
-        cut = [eid for _, eid in _cut_edges(tree, values, edge_filter)]
-        if not cut:
-            continue
-        full = (1 << len(cut)) - 1
-        alive = [full] * g.m
-        for i, eid in enumerate(cut):
-            alive[eid] = full ^ (1 << i)
-        levels, missed = lane_bfs(g._out_nbrs, alive, tree.source, full)
-        floor = min(values[eid] for eid in cut)
+def _raise_by_lanes(g, sources, cut, values):
+    # Lane i keeps every edge but cut[i].  A lane's eccentricity is the
+    # last level that reaches any vertex in it, so scanning the levels from
+    # the top down settles each lane once.  The scan stops at the lowest
+    # entry, which no lane at or below it can raise.  A lane that leaves a
+    # vertex unreached is infinite.
+    if not cut:
+        return
+    full = (1 << len(cut)) - 1
+    alive = [full] * g.m
+    for i, eid in enumerate(cut):
+        alive[eid] = full ^ (1 << i)
+    floor = min(values[eid] for eid in cut)
+    nbrs = g._out_nbrs
+    for s in sources:
+        levels, missed = lane_bfs(nbrs, alive, s, full)
         for i in _bits(missed):
             values[cut[i]] = INF
         pending = full ^ missed
@@ -172,7 +209,7 @@ def _bits(mask):
         mask ^= low
 
 
-def _raise_by_subtree_repair(g, trees, values, edge_filter):
+def _raise_by_subtree_repair(g, trees, values):
     # Only the subtree below v can change distance when e = (p -> v) fails.
     # Each of its vertices is seeded with its cheapest in-edge from outside
     # the subtree (e excluded), whose tail keeps its tree distance, and a
@@ -181,8 +218,12 @@ def _raise_by_subtree_repair(g, trees, values, edge_filter):
     # stay within ecc_G(s), which the entries already hold.
     n = g.n
     in_nbrs, out_nbrs = g._in_nbrs, g._out_nbrs
+    keys = _entry_ids(values)
     for tree in trees:
-        cut = _cut_edges(tree, values, edge_filter)
+        # (v, eid) for every tree edge p -> v whose entry may still rise
+        cut = [(v, entry[1]) for v, entry in enumerate(tree.parent)
+               if entry is not None and entry[1] in keys
+               and values[entry[1]] != INF]
         if not cut:
             continue
         dist, parent = tree.dist, tree.parent
@@ -278,7 +319,10 @@ def build_ecc_fdo(g: Graph, source=0) -> EccFDO:
         raise GraphError("eccentricity FDO needs a connected graph")
     tree_eids = sorted(entry[1] for entry in tree.parent if entry is not None)
     values = dict.fromkeys(tree_eids, ecc)
-    raise_by_replacement_ecc(g, [tree], values)
+    if g.weighted:
+        _raise_by_subtree_repair(g, [tree], values)
+    else:
+        raise_by_replacement_ecc(g, [source], values)
     return EccFDO(g.n, g.directed, list(g.edges), source,
                   {eid: 2 * val for eid, val in values.items()}, 2 * ecc)
 
@@ -339,16 +383,16 @@ def build_spanner_fdo(g: Graph, k: int) -> SpannerFDO:
     so far connects its endpoints only with more than 2k-1 hops.
 
     diam(G-e) for the spanner edges comes from
-    :func:`raise_by_replacement_ecc` over all n BFS trees, restricted to
-    the spanner edges: one bit-lane BFS per tree with a lane per spanner
-    edge on it, instead of a full diameter computation (n BFS runs,
-    O(n*m)) per spanner edge."""
+    :func:`raise_by_replacement_ecc` over all n sources with an entry per
+    spanner edge: one bit-lane BFS per source with a lane per spanner
+    edge (per edge of the source's BFS tree on a dense spanner), instead
+    of a full diameter computation (n BFS runs, O(n*m)) per spanner
+    edge."""
     if k < 1:
         raise GraphError(f"spanner parameter must be >= 1, got {k}")
     if g.directed or g.weighted:
         raise GraphError("spanner FDO requires an undirected unweighted graph")
-    trees = [sssp(g, s) for s in range(g.n)]
-    base = max(max(t.dist) for t in trees)
+    base = diameter(g)
     if base == INF:
         raise GraphError("spanner FDO needs a connected graph")
     limit = 2 * k - 1
@@ -360,7 +404,7 @@ def build_spanner_fdo(g: Graph, k: int) -> SpannerFDO:
             adj.setdefault(v, []).append(u)
             spanner.append(eid)
     values = dict.fromkeys(spanner, base)
-    raise_by_replacement_ecc(g, trees, values, edge_filter=values)
+    raise_by_replacement_ecc(g, range(g.n), values)
     return SpannerFDO(g.n, g.directed, list(g.edges), k, values, base)
 
 
@@ -402,23 +446,21 @@ def default_scan_threshold(n: int) -> int:
 
 
 def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
-                     C=3.0, dso: SingleDSO | None = None,
-                     scan_threshold=None) -> ApproxFDO:
+                     C=3.0, scan_threshold=None) -> ApproxFDO:
     """(1+eps)-approximate oracle on an unweighted graph.
 
     With the additive slack floor(eps * diam(G)) at most ``scan_threshold``
     the entries are exact: :func:`raise_by_replacement_ecc` over all n
-    trees, as in :func:`build_exact_fdo`.  Otherwise only the pivots' trees
-    are scanned, each entry gets the slack added, and bridges answer
-    infinity.  The kernel runs one bit-lane BFS per scanned source,
-    instead of n*m per source.  ``dso`` lends its stored trees and
-    distance rows.
+    sources, as in :func:`build_exact_fdo`.  Otherwise only the pivots are
+    scanned, each entry gets the slack added, and bridges answer infinity.
+    The kernel runs one bit-lane BFS per scanned source, instead of n*m per
+    source.
     """
     if epsilon <= 0:
         raise GraphError(f"epsilon must be positive, got {epsilon}")
     if g.weighted:
         raise GraphError("approximate FDO requires an unweighted graph")
-    base = diameter(g) if dso is None else max(max(row) for row in dso.dist)
+    base = diameter(g)
     if base == INF:
         raise GraphError("approximate FDO needs a strongly connected graph")
     slack = math.floor(epsilon * base)
@@ -427,7 +469,7 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
 
     values = [base] * g.m
     if slack <= scan_threshold:
-        raise_by_replacement_ecc(g, _source_trees(g, range(g.n), dso), values)
+        raise_by_replacement_ecc(g, range(g.n), values)
         return ApproxFDO(g.n, g.directed, list(g.edges), values, base,
                          epsilon, slack, "exact-scan", [])
 
@@ -440,7 +482,7 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
         pivots = deterministic_pivots(g, slack, bridges=bridges)
     else:
         raise GraphError(f"unknown pivot mode {pivot_mode!r}")
-    raise_by_replacement_ecc(g, _source_trees(g, pivots, dso), values)
+    raise_by_replacement_ecc(g, pivots, values)
     for eid in range(g.m):
         if eid in bridges:
             values[eid] = INF

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from fdo import (INF, SingleDSO, brute_diam, brute_replacement,
+from fdo import (INF, brute_diam, brute_replacement,
                  build_approx_fdo, build_ecc_fdo, build_exact_fdo,
                  build_graph, build_lowdiam_fdo, build_multi_fdo,
                  build_sampled_fdso, build_spanner_fdo, deterministic_pivots,
@@ -90,15 +90,13 @@ def test_c2_approx_sandwich():
     t0 = time.perf_counter()
     graphs = c2_graphs()
     truths = []
-    dsos = []
     for g in graphs:
-        dsos.append(SingleDSO(g))
         truths.append([brute_diam(g, [(u, v)]) for u, v, _ in g.edges])
 
     bad = []
-    for g, dso, truth in zip(graphs, dsos, truths):
+    for g, truth in zip(graphs, truths):
         for eps in (0.25, 0.5, 1.0):
-            o = build_approx_fdo(g, eps, dso=dso)
+            o = build_approx_fdo(g, eps)
             for eid, (u, v, _) in enumerate(g.edges):
                 ans = o.query([(u, v)])
                 t = truth[eid]
@@ -111,10 +109,9 @@ def test_c2_approx_sandwich():
     seen = 0
     low_failures = []
     pivot_builds = 0
-    for g, dso, truth in zip(graphs, dsos, truths):
+    for g, truth in zip(graphs, truths):
         for seed in range(20):
-            o = build_approx_fdo(g, 1.0, pivot_mode="random", seed=seed,
-                                 dso=dso)
+            o = build_approx_fdo(g, 1.0, pivot_mode="random", seed=seed)
             pivot_builds += o.mode == "pivot"
             for eid, (u, v, _) in enumerate(g.edges):
                 ans = o.query([(u, v)])

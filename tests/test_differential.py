@@ -7,7 +7,7 @@ against ``fdo.verify.brute_diam`` at that kind's contract.  The same graphs
 check ``strong_bridges``, which tests only tree edges, against a
 connectivity test of every edge.  On unit weights the bit-lane path of
 ``raise_by_replacement_ecc`` is pinned to the Dijkstra subtree repair, run
-directly on the same trees and entries.
+directly on the same sources' ``sssp`` trees and entries.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from fdo import (INF, brute_diam, build_approx_fdo, build_ecc_fdo,
                  build_exact_fdo, build_graph, build_spanner_fdo, is_connected,
                  sssp, strong_bridges)
+from fdo import single
 from fdo.graph import DIST_EPS, dist_eq
 from fdo.single import _raise_by_subtree_repair, raise_by_replacement_ecc
 
@@ -103,34 +104,48 @@ def test_strong_bridges_match_per_edge_check(kind, data):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_lane_ecc_matches_subtree_repair(kind, data):
+    # small graphs: one lane per finite entry, shared by all sources
+    _check_lanes_against_subtree_repair(kind, data, INF)
+
+
+@pytest.mark.parametrize("kind", ["undirected", "digraph", "bridged"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_tree_lanes_match_subtree_repair(kind, data):
+    # every source on its own lanes, one per edge of its BFS tree
+    _check_lanes_against_subtree_repair(kind, data, -INF)
+
+
+def _check_lanes_against_subtree_repair(kind, data, surplus):
     g = data.draw(graphs("undirected" if kind == "bridged" else kind))
     if kind == "bridged":  # a pendant vertex hangs on a bridge
         hub = data.draw(st.integers(0, g.n - 1))
         g = build_graph(g.n + 1, False, [(u, v) for u, v, _ in g.edges]
                         + [(hub, g.n)])
     assert not g.weighted
-    trees = [sssp(g, s) for s in range(g.n)]
     sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
                                  max_size=g.n, unique=True))
-    picked = [trees[s] for s in sources]
-    # every entry must start at least at ecc_G(s) of each picked source
-    start = max(max(t.dist) for t in picked)
-    shape = data.draw(st.sampled_from(["list", "dict", "filtered-dict"]))
-    eids = st.sets(st.integers(0, g.m - 1))
-    edge_filter = None
+    trees = [sssp(g, s) for s in sources]
+    # every entry must start at least at ecc_G(s) of each source
+    start = max(max(t.dist) for t in trees)
+    shape = data.draw(st.sampled_from(["list", "dict", "any-dict"]))
     if shape == "list":       # exact / approx: one entry per edge
         values = [start] * g.m
-        edge_filter = data.draw(st.none() | eids)
-    elif shape == "dict":     # ecc: the picked trees' edges only
-        values = dict.fromkeys((p[1] for t in picked for p in t.parent
+    elif shape == "dict":     # ecc: the sources' tree edges only
+        values = dict.fromkeys((p[1] for t in trees for p in t.parent
                                 if p is not None), start)
-    else:                     # spanner: any edges, which also filter
-        values = dict.fromkeys(data.draw(eids), start)
-        edge_filter = values
+    else:                     # spanner: any edges, on or off the trees
+        values = dict.fromkeys(data.draw(st.sets(st.integers(0, g.m - 1))),
+                               start)
     keys = range(g.m) if shape == "list" else list(values)
     for eid in data.draw(st.sets(st.sampled_from(keys))) if keys else ():
         values[eid] = INF
     expect = values.copy()
-    _raise_by_subtree_repair(g, picked, expect, edge_filter)
-    raise_by_replacement_ecc(g, picked, values, edge_filter)
+    _raise_by_subtree_repair(g, trees, expect)
+    saved = single.SHARED_LANE_SURPLUS
+    single.SHARED_LANE_SURPLUS = surplus
+    try:
+        raise_by_replacement_ecc(g, sources, values)
+    finally:
+        single.SHARED_LANE_SURPLUS = saved
     assert values == expect

@@ -2,41 +2,41 @@ import random
 
 import pytest
 
-from fdo import (GraphError, INF, SingleDSO, build_graph, build_sampled_fdso,
-                 brute_replacement)
+from fdo import (GraphError, INF, build_graph, build_sampled_fdso,
+                 brute_replacement, extract_path, sssp)
 
 from conftest import small_graph_corpus
 
 
-# ------------------------------------------------------------------ SingleDSO
+# --------------------------------------- single-failure replacement distances
+# d(s,t,{e}) from brute_replacement, read against the trees of graph.sssp:
+# an edge off the stored s-t path leaves d(s,t) as it is, and a tree that
+# excludes the edge holds the replacement distance.
 
 def test_single_dso_off_path_no_recompute(c4):
-    d = SingleDSO(c4)
+    tree = sssp(c4, 0)
     # stored P(0,2) is 0-1-2; edge 3-0 (id 3) is off it
-    assert d.path_edges(0, 2) == [0, 1]
-    assert d.query(0, 2, 3) == 2
-    assert not d._memo
+    assert extract_path(tree, 2) == ([0, 1, 2], [0, 1])
+    assert brute_replacement(c4, 0, 2, [(3, 0)]) == tree.dist[2] == 2
 
 
 def test_single_dso_on_path(c4):
-    d = SingleDSO(c4)
-    assert d.query(0, 2, 0) == 2  # reroute 0-3-2
-    assert (0, 0) in d._memo
+    assert brute_replacement(c4, 0, 2, [(0, 1)]) == 2  # reroute 0-3-2
+    assert extract_path(sssp(c4, 0, {0}), 2) == ([0, 3, 2], [3, 2])
 
 
 def test_single_dso_bridge(p4):
-    d = SingleDSO(p4)
-    assert d.query(0, 3, 1) == INF
+    assert brute_replacement(p4, 0, 3, [(1, 2)]) == INF
+    assert extract_path(sssp(p4, 0, {1}), 3) is None
 
 
 def test_single_dso_exhaustive_vs_brute():
     for g in small_graph_corpus():
-        d = SingleDSO(g)
         for s in range(g.n):
-            for t in range(g.n):
-                for eid, (u, v, _) in enumerate(g.edges):
-                    assert d.query(s, t, eid) == brute_replacement(
-                        g, s, t, [(u, v)])
+            for eid, (u, v, _) in enumerate(g.edges):
+                row = sssp(g, s, {eid}).dist
+                for t in range(g.n):
+                    assert row[t] == brute_replacement(g, s, t, [(u, v)])
 
 
 # ---------------------------------------------------------------- SampledFDSO

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fdo import (GraphError, INF, apsp, build_graph, diameter, distances,
+from fdo import (GraphError, INF, build_graph, diameter, distances,
                  eccentricity, extract_path, gen_random, in_tree,
                  is_connected, parse_graph, save_graph, load_graph, sssp,
                  strong_bridges)
@@ -111,15 +111,6 @@ def test_in_tree_directed(dicycle3):
 
 def test_in_tree_undirected_matches_sssp(c4):
     assert in_tree(c4, 2).dist == sssp(c4, 2).dist
-
-
-def test_apsp(k4, p4, c4):
-    mat, _ = apsp(k4)
-    assert all(mat[u][v] == 1 for u in range(4) for v in range(4) if u != v)
-    assert apsp(p4)[0][0][3] == 3
-    mat4, _ = apsp(c4)
-    for s in range(4):
-        assert mat4[s] == sssp(c4, s).dist
 
 
 # ----------------------------------------------------------- ecc and diameter

@@ -45,7 +45,7 @@ def reference_swap_weights(g):
 
 def test_build_triangle(tri):
     o = build_multi_fdo(tri, 1)
-    assert sorted(o.tree_eids) == [0, 2]
+    assert sorted(o.cut_root) == [0, 2]   # the tree edges
     assert o.swap_weight == [0, 3, 0]   # d(0,1) + 1 + d(0,2) for edge {1,2}
     assert o.maxdist == 1
     assert o.f1_swap == {0: 1, 2: 1}    # the only non-tree edge covers both
@@ -128,7 +128,7 @@ def stretch_case(g, o, pairs, f):
     assert detail["gap"] <= truth
     # reconnection is really a minimum spanning forest under the re-weighting
     eids = {g.edge_id(u, v) for u, v in pairs if g.edge_id(u, v) is not None}
-    surviving_tree = o.tree_eids - eids
+    surviving_tree = set(o.cut_root) - eids
     ours = sum(o.swap_weight[e] for e in surviving_tree) \
         + sum(o.swap_weight[e] for e in detail["swap_eids"])
     assert ours == kruskal_msf_weight(g, eids, o.swap_weight)
@@ -180,8 +180,8 @@ def test_swap_weights_match_reference():
         o = build_multi_fdo(g, 2)
         ref, tree_eids = reference_swap_weights(g)
         assert o.swap_weight == ref
-        assert o.tree_eids == tree_eids
-        assert all(o.swap_weight[e] == 0 for e in o.tree_eids)
+        assert set(o.cut_root) == tree_eids
+        assert all(o.swap_weight[e] == 0 for e in o.cut_root)
 
 
 def test_zero_weight_within_contract():

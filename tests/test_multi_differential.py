@@ -47,9 +47,10 @@ def graphs(draw, kind):
 def failure_sets(o, f):
     """Sets of at most f distinct vertex pairs, each drawn from the tree
     edges, the non-tree edges or the non-edges of the oracle's graph."""
-    tree = [o.edges[e][:2] for e in sorted(o.tree_eids)]
+    tree_eids = {e for e in o.parent_eid if e is not None}
+    tree = [o.edges[e][:2] for e in sorted(tree_eids)]
     nontree = [(u, v) for e, (u, v, _) in enumerate(o.edges)
-               if e not in o.tree_eids]
+               if e not in tree_eids]
     nonedges = [(u, v) for u in range(o.n) for v in range(u + 1, o.n)
                 if (u, v) not in o.edge_lookup]
     pair = st.one_of([st.sampled_from(c) for c in (tree, nontree, nonedges)
@@ -109,7 +110,8 @@ def reference_details(o, pairs):
     its deepest enclosing cut root, then every edge is scanned."""
     eids, _ = resolve_pairs(pairs, o.n, False, o.edge_lookup)
     failed = set(eids)
-    failed_tree = sorted(e for e in eids if e in o.tree_eids)
+    tree_eids = {e for e in o.parent_eid if e is not None}
+    failed_tree = sorted(e for e in eids if e in tree_eids)
     k = len(failed_tree)
     detail = {"k": k, "gap": 0, "swap_eids": [], "finite": True}
     if k == 0:

@@ -33,6 +33,9 @@ MALFORMED = {
     "out-of-range id": [(0, 5)],
     "negative id": [(-1, 2)],
     "float id": [(0.0, 1)],
+    # bool is a subclass of int, but True and False are not vertex ids
+    "True id": [(True, 2)],
+    "False id": [(False, 1)],
     "self pair": [(2, 2)],
     "triple": [(1, 2, 3)],
     "one vertex": [(1,)],
@@ -97,6 +100,8 @@ def test_messages_name_the_entry():
         (5, "failure-set entry 5 is not a vertex pair"),
         ((0, 5), "pair (0,5) has invalid vertex id (n=5)"),
         ((0.0, 1), "pair (0.0,1) has invalid vertex id (n=5)"),
+        ((True, 2), "pair (True,2) has invalid vertex id (n=5)"),
+        ((False, 1), "pair (False,1) has invalid vertex id (n=5)"),
         ((2, 2), "pair (2,2) is not a vertex pair"),
     ]
     lookup = {}
@@ -115,7 +120,7 @@ def test_messages_name_the_entry():
 def lookups(draw):
     """An ExactFDO (dummy values) on a random graph or digraph, with n <= 8,
     and a failure-set entry: an edge, a reversed edge, or any pair of ids
-    in -1..n, so non-edges, self pairs and invalid ids too."""
+    in -1..n or bools, so non-edges, self pairs and invalid ids too."""
     directed = draw(st.booleans())
     n = draw(st.integers(2, 8))
     raw = draw(st.lists(st.tuples(st.integers(0, n - 1),
@@ -128,7 +133,7 @@ def lookups(draw):
             edges.append((u, v))
     g = build_graph(n, directed, edges)
     o = ExactFDO(g.n, g.directed, list(g.edges), [0] * g.m, 0)
-    ids = st.integers(-1, n)
+    ids = st.integers(-1, n) | st.booleans()
     pair = st.tuples(ids, ids)
     if edges:
         pair = st.one_of(pair, st.sampled_from(edges),

@@ -4,11 +4,14 @@ import re
 
 import pytest
 
-from fdo import (ExactFDO, GraphError, INF, SingleDSO, SpannerFDO,
-                 brute_diam, build_approx_fdo, build_ecc_fdo, build_exact_fdo,
+from fdo import (ExactFDO, GraphError, INF, SpannerFDO, brute_diam,
+                 build_approx_fdo, build_ecc_fdo, build_exact_fdo,
                  build_graph, build_spanner_fdo, deterministic_pivots,
-                 diameter, distances, dumps_oracle, gen_random,
-                 greedy_hitting_set, random_pivots, strong_bridges)
+                 diameter, distances, dumps_oracle, extract_path, gen_random,
+                 greedy_hitting_set, random_pivots, sssp, strong_bridges)
+
+from fdo import single
+from fdo.single import raise_by_replacement_ecc
 
 from conftest import small_graph_corpus, zero_weight_graphs
 
@@ -56,11 +59,7 @@ TWO_PARTS = build_graph(4, False, [(0, 1), (2, 3)])
 @pytest.mark.parametrize("g", [TWO_PARTS, ONE_WAY], ids=["undirected", "digraph"])
 @pytest.mark.parametrize("build, message", [
     (build_exact_fdo, "exact FDO needs a (strongly) connected graph"),
-    (lambda g: build_exact_fdo(g, dso=SingleDSO(g)),
-     "exact FDO needs a (strongly) connected graph"),
     (lambda g: build_approx_fdo(g, 0.5),
-     "approximate FDO needs a strongly connected graph"),
-    (lambda g: build_approx_fdo(g, 0.5, dso=SingleDSO(g)),
      "approximate FDO needs a strongly connected graph"),
     # these two take undirected graphs only and say so first on a digraph
     (build_ecc_fdo, {False: "eccentricity FDO needs a connected graph",
@@ -68,7 +67,7 @@ TWO_PARTS = build_graph(4, False, [(0, 1), (2, 3)])
     (lambda g: build_spanner_fdo(g, 2),
      {False: "spanner FDO needs a connected graph",
       True: "spanner FDO requires an undirected unweighted graph"}),
-], ids=["exact", "exact-dso", "approx", "approx-dso", "ecc", "spanner"])
+], ids=["exact", "approx", "ecc", "spanner"])
 def test_builders_reject_disconnected(g, build, message):
     if isinstance(message, dict):
         message = message[g.directed]
@@ -119,6 +118,28 @@ def test_zero_weight_exact_and_ecc_match_brute():
             if ecc is not None:
                 ans = ecc.query([(u, v)])
                 assert ans == truth == INF or truth <= ans <= 2 * truth
+
+
+def test_dense_graph_builds_on_tree_lanes(monkeypatch):
+    # more finite entries than n + SHARED_LANE_SURPLUS: each source gets
+    # the n-1 edges of its own BFS tree as lanes, and the files equal the
+    # ones built on one lane per entry shared by all sources
+    g = gen_random("er-undirected", 1, n=96, p=0.5)
+    assert g.m - g.n > single.SHARED_LANE_SURPLUS
+    builds = (build_exact_fdo, lambda g: build_spanner_fdo(g, 1),
+              lambda g: build_approx_fdo(g, 0.5))
+    files = [dumps_oracle(build(g)) for build in builds]
+    monkeypatch.setattr(single, "SHARED_LANE_SURPLUS", INF)
+    assert files == [dumps_oracle(build(g)) for build in builds]
+    exact = build_exact_fdo(g)
+    for u, v, _ in random.Random(5).sample(g.edges, 12):
+        assert exact.query([(u, v)]) == brute_diam(g, [(u, v)])
+
+
+def test_lane_kernel_rejects_weighted():
+    g = gen_random("er-weighted", 1, n=8, p=0.5)
+    with pytest.raises(GraphError, match="unit weights"):
+        raise_by_replacement_ecc(g, range(g.n), [0] * g.m)
 
 
 # --------------------------------------------------------------------- EccFDO
@@ -259,16 +280,16 @@ def test_approx_rejects_weighted():
 def test_off_path_stability():
     # removing an edge off the stored s-t path never changes d(s,t)
     for g in small_graph_corpus():
-        dso = SingleDSO(g)
         for s in range(g.n):
+            tree = sssp(g, s)
             for t in range(g.n):
-                if s == t or dso.dist[s][t] == INF:
+                if s == t or tree.dist[t] == INF:
                     continue
-                on_path = set(dso.path_edges(s, t))
+                on_path = set(extract_path(tree, t)[1])
                 for eid in range(g.m):
                     if eid in on_path:
                         continue
-                    assert distances(g, s, {eid})[t] == dso.dist[s][t]
+                    assert distances(g, s, {eid})[t] == tree.dist[t]
 
 
 # --------------------------------------------------------------------- pivots
