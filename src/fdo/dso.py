@@ -135,7 +135,7 @@ def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
     full = (1 << k) - 1
     alive = [full ^ mask for mask in drop]
     adj = [sorted((u, eid) for u, eid, _ in g._out_nbrs[v]) for v in range(n)]
-    rows = [lane_rows(lane_bfs(g._out_nbrs, alive, s, full)[0], n)
+    rows = [lane_rows(lane_bfs(g._out_nbrs, alive, {s: full}, full)[0], n)
             for s in range(n)]
     return SampledFDSO(g, f, delta, C, seed, k, drop, alive, rows, adj)
 

@@ -55,33 +55,26 @@ class Graph:
     validation.
     """
 
-    __slots__ = ("n", "directed", "weighted", "edges", "out_adj", "in_adj",
-                 "edge_lookup", "_out_nbrs", "_in_nbrs")
+    __slots__ = ("n", "directed", "weighted", "edges", "edge_lookup",
+                 "_out_nbrs", "_in_nbrs")
 
     def __init__(self, n, directed, edges):
         self.n = n
         self.directed = directed
         self.edges = edges  # list of (u, v, w)
         self.weighted = any(w != 1 for _, _, w in edges)
-        self.out_adj = [[] for _ in range(n)]
-        self.in_adj = [[] for _ in range(n)]
         self.edge_lookup = {}
         out_nbrs = [[] for _ in range(n)]
         in_nbrs = [[] for _ in range(n)]
         for eid, (u, v, w) in enumerate(edges):
             self.edge_lookup[pair_key(u, v, directed)] = eid
-            self.out_adj[u].append(eid)
             out_nbrs[u].append((v, eid, w))
             if directed:
-                self.in_adj[v].append(eid)
                 in_nbrs[v].append((u, eid, w))
             else:
-                self.out_adj[v].append(eid)
                 out_nbrs[v].append((u, eid, w))
         self._out_nbrs = out_nbrs
         self._in_nbrs = in_nbrs if directed else out_nbrs
-        if not directed:
-            self.in_adj = self.out_adj
 
     @property
     def m(self) -> int:
@@ -113,8 +106,10 @@ def build_graph(n, directed, edge_list) -> Graph:
     """Validate an edge list and build the graph.
 
     Entries are (u, v) or (u, v, w); missing weights default to 1.  Rejects
-    self-loops, duplicate pairs, negative or non-finite weights, and
-    out-of-range ids, naming the offending entry.
+    self-loops, duplicate pairs, negative or non-finite weights, weights
+    that are not an ``int`` or ``float`` (``bool`` included), and ids that
+    are not an ``int`` (``bool`` included) in 0..n-1, naming the offending
+    entry.
     """
     if n < 1:
         raise GraphError(f"vertex count must be positive, got {n}")
@@ -126,6 +121,12 @@ def build_graph(n, directed, edge_list) -> Graph:
             w = 1
         else:
             u, v, w = item
+        if not (type(u) is int and type(v) is int):
+            raise GraphError(f"edge ({u!r},{v!r}) has an endpoint that is "
+                             f"not an int")
+        if type(w) is not int and type(w) is not float:
+            raise GraphError(f"edge ({u},{v}) has weight {w!r}, not an int "
+                             f"or float")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) has out-of-range endpoint (n={n})")
         if u == v:
@@ -270,26 +271,38 @@ def extract_path(tree: ShortestPathTree, endpoint):
     return verts, eids
 
 
-def lane_bfs(nbrs, alive, source, full):
-    """One BFS from ``source`` over many edge subsets at once: bit i of a
+def lane_bfs(nbrs, alive, start, full):
+    """One BFS over many (source, edge subset) lanes at once: bit i of a
     mask is lane i, and lane i keeps edge eid iff bit i of ``alive[eid]``
-    is set (multi-source bitset BFS, Then et al., VLDB 2014).  ``nbrs`` is
-    an adjacency as ``Graph._out_nbrs`` holds it and ``full`` has every
-    lane's bit.
+    is set (multi-source bitset BFS, Then et al., VLDB 2014).  ``start``
+    maps each source vertex to the lanes that start there, a lane at one
+    source only; ``nbrs`` is an adjacency as ``Graph._out_nbrs`` holds it
+    and ``full`` has every lane's bit.
 
     Returns ``(levels, missed)``: ``levels[d]`` maps each vertex to the
-    lanes that reach it first at d hops (``levels[0]`` is ``{source:
-    full}``), and ``missed`` holds the lanes that leave some vertex
-    unreached.  A vertex enters a level once per level that newly reaches
-    it, so the cost is O(m) big-int operations per distinct level of each
-    vertex, not per lane.
+    lanes that reach it first at d hops (``levels[0]`` is ``start``), and
+    ``missed`` holds the lanes that leave some vertex unreached.  A vertex
+    enters a level once per level that newly reaches it, so the cost is
+    O(m) big-int operations per distinct level of each vertex, not per
+    lane.
     """
     unreached = [full] * len(nbrs)
-    unreached[source] = 0
-    levels = []
-    frontier = {source: full}
+    levels = list(_lane_levels(nbrs, alive, start, unreached))
+    missed = 0
+    for mask in unreached:
+        missed |= mask
+    return levels, missed
+
+
+def _lane_levels(nbrs, alive, start, unreached):
+    # The levels of lane_bfs, one at a time, so a caller that needs only
+    # their count holds two of them, not D.  unreached[v] starts with
+    # every lane's bit and loses each lane's bit as the lane reaches v.
+    for v, mask in start.items():
+        unreached[v] ^= mask
+    frontier = start
     while frontier:
-        levels.append(frontier)
+        yield frontier
         level = {}
         for v, mask in frontier.items():
             for u, eid, _ in nbrs[v]:
@@ -298,10 +311,6 @@ def lane_bfs(nbrs, alive, source, full):
                     unreached[u] ^= new
                     level[u] = level.get(u, 0) | new
         frontier = level
-    missed = 0
-    for mask in unreached:
-        missed |= mask
-    return levels, missed
 
 
 def eccentricity(g: Graph, v, excluded=frozenset()):
@@ -310,15 +319,25 @@ def eccentricity(g: Graph, v, excluded=frozenset()):
 
 
 def diameter(g: Graph, excluded=frozenset()):
-    """Exact diameter of g minus excluded edge ids (inf if disconnected)."""
-    best = 0
-    for v in range(g.n):
-        ecc = max(distances(g, v, excluded))
-        if ecc > best:
-            best = ecc
-        if best == INF:
-            break
-    return best
+    """Exact diameter of g minus excluded edge ids (inf if disconnected).
+
+    On unit weights one bit-lane BFS (the kernel of :func:`lane_bfs`, one
+    level held at a time) from all n sources at once, lane v being source
+    v: the diameter is its last level, and any missed lane makes it
+    infinite.  Other weights take one Dijkstra row per source.
+    """
+    if g.weighted:
+        return max(eccentricity(g, v, excluded) for v in range(g.n))
+    full = (1 << g.n) - 1
+    alive = [full] * g.m
+    for eid in excluded:
+        alive[eid] = 0
+    unreached = [full] * g.n
+    depth = -1
+    for _ in _lane_levels(g._out_nbrs, alive, {v: 1 << v for v in range(g.n)},
+                          unreached):
+        depth += 1
+    return INF if any(unreached) else depth
 
 
 def is_connected(g: Graph, excluded=frozenset()) -> bool:
@@ -350,7 +369,7 @@ def strong_bridges(g: Graph) -> set:
         alive = [full] * g.m
         for i, eid in enumerate(eids):
             alive[eid] ^= 1 << i
-        missed = lane_bfs(nbrs, alive, 0, full)[1]
+        missed = lane_bfs(nbrs, alive, {0: full}, full)[1]
         bridges.update(eid for i, eid in enumerate(eids) if missed >> i & 1)
     return bridges
 

@@ -124,7 +124,8 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
             for i, key in enumerate(keys):
                 for eid in key:
                     alive[eid] ^= 1 << i
-            row = lane_rows(lane_bfs(g._out_nbrs, alive, s, full)[0], g.n)
+            row = lane_rows(lane_bfs(g._out_nbrs, alive, {s: full}, full)[0],
+                            g.n)
             return row, [1 << i for i in range(len(keys))], alive
     elif backend == "sampled":
         if seed is None:

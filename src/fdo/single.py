@@ -12,20 +12,23 @@ non-edges answered without error):
 
 All four builds get their per-edge values as replacement eccentricities
 ecc_{G-e}(s), raised into entries that already hold ecc_G(s).  On unit
-weights the kernel raise_by_replacement_ecc runs one bit-lane BFS per
-source (graph.lane_bfs), at O(m) big-int operations per distinct distance
-a vertex takes over the failures.  While the finite entries outnumber the
-vertices by at most SHARED_LANE_SURPLUS, each entry gets a lane on one
-alive table shared by all sources and no shortest-path tree is built: a
-lane whose edge is off a shortest-path tree of s reaches every vertex at
-its base distance, so its eccentricity is ecc_G(s), which its entry
-already holds, and such lanes cost bits but never raise an entry.  On
-denser inputs those bits would make every mask m bits wide and the alive
-table m^2 bits, so each source gets n-1 lanes instead, one per edge of
-its own BFS tree.  On other weights, zero included (exact and ecc only),
-each source's graph.sssp tree is repaired below every tree edge with a
-Dijkstra run confined to that subtree, at the subtree's edge volume times
-a log factor.
+weights the kernel raise_by_replacement_ecc runs a few wide bit-lane BFS
+runs (graph.lane_bfs), each for a batch of sources with a lane per source
+and entry, at O(m) big-int operations per distinct distance a vertex
+takes over the batch's lanes; diam(G) is one more lane BFS, from all n
+sources at once.  While the finite entries outnumber the vertices by at
+most SHARED_LANE_SURPLUS, each entry gets a lane per source and no
+shortest-path tree is built: a lane whose edge is off a shortest-path
+tree of s reaches every vertex at its base distance, so its eccentricity
+is ecc_G(s), which its entry already holds, and such lanes cost bits but
+never raise an entry.  On denser inputs those bits would make every mask
+m bits wide and the alive table m^2 bits, so each source gets its own
+lane BFS with n-1 lanes, one per edge of its own BFS tree.  The
+deterministic pivots take their detour paths from one lane BFS too.  On
+other weights, zero included (exact and ecc only), each source's
+graph.sssp tree is repaired below every tree edge with a Dijkstra run
+confined to that subtree, at the subtree's edge volume times a log
+factor.
 All oracles are immutable after build; concurrent queries are safe.
 """
 from __future__ import annotations
@@ -85,14 +88,14 @@ def build_exact_fdo(g: Graph) -> ExactFDO:
     it with the replacement eccentricities of every source.
 
     On unit weights they come from :func:`raise_by_replacement_ecc` over
-    all n sources, one bit-lane BFS each; on other weights from a repair
-    of the subtree below each edge of every source's :func:`graph.sssp`
-    tree (:func:`_raise_by_subtree_repair`), whose distances give diam(G)
-    too.  Either replaces one full shortest-path run (O(m) and more) per
-    source and edge.  A bridge lies on some source's tree and that
-    source's replacement eccentricity is infinite, so bridges need no pass
-    of their own; an infinite distance in them shows a graph that is not
-    (strongly) connected.
+    all n sources, a few sources per bit-lane BFS; on other weights from a
+    repair of the subtree below each edge of every source's
+    :func:`graph.sssp` tree (:func:`_raise_by_subtree_repair`), whose
+    distances give diam(G) too.  Either replaces one full shortest-path
+    run (O(m) and more) per source and edge.  A bridge lies on some
+    source's tree and that source's replacement eccentricity is infinite,
+    so bridges need no pass of their own; an infinite distance in them
+    shows a graph that is not (strongly) connected.
     """
     trees = [sssp(g, s) for s in range(g.n)] if g.weighted else None
     base = diameter(g) if trees is None else max(max(t.dist) for t in trees)
@@ -116,26 +119,35 @@ def _entry_ids(values):
 # beyond it each source gets n-1 lanes, one per edge of its own BFS tree.
 SHARED_LANE_SURPLUS = 2048
 
+# Each lane BFS of raise_by_replacement_ecc runs as many sources as fit
+# masks of this many bits, one bit per entry and source, and at least one.
+# Building the single-failure benchmark's oracles took 31% and 11% longer
+# with 256 and 512 bits; 2048 and 4096 bits fell within the run-to-run
+# spread of 1024 but raised the peak RSS by 0.5 and 2 MB.
+LANE_BATCH_BITS = 1024
+
 
 def raise_by_replacement_ecc(g: Graph, sources, values):
     """Raise every finite entry ``values[eid]`` (each index of a list, each
     key of a dict) to ecc_{G-e}(s) for every source s, on unit weights.
 
     Entries must already hold at least ecc_G(s) for every source (diam(G)
-    for a per-edge diameter, ecc(s) for a one-source oracle).  One
-    :func:`graph.lane_bfs` runs per source, O(m) big-int operations per
-    distinct distance a vertex takes over the failures.  Cutting an edge
+    for a per-edge diameter, ecc(s) for a one-source oracle).  Each
+    :func:`graph.lane_bfs` runs a batch of sources, as many as fit
+    ``LANE_BATCH_BITS`` with one lane per source and entry, and at least
+    one; lane (b, i) starts at source b of the batch and keeps every edge
+    but entry i.  A run costs O(m) big-int operations per distinct
+    distance a vertex takes over its lanes.  Cutting an edge
     off any one shortest-path tree of s leaves every distance from s
     intact, so that lane's eccentricity is ecc_G(s), no more than its
     entry: only the edges of the tree can raise their entries.  Hence the
     lanes may be either
 
-    * one per finite entry, on one alive table shared by all sources, with
-      no tree built, while there are at most n + ``SHARED_LANE_SURPLUS``
-      of them: masks of that many bits;
-    * else the n-1 edges of a BFS tree of each source, one alive table per
-      source: n-bit masks, so dense graphs do not pay m-bit masks and an
-      alive table of m^2 bits.
+    * one per finite entry and source, with no tree built, while there
+      are at most n + ``SHARED_LANE_SURPLUS`` entries;
+    * else the n-1 edges of a BFS tree of each source, one lane BFS and
+      alive table per source: n-bit masks, so dense graphs do not pay
+      m-bit masks and an alive table of m^2 bits.
 
     Weighted graphs, zero weights included, raise :class:`GraphError`;
     they take :func:`_raise_by_subtree_repair` on the sources'
@@ -171,23 +183,33 @@ def _bfs_tree_eids(nbrs, s):
 
 
 def _raise_by_lanes(g, sources, cut, values):
-    # Lane i keeps every edge but cut[i].  A lane's eccentricity is the
-    # last level that reaches any vertex in it, so scanning the levels from
-    # the top down settles each lane once.  The scan stops at the lowest
-    # entry, which no lane at or below it can raise.  A lane that leaves a
-    # vertex unreached is infinite.
+    # Sources run in batches, K = len(cut) lanes each: lane b*K + i starts
+    # at the batch's source b and keeps every edge but cut[i].  A lane's
+    # eccentricity is the last level that reaches any vertex in it, so
+    # scanning the levels from the top down settles each lane once.  The
+    # scan stops at the lowest entry, which no lane at or below it can
+    # raise.  A lane that leaves a vertex unreached is infinite.
     if not cut:
         return
-    full = (1 << len(cut)) - 1
-    alive = [full] * g.m
-    for i, eid in enumerate(cut):
-        alive[eid] = full ^ (1 << i)
+    k = len(cut)
+    # each source once: a repeat in one batch would overwrite its lanes
+    sources = list(dict.fromkeys(sources))
+    size = max(1, LANE_BATCH_BITS // k)
     floor = min(values[eid] for eid in cut)
     nbrs = g._out_nbrs
-    for s in sources:
-        levels, missed = lane_bfs(nbrs, alive, s, full)
-        for i in _bits(missed):
-            values[cut[i]] = INF
+    block = (1 << k) - 1
+    for lo in range(0, len(sources), size):
+        batch = sources[lo:lo + size]
+        full = (1 << (len(batch) * k)) - 1
+        rep = full // block  # bit b*K for each source b of the batch
+        alive = [full] * g.m
+        for i, eid in enumerate(cut):
+            alive[eid] = full ^ (rep << i)
+        levels, missed = lane_bfs(
+            nbrs, alive, {s: block << (b * k) for b, s in enumerate(batch)},
+            full)
+        for j in _bits(missed):
+            values[cut[j % k]] = INF
         pending = full ^ missed
         d = len(levels)
         while pending and d - 1 > floor:
@@ -197,9 +219,10 @@ def _raise_by_lanes(g, sources, cut, values):
                 reached |= mask
             hit = reached & pending
             pending ^= hit
-            for i in _bits(hit):
-                if d > values[cut[i]]:
-                    values[cut[i]] = d
+            for j in _bits(hit):
+                eid = cut[j % k]
+                if d > values[eid]:
+                    values[eid] = d
 
 
 def _bits(mask):
@@ -384,10 +407,10 @@ def build_spanner_fdo(g: Graph, k: int) -> SpannerFDO:
 
     diam(G-e) for the spanner edges comes from
     :func:`raise_by_replacement_ecc` over all n sources with an entry per
-    spanner edge: one bit-lane BFS per source with a lane per spanner
-    edge (per edge of the source's BFS tree on a dense spanner), instead
-    of a full diameter computation (n BFS runs, O(n*m)) per spanner
-    edge."""
+    spanner edge: a lane per source and spanner edge (per edge of the
+    source's BFS tree on a dense spanner), a few sources per bit-lane BFS,
+    instead of a full diameter computation (n BFS runs, O(n*m)) per
+    spanner edge."""
     if k < 1:
         raise GraphError(f"spanner parameter must be >= 1, got {k}")
     if g.directed or g.weighted:
@@ -453,8 +476,8 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
     the entries are exact: :func:`raise_by_replacement_ecc` over all n
     sources, as in :func:`build_exact_fdo`.  Otherwise only the pivots are
     scanned, each entry gets the slack added, and bridges answer infinity.
-    The kernel runs one bit-lane BFS per scanned source, instead of n*m per
-    source.
+    The kernel runs a few scanned sources per bit-lane BFS, instead of n*m
+    per source.
     """
     if epsilon <= 0:
         raise GraphError(f"epsilon must be positive, got {epsilon}")
@@ -511,42 +534,84 @@ def deterministic_pivots(g: Graph, theta: int, bridges=None):
     s in G-e.
 
     Built by hitting short prefixes of the paths toward a fixed root, both
-    in the base graph and in each G-e for tree edges e; the root itself
-    covers everything that stays close to it.  Sources already within the
-    prefix length of the root still get their per-edge prefixes collected:
-    cutting their tree edge can push them arbitrarily far from the root, so
-    skipping them (tempting, since the base prefix is trivial) breaks the
-    covering guarantee.
+    in the base graph and in each G-e for the edges e on the base
+    prefixes; the root itself covers everything that stays close to it.
+    Sources already within the prefix length of the root still get their
+    per-edge prefixes collected: cutting their tree edge can push them
+    arbitrarily far from the root, so skipping them (tempting, since the
+    base prefix is trivial) breaks the covering guarantee.
+
+    The prefixes in every G-e come from one :func:`graph.lane_bfs` toward
+    the root with a lane per non-bridge edge e on the base prefixes, not
+    from one :func:`graph.in_tree` per e: each is lane e's path walked
+    back from s through the smallest-id neighbour one level closer, the
+    parent ``in_tree(g, root, {e})`` picks, so the pivots are the same.
+    Unit weights only: weighted graphs raise :class:`GraphError`.
     """
     if theta < 1:
         raise GraphError(f"theta must be >= 1, got {theta}")
+    if g.weighted:
+        raise GraphError("deterministic pivots need an unweighted graph")
     if not is_connected(g):
         raise GraphError("pivot construction needs a strongly connected graph")
     prefix_len = min(theta, math.isqrt(g.n)) or 1
-    root = 0
-    base = in_tree(g, root)
     if bridges is None:
         bridges = strong_bridges(g)
+    pivots = set(greedy_hitting_set(_pivot_paths(g, 0, prefix_len, bridges)))
+    pivots.add(0)
+    return sorted(pivots)
+
+
+def _pivot_paths(g, root, length, bridges):
+    # The paths the pivots must hit: for each s other than the root, its
+    # first ``length`` hops toward the root in G, and in G-e for each
+    # non-bridge edge e of that base prefix, where s is farther than that.
+    # Lane e of one lane BFS toward the root keeps every edge but e, and a
+    # detour prefix walks back from s through the smallest-id out-neighbour
+    # one lane level closer: the parent in_tree(g, root, {e}) picks.
+    base = in_tree(g, root)
+    prefixes = [_prefix_toward_root(base, s, length) for s in range(g.n)]
+    lane = {}
+    for _, eids in prefixes:
+        for eid in eids:
+            if eid not in bridges and eid not in lane:
+                lane[eid] = 1 << len(lane)
+    full = (1 << len(lane)) - 1
+    alive = [full] * g.m
+    for eid, bit in lane.items():
+        alive[eid] ^= bit
+    levels = lane_bfs(g._in_nbrs, alive, {root: full}, full)[0]
+    reach = [[] for _ in range(g.n)]    # (d, the lanes first reaching v at d)
+    for d, level in enumerate(levels):
+        for v, mask in level.items():
+            reach[v].append((d, mask))
+    adj = [sorted((u, eid) for u, eid, _ in g._out_nbrs[v]) for v in range(g.n)]
     paths = []
-    detour_trees = {}
     for s in range(g.n):
         if s == root:
             continue
-        verts, eids = _prefix_toward_root(base, s, prefix_len)
-        if base.dist[s] > prefix_len:
+        verts, eids = prefixes[s]
+        if base.dist[s] > length:
             paths.append(verts)
         for eid in eids:
-            if eid in bridges:
+            bit = lane.get(eid)
+            if bit is None:
                 continue
-            te = detour_trees.get(eid)
-            if te is None:
-                te = in_tree(g, root, {eid})
-                detour_trees[eid] = te
-            if te.dist[s] > prefix_len:
-                paths.append(_prefix_toward_root(te, s, prefix_len)[0])
-    pivots = set(greedy_hitting_set(paths))
-    pivots.add(root)
-    return sorted(pivots)
+            d = next((d for d, mask in reach[s] if mask & bit), INF)
+            if d == INF:    # e is a bridge that ``bridges`` lacks
+                paths.append([s])
+            elif d > length:
+                v = s
+                walk = [s]
+                for level in range(d - 1, d - 1 - length, -1):
+                    at = levels[level]
+                    for u, e in adj[v]:
+                        if e != eid and at.get(u, 0) & bit:
+                            break
+                    v = u
+                    walk.append(v)
+                paths.append(walk)
+    return paths
 
 
 def _prefix_toward_root(tree, s, length):

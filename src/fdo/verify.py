@@ -13,14 +13,21 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .graph import DIST_EPS, Graph, INF, diameter, distances, resolve_pairs
+from .graph import DIST_EPS, Graph, INF, distances, resolve_pairs
 
 
 def brute_diam(g: Graph, pairs):
     """Exact diameter of g minus the given vertex pairs (non-edges ignored),
-    via n fresh shortest-path runs."""
+    via n fresh shortest-path runs: a scalar BFS or Dijkstra row per
+    source, sharing no code with the bit-lane ``graph.diameter``."""
     eids, _ = resolve_pairs(pairs, g.n, g.directed, g.edge_lookup)
-    return diameter(g, frozenset(eids))
+    excluded = frozenset(eids)
+    best = 0
+    for s in range(g.n):
+        best = max(best, max(distances(g, s, excluded)))
+        if best == INF:
+            break
+    return best
 
 
 def brute_replacement(g: Graph, s, t, pairs):

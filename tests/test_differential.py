@@ -7,7 +7,8 @@ against ``fdo.verify.brute_diam`` at that kind's contract.  The same graphs
 check ``strong_bridges``, which tests only tree edges, against a
 connectivity test of every edge.  On unit weights the bit-lane path of
 ``raise_by_replacement_ecc`` is pinned to the Dijkstra subtree repair, run
-directly on the same sources' ``sssp`` trees and entries.
+directly on the same sources' ``sssp`` trees and entries, with the sources
+in lane BFS batches of every size.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,10 +143,14 @@ def _check_lanes_against_subtree_repair(kind, data, surplus):
         values[eid] = INF
     expect = values.copy()
     _raise_by_subtree_repair(g, trees, expect)
-    saved = single.SHARED_LANE_SURPLUS
-    single.SHARED_LANE_SURPLUS = surplus
+    # 1 bit: one source per lane BFS; 2**20: all sources in one; between:
+    # batches of a few sources and a short last batch
+    budget = data.draw(st.one_of(st.just(1), st.integers(2, 64),
+                                 st.just(1 << 20)))
+    saved = single.SHARED_LANE_SURPLUS, single.LANE_BATCH_BITS
+    single.SHARED_LANE_SURPLUS, single.LANE_BATCH_BITS = surplus, budget
     try:
         raise_by_replacement_ecc(g, sources, values)
     finally:
-        single.SHARED_LANE_SURPLUS = saved
+        single.SHARED_LANE_SURPLUS, single.LANE_BATCH_BITS = saved
     assert values == expect

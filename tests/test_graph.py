@@ -1,15 +1,18 @@
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fdo import (GraphError, INF, build_graph, diameter, distances,
+from fdo import (GraphError, INF, brute_diam, build_graph, diameter, distances,
                  eccentricity, extract_path, gen_random, in_tree,
                  is_connected, parse_graph, save_graph, load_graph, sssp,
                  strong_bridges)
 from fdo.graph import format_graph
 
-from conftest import parse_capped, small_graph_corpus, zero_weight_graphs
+from conftest import (connected_graphs, parse_capped, small_graph_corpus,
+                      zero_weight_graphs)
 
 
 # ---------------------------------------------------------------- build_graph
@@ -23,8 +26,8 @@ def test_build_c4(c4):
 
 def test_build_directed_cycle(dicycle3):
     assert dicycle3.m == 3
-    assert all(len(dicycle3.out_adj[v]) == 1 for v in range(3))
-    assert all(len(dicycle3.in_adj[v]) == 1 for v in range(3))
+    assert all(len(dicycle3._out_nbrs[v]) == 1 for v in range(3))
+    assert all(len(dicycle3._in_nbrs[v]) == 1 for v in range(3))
     assert dicycle3.edge_id(0, 1) == 0
     assert dicycle3.edge_id(1, 0) is None
 
@@ -40,6 +43,19 @@ def test_build_directed_cycle(dicycle3):
 def test_build_rejects(bad, msg):
     with pytest.raises(GraphError, match=msg):
         build_graph(3, False, bad)
+
+
+@pytest.mark.parametrize("bad, entry", [
+    ((0, True), "edge (0,True)"),
+    ((0, 1.0), "edge (0,1.0)"),
+    ((0, 1, True), "edge (0,1) has weight True"),
+    ((0, 1, "1"), "edge (0,1) has weight '1'"),
+])
+def test_build_rejects_non_int_ids_and_weights(bad, entry):
+    # the bools used to build edge rows that oracle files cannot hold, and
+    # the other two raised TypeError
+    with pytest.raises(GraphError, match=re.escape(entry)):
+        build_graph(3, False, [bad])
 
 
 # ----------------------------------------------------------------------- sssp
@@ -124,6 +140,38 @@ def test_diameter_examples(c4, star5):
 def test_eccentricity(c4):
     assert eccentricity(c4, 0) == 2
     assert eccentricity(c4, 0, {0}) == 3
+
+
+@st.composite
+def lane_diameter_cases(draw, kind):
+    """(graph, excluded edge ids): a connected undirected graph, a strongly
+    connected digraph (a Hamiltonian cycle plus random arcs) or two
+    disjoint connected parts, and a random set of edges to exclude."""
+    if kind == "digraph":
+        n = draw(st.integers(2, 10))
+        order = draw(st.permutations(range(n)))
+        arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+        arcs |= {(u, v) for u, v in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=2 * n)) if u != v}
+        g = build_graph(n, True, sorted(arcs))
+    else:
+        g = draw(connected_graphs(max_n=10))
+        if kind == "disconnected":
+            h = draw(connected_graphs(max_n=6))
+            g = build_graph(g.n + h.n, False, [e[:2] for e in g.edges] + [
+                (u + g.n, v + g.n) for u, v, _ in h.edges])
+    return g, draw(st.sets(st.integers(0, g.m - 1), max_size=4))
+
+
+@pytest.mark.parametrize("kind", ["undirected", "digraph", "disconnected"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lane_diameter_matches_brute(kind, data):
+    # the all-sources lane BFS of diameter against n scalar BFS rows
+    g, excluded = data.draw(lane_diameter_cases(kind))
+    pairs = [g.endpoints(eid) for eid in excluded]
+    assert diameter(g, excluded) == brute_diam(g, pairs)
 
 
 def test_diameter_equals_max_over_trees():

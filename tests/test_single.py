@@ -8,7 +8,8 @@ from fdo import (ExactFDO, GraphError, INF, SpannerFDO, brute_diam,
                  build_approx_fdo, build_ecc_fdo, build_exact_fdo,
                  build_graph, build_spanner_fdo, deterministic_pivots,
                  diameter, distances, dumps_oracle, extract_path, gen_random,
-                 greedy_hitting_set, random_pivots, sssp, strong_bridges)
+                 greedy_hitting_set, in_tree, random_pivots, sssp,
+                 strong_bridges)
 
 from fdo import single
 from fdo.single import raise_by_replacement_ecc
@@ -134,6 +135,25 @@ def test_dense_graph_builds_on_tree_lanes(monkeypatch):
     exact = build_exact_fdo(g)
     for u, v, _ in random.Random(5).sample(g.edges, 12):
         assert exact.query([(u, v)]) == brute_diam(g, [(u, v)])
+
+
+def test_lane_batches_build_the_same_files(monkeypatch):
+    # one source per lane BFS, or every source in one: the same files
+    cycle = build_graph(40, False, [(i, (i + 1) % 40) for i in range(40)]
+                        + [(i, i + 2) for i in range(0, 36, 5)])
+    er = gen_random("er-undirected", 3, n=30, p=0.15)
+    digraph = gen_random("er-strongly-connected-digraph", 4, n=14, p=0.2)
+    pivot = lambda g: build_approx_fdo(g, 1.0, scan_threshold=0)
+    spanner = lambda g: build_spanner_fdo(g, 2)
+    builds = [(g, build) for g in (cycle, er, digraph)
+              for build in (build_exact_fdo, spanner, pivot)
+              if not (g.directed and build is spanner)]
+    assert all(pivot(g).mode == "pivot" for g in (cycle, er, digraph))
+    files = []
+    for budget in (1, 1 << 20):
+        monkeypatch.setattr(single, "LANE_BATCH_BITS", budget)
+        files.append([dumps_oracle(build(g)) for g, build in builds])
+    assert files[0] == files[1]
 
 
 def test_lane_kernel_rejects_weighted():
@@ -332,6 +352,58 @@ def test_deterministic_pivots_cover_property():
                     row = distances(g, s, {eid})
                     assert min(row[x] for x in pivots) <= theta, (
                         f"{g!r} theta={theta} e={eid} s={s} B={pivots}")
+
+
+def reference_pivot_paths(g, root, length, bridges):
+    # the paths as one in_tree per cut edge gave them: base prefixes, and
+    # the prefix toward the root in G-e for each non-bridge edge e on them
+    base = in_tree(g, root)
+    detour_trees = {}
+    paths = []
+    for s in range(g.n):
+        if s == root:
+            continue
+        verts, eids = extract_path(base, s)
+        if base.dist[s] > length:
+            paths.append(verts[:length + 1])
+        for eid in eids[:length]:
+            if eid in bridges:
+                continue
+            if eid not in detour_trees:
+                detour_trees[eid] = in_tree(g, root, {eid})
+            te = detour_trees[eid]
+            if te.dist[s] > length:
+                got = extract_path(te, s)
+                paths.append([s] if got is None else got[0][:length + 1])
+    return paths
+
+
+def test_pivot_paths_match_in_tree_walk():
+    graphs = []
+    for seed in range(6):
+        graphs.append(gen_random("er-undirected", seed, n=8 + 4 * seed,
+                                 p=0.25))
+        graphs.append(gen_random("er-strongly-connected-digraph", seed,
+                                 n=6 + 2 * seed, p=0.3))
+        g = graphs[-2]   # a pendant path on two bridges
+        graphs.append(build_graph(g.n + 2, False, [e[:2] for e in g.edges]
+                                  + [(seed, g.n), (g.n, g.n + 1)]))
+    graphs += [dicycle_with_chord(14), dicycle_with_chord(20, ((0, 10), (5, 15))),
+               build_graph(30, False, [(i, (i + 1) % 30) for i in range(30)]
+                           + [(0, 2), (7, 9), (16, 18)])]
+    for g in graphs:
+        bridges = strong_bridges(g)
+        for length in range(1, 7):
+            for known in (bridges, set()) if bridges else (bridges,):
+                assert (single._pivot_paths(g, 0, length, known)
+                        == reference_pivot_paths(g, 0, length, known)), (
+                    g, length, known)
+
+
+def test_deterministic_pivots_rejects_weighted():
+    g = gen_random("er-weighted", 1, n=8, p=0.5)
+    with pytest.raises(GraphError, match="unweighted"):
+        deterministic_pivots(g, 2)
 
 
 def test_hitting_set_greedy_tiebreak():
