@@ -16,9 +16,8 @@ from .graph import (Graph, GraphError, INF, ShortestPathTree, build_graph,
                     is_connected, load_graph, parse_graph, save_graph, sssp,
                     strong_bridges)
 from .dso import SampledFDSO, build_sampled_fdso
-from .single import (ApproxFDO, EccFDO, ExactFDO, SpannerFDO,
-                     build_approx_fdo, build_ecc_fdo, build_exact_fdo,
-                     build_spanner_fdo, deterministic_pivots,
+from .single import (SingleFDO, build_approx_fdo, build_ecc_fdo,
+                     build_exact_fdo, build_spanner_fdo, deterministic_pivots,
                      greedy_hitting_set, random_pivots)
 from .multi import MultiFDO, build_multi_fdo
 from .lowdiam import LowDiamFDO, build_lowdiam_fdo

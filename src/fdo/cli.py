@@ -68,7 +68,7 @@ def _build_oracle(g, args):
         oracle = build_approx_fdo(g, args.eps, pivot_mode=args.pivot_mode,
                                   seed=seed, C=args.C,
                                   scan_threshold=args.scan_threshold)
-        info.update(eps=args.eps, mode=oracle.mode, seed=seed,
+        info.update(eps=args.eps, mode=oracle.params["mode"], seed=seed,
                     pivot_count=len(oracle.pivots))
     elif kind == "multi":
         oracle = build_multi_fdo(g, args.f, mode="tight" if args.tight else "paper")
@@ -245,9 +245,9 @@ def _default_stretch(oracle, g):
         return 2.0
     if kind == "spanner":
         base = diameter(g)
-        return 1.0 + 2 * (oracle.k - 1) / base if base > 0 else 1.0
+        return 1.0 + 2 * (oracle.params["k"] - 1) / base if base > 0 else 1.0
     if kind == "approx":
-        return 1.0 + oracle.epsilon
+        return 1.0 + oracle.params["eps"]
     if kind == "multi":
         return oracle.f + 2.0
     raise GraphError(f"no default stretch for kind {kind!r}")

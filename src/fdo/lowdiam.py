@@ -139,7 +139,7 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
         raise GraphError(f"unknown backend {backend!r}")
 
     adj = [sorted((u, eid) for u, eid, _ in g._out_nbrs[v]) for v in range(g.n)]
-    table = {}
+    table = {(): base}     # diam(G), also when n=1 leaves no pair
     nodes = max_fanout = 0
     for s in range(g.n - 1):
         # subset -> {t: the tree nodes of pair (s, t) that hold it}

@@ -184,6 +184,8 @@ class MultiFDO:
                 return {"k": k, "gap": 0, "swap_eids": [], "finite": False,
                         "answer": INF}
             gap = swap_weight[swap] - dist[cut_root[failed_tree[0]]]
+            if not gap >= 0:  # nor nan: never below 0, as on the general path
+                gap = 0
             return {"k": k, "gap": gap, "swap_eids": [swap], "finite": True,
                     "answer": gap + 2 * self.maxdist}
 

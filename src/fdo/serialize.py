@@ -13,68 +13,115 @@ produced, and rebuilding with the same seed yields identical bytes.
 """
 from __future__ import annotations
 
+from functools import partial
+from operator import lt
+
 from .graph import GraphError, fmt_dist, parse_dist, read_text
 from .lowdiam import LowDiamFDO
 from .multi import MultiFDO
-from .single import ApproxFDO, EccFDO, ExactFDO, SpannerFDO
+from .single import SingleFDO
+
+# Header values: (parse, good), and good(value, n) holds for what builds
+# write.  A distance is 'inf' or a finite number >= 0 (nan fails).
+_DIST = (parse_dist, lambda d, n: d >= 0)
+_COUNT = (int, lambda v, n: v >= 1)
+
+
+def _index(tok, size):
+    # an edge id as a D key (size m), or a vertex (size n)
+    i = int(tok)
+    if not 0 <= i < size:
+        raise ValueError(tok)
+    return i
+
+
+def _subset(tok, m):
+    # a lowdiam D key: ascending edge ids joined by '-', or '-' if empty
+    if tok == "-":
+        return ()
+    key = tuple(map(int, tok.split("-")))
+    if not (0 <= key[0] and key[-1] < m and all(map(lt, key, key[1:]))):
+        raise ValueError(tok)
+    return key
+
+
+def _multi_parts(o):
+    # not vars(o): an instance's __dict__, once made, slows its queries
+    params = {"f": o.f, "mode": o.mode, "source": o.source,
+              "maxdist": o.maxdist}
+    rows = [f"V {v} {fmt_dist(d)} {'-' if peid is None else peid}"
+            for v, (d, peid) in enumerate(zip(o.dist, o.parent_eid))]
+    return params, rows, enumerate(o.swap_weight)
+
+
+def _make_multi(n, directed, edges, swap, p, rows):
+    return MultiFDO(n, edges, p["f"], p["mode"], p["source"],
+                    [r[0] for r in rows], [r[1] for r in rows],
+                    swap_weight=[swap[eid] for eid in range(len(edges))],
+                    maxdist=p["maxdist"])
+
+
+def _lowdiam_parts(o):
+    entries = [("-".join(map(str, key)) or "-", val)
+               for key, val in sorted(o.table.items())]
+    return {"f": o.f, "delta": o.delta, "base": o.base_diam}, [], entries
+
+
+def _single(kind, header, need=lambda m: (), rows=""):
+    return (header, _index, need, rows,
+            lambda o: (o.params, [f"P {v}" for v in o.pivots],
+                       sorted(o.values.items())),
+            partial(SingleFDO, kind))
+
+
+# Per kind: the header keys after dir=, in file order, with their checks;
+# the parser of a D key; m -> the D keys every file holds; the tag of its
+# P or V lines; oracle -> (header values, P or V lines, sorted D entries);
+# and (n, directed, edges, D entries, header values, rows) -> the oracle.
+FORMATS = {
+    "exact": _single("exact", {"base": _DIST}, range),
+    "ecc": _single("ecc", {"source": (int, lambda v, n: 0 <= v < n),
+                           "fallback": _DIST}),
+    "spanner": _single("spanner", {"k": _COUNT, "base": _DIST}),
+    "approx": _single("approx", {
+        "base": _DIST, "eps": _DIST, "slack": (int, lambda v, n: v >= 0),
+        "mode": (str, lambda v, n: v in ("exact-scan", "pivot"))},
+        range, "P"),
+    # MultiFDO checks that source roots the tree rows
+    "multi": ({"f": _COUNT,
+               "mode": (str, lambda v, n: v in ("paper", "tight")),
+               "source": (int, lambda v, n: True), "maxdist": _DIST},
+              _index, range, "V", _multi_parts, _make_multi),
+    "lowdiam": ({"f": _COUNT, "delta": _DIST, "base": _DIST},
+                _subset, lambda m: [()], "", _lowdiam_parts,
+                lambda n, directed, edges, table, p, rows: LowDiamFDO(
+                    n, edges, p["f"], p["delta"], p["base"], table,
+                    backend="loaded")),
+}
 
 
 def dumps_oracle(oracle) -> str:
     kind = oracle.kind
+    if kind not in FORMATS:
+        raise GraphError(f"cannot serialize oracle kind {kind!r}")
+    header, _, _, _, parts, _ = FORMATS[kind]
+    params, rows, entries = parts(oracle)
     head = [f"FDO {kind} {oracle.n} {oracle.m} fmt=1",
             f"dir={1 if oracle.directed else 0}"]
-    lines = []
-    if kind == "exact":
-        head.append(f"base={fmt_dist(oracle.base_diam)}")
-        dlines = [(str(eid), fmt_dist(v)) for eid, v in enumerate(oracle.values)]
-    elif kind == "ecc":
-        head.append(f"source={oracle.source}")
-        head.append(f"fallback={fmt_dist(oracle.fallback)}")
-        dlines = [(str(eid), fmt_dist(oracle.values[eid]))
-                  for eid in sorted(oracle.values)]
-    elif kind == "spanner":
-        head.append(f"k={oracle.k}")
-        head.append(f"base={fmt_dist(oracle.base_diam)}")
-        dlines = [(str(eid), fmt_dist(oracle.values[eid]))
-                  for eid in sorted(oracle.values)]
-    elif kind == "approx":
-        head.append(f"base={fmt_dist(oracle.base_diam)}")
-        head.append(f"eps={fmt_dist(oracle.epsilon)}")
-        head.append(f"slack={oracle.slack}")
-        head.append(f"mode={oracle.mode}")
-        lines += [f"P {v}" for v in oracle.pivots]
-        dlines = [(str(eid), fmt_dist(v)) for eid, v in enumerate(oracle.values)]
-    elif kind == "multi":
-        head.append(f"f={oracle.f}")
-        head.append(f"mode={oracle.mode}")
-        head.append(f"source={oracle.source}")
-        head.append(f"maxdist={fmt_dist(oracle.maxdist)}")
-        for v in range(oracle.n):
-            peid = oracle.parent_eid[v]
-            lines.append(f"V {v} {fmt_dist(oracle.dist[v])} "
-                         f"{'-' if peid is None else peid}")
-        dlines = [(str(eid), fmt_dist(v))
-                  for eid, v in enumerate(oracle.swap_weight)]
-    elif kind == "lowdiam":
-        head.append(f"f={oracle.f}")
-        head.append(f"delta={fmt_dist(oracle.delta)}")
-        head.append(f"base={fmt_dist(oracle.base_diam)}")
-        dlines = [("-" if not key else "-".join(map(str, key)), fmt_dist(val))
-                  for key, val in sorted(oracle.table.items())]
-    else:
-        raise GraphError(f"cannot serialize oracle kind {kind!r}")
-
+    head += [f"{key}={fmt_dist(params[key])}" for key in header]
     out = [" ".join(head)]
     for eid, (u, v, w) in enumerate(oracle.edges):
         out.append(f"E {eid} {u} {v} {fmt_dist(w)}")
-    out += lines
-    out += [f"D {key} {val}" for key, val in dlines]
+    out += rows
+    out += [f"D {key} {fmt_dist(val)}" for key, val in entries]
     return "\n".join(out) + "\n"
 
 
 def loads_oracle(text: str):
-    """Parse an oracle file; any malformed content raises GraphError."""
-    lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
+    """Parse an oracle file.  GraphError on malformed content and on what
+    no build writes: a value out of range, a repeated header key, E id, V
+    row or D key, a missing required D line, or P or V lines a kind lacks."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("FDO "):
         raise GraphError("not an oracle file (missing FDO header)")
     head = lines[0].split()
@@ -84,110 +131,78 @@ def loads_oracle(text: str):
         kind, n, m = head[1], int(head[2]), int(head[3])
     except ValueError:
         raise GraphError(f"bad oracle header {lines[0]!r}") from None
-    params = {}
+    if kind not in FORMATS:
+        raise GraphError(f"unknown oracle kind {kind!r}")
+    header, parse_key, need, row_tag, _, make = FORMATS[kind]
+    raw = {}
     for tok in head[4:]:
-        if "=" not in tok:
+        key, eq, val = tok.partition("=")
+        if not eq or key in raw:
             raise GraphError(f"bad header token {tok!r}")
-        key, val = tok.split("=", 1)
-        params[key] = val
-    if params.get("fmt") != "1":
-        raise GraphError(f"unsupported format version {params.get('fmt')!r}")
-    directed = params.get("dir") == "1"
+        raw[key] = val
+    if raw.get("fmt") != "1":
+        raise GraphError(f"unsupported format version {raw.get('fmt')!r}")
+    if raw.get("dir") not in ("0", "1"):
+        raise GraphError(f"bad direction flag dir={raw.get('dir')!r}")
 
     # Each edge has an E line and, in multi files, each vertex a V line:
     # check the counts before allocating by them.
-    tree_rows = n if kind == "multi" else 0
+    tree_rows = n if row_tag == "V" else 0
     if n < 1 or m < 0 or m + tree_rows > len(lines) - 1:
         raise GraphError(f"oracle header counts n={n} m={m} do not fit "
                          f"its {len(lines) - 1} body lines")
-    edges = [None] * m
-    pivots = []
-    vrows = [None] * tree_rows
-    dlines = []
-    for ln in lines[1:]:
+    params = {}
+    for key, (parse, good) in header.items():
+        if key not in raw:
+            raise GraphError(f"oracle header lacks {key}=")
         try:
-            tag, rest = ln.split(" ", 1)
-            toks = rest.split()
+            params[key] = parse(raw[key])
+            if not good(params[key], n):
+                raise ValueError
+        except ValueError:
+            raise GraphError(f"bad header value {key}={raw[key]}") from None
+    edges = [None] * m
+    rows = [None] * tree_rows
+    entries = {}
+    for ln in lines[1:]:
+        toks = ln.split()
+        tag = toks[0]
+        try:
             if tag == "E":
-                eid = int(toks[0])
-                if eid < 0:
+                eid = int(toks[1])
+                if eid < 0 or edges[eid] is not None:   # a repeated id too
                     raise IndexError(eid)
-                edges[eid] = (int(toks[1]), int(toks[2]), parse_dist(toks[3]))
-            elif tag == "P":
-                pivots.append(int(toks[0]))
-            elif tag == "V":
-                vid = int(toks[0])
-                if vid < 0:
-                    raise IndexError(vid)
-                peid = None if toks[2] == "-" else int(toks[2])
-                vrows[vid] = (parse_dist(toks[1]), peid)
+                edges[eid] = (int(toks[2]), int(toks[3]), parse_dist(toks[4]))
             elif tag == "D":
-                dlines.append(toks)
+                key = parse_key(toks[1], m)
+                if key in entries:
+                    raise GraphError(f"repeated stored entry {ln!r}")
+                val = entries[key] = parse_dist(toks[2])
+                if not val >= 0:
+                    raise ValueError(val)
+            elif tag == row_tag == "P":
+                rows.append(_index(toks[1], n))
+            elif tag == row_tag == "V":
+                vid, dist = _index(toks[1], n), parse_dist(toks[2])
+                if not dist >= 0 or rows[vid] is not None:
+                    raise ValueError(dist)
+                rows[vid] = (dist, None if toks[3] == "-" else int(toks[3]))
             else:
-                raise GraphError(f"unknown oracle line tag {tag!r}")
+                raise GraphError(f"no {tag!r} lines in {kind} oracle files")
         except GraphError:
             raise
         except (IndexError, ValueError):
             raise GraphError(f"malformed oracle line {ln!r}") from None
     if any(e is None for e in edges):
         raise GraphError("oracle file is missing edge dictionary lines")
+    if any(r is None for r in rows):
+        raise GraphError(f"{kind} oracle file is missing tree rows")
+    if not all(map(entries.__contains__, need(m))):
+        raise GraphError("oracle file is missing stored entries")
     try:
-        return _build(kind, n, m, directed, params, edges, pivots, vrows,
-                      dlines)
-    except KeyError as exc:
-        raise GraphError(f"oracle header lacks {exc.args[0]}=") from None
-    except GraphError:
-        raise
+        return make(n, raw["dir"] == "1", edges, entries, params, rows)
     except (IndexError, ValueError) as exc:
         raise GraphError(f"malformed oracle value: {exc}") from None
-
-
-def _build(kind, n, m, directed, params, edges, pivots, vrows, dlines):
-    if kind == "exact":
-        values = _dense_values(dlines, m)
-        return ExactFDO(n, directed, edges, values, parse_dist(params["base"]))
-    if kind == "ecc":
-        values = {int(k): parse_dist(v) for k, v in dlines}
-        return EccFDO(n, directed, edges, int(params["source"]), values,
-                      parse_dist(params["fallback"]))
-    if kind == "spanner":
-        values = {int(k): parse_dist(v) for k, v in dlines}
-        return SpannerFDO(n, directed, edges, int(params["k"]), values,
-                          parse_dist(params["base"]))
-    if kind == "approx":
-        values = _dense_values(dlines, m)
-        return ApproxFDO(n, directed, edges, values,
-                         parse_dist(params["base"]), parse_dist(params["eps"]),
-                         int(params["slack"]), params["mode"], pivots)
-    if kind == "multi":
-        if any(r is None for r in vrows):
-            raise GraphError("multi oracle file is missing tree rows")
-        swap = _dense_values(dlines, m)
-        return MultiFDO(n, edges, int(params["f"]), params["mode"],
-                        int(params["source"]), [r[0] for r in vrows],
-                        [r[1] for r in vrows], swap_weight=swap,
-                        maxdist=parse_dist(params["maxdist"]))
-    if kind == "lowdiam":
-        table = {}
-        for k, v in dlines:
-            key = () if k == "-" else tuple(int(x) for x in k.split("-"))
-            table[key] = parse_dist(v)
-        return LowDiamFDO(n, edges, int(params["f"]),
-                          parse_dist(params["delta"]),
-                          parse_dist(params["base"]), table, backend="loaded")
-    raise GraphError(f"unknown oracle kind {kind!r}")
-
-
-def _dense_values(dlines, m):
-    values = [None] * m
-    for k, v in dlines:
-        eid = int(k)
-        if eid < 0:
-            raise IndexError(f"edge id {k} is negative")
-        values[eid] = parse_dist(v)
-    if any(v is None for v in values):
-        raise GraphError("oracle file is missing stored entries")
-    return values
 
 
 def save_oracle(oracle, path):

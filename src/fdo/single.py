@@ -1,14 +1,15 @@
 """Single-failure diameter oracles.
 
-Four constructions over a common query surface (one failing vertex pair,
-non-edges answered without error):
+One class, SingleFDO, of four kinds.  Each stores an answer per failed
+edge; a non-edge, or an edge with no answer stored, gets the fallback:
 
-* ExactFDO    -- per-edge exact diameters, m entries.
-* EccFDO      -- 2-approximate from one source's eccentricities, n-1 entries.
-* SpannerFDO  -- exact on a greedy spanner, additive fallback elsewhere.
-* ApproxFDO   -- (1+eps)-approximate; either an exact scan over all stored
-                 shortest paths or a pivot-based scan plus additive slack,
-                 with randomized or deterministic pivot selection.
+* exact    -- diam(G-e) for all m edges; fallback diam(G).
+* ecc      -- 2-approximate: 2*ecc_{G-e}(source) for the n-1 edges of the
+              source's tree; fallback 2*ecc_G(source).
+* spanner  -- diam(G-e) on the edges of a greedy (2k-1)-spanner; fallback
+              diam(G) + 2(k-1).
+* approx   -- (1+eps)-approximate for all m edges, from an exact scan or a
+              pivot scan plus additive slack; fallback diam(G).
 
 All four builds get their per-edge values as replacement eccentricities
 ecc_{G-e}(s), raised into entries that already hold ecc_G(s).  On unit
@@ -61,29 +62,37 @@ def _single_failure_eid(oracle, pairs):
         (v, u) if v < u and not oracle.directed else (u, v))
 
 
-class ExactFDO:
-    """Stores diam(G-e) for every edge e; non-edges answer diam(G)."""
+class SingleFDO:
+    """``values`` maps edge ids to answers, ``params`` the header keys of
+    the oracle file to their values; ``mode`` and ``pivots`` are the approx
+    scan mode (None for the other kinds) and pivots."""
 
-    kind = "exact"
-
-    def __init__(self, n, directed, edges, values, base_diam):
+    def __init__(self, kind, n, directed, edges, values, params, pivots=()):
+        self.kind = kind
         self.n = n
+        self.m = len(edges)
         self.directed = directed
         self.edges = edges
         self.values = values
-        self.base_diam = base_diam
+        self.params = params
+        # ecc stores it; else diam(G), plus 2(k-1) on a spanner
+        self.fallback = (params["fallback"] if "fallback" in params
+                         else params["base"] + 2 * (params.get("k", 1) - 1))
+        self.mode = params.get("mode")
+        self.pivots = list(pivots)
         self.edge_lookup = index_edges(edges, directed)
 
-    @property
-    def m(self):
-        return len(self.edges)
-
     def query(self, pairs):
+        return self.values.get(_single_failure_eid(self, pairs), self.fallback)
+
+    def query_details(self, pairs):
+        """Answer plus whether it is ``stored`` (else it is the fallback)."""
         eid = _single_failure_eid(self, pairs)
-        return self.base_diam if eid is None else self.values[eid]
+        return {"answer": self.values.get(eid, self.fallback),
+                "stored": eid in self.values}
 
 
-def build_exact_fdo(g: Graph) -> ExactFDO:
+def build_exact_fdo(g: Graph) -> SingleFDO:
     """Folklore exact oracle: initialize every entry to diam(G), then raise
     it with the replacement eccentricities of every source.
 
@@ -101,17 +110,13 @@ def build_exact_fdo(g: Graph) -> ExactFDO:
     base = diameter(g) if trees is None else max(max(t.dist) for t in trees)
     if base == INF:
         raise GraphError("exact FDO needs a (strongly) connected graph")
-    values = [base] * g.m
+    values = dict.fromkeys(range(g.m), base)
     if trees is None:
         raise_by_replacement_ecc(g, range(g.n), values)
     else:
         _raise_by_subtree_repair(g, trees, values)
-    return ExactFDO(g.n, g.directed, list(g.edges), values, base)
-
-
-def _entry_ids(values):
-    # the edge ids with an entry: every index of a list, every key of a dict
-    return range(len(values)) if isinstance(values, list) else values
+    return SingleFDO("exact", g.n, g.directed, list(g.edges), values,
+                     {"base": base})
 
 
 # raise_by_replacement_ecc shares one lane per finite entry across all
@@ -128,8 +133,8 @@ LANE_BATCH_BITS = 1024
 
 
 def raise_by_replacement_ecc(g: Graph, sources, values):
-    """Raise every finite entry ``values[eid]`` (each index of a list, each
-    key of a dict) to ecc_{G-e}(s) for every source s, on unit weights.
+    """Raise every finite entry of the dict ``values`` (edge id -> entry)
+    to ecc_{G-e}(s) for every source s, on unit weights.
 
     Entries must already hold at least ecc_G(s) for every source (diam(G)
     for a per-edge diameter, ecc(s) for a one-source oracle).  Each
@@ -155,15 +160,14 @@ def raise_by_replacement_ecc(g: Graph, sources, values):
     """
     if g.weighted:
         raise GraphError("the lane kernel needs unit weights")
-    keys = _entry_ids(values)
-    cut = [eid for eid in keys if values[eid] != INF]
+    cut = [eid for eid, val in values.items() if val != INF]
     if len(cut) - g.n <= SHARED_LANE_SURPLUS:
         _raise_by_lanes(g, sources, cut, values)
         return
     nbrs = g._out_nbrs
     for s in sources:
         _raise_by_lanes(g, [s], [eid for eid in _bfs_tree_eids(nbrs, s)
-                                 if eid in keys and values[eid] != INF],
+                                 if values.get(eid, INF) != INF],
                         values)
 
 
@@ -241,12 +245,10 @@ def _raise_by_subtree_repair(g, trees, values):
     # stay within ecc_G(s), which the entries already hold.
     n = g.n
     in_nbrs, out_nbrs = g._in_nbrs, g._out_nbrs
-    keys = _entry_ids(values)
     for tree in trees:
         # (v, eid) for every tree edge p -> v whose entry may still rise
         cut = [(v, entry[1]) for v, entry in enumerate(tree.parent)
-               if entry is not None and entry[1] in keys
-               and values[entry[1]] != INF]
+               if entry is not None and values.get(entry[1], INF) != INF]
         if not cut:
             continue
         dist, parent = tree.dist, tree.parent
@@ -307,33 +309,7 @@ def _raise_by_subtree_repair(g, trees, values):
                 values[eid] = ecc
 
 
-class EccFDO:
-    """2-approximate oracle from a single source: answers twice the source
-    eccentricity of G-e for tree edges, twice the base eccentricity else."""
-
-    kind = "ecc"
-
-    def __init__(self, n, directed, edges, source, values, fallback):
-        self.n = n
-        self.directed = directed
-        self.edges = edges
-        self.source = source
-        self.values = values        # tree edge id -> 2*ecc(source, G-e)
-        self.fallback = fallback    # 2*ecc(source, G)
-        self.edge_lookup = index_edges(edges, directed)
-
-    @property
-    def m(self):
-        return len(self.edges)
-
-    def query(self, pairs):
-        eid = _single_failure_eid(self, pairs)
-        if eid is None:
-            return self.fallback
-        return self.values.get(eid, self.fallback)
-
-
-def build_ecc_fdo(g: Graph, source=0) -> EccFDO:
+def build_ecc_fdo(g: Graph, source=0) -> SingleFDO:
     if g.directed:
         raise GraphError("eccentricity FDO requires an undirected graph")
     tree = sssp(g, source)
@@ -346,38 +322,9 @@ def build_ecc_fdo(g: Graph, source=0) -> EccFDO:
         _raise_by_subtree_repair(g, [tree], values)
     else:
         raise_by_replacement_ecc(g, [source], values)
-    return EccFDO(g.n, g.directed, list(g.edges), source,
-                  {eid: 2 * val for eid, val in values.items()}, 2 * ecc)
-
-
-class SpannerFDO:
-    """Exact diameters on the edges of a (2k-1)-spanner; all other queries
-    answer diam(G) + 2(k-1)."""
-
-    kind = "spanner"
-
-    def __init__(self, n, directed, edges, k, values, base_diam):
-        self.n = n
-        self.directed = directed
-        self.edges = edges
-        self.k = k
-        self.values = values        # spanner edge id -> diam(G-e)
-        self.base_diam = base_diam
-        self.fallback = base_diam + 2 * (k - 1)
-        self.edge_lookup = index_edges(edges, directed)
-
-    @property
-    def m(self):
-        return len(self.edges)
-
-    def spanner_eids(self):
-        return sorted(self.values)
-
-    def query(self, pairs):
-        eid = _single_failure_eid(self, pairs)
-        if eid is None:
-            return self.fallback
-        return self.values.get(eid, self.fallback)
+    return SingleFDO("ecc", g.n, g.directed, list(g.edges),
+                     {eid: 2 * val for eid, val in values.items()},
+                     {"source": source, "fallback": 2 * ecc})
 
 
 def _limited_bfs_dist(adj, s, t, limit):
@@ -401,7 +348,7 @@ def _limited_bfs_dist(adj, s, t, limit):
     return limit + 1
 
 
-def build_spanner_fdo(g: Graph, k: int) -> SpannerFDO:
+def build_spanner_fdo(g: Graph, k: int) -> SingleFDO:
     """Greedy spanner in edge-id order: keep an edge iff the spanner built
     so far connects its endpoints only with more than 2k-1 hops.
 
@@ -428,39 +375,8 @@ def build_spanner_fdo(g: Graph, k: int) -> SpannerFDO:
             spanner.append(eid)
     values = dict.fromkeys(spanner, base)
     raise_by_replacement_ecc(g, range(g.n), values)
-    return SpannerFDO(g.n, g.directed, list(g.edges), k, values, base)
-
-
-class ApproxFDO:
-    """(1+eps)-approximate per-edge diameters.
-
-    mode 'exact-scan' holds exact values (small additive budget); mode
-    'pivot' holds pivot-scanned values plus the additive slack, infinite on
-    bridges.  Non-edges answer the base diameter.
-    """
-
-    kind = "approx"
-
-    def __init__(self, n, directed, edges, values, base_diam, epsilon, slack,
-                 mode, pivots):
-        self.n = n
-        self.directed = directed
-        self.edges = edges
-        self.values = values
-        self.base_diam = base_diam
-        self.epsilon = epsilon
-        self.slack = slack
-        self.mode = mode
-        self.pivots = pivots
-        self.edge_lookup = index_edges(edges, directed)
-
-    @property
-    def m(self):
-        return len(self.edges)
-
-    def query(self, pairs):
-        eid = _single_failure_eid(self, pairs)
-        return self.base_diam if eid is None else self.values[eid]
+    return SingleFDO("spanner", g.n, g.directed, list(g.edges), values,
+                     {"k": k, "base": base})
 
 
 def default_scan_threshold(n: int) -> int:
@@ -469,7 +385,7 @@ def default_scan_threshold(n: int) -> int:
 
 
 def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
-                     C=3.0, scan_threshold=None) -> ApproxFDO:
+                     C=3.0, scan_threshold=None) -> SingleFDO:
     """(1+eps)-approximate oracle on an unweighted graph.
 
     With the additive slack floor(eps * diam(G)) at most ``scan_threshold``
@@ -490,29 +406,30 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
     if scan_threshold is None:
         scan_threshold = default_scan_threshold(g.n)
 
-    values = [base] * g.m
-    if slack <= scan_threshold:
+    values = dict.fromkeys(range(g.m), base)
+    mode = "exact-scan" if slack <= scan_threshold else "pivot"
+    pivots = []
+    if mode == "exact-scan":
         raise_by_replacement_ecc(g, range(g.n), values)
-        return ApproxFDO(g.n, g.directed, list(g.edges), values, base,
-                         epsilon, slack, "exact-scan", [])
-
-    bridges = strong_bridges(g)
-    if pivot_mode == "random":
-        if seed is None:
-            raise GraphError("random pivot mode requires a seed")
-        pivots = random_pivots(g, slack, C=C, seed=seed)
-    elif pivot_mode == "deterministic":
-        pivots = deterministic_pivots(g, slack, bridges=bridges)
     else:
-        raise GraphError(f"unknown pivot mode {pivot_mode!r}")
-    raise_by_replacement_ecc(g, pivots, values)
-    for eid in range(g.m):
-        if eid in bridges:
-            values[eid] = INF
+        bridges = strong_bridges(g)
+        if pivot_mode == "random":
+            if seed is None:
+                raise GraphError("random pivot mode requires a seed")
+            pivots = random_pivots(g, slack, C=C, seed=seed)
+        elif pivot_mode == "deterministic":
+            pivots = deterministic_pivots(g, slack, bridges=bridges)
         else:
-            values[eid] += slack
-    return ApproxFDO(g.n, g.directed, list(g.edges), values, base,
-                     epsilon, slack, "pivot", list(pivots))
+            raise GraphError(f"unknown pivot mode {pivot_mode!r}")
+        raise_by_replacement_ecc(g, pivots, values)
+        for eid in range(g.m):
+            if eid in bridges:
+                values[eid] = INF
+            else:
+                values[eid] += slack
+    params = {"base": base, "eps": epsilon, "slack": slack, "mode": mode}
+    return SingleFDO("approx", g.n, g.directed, list(g.edges), values,
+                     params, pivots)
 
 
 # ---------------------------------------------------------------------------

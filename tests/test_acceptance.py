@@ -5,6 +5,7 @@ Every expected value is checked against the brute-force reference from
 fdo.verify at the tolerance stated in the criterion; runtime budgets are
 asserted as part of the criterion.
 """
+import hashlib
 import math
 import random
 import time
@@ -112,7 +113,7 @@ def test_c2_approx_sandwich():
     for g, truth in zip(graphs, truths):
         for seed in range(20):
             o = build_approx_fdo(g, 1.0, pivot_mode="random", seed=seed)
-            pivot_builds += o.mode == "pivot"
+            pivot_builds += o.params["mode"] == "pivot"
             for eid, (u, v, _) in enumerate(g.edges):
                 ans = o.query([(u, v)])
                 t = truth[eid]
@@ -349,7 +350,7 @@ def test_c7_spanner_oracle():
         exact = build_exact_fdo(g)
         for k in (1, 2, 3):
             o = build_spanner_fdo(g, k)
-            keep = set(o.spanner_eids())
+            keep = set(o.values)
             h = build_graph(g.n, False, [(u, v) for eid, (u, v, _)
                                          in enumerate(g.edges) if eid in keep])
             for s in range(g.n):
@@ -420,30 +421,29 @@ def test_c8_sampled_distance_oracle():
 
 # -------------------------------------------------------------- criterion 9
 
-def test_c9_determinism_and_serialization():
-    t0 = time.perf_counter()
-    bad = []
+def c9_builders():
+    """(name, graph, build, failure budget) for the C9 oracles."""
     c4 = build_graph(4, False, [(0, 1), (1, 2), (2, 3), (3, 0)])
     wg = gen_random("er-weighted", seed=501, n=18, p=0.22)
     dg = c2_graphs()[5]
     hub = c5_graphs()[0]
+    yield "exact", c4, lambda: build_exact_fdo(c4), 1
+    yield "ecc", wg, lambda: build_ecc_fdo(wg), 1
+    yield "spanner", c4, lambda: build_spanner_fdo(c4, 2), 1
+    yield "approx-det", dg, lambda: build_approx_fdo(dg, 1.0), 1
+    yield ("approx-rand", dg,
+           lambda: build_approx_fdo(dg, 1.0, pivot_mode="random", seed=11), 1)
+    yield "multi", wg, lambda: build_multi_fdo(wg, 2), 2
+    yield "lowdiam-exact", hub, lambda: build_lowdiam_fdo(hub, 2, delta=2.0), 2
+    yield ("lowdiam-sampled", hub,
+           lambda: build_lowdiam_fdo(hub, 2, delta=2.0, backend="sampled",
+                                     seed=3, dso_delta=1.0), 2)
 
-    def builders():
-        yield "exact", c4, lambda: build_exact_fdo(c4), 1
-        yield "ecc", wg, lambda: build_ecc_fdo(wg), 1
-        yield "spanner", c4, lambda: build_spanner_fdo(c4, 2), 1
-        yield "approx-det", dg, lambda: build_approx_fdo(dg, 1.0), 1
-        yield ("approx-rand", dg,
-               lambda: build_approx_fdo(dg, 1.0, pivot_mode="random", seed=11),
-               1)
-        yield "multi", wg, lambda: build_multi_fdo(wg, 2), 2
-        yield ("lowdiam-exact", hub,
-               lambda: build_lowdiam_fdo(hub, 2, delta=2.0), 2)
-        yield ("lowdiam-sampled", hub,
-               lambda: build_lowdiam_fdo(hub, 2, delta=2.0, backend="sampled",
-                                         seed=3, dso_delta=1.0), 2)
 
-    for name, g, make, f in builders():
+def test_c9_determinism_and_serialization():
+    t0 = time.perf_counter()
+    bad = []
+    for name, g, make, f in c9_builders():
         first = dumps_oracle(make())
         second = dumps_oracle(make())
         if first != second:
@@ -458,3 +458,30 @@ def test_c9_determinism_and_serialization():
                 break
     report("C9 determinism and serialization", bad, time.perf_counter() - t0,
            60, "8 oracle builds byte-stable, loaded == built")
+
+
+# sha256 of each C9 oracle file, recorded when the four single-failure
+# classes became one: any later change to the file bytes shows here
+C9_DIGESTS = {
+    "exact":
+        "8586e9b2142f0d46c919155a964ec2b85af821f350e70128caddf6cec5e3d8ef",
+    "ecc": "82ae1a6d224ed00b10afda1c9271bc2bf12470847bdd5b3e882c80865e93b4fe",
+    "spanner":
+        "73553b702150f533bcc99f41525d0f5898ab451bec1fdc6bd1b6d55260e08918",
+    "approx-det":
+        "9acad98a6ac73e85dcfc88e0fa76f2c463d20eff29f15b226a3ea63b97109144",
+    "approx-rand":
+        "d65f0a2fd412ec1068bcc71c2d4cfe7c0d446e760fa691cde65aa86b1c3276bb",
+    "multi":
+        "2b1b963f4212970ce9d926f0758921abf2e82065db398b1d192e8e1547fd2f95",
+    "lowdiam-exact":
+        "1187acfacaa0a0c25a4342405df5f2dd33da1f208c9dc40b8ba05c0748b7ceb8",
+    "lowdiam-sampled":
+        "7bdf5b1ebb4b931ea55b6c0ebb7d491d2a467eb2b3b66b3be59a3118a95ef75b",
+}
+
+
+def test_c9_oracle_file_digests():
+    got = {name: hashlib.sha256(dumps_oracle(make()).encode()).hexdigest()
+           for name, _, make, _ in c9_builders()}
+    assert got == C9_DIGESTS

@@ -175,6 +175,22 @@ def test_query_oracle_edge_id_out_of_range(capsys, tmp_path):
     assert code == 2 and "malformed oracle line" in err
 
 
+def test_query_lowdiam_without_empty_key(capsys, tmp_path, c4_file):
+    # the empty subset's entry answers every lowdiam query; without it the
+    # file must not load (it used to load and print None)
+    opath = tmp_path / "c4.fdo"
+    run(capsys, ["build", "--graph", c4_file, "--kind", "lowdiam", "--f", "2",
+                 "--delta", "3", "--out", str(opath)])
+    text = opath.read_text()
+    assert "D - 2\n" in text
+    opath.write_text(text.replace("D - 2\n", ""))
+    qfile = tmp_path / "q.txt"
+    qfile.write_text("0-1\n")
+    code, out, err = run(capsys, ["query", "--oracle", str(opath),
+                                  "--queries", str(qfile)])
+    assert code == 2 and out == "" and "missing stored entries" in err
+
+
 def test_build_bad_edge_line(capsys, tmp_path):
     graph = tmp_path / "g.txt"
     graph.write_text("2 1 U UW\n0 x\n")

@@ -68,7 +68,7 @@ def oracles(g):
         for eps in (0.5, 1.0):
             for threshold in (None, 0):
                 o = build_approx_fdo(g, eps, scan_threshold=threshold)
-                out.append((f"approx{eps}/{o.mode}", o,
+                out.append((f"approx{eps}/{o.params['mode']}", o,
                             lambda a, t, e, eps=eps: within(a, t, 1 + eps)))
     return out
 
@@ -129,16 +129,16 @@ def _check_lanes_against_subtree_repair(kind, data, surplus):
     trees = [sssp(g, s) for s in sources]
     # every entry must start at least at ecc_G(s) of each source
     start = max(max(t.dist) for t in trees)
-    shape = data.draw(st.sampled_from(["list", "dict", "any-dict"]))
-    if shape == "list":       # exact / approx: one entry per edge
-        values = [start] * g.m
-    elif shape == "dict":     # ecc: the sources' tree edges only
+    shape = data.draw(st.sampled_from(["every", "tree", "any"]))
+    if shape == "every":      # exact / approx: one entry per edge
+        values = dict.fromkeys(range(g.m), start)
+    elif shape == "tree":     # ecc: the sources' tree edges only
         values = dict.fromkeys((p[1] for t in trees for p in t.parent
                                 if p is not None), start)
     else:                     # spanner: any edges, on or off the trees
         values = dict.fromkeys(data.draw(st.sets(st.integers(0, g.m - 1))),
                                start)
-    keys = range(g.m) if shape == "list" else list(values)
+    keys = list(values)
     for eid in data.draw(st.sets(st.sampled_from(keys))) if keys else ():
         values[eid] = INF
     expect = values.copy()

@@ -2,8 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from fdo import (ExactFDO, GraphError, INF, brute_diam, build_exact_fdo,
-                 build_graph, build_lowdiam_fdo, gen_random)
+from fdo import (GraphError, INF, SingleFDO, brute_diam, build_exact_fdo,
+                 build_graph, build_lowdiam_fdo, dumps_oracle, gen_random,
+                 loads_oracle)
 
 
 def chorded_c4():
@@ -28,6 +29,13 @@ def test_empty_key_holds_base_diameter():
     assert o.table[()] == 2
 
 
+def test_single_vertex_holds_the_empty_key():
+    # no vertex pair sets the empty subset's entry, which every query reads
+    o = build_lowdiam_fdo(build_graph(1, False, []), 2, delta=3.0)
+    assert o.query([]) == 0
+    assert loads_oracle(dumps_oracle(o)).query([]) == 0
+
+
 def test_keys_capped_at_f():
     o = build_lowdiam_fdo(chorded_c4(), 2, delta=3.0)
     assert max(len(k) for k in o.table) <= 2
@@ -49,7 +57,7 @@ def test_diameter_gate_rejected():
 def test_f1_delegates_to_exact():
     g = chorded_c4()
     o = build_lowdiam_fdo(g, 1, delta=3.0)
-    assert isinstance(o, ExactFDO)
+    assert isinstance(o, SingleFDO) and o.kind == "exact"
     assert o.query([(0, 1)]) == brute_diam(g, [(0, 1)])
 
 

@@ -9,7 +9,9 @@ into an ``error:`` line or exit code 2; any other exception is a traceback.
 
 Graph files also get non-finite weight tokens and huge header counts, and
 a graph that parses must have finite non-negative weights and no more than
-m + 1 vertices.
+m + 1 vertices.  An oracle that parses must answer ``inf`` or a number
+>= 0 to every single-edge failure set, and to the empty set where the
+kind takes it.
 """
 from hypothesis import given, settings, strategies as st
 
@@ -116,9 +118,20 @@ def test_loads_oracle_parses_or_raises_graph_error(data):
     text = data.draw(st.sampled_from(ORACLE_TEXTS).flatmap(
         lambda t: mutations(t, huge=HUGE)))
     try:
-        loads_oracle(text)
+        o = loads_oracle(text)
     except GraphError:
-        pass
+        return
+    # what loads answers with distances: each single edge, and the empty
+    # set where the kind takes it
+    sets = [[(u, v)] for u, v, _ in o.edges]
+    if o.kind in ("lowdiam", "multi"):
+        sets.append([])
+    for pairs in sets:
+        try:
+            answer = o.query(pairs)
+        except GraphError:      # an edited E line need not be a vertex pair
+            continue
+        assert answer == INF or 0 <= answer < INF, (pairs, answer)
 
 
 @FUZZ

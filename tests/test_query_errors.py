@@ -10,7 +10,7 @@ digraphs.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdo import (ExactFDO, GraphError, build_approx_fdo, build_ecc_fdo,
+from fdo import (GraphError, SingleFDO, build_approx_fdo, build_ecc_fdo,
                  build_exact_fdo, build_graph, build_lowdiam_fdo,
                  build_multi_fdo, build_spanner_fdo)
 from fdo.graph import resolve_pairs
@@ -118,7 +118,7 @@ def test_messages_name_the_entry():
 
 @st.composite
 def lookups(draw):
-    """An ExactFDO (dummy values) on a random graph or digraph, with n <= 8,
+    """An exact SingleFDO (dummy values) on a random graph or digraph, n <= 8,
     and a failure-set entry: an edge, a reversed edge, or any pair of ids
     in -1..n or bools, so non-edges, self pairs and invalid ids too."""
     directed = draw(st.booleans())
@@ -132,7 +132,8 @@ def lookups(draw):
             seen.add(key)
             edges.append((u, v))
     g = build_graph(n, directed, edges)
-    o = ExactFDO(g.n, g.directed, list(g.edges), [0] * g.m, 0)
+    o = SingleFDO("exact", g.n, g.directed, list(g.edges),
+                  dict.fromkeys(range(g.m), 0), {"base": 0})
     ids = st.integers(-1, n) | st.booleans()
     pair = st.tuples(ids, ids)
     if edges:

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from fdo import (GraphError, brute_diam, build_approx_fdo, build_ecc_fdo,
+from fdo import (INF, GraphError, brute_diam, build_approx_fdo, build_ecc_fdo,
                  build_exact_fdo, build_graph, build_lowdiam_fdo,
                  build_multi_fdo, build_spanner_fdo, dumps_oracle, gen_random,
                  loads_oracle)
@@ -72,6 +74,68 @@ def test_loader_rejects(text, msg):
         loads_oracle(text)
 
 
+C4 = build_graph(4, False, [(0, 1), (1, 2), (2, 3), (3, 0)])
+C4_BUILDS = {
+    "exact": build_exact_fdo,
+    "ecc": build_ecc_fdo,
+    "spanner": lambda g: build_spanner_fdo(g, 2),
+    "approx": lambda g: build_approx_fdo(g, 1.0, scan_threshold=0),
+    "multi": lambda g: build_multi_fdo(g, 2),
+    "lowdiam": lambda g: build_lowdiam_fdo(g, 2, delta=3.0),
+}
+
+
+# (id, kind, the text edited, its replacement, a part of the message)
+BAD_VALUES = [
+    # the empty subset's entry, which every lowdiam query reads
+    ("no-empty-key", "lowdiam", "D - 2\n", "", "missing stored entries"),
+    # header values and stored entries no build writes
+    ("maxdist-nan", "multi", "maxdist=2", "maxdist=nan", "maxdist=nan"),
+    ("entry-nan", "exact", "D 0 3", "D 0 nan", "line 'D 0 nan'"),
+    ("entry-negative", "exact", "D 0 3", "D 0 -1", "line 'D 0 -1'"),
+    ("base-negative", "exact", "base=2", "base=-1", "base=-1"),
+    ("k-negative", "spanner", "k=2", "k=-3", "k=-3"),
+    ("k-zero", "spanner", "k=2", "k=0", "k=0"),
+    ("f-negative", "lowdiam", "f=2", "f=-1", "f=-1"),
+    ("mode-bogus", "approx", "mode=pivot", "mode=bogus", "mode=bogus"),
+    ("slack-negative", "approx", "slack=2", "slack=-1", "slack=-1"),
+    ("source-n", "ecc", "source=0", "source=4", "source=4"),
+    ("source-negative", "ecc", "source=0", "source=-1", "source=-1"),
+    ("dir-7", "exact", "dir=0", "dir=7", "dir='7'"),
+    # D and P lines checked against the file
+    ("repeated-key", "exact", "D 0 3\n", "D 0 3\nD 0 2\n",
+     "repeated stored entry 'D 0 2'"),
+    ("repeated-edge", "exact", "E 1 1 2 1\n", "E 1 1 2 1\nE 1 0 2 1\n",
+     "line 'E 1 0 2 1'"),
+    ("repeated-header-key", "exact", "base=2", "base=2 base=9",
+     "bad header token 'base=9'"),
+    ("ecc-key-m", "ecc", "D 0 6\n", "D 0 6\nD 99 6\n", "line 'D 99 6'"),
+    ("ecc-key-negative", "ecc", "D 0 6\n", "D 0 6\nD -5 6\n",
+     "line 'D -5 6'"),
+    ("spanner-key-m", "spanner", "D 0 3\n", "D 0 3\nD 99 3\n",
+     "line 'D 99 3'"),
+    ("spanner-key-negative", "spanner", "D 0 3\n", "D 0 3\nD -5 3\n",
+     "line 'D -5 3'"),
+    ("subset-unsorted", "lowdiam", "D 1-2 inf", "D 2-1 inf",
+     "line 'D 2-1 inf'"),
+    ("subset-repeated", "lowdiam", "D 1-2 inf", "D 1-1 inf",
+     "line 'D 1-1 inf'"),
+    ("subset-m", "lowdiam", "D 1-2 inf", "D 1-4 inf", "line 'D 1-4 inf'"),
+    ("ecc-pivot", "ecc", "D 0 6\n", "P 0\nD 0 6\n", "no 'P' lines in ecc"),
+    ("pivot-n", "approx", "P 1\n", "P 77\n", "line 'P 77'"),
+]
+
+
+@pytest.mark.parametrize("kind, old, new, msg",
+                         [case[1:] for case in BAD_VALUES],
+                         ids=[case[0] for case in BAD_VALUES])
+def test_loader_rejects_values_no_build_writes(kind, old, new, msg):
+    text = dumps_oracle(C4_BUILDS[kind](C4))
+    assert old in text
+    with pytest.raises(GraphError, match=re.escape(msg)):
+        loads_oracle(text.replace(old, new, 1))
+
+
 MULTI_TEXT = """FDO multi 6 7 fmt=1 dir=0 f=2 mode=paper source=0 maxdist=12
 E 0 0 1 10
 E 1 0 5 5
@@ -109,6 +173,7 @@ def test_multi_text_loads():
     ("V 2 8 2", "V 2 8 7", "names edge 7"),
     ("V 2 8 2", "V 2 8 -", "reach 4 of 6 vertices"),       # second root
     ("V 5 5 1", "V 5 5 4", "reach 1 of 6 vertices"),       # cycle 1-5 off the tree
+    ("V 5 5 1", "V 5 5 1\nV 5 6 1", "line 'V 5 6 1'"),     # a repeated row
     ("FDO multi 6 7", "FDO multi 6 10000000000", "do not fit"),
     ("FDO multi 6 7", "FDO multi 10000000000 7", "do not fit"),
     ("FDO multi 6 7", "FDO multi 6 -1", "do not fit"),
@@ -118,6 +183,20 @@ def test_loader_rejects_bad_multi_tree(old, new, msg):
     assert old in MULTI_TEXT
     got = parse_capped("loads_oracle", MULTI_TEXT.replace(old, new, 1))
     assert got.startswith("GraphError:") and msg in got, got
+
+
+def test_loaded_multi_f1_gap_is_never_negative():
+    # swap weights below the tree distance of the cut vertex, which no build
+    # writes, made the f=1 lookup answer below 2*maxdist; it floors the gap
+    # at 0, as the general path does
+    text = (MULTI_TEXT.replace("f=2", "f=1").replace("D 0 17", "D 0 0")
+            .replace("D 3 20", "D 3 0"))
+    o = loads_oracle(text)
+    for u, v, _ in o.edges:
+        answer = o.query([(u, v)])
+        assert answer == INF or answer >= 2 * o.maxdist, ((u, v), answer)
+        general = o.query_details([(u, v)], force_general=True)
+        assert answer == general["answer"]
 
 
 def test_loader_rejects_huge_edge_count():

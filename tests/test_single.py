@@ -4,9 +4,9 @@ import re
 
 import pytest
 
-from fdo import (ExactFDO, GraphError, INF, SpannerFDO, brute_diam,
-                 build_approx_fdo, build_ecc_fdo, build_exact_fdo,
-                 build_graph, build_spanner_fdo, deterministic_pivots,
+from fdo import (GraphError, INF, SingleFDO, brute_diam, build_approx_fdo,
+                 build_ecc_fdo, build_exact_fdo, build_graph,
+                 build_spanner_fdo, deterministic_pivots,
                  diameter, distances, dumps_oracle, extract_path, gen_random,
                  greedy_hitting_set, in_tree, random_pivots, sssp,
                  strong_bridges)
@@ -25,23 +25,24 @@ def dicycle_with_chord(n, chords=((0, None),)):
     return build_graph(n, True, edges)
 
 
-# ------------------------------------------------------------------- ExactFDO
+# ---------------------------------------------------------------------- exact
 
 def test_exact_c4(c4):
     o = build_exact_fdo(c4)
-    assert o.values == [3, 3, 3, 3]
+    assert o.values == {0: 3, 1: 3, 2: 3, 3: 3}
     assert o.query([(0, 1)]) == 3
     assert o.query([(0, 2)]) == 2  # non-edge: unchanged graph
 
 
 def test_exact_k4(k4):
     o = build_exact_fdo(k4)
-    assert o.values == [2] * 6  # frozen: brute diameter of K4 minus any edge
+    # frozen: brute diameter of K4 minus any edge
+    assert o.values == dict.fromkeys(range(6), 2)
 
 
 def test_exact_p4(p4):
     o = build_exact_fdo(p4)
-    assert o.values == [INF] * 3
+    assert o.values == {0: INF, 1: INF, 2: INF}
     assert o.query([(1, 2)]) == INF
 
 
@@ -98,14 +99,16 @@ def test_files_match_per_edge_diameters():
     for g in graphs:
         base = diameter(g)
         per_edge = [diameter(g, {eid}) for eid in range(g.m)]
-        ref = ExactFDO(g.n, g.directed, list(g.edges), per_edge, base)
+        ref = SingleFDO("exact", g.n, g.directed, list(g.edges),
+                        dict(enumerate(per_edge)), {"base": base})
         assert dumps_oracle(build_exact_fdo(g)) == dumps_oracle(ref)
         if g.directed or g.weighted:
             continue
         for k in (1, 2):
             o = build_spanner_fdo(g, k)
-            ref = SpannerFDO(g.n, False, list(g.edges), k,
-                             {eid: per_edge[eid] for eid in o.values}, base)
+            ref = SingleFDO("spanner", g.n, False, list(g.edges),
+                            {eid: per_edge[eid] for eid in o.values},
+                            {"k": k, "base": base})
             assert dumps_oracle(o) == dumps_oracle(ref)
 
 
@@ -148,7 +151,8 @@ def test_lane_batches_build_the_same_files(monkeypatch):
     builds = [(g, build) for g in (cycle, er, digraph)
               for build in (build_exact_fdo, spanner, pivot)
               if not (g.directed and build is spanner)]
-    assert all(pivot(g).mode == "pivot" for g in (cycle, er, digraph))
+    assert all(pivot(g).params["mode"] == "pivot"
+               for g in (cycle, er, digraph))
     files = []
     for budget in (1, 1 << 20):
         monkeypatch.setattr(single, "LANE_BATCH_BITS", budget)
@@ -159,10 +163,23 @@ def test_lane_batches_build_the_same_files(monkeypatch):
 def test_lane_kernel_rejects_weighted():
     g = gen_random("er-weighted", 1, n=8, p=0.5)
     with pytest.raises(GraphError, match="unit weights"):
-        raise_by_replacement_ecc(g, range(g.n), [0] * g.m)
+        raise_by_replacement_ecc(g, range(g.n), dict.fromkeys(range(g.m), 0))
 
 
-# --------------------------------------------------------------------- EccFDO
+def test_query_details_says_whether_the_answer_is_stored(c4):
+    spanner = build_spanner_fdo(c4, 2)     # stores edges 0, 1 and 2
+    assert spanner.query_details([(1, 0)]) == {"answer": 3, "stored": True}
+    assert spanner.query_details([(3, 0)]) == {"answer": 4, "stored": False}
+    assert spanner.query_details([(0, 2)]) == {"answer": 4, "stored": False}
+    for o in (build_exact_fdo(c4), build_ecc_fdo(c4), spanner,
+              build_approx_fdo(c4, 1.0, scan_threshold=0)):
+        for pair in [(0, 1), (2, 3), (3, 0), (0, 2), (3, 1)]:
+            details = o.query_details([pair])
+            assert details["answer"] == o.query([pair]), (o.kind, pair)
+            assert details["stored"] == (c4.edge_id(*pair) in o.values)
+
+
+# ------------------------------------------------------------------------ ecc
 
 def test_ecc_c4(c4):
     o = build_ecc_fdo(c4)
@@ -199,13 +216,12 @@ def test_ecc_sandwich():
                 assert truth <= ans <= 2 * truth
 
 
-# ----------------------------------------------------------------- SpannerFDO
+# -------------------------------------------------------------------- spanner
 
 def test_spanner_k1_is_whole_graph(c4):
     o1 = build_spanner_fdo(c4, 1)
     ex = build_exact_fdo(c4)
-    assert sorted(o1.values) == sorted(o1.values)
-    assert set(o1.spanner_eids()) == set(range(c4.m))
+    assert sorted(o1.values) == list(range(c4.m))
     for u, v, _ in c4.edges:
         assert o1.query([(u, v)]) == ex.query([(u, v)])
 
@@ -213,7 +229,7 @@ def test_spanner_k1_is_whole_graph(c4):
 def test_spanner_c4_k2(c4):
     o = build_spanner_fdo(c4, 2)
     # greedy in id order keeps 0,1,2 and skips 3-0 (three hops suffice)
-    assert o.spanner_eids() == [0, 1, 2]
+    assert sorted(o.values) == [0, 1, 2]
     assert o.query([(3, 0)]) == 4   # fallback diam+2 over true value 3
     assert o.query([(0, 2)]) == 4   # non-edge treated the same way
 
@@ -229,7 +245,7 @@ def test_spanner_stretch_property():
             continue
         for k in (1, 2, 3):
             o = build_spanner_fdo(g, k)
-            keep = set(o.spanner_eids())
+            keep = set(o.values)
             h = build_graph(g.n, False, [(u, v) for eid, (u, v, _)
                                          in enumerate(g.edges) if eid in keep])
             for s in range(g.n):
@@ -246,23 +262,23 @@ def test_spanner_stretch_property():
                     assert truth <= ans <= (1 + 2 * (k - 1) / base) * truth + 1e-9
 
 
-# ------------------------------------------------------------------ ApproxFDO
+# --------------------------------------------------------------------- approx
 
 def test_approx_tiny_eps_is_exact(c4):
     o = build_approx_fdo(c4, 0.1)
-    assert o.mode == "exact-scan" and o.slack == 0
+    assert o.params["mode"] == "exact-scan" and o.params["slack"] == 0
     assert o.values == build_exact_fdo(c4).values
 
 
 def test_approx_non_edge(c4):
     o = build_approx_fdo(c4, 0.5)
-    assert o.query([(0, 2)]) == o.base_diam == 2
+    assert o.query([(0, 2)]) == o.params["base"] == 2
 
 
 def test_approx_strong_bridge_infinite():
     g = dicycle_with_chord(12)
     o = build_approx_fdo(g, 1.0, scan_threshold=0)
-    assert o.mode == "pivot"
+    assert o.params["mode"] == "pivot"
     bridges = strong_bridges(g)
     assert bridges
     for eid in bridges:
