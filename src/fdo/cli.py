@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from .graph import GraphError, INF, diameter, fmt_dist, load_graph, save_graph
+from .graph import GraphError, INF, fmt_dist, load_graph, save_graph
 from .lowdiam import build_lowdiam_fdo
 from .multi import build_multi_fdo
 from .serialize import load_oracle, save_oracle
@@ -237,14 +237,14 @@ def cmd_gen(args):
     return 0
 
 
-def _default_stretch(oracle, g):
+def _default_stretch(oracle):
     kind = oracle.kind
     if kind in ("exact", "lowdiam"):
         return 1.0
     if kind == "ecc":
         return 2.0
     if kind == "spanner":
-        base = diameter(g)
+        base = oracle.params["base"]    # diam(G)
         return 1.0 + 2 * (oracle.params["k"] - 1) / base if base > 0 else 1.0
     if kind == "approx":
         return 1.0 + oracle.params["eps"]
@@ -264,7 +264,7 @@ def cmd_audit(args):
         oracle, info = _build_oracle(g, args)
     else:
         raise GraphError("audit needs --kind (to build) or --oracle (a file)")
-    stretch = args.stretch if args.stretch else _default_stretch(oracle, g)
+    stretch = args.stretch if args.stretch else _default_stretch(oracle)
     failures = getattr(oracle, "f", 1) if args.failures is None else args.failures
     sets = list(enumerate_failures(g, failures, samples=args.samples,
                                    seed=args.enum_seed))

@@ -1,36 +1,35 @@
-"""Distance sensitivity oracles backing the ``lowdiam`` builder.
+"""Sampled distance sensitivity oracle backing the ``lowdiam`` builder.
 
 A randomized multi-failure oracle built from sampled spanning subgraphs
 that reports genuine paths (never underestimating).  It holds its k
 subgraphs as k-bit ints (see SampledFDSO), filled by one
 :func:`graph.lane_bfs` per source with subgraph i as lane i, in
-O(n * D * m) big-int operations, D the largest subgraph eccentricity.
-:func:`lane_rows` and :func:`lane_path` read any bit-lane BFS; the
-``lowdiam`` subset-table build uses them for both of its backends.
+O(n * D * m) big-int operations, D the largest subgraph eccentricity, and
+keeps each source's levels; :func:`graph.lane_path` walks its paths.
 """
 from __future__ import annotations
 
 import math
 import random
 
-from .graph import Graph, GraphError, INF, lane_bfs
+from .graph import Graph, GraphError, INF, lane_bfs, lane_path
 
 
 class SampledFDSO:
     """Path-reporting f-DSO over k sampled spanning subgraphs; bit i of a
     mask stands for subgraph i.  ``drop[eid]`` marks the subgraphs without
-    edge eid and ``alive[eid]`` those with it; ``rows[s]`` are the
-    :func:`lane_rows` of source s, so ``rows[s][t][d]`` marks the subgraphs
-    where t is exactly d hops from s.  A query ANDs the failed edges' drop
-    masks into the survivor mask and answers with the first level that
-    meets it.  ``adj[v]`` lists v's neighbours u in id order, each as
-    ``(u, eid)``.  Every reported distance is the length of a genuine path
-    avoiding the failures, so never below the true one, and matches it with
-    high probability over the build seed.  Nothing changes after the build,
-    so concurrent queries are safe.
+    edge eid and ``alive[eid]`` those with it; ``levels[s]`` are the
+    :func:`graph.lane_bfs` levels of source s, so ``levels[s][d][t]`` marks
+    the subgraphs where t is exactly d hops from s.  A query ANDs the
+    failed edges' drop masks into the survivor mask, answers with the first
+    level whose mask at t meets it, and walks the lowest such subgraph's
+    path back with :func:`graph.lane_path`.  Every reported distance is the
+    length of a genuine path avoiding the failures, so never below the true
+    one, and matches it with high probability over the build seed.  Nothing
+    changes after the build, so concurrent queries are safe.
     """
 
-    def __init__(self, g, f, delta, C, seed, k, drop, alive, rows, adj):
+    def __init__(self, g, f, delta, C, seed, k, drop, alive, levels):
         self.g = g
         self.f = f
         self.delta = delta
@@ -39,8 +38,7 @@ class SampledFDSO:
         self.k = k
         self.drop = drop
         self.alive = alive
-        self.rows = rows
-        self.adj = adj
+        self.levels = levels
 
     def query(self, s, t, failed_eids):
         """``(dist, path)`` of :meth:`query_details`."""
@@ -54,12 +52,12 @@ class SampledFDSO:
         them.  Among subgraphs at the minimum the smallest index reports."""
         surv = self.survivors(failed_eids)
         dist, path = INF, None
-        row = self.rows[s]
-        for d, mask in enumerate(row[t]):
-            hit = mask & surv
+        levels = self.levels[s]
+        for d, level in enumerate(levels):
+            hit = level.get(t, 0) & surv
             if hit:
                 dist = d
-                path = lane_path(row, self.adj, self.alive, t, d,
+                path = lane_path(levels, self.g._out_nbrs, self.alive, t, d,
                                  hit & -hit)[0][::-1]
                 break
         return {"dist": dist, "path": path, "survivors": surv.bit_count()}
@@ -73,36 +71,6 @@ class SampledFDSO:
         for eid in failed:
             surv &= self.drop[eid]
         return surv
-
-
-def lane_rows(levels, n):
-    """Per-vertex rows of the ``levels`` a :func:`graph.lane_bfs` returns:
-    ``row[u][d]`` holds the lanes that first reach u at d hops, and a row
-    ends at the last level that reaches u (an unreached u has ``[]``)."""
-    row = [[] for _ in range(n)]
-    for d, level in enumerate(levels):
-        for u, new in level.items():
-            row[u] += [0] * (d - len(row[u])) + [new]
-    return row
-
-
-def lane_path(row, adj, alive, t, d, bit):
-    """Lane ``bit``'s path to t, d hops from the source of ``row``, walked
-    back through the first, so smallest-id, neighbour one level closer over
-    an edge the lane keeps: the parent ``graph.sssp`` picks on unit weights.
-    ``adj[v]`` lists ``(u, eid)`` in id order.  Returns ``(vertices,
-    eids)``, both from t back to the source."""
-    verts, eids = [t], []
-    v = t
-    for level in range(d - 1, -1, -1):
-        for u, eid in adj[v]:
-            r = row[u]
-            if alive[eid] & bit and len(r) > level and r[level] & bit:
-                break
-        v = u
-        verts.append(v)
-        eids.append(eid)
-    return verts, eids
 
 
 def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
@@ -134,8 +102,7 @@ def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
                 drop[eid] |= bit
     full = (1 << k) - 1
     alive = [full ^ mask for mask in drop]
-    adj = [sorted((u, eid) for u, eid, _ in g._out_nbrs[v]) for v in range(n)]
-    rows = [lane_rows(lane_bfs(g._out_nbrs, alive, {s: full}, full)[0], n)
-            for s in range(n)]
-    return SampledFDSO(g, f, delta, C, seed, k, drop, alive, rows, adj)
+    levels = [lane_bfs(g._out_nbrs, alive, {s: full}, full)[0]
+              for s in range(n)]
+    return SampledFDSO(g, f, delta, C, seed, k, drop, alive, levels)
 

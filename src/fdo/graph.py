@@ -50,9 +50,11 @@ def parse_dist(tok: str):
 class Graph:
     """Immutable vertex/edge structure with indexed adjacency.
 
-    Vertices are 0..n-1, edges are 0..m-1 in construction order.  Safe for
-    concurrent reads once built.  Use :func:`build_graph` to construct with
-    validation.
+    Vertices are 0..n-1, edges are 0..m-1 in construction order.  Each
+    ``_out_nbrs[v]`` and ``_in_nbrs[v]`` row lists ``(u, eid, w)`` sorted by
+    neighbour id u, so a walk that takes the first qualifying neighbour
+    takes the smallest-id one.  Safe for concurrent reads once built.  Use
+    :func:`build_graph` to construct with validation.
     """
 
     __slots__ = ("n", "directed", "weighted", "edges", "edge_lookup",
@@ -73,6 +75,8 @@ class Graph:
                 in_nbrs[v].append((u, eid, w))
             else:
                 out_nbrs[v].append((u, eid, w))
+        for row in out_nbrs + in_nbrs:
+            row.sort()  # pairs are unique: no two entries share u
         self._out_nbrs = out_nbrs
         self._in_nbrs = in_nbrs if directed else out_nbrs
 
@@ -292,6 +296,26 @@ def lane_bfs(nbrs, alive, start, full):
     for mask in unreached:
         missed |= mask
     return levels, missed
+
+
+def lane_path(levels, nbrs, alive, t, d, bit, hops=None):
+    """Lane ``bit``'s path to t, first reached at d hops in the
+    :func:`lane_bfs` ``levels``, walked back ``hops`` steps (all d by
+    default) through the first, so smallest-id, neighbour one level closer
+    over an edge the lane keeps: the parent ``sssp`` picks on unit weights.
+    ``nbrs[v]`` lists the edges into v.  Returns ``(vertices, eids)``, both
+    from t back toward the source."""
+    verts, eids = [t], []
+    v = t
+    for level in range(d - 1, d - 1 - (d if hops is None else hops), -1):
+        at = levels[level]
+        for u, eid, _ in nbrs[v]:
+            if at.get(u, 0) & bit and alive[eid] & bit:
+                break
+        v = u
+        verts.append(v)
+        eids.append(eid)
+    return verts, eids
 
 
 def _lane_levels(nbrs, alive, start, unreached):

@@ -9,15 +9,15 @@ failures (at most 2^f probes).
 
 The build grows the trees of all pairs (s, t > s) together, per source and
 per depth d = 0..f.  The distinct subsets pending at depth d are a batch
-that the backend answers with lane rows (:func:`dso.lane_rows`), one lane
-mask per subset and the edges' alive masks.  A node's distance is the
-first level of t's row meeting its mask, and its path the lowest lane of
-that hit, walked back from t (:func:`dso.lane_path`).  Exact backend: lane
-i keeps every edge outside the batch's i-th subset, so one
-:func:`graph.lane_bfs` per (source, depth) replaces one BFS per (source,
-subset).  Sampled backend (Weimann-Yuster): the lanes are the subgraphs of
-the sampled f-DSO, and a subset's mask those that keep all its edges.  A
-node then costs a row scan and a walk back, O(D) and O(D * degree).
+that the backend answers with the levels of a :func:`graph.lane_bfs` from
+s, one lane mask per subset and the edges' alive masks.  A node's distance
+is the first level whose mask at t meets its mask, and its path the lowest
+lane of that hit, walked back from t (:func:`graph.lane_path`).  Exact
+backend: lane i keeps every edge outside the batch's i-th subset, so one
+lane BFS per (source, depth) replaces one BFS per (source, subset).
+Sampled backend (Weimann-Yuster): the lanes are the subgraphs of the
+sampled f-DSO, and a subset's mask those that keep all its edges.  A node
+then costs a level scan and a walk back, O(D) and O(D * degree).
 
 With the exact backend the answer equals the true diameter of G-F; with
 the sampled backend it never undershoots and matches with high probability
@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .dso import build_sampled_fdso, lane_path, lane_rows
+from .dso import build_sampled_fdso
 from .graph import (Graph, GraphError, INF, diameter, index_edges, lane_bfs,
-                    resolve_pairs)
+                    lane_path, resolve_pairs)
 from .single import build_exact_fdo
 
 
@@ -78,7 +78,7 @@ class LowDiamFDO:
 
 
 def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
-                      seed=None, dso_delta=None, dso_C=3.0, dedupe=True,
+                      seed=None, dso_delta=None, dso_C=3.0,
                       max_subgraphs=50_000):
     """Build the oracle; f=1 falls back to the exact single-failure oracle
     (no subset machinery needed there).
@@ -124,9 +124,8 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
             for i, key in enumerate(keys):
                 for eid in key:
                     alive[eid] ^= 1 << i
-            row = lane_rows(lane_bfs(g._out_nbrs, alive, {s: full}, full)[0],
-                            g.n)
-            return row, [1 << i for i in range(len(keys))], alive
+            levels = lane_bfs(g._out_nbrs, alive, {s: full}, full)[0]
+            return levels, [1 << i for i in range(len(keys))], alive
     elif backend == "sampled":
         if seed is None:
             raise GraphError("sampled backend requires a seed")
@@ -134,25 +133,24 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
                                  seed=seed, max_subgraphs=max_subgraphs)
 
         def lanes(s, keys):
-            return dso.rows[s], [dso.survivors(key) for key in keys], dso.alive
+            return dso.levels[s], [dso.survivors(key) for key in keys], dso.alive
     else:
         raise GraphError(f"unknown backend {backend!r}")
 
-    adj = [sorted((u, eid) for u, eid, _ in g._out_nbrs[v]) for v in range(g.n)]
     table = {(): base}     # diam(G), also when n=1 leaves no pair
     nodes = max_fanout = 0
     for s in range(g.n - 1):
-        # subset -> {t: the tree nodes of pair (s, t) that hold it}
-        pending = {(): dict.fromkeys(range(s + 1, g.n), 1)}
+        # subset -> the targets t whose pair (s, t) has a tree node for it
+        pending = {(): dict.fromkeys(range(s + 1, g.n))}
         for depth in range(f + 1):
-            row, masks, alive = lanes(s, list(pending))
+            levels, masks, alive = lanes(s, list(pending))
             children = {}
             for (key, targets), mask in zip(pending.items(), masks):
                 worst = table.get(key, -1)
-                for t, count in targets.items():
-                    nodes += count
-                    for dist, hit in enumerate(row[t]):
-                        hit &= mask
+                nodes += len(targets)
+                for t in targets:
+                    for dist, level in enumerate(levels):
+                        hit = level.get(t, 0) & mask
                         if hit:
                             break
                     else:       # t unreachable: no path to branch on
@@ -164,9 +162,10 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
                         continue
                     if dist > max_fanout:
                         max_fanout = dist
-                    for eid in lane_path(row, adj, alive, t, dist, hit & -hit)[1]:
-                        child = children.setdefault(tuple(sorted(key + (eid,))), {})
-                        child[t] = 1 if dedupe else child.get(t, 0) + count
+                    for eid in lane_path(levels, g._out_nbrs, alive, t, dist,
+                                         hit & -hit)[1]:
+                        children.setdefault(tuple(sorted(key + (eid,))),
+                                            {})[t] = None
                 table[key] = worst
             pending = children
     oracle = LowDiamFDO(g.n, list(g.edges), f, delta, base, table,

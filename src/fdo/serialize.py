@@ -67,36 +67,37 @@ def _lowdiam_parts(o):
     return {"f": o.f, "delta": o.delta, "base": o.base_diam}, [], entries
 
 
-def _single(kind, header, need=lambda m: (), rows=""):
+def _single(kind, header, need=lambda m: (), rows="", dirs=("0",)):
     return (header, _index, need, rows,
             lambda o: (o.params, [f"P {v}" for v in o.pivots],
                        sorted(o.values.items())),
-            partial(SingleFDO, kind))
+            partial(SingleFDO, kind), dirs)
 
 
 # Per kind: the header keys after dir=, in file order, with their checks;
 # the parser of a D key; m -> the D keys every file holds; the tag of its
 # P or V lines; oracle -> (header values, P or V lines, sorted D entries);
-# and (n, directed, edges, D entries, header values, rows) -> the oracle.
+# (n, directed, edges, D entries, header values, rows) -> the oracle; and
+# the dir= flags its builds write ("1" only where a build takes digraphs).
 FORMATS = {
-    "exact": _single("exact", {"base": _DIST}, range),
+    "exact": _single("exact", {"base": _DIST}, range, dirs=("0", "1")),
     "ecc": _single("ecc", {"source": (int, lambda v, n: 0 <= v < n),
                            "fallback": _DIST}),
     "spanner": _single("spanner", {"k": _COUNT, "base": _DIST}),
     "approx": _single("approx", {
         "base": _DIST, "eps": _DIST, "slack": (int, lambda v, n: v >= 0),
         "mode": (str, lambda v, n: v in ("exact-scan", "pivot"))},
-        range, "P"),
+        range, "P", ("0", "1")),
     # MultiFDO checks that source roots the tree rows
     "multi": ({"f": _COUNT,
                "mode": (str, lambda v, n: v in ("paper", "tight")),
                "source": (int, lambda v, n: True), "maxdist": _DIST},
-              _index, range, "V", _multi_parts, _make_multi),
+              _index, range, "V", _multi_parts, _make_multi, ("0",)),
     "lowdiam": ({"f": _COUNT, "delta": _DIST, "base": _DIST},
                 _subset, lambda m: [()], "", _lowdiam_parts,
                 lambda n, directed, edges, table, p, rows: LowDiamFDO(
                     n, edges, p["f"], p["delta"], p["base"], table,
-                    backend="loaded")),
+                    backend="loaded"), ("0",)),
 }
 
 
@@ -104,7 +105,7 @@ def dumps_oracle(oracle) -> str:
     kind = oracle.kind
     if kind not in FORMATS:
         raise GraphError(f"cannot serialize oracle kind {kind!r}")
-    header, _, _, _, parts, _ = FORMATS[kind]
+    header, _, _, _, parts, _, _ = FORMATS[kind]
     params, rows, entries = parts(oracle)
     head = [f"FDO {kind} {oracle.n} {oracle.m} fmt=1",
             f"dir={1 if oracle.directed else 0}"]
@@ -120,7 +121,8 @@ def dumps_oracle(oracle) -> str:
 def loads_oracle(text: str):
     """Parse an oracle file.  GraphError on malformed content and on what
     no build writes: a value out of range, a repeated header key, E id, V
-    row or D key, a missing required D line, or P or V lines a kind lacks."""
+    row or D key, a missing required D line, P or V lines a kind lacks, or
+    dir=1 in a kind that no digraph build writes."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("FDO "):
         raise GraphError("not an oracle file (missing FDO header)")
@@ -133,7 +135,7 @@ def loads_oracle(text: str):
         raise GraphError(f"bad oracle header {lines[0]!r}") from None
     if kind not in FORMATS:
         raise GraphError(f"unknown oracle kind {kind!r}")
-    header, parse_key, need, row_tag, _, make = FORMATS[kind]
+    header, parse_key, need, row_tag, _, make, dirs = FORMATS[kind]
     raw = {}
     for tok in head[4:]:
         key, eq, val = tok.partition("=")
@@ -142,8 +144,9 @@ def loads_oracle(text: str):
         raw[key] = val
     if raw.get("fmt") != "1":
         raise GraphError(f"unsupported format version {raw.get('fmt')!r}")
-    if raw.get("dir") not in ("0", "1"):
-        raise GraphError(f"bad direction flag dir={raw.get('dir')!r}")
+    if raw.get("dir") not in dirs:
+        raise GraphError(f"bad direction flag dir={raw.get('dir')!r} in a "
+                         f"{kind} oracle file")
 
     # Each edge has an E line and, in multi files, each vertex a V line:
     # check the counts before allocating by them.

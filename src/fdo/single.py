@@ -39,7 +39,7 @@ import random
 from heapq import heapify, heappop, heappush
 
 from .graph import (Graph, GraphError, INF, diameter, in_tree, index_edges,
-                    is_connected, lane_bfs, reject_pair, sssp,
+                    is_connected, lane_bfs, lane_path, reject_pair, sssp,
                     strong_bridges)
 
 
@@ -460,9 +460,9 @@ def deterministic_pivots(g: Graph, theta: int, bridges=None):
 
     The prefixes in every G-e come from one :func:`graph.lane_bfs` toward
     the root with a lane per non-bridge edge e on the base prefixes, not
-    from one :func:`graph.in_tree` per e: each is lane e's path walked
-    back from s through the smallest-id neighbour one level closer, the
-    parent ``in_tree(g, root, {e})`` picks, so the pivots are the same.
+    from one :func:`graph.in_tree` per e: each is lane e's
+    :func:`graph.lane_path` from s, whose parents ``in_tree(g, root, {e})``
+    picks too, so the pivots are the same.
     Unit weights only: weighted graphs raise :class:`GraphError`.
     """
     if theta < 1:
@@ -484,8 +484,8 @@ def _pivot_paths(g, root, length, bridges):
     # first ``length`` hops toward the root in G, and in G-e for each
     # non-bridge edge e of that base prefix, where s is farther than that.
     # Lane e of one lane BFS toward the root keeps every edge but e, and a
-    # detour prefix walks back from s through the smallest-id out-neighbour
-    # one lane level closer: the parent in_tree(g, root, {e}) picks.
+    # detour prefix is lane e's lane_path from s, ``length`` steps over
+    # out-edges: the parents in_tree(g, root, {e}) picks.
     base = in_tree(g, root)
     prefixes = [_prefix_toward_root(base, s, length) for s in range(g.n)]
     lane = {}
@@ -502,7 +502,6 @@ def _pivot_paths(g, root, length, bridges):
     for d, level in enumerate(levels):
         for v, mask in level.items():
             reach[v].append((d, mask))
-    adj = [sorted((u, eid) for u, eid, _ in g._out_nbrs[v]) for v in range(g.n)]
     paths = []
     for s in range(g.n):
         if s == root:
@@ -518,16 +517,8 @@ def _pivot_paths(g, root, length, bridges):
             if d == INF:    # e is a bridge that ``bridges`` lacks
                 paths.append([s])
             elif d > length:
-                v = s
-                walk = [s]
-                for level in range(d - 1, d - 1 - length, -1):
-                    at = levels[level]
-                    for u, e in adj[v]:
-                        if e != eid and at.get(u, 0) & bit:
-                            break
-                    v = u
-                    walk.append(v)
-                paths.append(walk)
+                paths.append(lane_path(levels, g._out_nbrs, alive, s, d, bit,
+                                       length)[0])
     return paths
 
 

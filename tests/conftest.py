@@ -121,7 +121,7 @@ def connected_graphs(draw, max_n=12):
     return build_graph(n, False, draw(st.permutations(pairs)))
 
 
-def reference_lowdiam_table(g, f, dso, dedupe=True):
+def reference_lowdiam_table(g, f, dso):
     """The per-pair construction of the lowdiam subset table: for each pair
     s < t a depth-first walk of its subset tree, one DSO call per node.
     ``dso.query(s, t, F)`` gives (dist, vertex path or None) and
@@ -148,9 +148,7 @@ def reference_lowdiam_table(g, f, dso, dedupe=True):
                 stats["max_fanout"] = max(stats["max_fanout"], len(path_eids))
                 for eid in path_eids:
                     child = tuple(sorted(key + (eid,)))
-                    if dedupe:
-                        if child in visited:
-                            continue
+                    if child not in visited:
                         visited.add(child)
-                    stack.append(child)
+                        stack.append(child)
     return table, stats

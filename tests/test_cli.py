@@ -459,6 +459,26 @@ def test_audit_ecc_stretch_two(capsys, c4_file):
     assert records(stdout)[-1]["violations"] == 0
 
 
+def test_audit_spanner_computes_diameter_once(capsys, monkeypatch, c4_file):
+    # the default stretch reads diam(G) from the oracle, not a second run
+    import fdo.verify  # noqa: F401  (loaded by audit; patched if it binds it)
+    real, calls = fdo.graph.diameter, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "fdo" and getattr(mod, "diameter", None) is real:
+            monkeypatch.setattr(mod, "diameter", counted)
+    code, stdout, _ = run(capsys, ["audit", "--graph", c4_file,
+                                   "--kind", "spanner", "--k", "2"])
+    summary = records(stdout)[-1]
+    assert code == 0 and summary["violations"] == 0
+    assert summary["stretch"] == 2.0     # 1 + 2(k-1)/diam(C4)
+    assert len(calls) == 1
+
+
 def test_audit_corrupted_oracle_nonzero_exit(capsys, tmp_path, c4_file):
     opath = tmp_path / "c4.fdo"
     run(capsys, ["build", "--graph", c4_file, "--kind", "exact",

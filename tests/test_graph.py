@@ -9,7 +9,7 @@ from fdo import (GraphError, INF, brute_diam, build_graph, diameter, distances,
                  eccentricity, extract_path, gen_random, in_tree,
                  is_connected, parse_graph, save_graph, load_graph, sssp,
                  strong_bridges)
-from fdo.graph import format_graph
+from fdo.graph import format_graph, lane_bfs, lane_path
 
 from conftest import (connected_graphs, parse_capped, small_graph_corpus,
                       zero_weight_graphs)
@@ -30,6 +30,14 @@ def test_build_directed_cycle(dicycle3):
     assert all(len(dicycle3._in_nbrs[v]) == 1 for v in range(3))
     assert dicycle3.edge_id(0, 1) == 0
     assert dicycle3.edge_id(1, 0) is None
+
+
+def test_adjacency_rows_are_id_sorted():
+    g = build_graph(4, False, [(0, 3), (0, 1), (0, 2)])
+    assert g._out_nbrs[0] == [(1, 1, 1), (2, 2, 1), (3, 0, 1)]
+    dg = build_graph(4, True, [(3, 0), (0, 3), (2, 0), (1, 0), (0, 2)])
+    assert [u for u, _, _ in dg._in_nbrs[0]] == [1, 2, 3]
+    assert [u for u, _, _ in dg._out_nbrs[0]] == [2, 3]
 
 
 @pytest.mark.parametrize("bad, msg", [
@@ -229,6 +237,31 @@ def test_path_length_matches_dist():
                                                else set())
                 if g.directed:
                     assert g.endpoints(e) == (a, b)
+
+
+@pytest.mark.parametrize("kind", ["undirected", "digraph"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_lane_path_matches_sssp_path(kind, data):
+    # a one-lane lane_bfs from s keeping every edge, then one with edge e
+    # cut, walked back from each t against the sssp tree path
+    g, _ = data.draw(lane_diameter_cases(kind))
+    s = data.draw(st.integers(0, g.n - 1))
+    e = data.draw(st.integers(0, g.m - 1))
+    for excluded in (frozenset(), frozenset({e})):
+        alive = [0 if eid in excluded else 1 for eid in range(g.m)]
+        levels = lane_bfs(g._out_nbrs, alive, {s: 1}, 1)[0]
+        tree = sssp(g, s, excluded)
+        for t in range(g.n):
+            d = next((d for d, level in enumerate(levels) if t in level), INF)
+            assert d == tree.dist[t]
+            if d == INF:
+                continue
+            verts, eids = lane_path(levels, g._in_nbrs, alive, t, d, 1)
+            assert (verts[::-1], eids[::-1]) == extract_path(tree, t)
+            hops = d // 2
+            assert lane_path(levels, g._in_nbrs, alive, t, d, 1, hops) == (
+                verts[:hops + 1], eids[:hops])
 
 
 # ---------------------------------------------- reference-oracle equivalence

@@ -79,16 +79,6 @@ def test_sampled_backend_needs_seed():
         build_lowdiam_fdo(chorded_c4(), 2, delta=3.0, backend="sampled")
 
 
-def test_dedupe_keeps_answers_and_cuts_nodes():
-    g = hub_graph(5)
-    a = build_lowdiam_fdo(g, 2, delta=2.0, dedupe=True)
-    b = build_lowdiam_fdo(g, 2, delta=2.0, dedupe=False)
-    assert a.table == b.table
-    assert a.build_stats["nodes"] <= b.build_stats["nodes"]
-    # size audit: the table cannot outgrow the explored nodes
-    assert len(a.table) <= a.build_stats["nodes"]
-
-
 # ---------------------------------------------------------------------- query
 
 def test_query_matches_brute_exhaustively():

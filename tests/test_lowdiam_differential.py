@@ -15,7 +15,7 @@ and the derandomized examples pin the build seeds that are checked.
 
 The enumeration backend's bit-lane table build is also pinned to the
 per-pair construction driven by a tree-memo DSO: the same tables and
-``build_stats``, with and without ``dedupe``.
+``build_stats``.
 """
 from hypothesis import given, settings, strategies as st
 
@@ -91,10 +91,8 @@ def test_lowdiam_backends_match_brute(data):
 def test_exact_dso_matches_tree_memo(data):
     g = data.draw(st.one_of(hub_graphs(), connected_graphs(max_n=10)))
     f = data.draw(st.integers(2, 3))
-    for dedupe in (True, False):
-        # gate exponent 3f admits any connected graph of this size
-        got = build_lowdiam_fdo(g, f, 3.0 * f, backend="exact", dedupe=dedupe)
-        table, stats = reference_lowdiam_table(g, f, TreeMemoExactDSO(g, f),
-                                               dedupe)
-        assert got.table == table
-        assert got.build_stats == stats
+    # gate exponent 3f admits any connected graph of this size
+    got = build_lowdiam_fdo(g, f, 3.0 * f, backend="exact")
+    table, stats = reference_lowdiam_table(g, f, TreeMemoExactDSO(g, f))
+    assert got.table == table
+    assert got.build_stats == stats

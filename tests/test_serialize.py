@@ -102,6 +102,10 @@ BAD_VALUES = [
     ("source-n", "ecc", "source=0", "source=4", "source=4"),
     ("source-negative", "ecc", "source=0", "source=-1", "source=-1"),
     ("dir-7", "exact", "dir=0", "dir=7", "dir='7'"),
+    # these builds refuse digraphs: dir=1 loaded an ecc or spanner file as
+    # directed (wrong answers) and was ignored in multi and lowdiam files
+    *[(f"dir-1-{kind}", kind, "dir=0", "dir=1", f"dir='1' in a {kind}")
+      for kind in ("ecc", "spanner", "multi", "lowdiam")],
     # D and P lines checked against the file
     ("repeated-key", "exact", "D 0 3\n", "D 0 3\nD 0 2\n",
      "repeated stored entry 'D 0 2'"),
