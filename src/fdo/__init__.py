@@ -4,28 +4,28 @@ Preprocess a graph once, then answer diam(G-F) for failure sets F of up to
 f edges, exactly or within a proven stretch.  See README for the oracle
 family, file formats, and the CLI.
 
-The oracle modules load with the package.  The brute-force checks of
-``fdo.verify`` (``audit``, ``brute_diam``, ...) and the generators of
-``fdo.instances`` (``gen_random``, ``GadgetInstance``, ...) load on first
-use of one of their names, so a process that only loads and queries an
-oracle never imports them.
+Every public name loads its module on first use: a process that loads and
+queries a ``multi`` oracle imports ``fdo.graph``, ``fdo.serialize`` and
+``fdo.multi``, and none of the other builders, the brute-force checks of
+``fdo.verify`` (``audit``, ``brute_diam``, ...) or the generators of
+``fdo.instances`` (``gen_random``, ``GadgetInstance``, ...).
 """
-
-from .graph import (Graph, GraphError, INF, ShortestPathTree, build_graph,
-                    diameter, distances, eccentricity, extract_path, in_tree,
-                    is_connected, load_graph, parse_graph, save_graph, sssp,
-                    strong_bridges)
-from .dso import SampledFDSO, build_sampled_fdso
-from .single import (SingleFDO, build_approx_fdo, build_ecc_fdo,
-                     build_exact_fdo, build_spanner_fdo, deterministic_pivots,
-                     greedy_hitting_set, random_pivots)
-from .multi import MultiFDO, build_multi_fdo
-from .lowdiam import LowDiamFDO, build_lowdiam_fdo
-from .serialize import (dumps_oracle, load_oracle, loads_oracle, save_oracle)
 
 __version__ = "0.1.0"
 
 _LAZY = {
+    "graph": ("Graph", "GraphError", "INF", "ShortestPathTree", "build_graph",
+              "diameter", "distances", "eccentricity", "extract_path",
+              "in_tree", "is_connected", "load_graph", "parse_graph",
+              "save_graph", "sssp", "strong_bridges"),
+    "dso": ("SampledFDSO", "build_sampled_fdso"),
+    "single": ("SingleFDO", "build_approx_fdo", "build_ecc_fdo",
+               "build_exact_fdo", "build_spanner_fdo", "deterministic_pivots",
+               "greedy_hitting_set", "random_pivots"),
+    "multi": ("MultiFDO", "build_multi_fdo"),
+    "lowdiam": ("LowDiamFDO", "build_lowdiam_fdo"),
+    "serialize": ("dumps_oracle", "load_oracle", "loads_oracle",
+                  "save_oracle"),
     "verify": ("AuditReport", "audit", "brute_diam", "brute_replacement",
                "enumerate_failures"),
     "instances": ("GadgetInstance", "gen_dense_lb", "gen_multi_lb",

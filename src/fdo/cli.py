@@ -15,14 +15,11 @@ import sys
 import time
 
 from .graph import GraphError, INF, fmt_dist, load_graph, save_graph
-from .lowdiam import build_lowdiam_fdo
-from .multi import build_multi_fdo
 from .serialize import load_oracle, save_oracle
-from .single import (build_approx_fdo, build_ecc_fdo, build_exact_fdo,
-                     build_spanner_fdo)
 
-# `query` runs none of json, random, fractions, fdo.verify or fdo.instances,
-# so the commands that do import them themselves: a query starts faster.
+# `query` runs none of json, random, fractions, fdo.verify, fdo.instances or
+# the builders, so the commands that do import them themselves: a query
+# starts faster, and loads only the oracle module of its file's kind.
 
 DEFAULT_SEED = 0xFD0
 
@@ -57,13 +54,17 @@ def _build_oracle(g, args):
     kind = args.kind
     info = {"kind": kind}
     if kind == "exact":
+        from .single import build_exact_fdo
         oracle = build_exact_fdo(g)
     elif kind == "ecc":
+        from .single import build_ecc_fdo
         oracle = build_ecc_fdo(g)
     elif kind == "spanner":
+        from .single import build_spanner_fdo
         oracle = build_spanner_fdo(g, args.k)
         info["k"] = args.k
     elif kind == "approx":
+        from .single import build_approx_fdo
         seed = _seed_for(args, args.pivot_mode == "random")
         oracle = build_approx_fdo(g, args.eps, pivot_mode=args.pivot_mode,
                                   seed=seed, C=args.C,
@@ -71,6 +72,7 @@ def _build_oracle(g, args):
         info.update(eps=args.eps, mode=oracle.params["mode"], seed=seed,
                     pivot_count=len(oracle.pivots))
     elif kind == "multi":
+        from .multi import build_multi_fdo
         oracle = build_multi_fdo(g, args.f, mode="tight" if args.tight else "paper")
         info.update(f=args.f, mode=oracle.mode)
     elif kind == "lowdiam":
@@ -78,6 +80,7 @@ def _build_oracle(g, args):
         sampled = args.backend == "sampled" and args.f > 1
         backend = "sampled" if sampled else "exact"
         seed = _seed_for(args, sampled)
+        from .lowdiam import build_lowdiam_fdo
         oracle = build_lowdiam_fdo(g, args.f, args.delta, backend=backend,
                                    seed=seed, dso_delta=args.dso_delta,
                                    dso_C=args.C)

@@ -27,10 +27,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .dso import build_sampled_fdso
 from .graph import (Graph, GraphError, INF, diameter, index_edges, lane_bfs,
                     lane_path, resolve_pairs)
-from .single import build_exact_fdo
 
 
 class LowDiamFDO:
@@ -103,6 +101,7 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
     if delta <= 0:
         raise GraphError(f"delta must be positive, got {delta}")
     if f == 1:
+        from .single import build_exact_fdo
         return build_exact_fdo(g)
 
     base = diameter(g)
@@ -129,6 +128,7 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
     elif backend == "sampled":
         if seed is None:
             raise GraphError("sampled backend requires a seed")
+        from .dso import build_sampled_fdso
         dso = build_sampled_fdso(g, f, delta=dso_delta or delta, C=dso_C,
                                  seed=seed, max_subgraphs=max_subgraphs)
 

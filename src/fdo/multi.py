@@ -15,10 +15,11 @@ graphs", STOC 2010).  A query labels those slices and scans their vertices'
 non-tree half-edges: O(k + sum of the cut-subtree sizes + their non-tree
 degree) rather than O(m + n*k).  ``nontree[v]`` holds v's non-tree
 half-edges as ``(other end, swap weight, eid)``, so the scan reads no edge
-rows.  The spanning step runs inline on the at most k+1 components: a
-Kruskal with a list union-find over the cheapest edge per component pair,
-then a walk from component 0 gives each other component the swap edge to
-its parent.  With f=1 a query is one lookup in a precomputed swap table.
+rows.  The spanning step runs inline on the at most k+1 components: one
+Prim pass from component 0 over the cheapest edge per component pair,
+O(k*p) for p <= k(k+1)/2 pairs, joins each other component by the swap
+edge to its parent.  With f=1 a query is one lookup in a precomputed swap
+table.
 """
 from __future__ import annotations
 
@@ -161,9 +162,11 @@ class MultiFDO:
         """Full query transcript: answer, lower-bound gap, swap edges picked,
         and the failed-tree-edge count (used by the stretch audits).
 
-        The general path costs O(k + sum of the cut-subtree sizes + their
-        non-tree degree) for k failed tree edges; with f=1 (unless
-        ``force_general``) it is one lookup in the precomputed swap table.
+        The general path scans the k failed tree edges' subtrees, O(k + sum
+        of the cut-subtree sizes + their non-tree degree), then joins the
+        components in one Prim pass over the p <= k(k+1)/2 cheapest pair
+        edges, O(k*p); with f=1 (unless ``force_general``) it is one lookup
+        in the precomputed swap table.
         """
         if not isinstance(pairs, (tuple, list)):
             pairs = list(pairs)
@@ -189,59 +192,52 @@ class MultiFDO:
             return {"k": k, "gap": gap, "swap_eids": [swap], "finite": True,
                     "answer": gap + 2 * self.maxdist}
 
-        roots = [cut_root[e] for e in failed_tree]
         # Component c = i+1 is the subtree of roots[i] minus deeper cut
-        # subtrees: label the slices outermost first so nested ones
-        # overwrite.  Vertices left unlabelled are in the source's component 0.
+        # subtrees: roots sorted by tin, so the slices are labelled
+        # outermost first and nested ones overwrite.  Vertices left
+        # unlabelled are in the source's component 0.
         tin, tout, euler = self.tin, self.tout, self.euler
+        roots = sorted([cut_root[e] for e in failed_tree], key=tin.__getitem__)
         comp = {}
-        for t, c, r in sorted([(tin[r], i + 1, r) for i, r in enumerate(roots)]):
-            comp.update(dict.fromkeys(euler[t:tout[r]], c))
-        # cheapest (swap weight, eid, c, c') per component pair c < c'; an
-        # edge is checked against the failed ones only if it would improve it
+        for c, r in enumerate(roots, 1):
+            comp.update(dict.fromkeys(euler[tin[r]:tout[r]], c))
+        # cheapest (swap weight, eid, c, c') per component pair, keyed by
+        # c*(k+1) + c' with c < c'; an edge is checked against the failed
+        # ones only if it would improve its pair
         nontree = self.nontree
         crossing = {}
+        k1 = k + 1
         for v, cv in comp.items():
             for u, sw, eid in nontree[v]:
                 cu = comp.get(u, 0)
                 if cu == cv:
                     continue
-                key = (cu, cv) if cu < cv else (cv, cu)
+                key = cu * k1 + cv if cu < cv else cv * k1 + cu
                 old = crossing.get(key)
                 if ((old is None or sw < old[0] or sw == old[0] and eid < old[1])
                         and eid not in eids):
-                    crossing[key] = (sw, eid, *key)
-        # Kruskal over the k+1 components, then a walk from component 0 that
-        # takes each other component's gap from the swap edge to its parent.
-        # A component the walk misses: the failures disconnect G.
-        uf = list(range(k + 1))
-        adj = [[] for _ in range(k + 1)]
-        for _, eid, a, b in sorted(crossing.values()):
-            ra, rb = a, b
-            while uf[ra] != ra:
-                ra = uf[ra]
-            while uf[rb] != rb:
-                rb = uf[rb]
-            if ra != rb:
-                uf[ra] = rb
-                adj[a].append((b, eid))
-                adj[b].append((a, eid))
+                    crossing[key] = (sw, eid, cu, cv)
+        # Prim from component 0: each step joins the cheapest pair edge with
+        # one end joined, the new component's parent edge in the minimum
+        # spanning tree (unique: the (swap weight, eid) keys are distinct).
+        # No such edge left: the failures disconnect G.
+        pair_edges = sorted(crossing.values())
+        joined = [True] + [False] * k
         gap = 0
         swap_eids = []
-        seen = [True] + [False] * k
-        stack = [0]
-        while stack:
-            for c, eid in adj[stack.pop()]:
-                if not seen[c]:
-                    seen[c] = True
-                    stack.append(c)
-                    swap_eids.append(eid)
-                    g = swap_weight[eid] - dist[roots[c - 1]]
-                    if g > gap:
-                        gap = g
-        if len(swap_eids) < k:
-            return {"k": k, "gap": 0, "swap_eids": [], "finite": False,
-                    "answer": INF}
+        for _ in range(k):
+            for sw, eid, a, b in pair_edges:
+                if joined[a] != joined[b]:
+                    break
+            else:
+                return {"k": k, "gap": 0, "swap_eids": [], "finite": False,
+                        "answer": INF}
+            c = b if joined[a] else a
+            joined[c] = True
+            swap_eids.append(eid)
+            g = sw - dist[roots[c - 1]]
+            if g > gap:
+                gap = g
         swap_eids.sort()
         mult = self.f if self.mode == "paper" else k
         return {"k": k, "gap": gap, "swap_eids": swap_eids, "finite": True,

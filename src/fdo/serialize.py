@@ -17,9 +17,9 @@ from functools import partial
 from operator import lt
 
 from .graph import GraphError, fmt_dist, parse_dist, read_text
-from .lowdiam import LowDiamFDO
-from .multi import MultiFDO
-from .single import SingleFDO
+
+# The oracle classes are imported by the makers below, so loading a file
+# imports only the module of its kind.
 
 # Header values: (parse, good), and good(value, n) holds for what builds
 # write.  A distance is 'inf' or a finite number >= 0 (nan fails).
@@ -55,6 +55,7 @@ def _multi_parts(o):
 
 
 def _make_multi(n, directed, edges, swap, p, rows):
+    from .multi import MultiFDO
     return MultiFDO(n, edges, p["f"], p["mode"], p["source"],
                     [r[0] for r in rows], [r[1] for r in rows],
                     swap_weight=[swap[eid] for eid in range(len(edges))],
@@ -67,11 +68,22 @@ def _lowdiam_parts(o):
     return {"f": o.f, "delta": o.delta, "base": o.base_diam}, [], entries
 
 
+def _make_single(kind, *args):
+    from .single import SingleFDO
+    return SingleFDO(kind, *args)
+
+
+def _make_lowdiam(n, directed, edges, table, p, rows):
+    from .lowdiam import LowDiamFDO
+    return LowDiamFDO(n, edges, p["f"], p["delta"], p["base"], table,
+                      backend="loaded")
+
+
 def _single(kind, header, need=lambda m: (), rows="", dirs=("0",)):
     return (header, _index, need, rows,
             lambda o: (o.params, [f"P {v}" for v in o.pivots],
                        sorted(o.values.items())),
-            partial(SingleFDO, kind), dirs)
+            partial(_make_single, kind), dirs)
 
 
 # Per kind: the header keys after dir=, in file order, with their checks;
@@ -94,10 +106,8 @@ FORMATS = {
                "source": (int, lambda v, n: True), "maxdist": _DIST},
               _index, range, "V", _multi_parts, _make_multi, ("0",)),
     "lowdiam": ({"f": _COUNT, "delta": _DIST, "base": _DIST},
-                _subset, lambda m: [()], "", _lowdiam_parts,
-                lambda n, directed, edges, table, p, rows: LowDiamFDO(
-                    n, edges, p["f"], p["delta"], p["base"], table,
-                    backend="loaded"), ("0",)),
+                _subset, lambda m: [()], "", _lowdiam_parts, _make_lowdiam,
+                ("0",)),
 }
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fdo
 from fdo import (GraphError, build_exact_fdo, build_graph, build_multi_fdo,
-                 dumps_oracle, gen_random, save_graph)
+                 dumps_oracle, gen_random, parse_graph, save_graph)
 from fdo.cli import _parse_query_line, main, serve_queries
 from fdo.graph import fmt_dist
 
@@ -386,9 +386,12 @@ def test_query_answers_each_stdin_line_before_the_next(tmp_path):
 
 IMPORT_CHECK = """
 import sys
+BUILDERS = ("fdo.single", "fdo.multi", "fdo.lowdiam", "fdo.dso")
 import fdo.cli
 print(sorted(m for m in ("fdo.verify", "fdo.instances", "dataclasses",
-                         "fractions", "json") if m in sys.modules))
+                         "fractions", "json", *BUILDERS) if m in sys.modules))
+fdo.cli.load_oracle(sys.argv[1])
+print(sorted(m for m in BUILDERS if m in sys.modules))
 from fdo import audit, gen_random, GadgetInstance
 import fdo
 print(fdo.brute_diam.__module__, fdo.verify.__name__, audit.__module__,
@@ -396,14 +399,19 @@ print(fdo.brute_diam.__module__, fdo.verify.__name__, audit.__module__,
 """
 
 
-def test_cli_import_leaves_audit_modules_unloaded():
+def test_cli_import_leaves_audit_modules_unloaded(tmp_path):
+    # A multi file, loaded the way `fdo query` loads it
+    path = tmp_path / "c4.fdo"
+    path.write_text(dumps_oracle(build_multi_fdo(parse_graph(C4_TEXT), 2)))
     # -S: no site hooks, so only fdo's own imports are counted
-    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_CHECK],
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_CHECK,
+                           str(path)],
                           capture_output=True, text=True, env=_child_env(),
                           timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    loaded, names = proc.stdout.splitlines()
+    loaded, builders, names = proc.stdout.splitlines()
     assert loaded == "[]"
+    assert builders == "['fdo.multi']"
     assert names.split() == ["fdo.verify", "fdo.verify", "fdo.verify",
                              "fdo.instances", "fdo.instances"]
 

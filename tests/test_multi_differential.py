@@ -1,17 +1,21 @@
 """Differential test of the multi-failure oracle.
 
 Hypothesis draws connected undirected graphs with unit, integer (0..3) and
-float weights, and failure sets of up to f pairs (f = 1..4) that mix tree
+float weights, and failure sets of up to f pairs (f = 1..8) that mix tree
 edges, non-tree edges and non-edges.  The general query path must give the
 same transcript, field by field and in the same key order, as a reference
 copy of the plain O(m + n*k) reconnection (label every vertex, scan every
 edge, then a Kruskal of its own over the components), and every answer must
-meet the oracle's contract against ``fdo.verify.brute_diam``.
+meet the oracle's contract against ``fdo.verify.brute_diam``.  A fixed
+n=300 graph, cut at four of its largest subtrees at a time, checks the same
+transcripts where components are large and nested.
 """
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdo import INF, brute_diam, build_graph, build_multi_fdo
+from fdo import INF, brute_diam, build_graph, build_multi_fdo, gen_random
 from fdo.graph import DIST_EPS, resolve_pairs
 
 WEIGHTS = {
@@ -160,7 +164,7 @@ def meets_contract(detail, truth, f):
 @given(data=st.data())
 def test_multi_matches_reference_and_brute(kind, data):
     g = data.draw(graphs(kind))
-    for f in (1, 2, 3, 4):
+    for f in range(1, 9):
         o = build_multi_fdo(g, f, mode=data.draw(st.sampled_from(
             ["paper", "tight"])))
         for pairs in data.draw(st.lists(failure_sets(o, f), min_size=1,
@@ -173,3 +177,18 @@ def test_multi_matches_reference_and_brute(kind, data):
             for detail in (general, o.query_details(pairs)):
                 assert meets_contract(detail, truth, f), (f, pairs, detail,
                                                           truth)
+
+
+def test_largest_subtree_cuts_match_reference():
+    # Cuts near the root label most of the graph and nest: the Hypothesis
+    # graphs (n <= 10) never make subtrees, component pairs or ties this big.
+    g = gen_random("er-undirected", 7, n=300, p=6 / 299)
+    o = build_multi_fdo(g, 4)
+    by_size = sorted(o.cut_root, key=lambda e: (o.tin[o.cut_root[e]]
+                                                - o.tout[o.cut_root[e]], e))
+    largest = [o.edges[e][:2] for e in by_size[:30]]
+    rng = random.Random(7)
+    for _ in range(300):
+        pairs = rng.sample(largest, 4)
+        assert (list(o.query_details(pairs).items())
+                == list(reference_details(o, pairs).items())), pairs
