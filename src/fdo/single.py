@@ -24,8 +24,15 @@ tree of s reaches every vertex at its base distance, so its eccentricity
 is ecc_G(s), which its entry already holds, and such lanes cost bits but
 never raise an entry.  On denser inputs those bits would make every mask
 m bits wide and the alive table m^2 bits, so each source gets its own
-lane BFS with n-1 lanes, one per edge of its own BFS tree.  The
-deterministic pivots take their detour paths from one lane BFS too.  On
+lane BFS with n-1 lanes, one per edge of its own BFS tree.  With every
+vertex a source on an undirected graph (exact, spanner, exact-scan
+approx) the lanes run one way: if diam(G-e) > diam(G), e lies on every
+shortest path between a farthest pair of G-e, so exactly one of the two
+is nearer e's smaller endpoint, and only that source's lane must see e
+cut.  A cut then blocks only the crossing from the smaller endpoint to
+the larger; every other lane keeps its base tree and adds no level
+entries.  The deterministic pivots take their detour paths from one lane
+BFS too, and pick them by a lazy greedy hitting set.  On
 other weights, zero included (exact and ecc only), each source's
 graph.sssp tree is repaired below every tree edge with a Dijkstra run
 confined to that subtree, at the subtree's edge volume times a log
@@ -127,8 +134,9 @@ SHARED_LANE_SURPLUS = 2048
 # Each lane BFS of raise_by_replacement_ecc runs as many sources as fit
 # masks of this many bits, one bit per entry and source, and at least one.
 # Building the single-failure benchmark's oracles took 31% and 11% longer
-# with 256 and 512 bits; 2048 and 4096 bits fell within the run-to-run
-# spread of 1024 but raised the peak RSS by 0.5 and 2 MB.
+# with 256 and 512 bits.  With one-way lanes, 2048 bits cut the benchmark's
+# median setup_s by 4.4% (10 of 10 pairs) but raised its median peak RSS
+# by 2.1% (0.55 MB); 4096 bits raised the peak RSS by 2 MB before.
 LANE_BATCH_BITS = 1024
 
 
@@ -154,6 +162,20 @@ def raise_by_replacement_ecc(g: Graph, sources, values):
       alive table per source: n-bit masks, so dense graphs do not pay
       m-bit masks and an alive table of m^2 bits.
 
+    When the graph is undirected and the sources are all n vertices, in
+    any order and with repeats, the entries end at diam(G-e), and half
+    the lanes suffice.  If diam(G-e) > diam(G), let (s, t) be a farthest
+    pair of G-e: d_G(s, t) < d_{G-e}(s, t), so e = (a, b) lies on every
+    shortest s-t path of G, and exactly one of s and t is nearer
+    c = min(a, b) than the other endpoint C.  The lanes then run on a copy
+    of the adjacency whose half-edges C -> c read ``alive[m]``, always
+    full, so a cut blocks only c -> C.  A lane whose source is nearer c
+    still gets ecc_{G-e}(s), since no shortest walk from s enters c from
+    C; any other lane never crosses c -> C on a shortest path, keeps the
+    base levels of its source and raises nothing.  In the tree-lane branch
+    a tree edge whose parent is the larger endpoint reads as m, holds no
+    entry and gets no lane, which halves the mask width.
+
     Weighted graphs, zero weights included, raise :class:`GraphError`;
     they take :func:`_raise_by_subtree_repair` on the sources'
     :func:`graph.sssp` trees.
@@ -161,14 +183,18 @@ def raise_by_replacement_ecc(g: Graph, sources, values):
     if g.weighted:
         raise GraphError("the lane kernel needs unit weights")
     cut = [eid for eid, val in values.items() if val != INF]
-    if len(cut) - g.n <= SHARED_LANE_SURPLUS:
-        _raise_by_lanes(g, sources, cut, values)
-        return
     nbrs = g._out_nbrs
-    for s in sources:
+    if not g.directed and set(sources) == set(range(g.n)):
+        # one way: the half-edge from the larger endpoint reads alive[m]
+        nbrs = [[(v, eid if u < v else g.m, w) for v, eid, w in row]
+                for u, row in enumerate(nbrs)]
+    if len(cut) - g.n <= SHARED_LANE_SURPLUS:
+        _raise_by_lanes(g, sources, cut, values, nbrs)
+        return
+    for s in sources:  # a tree edge read as m holds no entry: no lane
         _raise_by_lanes(g, [s], [eid for eid in _bfs_tree_eids(nbrs, s)
                                  if values.get(eid, INF) != INF],
-                        values)
+                        values, nbrs)
 
 
 def _bfs_tree_eids(nbrs, s):
@@ -186,13 +212,14 @@ def _bfs_tree_eids(nbrs, s):
     return eids
 
 
-def _raise_by_lanes(g, sources, cut, values):
+def _raise_by_lanes(g, sources, cut, values, nbrs):
     # Sources run in batches, K = len(cut) lanes each: lane b*K + i starts
     # at the batch's source b and keeps every edge but cut[i].  A lane's
     # eccentricity is the last level that reaches any vertex in it, so
     # scanning the levels from the top down settles each lane once.  The
     # scan stops at the lowest entry, which no lane at or below it can
-    # raise.  A lane that leaves a vertex unreached is infinite.
+    # raise.  A lane that leaves a vertex unreached is infinite.  nbrs is
+    # g._out_nbrs or its one-way copy, whose extra edge id m is never cut.
     if not cut:
         return
     k = len(cut)
@@ -200,13 +227,12 @@ def _raise_by_lanes(g, sources, cut, values):
     sources = list(dict.fromkeys(sources))
     size = max(1, LANE_BATCH_BITS // k)
     floor = min(values[eid] for eid in cut)
-    nbrs = g._out_nbrs
     block = (1 << k) - 1
     for lo in range(0, len(sources), size):
         batch = sources[lo:lo + size]
         full = (1 << (len(batch) * k)) - 1
         rep = full // block  # bit b*K for each source b of the batch
-        alive = [full] * g.m
+        alive = [full] * (g.m + 1)   # alive[m]: the one-way copy's arcs
         for i, eid in enumerate(cut):
             alive[eid] = full ^ (rep << i)
         levels, missed = lane_bfs(
@@ -535,38 +561,31 @@ def _prefix_toward_root(tree, s, length):
 
 def greedy_hitting_set(paths):
     """Repeatedly pick the vertex lying on the most unhit paths (smallest id
-    on ties) until every path is hit.  Counts live in a bucket queue keyed by
-    the number of unhit paths, so picks and updates stay near-linear."""
+    on ties) until every path is hit.  A heap holds one ``(-count, v)``
+    entry per vertex, refreshed lazily: counts only fall, so an entry whose
+    count is current when popped is the pick, and a hit only decrements
+    counts."""
     incidence = {}
     for idx, verts in enumerate(paths):
         for v in verts:
             incidence.setdefault(v, []).append(idx)
     count = {v: len(ids) for v, ids in incidence.items()}
-    buckets = {}
-    for v, c in count.items():
-        buckets.setdefault(c, set()).add(v)
-    cur_max = max(buckets) if buckets else 0
+    heap = [(-c, v) for v, c in count.items()]
+    heapify(heap)
     hit = [False] * len(paths)
     remaining = len(paths)
     picked = []
-
-    def move(v, old, new):
-        buckets[old].discard(v)
-        if new > 0:
-            buckets.setdefault(new, set()).add(v)
-
     while remaining:
-        while cur_max > 0 and not buckets.get(cur_max):
-            cur_max -= 1
-        v = min(buckets[cur_max])
+        c, v = heappop(heap)
+        if -c != count[v]:  # stale: back in with its current count
+            if count[v]:
+                heappush(heap, (-count[v], v))
+            continue
         picked.append(v)
         for idx in incidence[v]:
-            if hit[idx]:
-                continue
-            hit[idx] = True
-            remaining -= 1
-            for u in paths[idx]:
-                c = count[u]
-                count[u] = c - 1
-                move(u, c, c - 1)
+            if not hit[idx]:
+                hit[idx] = True
+                remaining -= 1
+                for u in paths[idx]:
+                    count[u] -= 1
     return picked

@@ -8,7 +8,8 @@ check ``strong_bridges``, which tests only tree edges, against a
 connectivity test of every edge.  On unit weights the bit-lane path of
 ``raise_by_replacement_ecc`` is pinned to the Dijkstra subtree repair, run
 directly on the same sources' ``sssp`` trees and entries, with the sources
-in lane BFS batches of every size.
+in lane BFS batches of every size, and with every vertex a source, which
+runs the lanes one way on undirected graphs.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,15 +118,31 @@ def test_tree_lanes_match_subtree_repair(kind, data):
     _check_lanes_against_subtree_repair(kind, data, -INF)
 
 
-def _check_lanes_against_subtree_repair(kind, data, surplus):
+@pytest.mark.parametrize("kind", ["undirected", "digraph", "bridged"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_all_source_lanes_match_subtree_repair(kind, data):
+    # every vertex a source, permuted and some repeated: on undirected
+    # graphs the lanes run one way (shared or per-source tree lanes), on
+    # digraphs both ways
+    surplus = data.draw(st.sampled_from([INF, -INF]))
+    _check_lanes_against_subtree_repair(kind, data, surplus, every=True)
+
+
+def _check_lanes_against_subtree_repair(kind, data, surplus, every=False):
     g = data.draw(graphs("undirected" if kind == "bridged" else kind))
     if kind == "bridged":  # a pendant vertex hangs on a bridge
         hub = data.draw(st.integers(0, g.n - 1))
         g = build_graph(g.n + 1, False, [(u, v) for u, v, _ in g.edges]
                         + [(hub, g.n)])
     assert not g.weighted
-    sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
-                                 max_size=g.n, unique=True))
+    if every:
+        sources = (data.draw(st.permutations(range(g.n)))
+                   + data.draw(st.lists(st.integers(0, g.n - 1),
+                                        max_size=3)))
+    else:
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
+                                     max_size=g.n, unique=True))
     trees = [sssp(g, s) for s in sources]
     # every entry must start at least at ecc_G(s) of each source
     start = max(max(t.dist) for t in trees)

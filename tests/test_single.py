@@ -160,6 +160,40 @@ def test_lane_batches_build_the_same_files(monkeypatch):
     assert files[0] == files[1]
 
 
+@pytest.mark.parametrize("surplus", [INF, -INF])
+def test_one_way_lanes_carry_the_smaller_endpoints_side(monkeypatch,
+                                                        surplus):
+    # With every vertex a source, a cut edge blocks only the crossing from
+    # its smaller endpoint to its larger one.  The lanes of the sources
+    # nearer the smaller endpoint carry diam(G-e) alone; the other side's
+    # lanes keep their base trees and alone would answer diam(G).
+    path = build_graph(7, False, [(i, i + 1) for i in range(6)])
+    cycle = build_graph(12, False, [(i, (i + 1) % 12) for i in range(12)]
+                        + [(0, 2), (5, 7)])
+    kernel = single._raise_by_lanes
+    monkeypatch.setattr(single, "SHARED_LANE_SURPLUS", surplus)
+    for g in (path, cycle):
+        base = diameter(g)
+        rows = [distances(g, s) for s in range(g.n)]
+        raised = 0
+        for eid, (a, b, _) in enumerate(g.edges):
+            truth = brute_diam(g, [(a, b)])
+            lo, hi = sorted((a, b))
+            near = {s for s in range(g.n) if rows[s][lo] < rows[s][hi]}
+            got = []
+            for side in (near, set(range(g.n)) - near, set(range(g.n))):
+                monkeypatch.setattr(
+                    single, "_raise_by_lanes",
+                    lambda g, sources, *rest, side=side:
+                    kernel(g, [s for s in sources if s in side], *rest))
+                values = {eid: base}
+                raise_by_replacement_ecc(g, range(g.n), values)
+                got.append(values[eid])
+            assert got == [truth, base, truth], (g, (a, b))
+            raised += truth > base
+        assert raised  # some edge where the other side alone is wrong
+
+
 def test_lane_kernel_rejects_weighted():
     g = gen_random("er-weighted", 1, n=8, p=0.5)
     with pytest.raises(GraphError, match="unit weights"):
@@ -420,6 +454,61 @@ def test_deterministic_pivots_rejects_weighted():
     g = gen_random("er-weighted", 1, n=8, p=0.5)
     with pytest.raises(GraphError, match="unweighted"):
         deterministic_pivots(g, 2)
+
+
+def reference_greedy_hitting_set(paths):
+    # the greedy pick over a bucket queue of unhit-path counts
+    incidence = {}
+    for idx, verts in enumerate(paths):
+        for v in verts:
+            incidence.setdefault(v, []).append(idx)
+    count = {v: len(ids) for v, ids in incidence.items()}
+    buckets = {}
+    for v, c in count.items():
+        buckets.setdefault(c, set()).add(v)
+    cur_max = max(buckets) if buckets else 0
+    hit = [False] * len(paths)
+    remaining = len(paths)
+    picked = []
+
+    def move(v, old, new):
+        buckets[old].discard(v)
+        if new > 0:
+            buckets.setdefault(new, set()).add(v)
+
+    while remaining:
+        while cur_max > 0 and not buckets.get(cur_max):
+            cur_max -= 1
+        v = min(buckets[cur_max])
+        picked.append(v)
+        for idx in incidence[v]:
+            if hit[idx]:
+                continue
+            hit[idx] = True
+            remaining -= 1
+            for u in paths[idx]:
+                c = count[u]
+                count[u] = c - 1
+                move(u, c, c - 1)
+    return picked
+
+
+def test_hitting_set_matches_bucket_queue():
+    rng = random.Random(15)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        cases.append([rng.sample(range(n), rng.randint(1, min(n, 6)))
+                      for _ in range(rng.randint(0, 40))])
+    for n in (96, 400):   # the pivot paths of chorded cycles, θ = 40
+        g = build_graph(n, False, [(i, (i + 1) % n) for i in range(n)]
+                        + [(i, i + 2) for i in range(0, n - 2, 8)])
+        length = min(40, math.isqrt(n))
+        cases.append(single._pivot_paths(g, 0, length, strong_bridges(g)))
+    assert len(cases[-1]) > 1000
+    for paths in cases:
+        assert greedy_hitting_set(paths) == reference_greedy_hitting_set(
+            paths), paths
 
 
 def test_hitting_set_greedy_tiebreak():
