@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 
 _LAZY = {
     "graph": ("Graph", "GraphError", "INF", "ShortestPathTree", "build_graph",
-              "diameter", "distances", "eccentricity", "extract_path",
-              "in_tree", "is_connected", "load_graph", "parse_graph",
-              "save_graph", "sssp", "strong_bridges"),
+              "diameter", "distances", "eccentricity", "in_tree",
+              "is_connected", "load_graph", "parse_graph", "save_graph",
+              "sssp", "strong_bridges"),
     "dso": ("SampledFDSO", "build_sampled_fdso"),
     "single": ("SingleFDO", "build_approx_fdo", "build_ecc_fdo",
                "build_exact_fdo", "build_spanner_fdo", "deterministic_pivots",

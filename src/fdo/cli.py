@@ -53,22 +53,20 @@ def _build_oracle(g, args):
     """Shared by `build` and `audit`; returns (oracle, info-dict)."""
     kind = args.kind
     info = {"kind": kind}
+    if kind in ("exact", "ecc", "spanner", "approx"):
+        from . import single
     if kind == "exact":
-        from .single import build_exact_fdo
-        oracle = build_exact_fdo(g)
+        oracle = single.build_exact_fdo(g)
     elif kind == "ecc":
-        from .single import build_ecc_fdo
-        oracle = build_ecc_fdo(g)
+        oracle = single.build_ecc_fdo(g)
     elif kind == "spanner":
-        from .single import build_spanner_fdo
-        oracle = build_spanner_fdo(g, args.k)
+        oracle = single.build_spanner_fdo(g, args.k)
         info["k"] = args.k
     elif kind == "approx":
-        from .single import build_approx_fdo
         seed = _seed_for(args, args.pivot_mode == "random")
-        oracle = build_approx_fdo(g, args.eps, pivot_mode=args.pivot_mode,
-                                  seed=seed, C=args.C,
-                                  scan_threshold=args.scan_threshold)
+        oracle = single.build_approx_fdo(
+            g, args.eps, pivot_mode=args.pivot_mode, seed=seed, C=args.C,
+            scan_threshold=args.scan_threshold)
         info.update(eps=args.eps, mode=oracle.params["mode"], seed=seed,
                     pivot_count=len(oracle.pivots))
     elif kind == "multi":
@@ -93,6 +91,7 @@ def _build_oracle(g, args):
 
 
 def _entry_count(oracle):
+    # single-failure kinds: the kept entries, which differ from the fallback
     if hasattr(oracle, "table"):
         return len(oracle.table)
     if hasattr(oracle, "swap_weight"):
@@ -372,10 +371,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
-        print(f"fdo: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphError, OSError) as exc:
         print(f"fdo: error: {exc}", file=sys.stderr)
         return 2
 

@@ -65,11 +65,10 @@ class Graph:
         self.directed = directed
         self.edges = edges  # list of (u, v, w)
         self.weighted = any(w != 1 for _, _, w in edges)
-        self.edge_lookup = {}
+        self.edge_lookup = index_edges(edges, directed)
         out_nbrs = [[] for _ in range(n)]
         in_nbrs = [[] for _ in range(n)]
         for eid, (u, v, w) in enumerate(edges):
-            self.edge_lookup[pair_key(u, v, directed)] = eid
             out_nbrs[u].append((v, eid, w))
             if directed:
                 in_nbrs[v].append((u, eid, w))
@@ -87,13 +86,6 @@ class Graph:
     def edge_id(self, u, v):
         """Edge id for the pair, or None if the pair is a non-edge."""
         return self.edge_lookup.get(pair_key(u, v, self.directed))
-
-    def endpoints(self, eid):
-        u, v, _ = self.edges[eid]
-        return u, v
-
-    def weight(self, eid):
-        return self.edges[eid][2]
 
     def __repr__(self):
         kind = "digraph" if self.directed else "graph"
@@ -152,16 +144,15 @@ def build_graph(n, directed, edge_list) -> Graph:
 
 
 class ShortestPathTree:
-    """Parent/distance structure from a source ('from') or to a root ('to').
+    """Parent/distance structure from a source (sssp) or to a root (in_tree).
 
     parent[v] is (next_vertex, edge_id) toward the source/root, None at the
     source and at unreachable vertices.
     """
-    __slots__ = ("source", "direction", "dist", "parent")
+    __slots__ = ("source", "dist", "parent")
 
-    def __init__(self, source: int, direction: str, dist: list, parent: list):
+    def __init__(self, source: int, dist: list, parent: list):
         self.source = source
-        self.direction = direction      # 'from' | 'to'
         self.dist = dist
         self.parent = parent
 
@@ -242,7 +233,7 @@ def _parents(g, root, dist, order, excluded, reverse):
 def sssp(g: Graph, source, excluded=frozenset()) -> ShortestPathTree:
     """Shortest-path tree from ``source`` in g minus the excluded edge ids."""
     dist, order = _search(g, source, excluded, False)
-    return ShortestPathTree(source, "from", dist,
+    return ShortestPathTree(source, dist,
                             _parents(g, source, dist, order, excluded, False))
 
 
@@ -250,29 +241,8 @@ def in_tree(g: Graph, root, excluded=frozenset()) -> ShortestPathTree:
     """Tree of shortest paths TO ``root`` (edge-reversed search).  Identical
     to sssp on undirected graphs."""
     dist, order = _search(g, root, excluded, True)
-    return ShortestPathTree(root, "to", dist,
+    return ShortestPathTree(root, dist,
                             _parents(g, root, dist, order, excluded, True))
-
-
-def extract_path(tree: ShortestPathTree, endpoint):
-    """Tree path between source/root and ``endpoint`` as (vertices, edge_ids).
-
-    'from' trees give source->endpoint order, 'to' trees endpoint->root.
-    Returns None when the endpoint is unreachable.
-    """
-    if tree.dist[endpoint] == INF:
-        return None
-    verts = [endpoint]
-    eids = []
-    v = endpoint
-    while tree.parent[v] is not None:
-        v, eid = tree.parent[v]
-        verts.append(v)
-        eids.append(eid)
-    if tree.direction == "from":
-        verts.reverse()
-        eids.reverse()
-    return verts, eids
 
 
 def lane_bfs(nbrs, alive, start, full):

@@ -47,11 +47,8 @@ class LowDiamFDO:
         self.table = table          # sorted edge-id tuple -> distance
         self.backend = backend
         self.subgraph_count = subgraph_count    # k of the sampled backend
+        self.m = len(edges)
         self.edge_lookup = index_edges(edges, False)
-
-    @property
-    def m(self):
-        return len(self.edges)
 
     def query(self, pairs):
         return self.query_details(pairs)["answer"]

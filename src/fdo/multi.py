@@ -51,6 +51,7 @@ class MultiFDO:
         self.source = source
         self.dist = dist
         self.parent_eid = parent_eid        # per vertex, None at the source
+        self.m = len(edges)
         self.edge_lookup = index_edges(edges, False)
         self.maxdist = max(dist) if maxdist is None else maxdist
         self._index_tree()
@@ -70,10 +71,6 @@ class MultiFDO:
                 nontree[u].append((v, sw, eid))
                 nontree[v].append((u, sw, eid))
         self.f1_swap = self._cover_tree_edges() if f == 1 else None
-
-    @property
-    def m(self):
-        return len(self.edges)
 
     def _index_tree(self):
         # Euler-tour intervals: nested, so the deepest failed tree edge

@@ -2,11 +2,15 @@
 
 Layout (see README for the full grammar):
 
-    FDO <kind> <n> <m> fmt=1 dir=<0|1> <kind-specific key=value...>
-    E <eid> <u> <v> <w>          edge dictionary, ascending ids
+    FDO <kind> <n> <m> fmt=<1|2> dir=<0|1> <kind-specific key=value...>
+    E <eid> <u> <v> <w>          edge dictionary, ascending ids (fmt=1 only)
     P <vertex>                   pivots (approx, pivot mode only)
     V <vertex> <dist> <peid|->   tree rows (multi only)
     D <key> <value>              stored entries; 'inf' for infinity
+
+The single-failure kinds write fmt=2: no E lines, and ``D u-v value``
+(u < v when undirected) for each answer that differs from the fallback.
+multi and lowdiam write fmt=1.  Other versions are refused: rebuild.
 
 Round trips are bit-exact: dumps(loads(text)) == text for anything dumps
 produced, and rebuilding with the same seed yields identical bytes.
@@ -28,14 +32,22 @@ _COUNT = (int, lambda v, n: v >= 1)
 
 
 def _index(tok, size):
-    # an edge id as a D key (size m), or a vertex (size n)
+    # an edge id (size m) or a vertex (size n)
     i = int(tok)
     if not 0 <= i < size:
         raise ValueError(tok)
     return i
 
 
-def _subset(tok, m):
+def _pair(tok, n, m, directed):
+    # a single-failure D key: 'u-v', u < v when undirected
+    u, v = map(int, tok.split("-"))
+    if not (0 <= u < n and 0 <= v < n and u != v and (directed or u < v)):
+        raise ValueError(tok)
+    return u, v
+
+
+def _subset(tok, n, m, directed):
     # a lowdiam D key: ascending edge ids joined by '-', or '-' if empty
     if tok == "-":
         return ()
@@ -54,7 +66,7 @@ def _multi_parts(o):
     return params, rows, enumerate(o.swap_weight)
 
 
-def _make_multi(n, directed, edges, swap, p, rows):
+def _make_multi(n, m, directed, edges, swap, p, rows):
     from .multi import MultiFDO
     return MultiFDO(n, edges, p["f"], p["mode"], p["source"],
                     [r[0] for r in rows], [r[1] for r in rows],
@@ -68,44 +80,52 @@ def _lowdiam_parts(o):
     return {"f": o.f, "delta": o.delta, "base": o.base_diam}, [], entries
 
 
-def _make_single(kind, *args):
+def _make_single(kind, n, m, directed, edges, values, p, pivots):
     from .single import SingleFDO
-    return SingleFDO(kind, *args)
+    o = SingleFDO(kind, n, m, directed, values, p, pivots)
+    if o.fallback in values.values():   # no build keeps one
+        raise GraphError(f"{kind} oracle file stores an entry equal to its "
+                         f"fallback {fmt_dist(o.fallback)}")
+    return o
 
 
-def _make_lowdiam(n, directed, edges, table, p, rows):
+def _make_lowdiam(n, m, directed, edges, table, p, rows):
     from .lowdiam import LowDiamFDO
     return LowDiamFDO(n, edges, p["f"], p["delta"], p["base"], table,
                       backend="loaded")
 
 
-def _single(kind, header, need=lambda m: (), rows="", dirs=("0",)):
-    return (header, _index, need, rows,
+def _single(kind, header, rows="", dirs=("0",)):
+    return ("2", header, _pair, lambda m: (), rows,
             lambda o: (o.params, [f"P {v}" for v in o.pivots],
-                       sorted(o.values.items())),
+                       [(f"{u}-{v}", val)
+                        for (u, v), val in sorted(o.values.items())]),
             partial(_make_single, kind), dirs)
 
 
-# Per kind: the header keys after dir=, in file order, with their checks;
-# the parser of a D key; m -> the D keys every file holds; the tag of its
-# P or V lines; oracle -> (header values, P or V lines, sorted D entries);
-# (n, directed, edges, D entries, header values, rows) -> the oracle; and
-# the dir= flags its builds write ("1" only where a build takes digraphs).
+# Per kind: its format version (E lines in "1" only); the header keys
+# after dir=, in file order, with their checks; the parser of a D key,
+# (token, n, m, directed) -> key; m -> the D keys every file holds; the
+# tag of its P or V lines; oracle -> (header values, P or V lines, sorted
+# D entries); (n, m, directed, edges, D entries, header values, rows) ->
+# the oracle; and the dir= flags its builds write ("1" only where a build
+# takes digraphs).
 FORMATS = {
-    "exact": _single("exact", {"base": _DIST}, range, dirs=("0", "1")),
+    "exact": _single("exact", {"base": _DIST}, dirs=("0", "1")),
     "ecc": _single("ecc", {"source": (int, lambda v, n: 0 <= v < n),
                            "fallback": _DIST}),
     "spanner": _single("spanner", {"k": _COUNT, "base": _DIST}),
     "approx": _single("approx", {
         "base": _DIST, "eps": _DIST, "slack": (int, lambda v, n: v >= 0),
         "mode": (str, lambda v, n: v in ("exact-scan", "pivot"))},
-        range, "P", ("0", "1")),
+        "P", ("0", "1")),
     # MultiFDO checks that source roots the tree rows
-    "multi": ({"f": _COUNT,
-               "mode": (str, lambda v, n: v in ("paper", "tight")),
-               "source": (int, lambda v, n: True), "maxdist": _DIST},
-              _index, range, "V", _multi_parts, _make_multi, ("0",)),
-    "lowdiam": ({"f": _COUNT, "delta": _DIST, "base": _DIST},
+    "multi": ("1", {"f": _COUNT,
+                    "mode": (str, lambda v, n: v in ("paper", "tight")),
+                    "source": (int, lambda v, n: True), "maxdist": _DIST},
+              lambda tok, n, m, directed: _index(tok, m), range, "V",
+              _multi_parts, _make_multi, ("0",)),
+    "lowdiam": ("1", {"f": _COUNT, "delta": _DIST, "base": _DIST},
                 _subset, lambda m: [()], "", _lowdiam_parts, _make_lowdiam,
                 ("0",)),
 }
@@ -115,14 +135,15 @@ def dumps_oracle(oracle) -> str:
     kind = oracle.kind
     if kind not in FORMATS:
         raise GraphError(f"cannot serialize oracle kind {kind!r}")
-    header, _, _, _, parts, _, _ = FORMATS[kind]
+    version, header, _, _, _, parts, _, _ = FORMATS[kind]
     params, rows, entries = parts(oracle)
-    head = [f"FDO {kind} {oracle.n} {oracle.m} fmt=1",
+    head = [f"FDO {kind} {oracle.n} {oracle.m} fmt={version}",
             f"dir={1 if oracle.directed else 0}"]
     head += [f"{key}={fmt_dist(params[key])}" for key in header]
     out = [" ".join(head)]
-    for eid, (u, v, w) in enumerate(oracle.edges):
-        out.append(f"E {eid} {u} {v} {fmt_dist(w)}")
+    if version == "1":
+        for eid, (u, v, w) in enumerate(oracle.edges):
+            out.append(f"E {eid} {u} {v} {fmt_dist(w)}")
     out += rows
     out += [f"D {key} {fmt_dist(val)}" for key, val in entries]
     return "\n".join(out) + "\n"
@@ -131,8 +152,11 @@ def dumps_oracle(oracle) -> str:
 def loads_oracle(text: str):
     """Parse an oracle file.  GraphError on malformed content and on what
     no build writes: a value out of range, a repeated header key, E id, V
-    row or D key, a missing required D line, P or V lines a kind lacks, or
-    dir=1 in a kind that no digraph build writes."""
+    row or D key, a missing required D line, E, P or V lines a kind lacks,
+    dir=1 in a kind that no digraph build writes, a format version other
+    than its kind's, more edges than vertex pairs, or in a single-failure
+    file an undirected key u-v with u > v or a D value equal to the
+    fallback."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("FDO "):
         raise GraphError("not an oracle file (missing FDO header)")
@@ -145,23 +169,28 @@ def loads_oracle(text: str):
         raise GraphError(f"bad oracle header {lines[0]!r}") from None
     if kind not in FORMATS:
         raise GraphError(f"unknown oracle kind {kind!r}")
-    header, parse_key, need, row_tag, _, make, dirs = FORMATS[kind]
+    version, header, parse_key, need, row_tag, _, make, dirs = FORMATS[kind]
     raw = {}
     for tok in head[4:]:
         key, eq, val = tok.partition("=")
         if not eq or key in raw:
             raise GraphError(f"bad header token {tok!r}")
         raw[key] = val
-    if raw.get("fmt") != "1":
-        raise GraphError(f"unsupported format version {raw.get('fmt')!r}")
+    if raw.get("fmt") != version:
+        raise GraphError(f"unsupported format version fmt={raw.get('fmt')!r} "
+                         f"for kind {kind}, which is read as fmt={version}: "
+                         "rebuild the oracle file")
+    directed = raw.get("dir") == "1"
     if raw.get("dir") not in dirs:
         raise GraphError(f"bad direction flag dir={raw.get('dir')!r} in a "
                          f"{kind} oracle file")
 
-    # Each edge has an E line and, in multi files, each vertex a V line:
-    # check the counts before allocating by them.
+    # In fmt=1 each edge has an E line and, in multi files, each vertex a
+    # V line: check the counts before allocating by them.
+    edge_rows = m if version == "1" else 0
     tree_rows = n if row_tag == "V" else 0
-    if n < 1 or m < 0 or m + tree_rows > len(lines) - 1:
+    if (n < 1 or not 0 <= m <= n * (n - 1) // (1 if directed else 2)
+            or edge_rows + tree_rows > len(lines) - 1):
         raise GraphError(f"oracle header counts n={n} m={m} do not fit "
                          f"its {len(lines) - 1} body lines")
     params = {}
@@ -174,20 +203,20 @@ def loads_oracle(text: str):
                 raise ValueError
         except ValueError:
             raise GraphError(f"bad header value {key}={raw[key]}") from None
-    edges = [None] * m
+    edges = [None] * edge_rows
     rows = [None] * tree_rows
     entries = {}
     for ln in lines[1:]:
         toks = ln.split()
         tag = toks[0]
         try:
-            if tag == "E":
+            if tag == "E" and version == "1":
                 eid = int(toks[1])
                 if eid < 0 or edges[eid] is not None:   # a repeated id too
                     raise IndexError(eid)
                 edges[eid] = (int(toks[2]), int(toks[3]), parse_dist(toks[4]))
             elif tag == "D":
-                key = parse_key(toks[1], m)
+                key = parse_key(toks[1], n, m, directed)
                 if key in entries:
                     raise GraphError(f"repeated stored entry {ln!r}")
                 val = entries[key] = parse_dist(toks[2])
@@ -213,7 +242,7 @@ def loads_oracle(text: str):
     if not all(map(entries.__contains__, need(m))):
         raise GraphError("oracle file is missing stored entries")
     try:
-        return make(n, raw["dir"] == "1", edges, entries, params, rows)
+        return make(n, m, directed, edges, entries, params, rows)
     except (IndexError, ValueError) as exc:
         raise GraphError(f"malformed oracle value: {exc}") from None
 

@@ -1,7 +1,9 @@
 """Single-failure diameter oracles.
 
-One class, SingleFDO, of four kinds.  Each stores an answer per failed
-edge; a non-edge, or an edge with no answer stored, gets the fallback:
+One class, SingleFDO, of four kinds.  Each finds an answer per failed edge
+and keeps, by vertex pair, those that differ from its fallback, which
+every other pair gets: O(m) entries only in the worst case, such as the
+gadgets of instances.gen_dense_lb.
 
 * exact    -- diam(G-e) for all m edges; fallback diam(G).
 * ecc      -- 2-approximate: 2*ecc_{G-e}(source) for the n-1 edges of the
@@ -45,13 +47,13 @@ import math
 import random
 from heapq import heapify, heappop, heappush
 
-from .graph import (Graph, GraphError, INF, diameter, in_tree, index_edges,
-                    is_connected, lane_bfs, lane_path, reject_pair, sssp,
+from .graph import (Graph, GraphError, INF, diameter, in_tree, is_connected,
+                    lane_bfs, lane_path, pair_key, reject_pair, sssp,
                     strong_bridges)
 
 
-def _single_failure_eid(oracle, pairs):
-    # resolve_pairs for exactly one pair, inline: the edge id or None
+def _single_failure_key(oracle, pairs):
+    # resolve_pairs for exactly one pair, inline: its key in oracle.values
     if not isinstance(pairs, (tuple, list)):
         pairs = list(pairs)
     if len(pairs) != 1:
@@ -65,38 +67,44 @@ def _single_failure_eid(oracle, pairs):
     if (not (type(u) is int and type(v) is int
              and 0 <= u < n and 0 <= v < n) or u == v):
         reject_pair(entry, n)
-    return oracle.edge_lookup.get(
-        (v, u) if v < u and not oracle.directed else (u, v))
+    return (v, u) if v < u and not oracle.directed else (u, v)
 
 
 class SingleFDO:
-    """``values`` maps edge ids to answers, ``params`` the header keys of
-    the oracle file to their values; ``mode`` and ``pivots`` are the approx
-    scan mode (None for the other kinds) and pivots."""
+    """``values`` maps vertex pairs, (min, max) when undirected, to the
+    answers that differ from ``fallback``, the answer of every other pair.
+    ``params`` maps the header keys of the oracle file to their values;
+    ``pivots`` are the approx pivots."""
 
-    def __init__(self, kind, n, directed, edges, values, params, pivots=()):
+    def __init__(self, kind, n, m, directed, values, params, pivots=()):
         self.kind = kind
         self.n = n
-        self.m = len(edges)
+        self.m = m
         self.directed = directed
-        self.edges = edges
         self.values = values
         self.params = params
         # ecc stores it; else diam(G), plus 2(k-1) on a spanner
         self.fallback = (params["fallback"] if "fallback" in params
                          else params["base"] + 2 * (params.get("k", 1) - 1))
-        self.mode = params.get("mode")
         self.pivots = list(pivots)
-        self.edge_lookup = index_edges(edges, directed)
+
+    @classmethod
+    def from_edge_values(cls, kind, g, values, params, pivots=()):
+        """The oracle of ``g`` whose answers are ``values`` (edge id ->
+        answer): it keeps those that differ from the fallback, by pair."""
+        o = cls(kind, g.n, g.m, g.directed, {}, params, pivots)
+        o.values = {pair_key(*g.edges[eid][:2], g.directed): val
+                    for eid, val in values.items() if val != o.fallback}
+        return o
 
     def query(self, pairs):
-        return self.values.get(_single_failure_eid(self, pairs), self.fallback)
+        return self.values.get(_single_failure_key(self, pairs), self.fallback)
 
     def query_details(self, pairs):
-        """Answer plus whether it is ``stored`` (else it is the fallback)."""
-        eid = _single_failure_eid(self, pairs)
-        return {"answer": self.values.get(eid, self.fallback),
-                "stored": eid in self.values}
+        """Answer plus ``stored``: whether it differs from the fallback."""
+        key = _single_failure_key(self, pairs)
+        return {"answer": self.values.get(key, self.fallback),
+                "stored": key in self.values}
 
 
 def build_exact_fdo(g: Graph) -> SingleFDO:
@@ -122,8 +130,7 @@ def build_exact_fdo(g: Graph) -> SingleFDO:
         raise_by_replacement_ecc(g, range(g.n), values)
     else:
         _raise_by_subtree_repair(g, trees, values)
-    return SingleFDO("exact", g.n, g.directed, list(g.edges), values,
-                     {"base": base})
+    return SingleFDO.from_edge_values("exact", g, values, {"base": base})
 
 
 # raise_by_replacement_ecc shares one lane per finite entry across all
@@ -348,9 +355,9 @@ def build_ecc_fdo(g: Graph, source=0) -> SingleFDO:
         _raise_by_subtree_repair(g, [tree], values)
     else:
         raise_by_replacement_ecc(g, [source], values)
-    return SingleFDO("ecc", g.n, g.directed, list(g.edges),
-                     {eid: 2 * val for eid, val in values.items()},
-                     {"source": source, "fallback": 2 * ecc})
+    return SingleFDO.from_edge_values(
+        "ecc", g, {eid: 2 * val for eid, val in values.items()},
+        {"source": source, "fallback": 2 * ecc})
 
 
 def _limited_bfs_dist(adj, s, t, limit):
@@ -374,9 +381,24 @@ def _limited_bfs_dist(adj, s, t, limit):
     return limit + 1
 
 
+def greedy_spanner(g: Graph, k: int):
+    """Edge ids of the greedy (2k-1)-spanner, in id order: keep an edge iff
+    the spanner built so far connects its endpoints only with more than
+    2k-1 hops."""
+    limit = 2 * k - 1
+    adj = {}
+    spanner = []
+    for eid, (u, v, _) in enumerate(g.edges):
+        if _limited_bfs_dist(adj, u, v, limit) > limit:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+            spanner.append(eid)
+    return spanner
+
+
 def build_spanner_fdo(g: Graph, k: int) -> SingleFDO:
-    """Greedy spanner in edge-id order: keep an edge iff the spanner built
-    so far connects its endpoints only with more than 2k-1 hops.
+    """diam(G-e) on the edges of :func:`greedy_spanner`; fallback diam(G) +
+    2(k-1).
 
     diam(G-e) for the spanner edges comes from
     :func:`raise_by_replacement_ecc` over all n sources with an entry per
@@ -391,18 +413,10 @@ def build_spanner_fdo(g: Graph, k: int) -> SingleFDO:
     base = diameter(g)
     if base == INF:
         raise GraphError("spanner FDO needs a connected graph")
-    limit = 2 * k - 1
-    adj = {}
-    spanner = []
-    for eid, (u, v, _) in enumerate(g.edges):
-        if _limited_bfs_dist(adj, u, v, limit) > limit:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-            spanner.append(eid)
-    values = dict.fromkeys(spanner, base)
+    values = dict.fromkeys(greedy_spanner(g, k), base)
     raise_by_replacement_ecc(g, range(g.n), values)
-    return SingleFDO("spanner", g.n, g.directed, list(g.edges), values,
-                     {"k": k, "base": base})
+    return SingleFDO.from_edge_values("spanner", g, values,
+                                      {"k": k, "base": base})
 
 
 def default_scan_threshold(n: int) -> int:
@@ -448,14 +462,10 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
         else:
             raise GraphError(f"unknown pivot mode {pivot_mode!r}")
         raise_by_replacement_ecc(g, pivots, values)
-        for eid in range(g.m):
-            if eid in bridges:
-                values[eid] = INF
-            else:
-                values[eid] += slack
+        values = {eid: INF if eid in bridges else val + slack
+                  for eid, val in values.items()}
     params = {"base": base, "eps": epsilon, "slack": slack, "mode": mode}
-    return SingleFDO("approx", g.n, g.directed, list(g.edges), values,
-                     params, pivots)
+    return SingleFDO.from_edge_values("approx", g, values, params, pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,37 @@ def dicycle3():
     return build_graph(3, True, [(0, 1), (1, 2), (2, 0)])
 
 
+def extract_path(tree, endpoint, toward_root=False):
+    """Tree path between source/root and ``endpoint`` as (vertices,
+    edge_ids), or None when the endpoint is unreachable: the reference for
+    the lane walk ``graph.lane_path``.  An ``sssp`` tree gives the
+    source->endpoint order, an ``in_tree`` tree (``toward_root``) the
+    endpoint->root order."""
+    if tree.dist[endpoint] == fdo.INF:
+        return None
+    verts = [endpoint]
+    eids = []
+    v = endpoint
+    while tree.parent[v] is not None:
+        v, eid = tree.parent[v]
+        verts.append(v)
+        eids.append(eid)
+    if not toward_root:
+        verts.reverse()
+        eids.reverse()
+    return verts, eids
+
+
+def endpoints(g, eid):
+    """The (u, v) of edge ``eid``, as the graph stores it."""
+    u, v, _ = g.edges[eid]
+    return u, v
+
+
+def weight(g, eid):
+    return g.edges[eid][2]
+
+
 # Runs one fdo parser in a child capped at 512 MiB of address space, so a
 # parser that loops or allocates without bound fails the test instead of
 # exhausting the machine.

@@ -170,9 +170,25 @@ def test_query_bad_oracle_file(capsys, tmp_path):
 
 def test_query_oracle_edge_id_out_of_range(capsys, tmp_path):
     bad = tmp_path / "bad.fdo"
-    bad.write_text("FDO exact 2 1 fmt=1 dir=0 base=1\nE 1 0 1 1\nD 0 1\n")
+    bad.write_text("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\n"
+                   "E 1 0 1 1\nD - 1\n")
     code, _, err = run(capsys, ["query", "--oracle", str(bad)])
     assert code == 2 and "malformed oracle line" in err
+
+
+@pytest.mark.parametrize("text, msg", [
+    # a single-failure file of format 1, which held an edge dictionary
+    ("FDO exact 2 1 fmt=1 dir=0 base=1\nE 0 0 1 1\nD 0 2\n",
+     "fmt='1' for kind exact, which is read as fmt=2: rebuild"),
+    ("FDO exact 2 1 fmt=2 dir=0 base=1\nD 1-0 2\n", "line 'D 1-0 2'"),
+    ("FDO exact 2 1 fmt=2 dir=0 base=1\nD 0-1 1\n", "its fallback 1"),
+    ("FDO exact 2 1 fmt=2 dir=0 base=1\nE 0 0 1 1\n", "no 'E' lines"),
+])
+def test_query_refuses_bad_single_failure_file(capsys, tmp_path, text, msg):
+    bad = tmp_path / "bad.fdo"
+    bad.write_text(text)
+    code, out, err = run(capsys, ["query", "--oracle", str(bad)])
+    assert code == 2 and out == "" and msg in err
 
 
 def test_query_lowdiam_without_empty_key(capsys, tmp_path, c4_file):
@@ -492,7 +508,9 @@ def test_audit_corrupted_oracle_nonzero_exit(capsys, tmp_path, c4_file):
     run(capsys, ["build", "--graph", c4_file, "--kind", "exact",
                  "--out", str(opath)])
     capsys.readouterr()
-    text = opath.read_text().replace("D 0 3", "D 0 1")
+    text = opath.read_text()
+    assert "D 0-1 3" in text
+    text = text.replace("D 0-1 3", "D 0-1 1")
     opath.write_text(text)
     code, stdout, _ = run(capsys, ["audit", "--graph", c4_file,
                                    "--oracle", str(opath)])

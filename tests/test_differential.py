@@ -19,7 +19,8 @@ from fdo import (INF, brute_diam, build_approx_fdo, build_ecc_fdo,
                  sssp, strong_bridges)
 from fdo import single
 from fdo.graph import DIST_EPS, dist_eq
-from fdo.single import _raise_by_subtree_repair, raise_by_replacement_ecc
+from fdo.single import (_raise_by_subtree_repair, greedy_spanner,
+                        raise_by_replacement_ecc)
 
 WEIGHTS = {
     "int": st.integers(0, 3),
@@ -62,9 +63,10 @@ def oracles(g):
     if not g.weighted:
         if not g.directed:
             for k in (1, 2):
-                o = build_spanner_fdo(g, k)
-                out.append((f"spanner{k}", o, lambda a, t, e, o=o, k=k:
-                            a == t if e in o.values
+                keep = set(greedy_spanner(g, k))
+                out.append((f"spanner{k}", build_spanner_fdo(g, k),
+                            lambda a, t, e, keep=keep, k=k:
+                            a == t if e in keep
                             else a == t == INF or t <= a <= t + 2 * (k - 1)))
         for eps in (0.5, 1.0):
             for threshold in (None, 0):

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from fdo import (GraphError, INF, build_graph, build_sampled_fdso,
-                 brute_replacement, extract_path, sssp)
+                 brute_replacement, sssp)
 
-from conftest import small_graph_corpus
+from conftest import endpoints, extract_path, small_graph_corpus
 
 
 # --------------------------------------- single-failure replacement distances
@@ -130,7 +130,7 @@ def test_sampled_one_sided_and_paths_genuine():
     for _ in range(300):
         s, t = rng.sample(range(g.n), 2)
         eids = rng.sample(range(g.m), rng.randint(0, 2))
-        pairs = [g.endpoints(e) for e in eids]
+        pairs = [endpoints(g, e) for e in eids]
         val, path = d.query(s, t, eids)
         truth = brute_replacement(g, s, t, pairs)
         assert val >= truth

@@ -19,10 +19,9 @@ per-pair construction driven by a tree-memo DSO: the same tables and
 """
 from hypothesis import given, settings, strategies as st
 
-from fdo import (INF, brute_diam, build_graph, build_lowdiam_fdo,
-                 extract_path, sssp)
+from fdo import INF, brute_diam, build_graph, build_lowdiam_fdo, sssp
 
-from conftest import connected_graphs, reference_lowdiam_table
+from conftest import connected_graphs, extract_path, reference_lowdiam_table
 
 
 class TreeMemoExactDSO:

@@ -31,7 +31,9 @@ NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity",
                               "1e999", "-1e999"])
 ODD = st.sampled_from(["", "x", "-", "--2", "+3", "1.5", "inf", "nan",
                        "1e999", "0x1", "1_0", "²", "١", "D", "U",
-                       "W", "UW", "E", "V", "P", "FDO", "=", "fmt=1"])
+                       "W", "UW", "E", "V", "P", "FDO", "=", "fmt=1",
+                       "fmt=2", "0-1", "1-0", "2-2", "0-99", "3-1-2", "-1-2",
+                       "1-"])
 
 
 def _graph_texts():
@@ -52,7 +54,10 @@ def _oracle_texts():
                build_approx_fdo(dg, 1.0, scan_threshold=0),
                build_approx_fdo(c4, 0.5), build_multi_fdo(wg, 2),
                build_lowdiam_fdo(hub, 2, delta=2.0)]
-    return [dumps_oracle(o) for o in oracles]
+    # and a single-failure file of format 1, which no longer loads
+    old = ("FDO exact 4 4 fmt=1 dir=0 base=2\nE 0 0 1 1\nE 1 1 2 1\n"
+           "E 2 2 3 1\nE 3 3 0 1\nD 0 3\nD 1 3\nD 2 3\nD 3 3\n")
+    return [dumps_oracle(o) for o in oracles] + [old]
 
 
 GRAPH_TEXTS = _graph_texts()
@@ -121,11 +126,15 @@ def test_loads_oracle_parses_or_raises_graph_error(data):
         o = loads_oracle(text)
     except GraphError:
         return
-    # what loads answers with distances: each single edge, and the empty
-    # set where the kind takes it
-    sets = [[(u, v)] for u, v, _ in o.edges]
+    # what loads answers with distances: each single edge (a single-failure
+    # oracle: each stored pair and the pairs of its first vertices), and the
+    # empty set where the kind takes it
     if o.kind in ("lowdiam", "multi"):
-        sets.append([])
+        sets = [[(u, v)] for u, v, _ in o.edges] + [[]]
+    else:
+        first = range(min(o.n, 5))
+        sets = [[pair] for pair in o.values] + [
+            [(u, v)] for u in first for v in first if u != v]
     for pairs in sets:
         try:
             answer = o.query(pairs)

@@ -14,7 +14,6 @@ from fdo import (GraphError, SingleFDO, build_approx_fdo, build_ecc_fdo,
                  build_exact_fdo, build_graph, build_lowdiam_fdo,
                  build_multi_fdo, build_spanner_fdo)
 from fdo.graph import resolve_pairs
-from fdo.single import _single_failure_eid
 
 # 5-cycle with the chord 0-2: connected, diameter 2, one non-edge per vertex
 GRAPH = build_graph(5, False, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
@@ -50,7 +49,7 @@ MULTI_PAIR = {
 
 def resolve_message(o, pairs):
     with pytest.raises(GraphError) as err:
-        resolve_pairs(pairs, o.n, o.directed, o.edge_lookup)
+        resolve_pairs(pairs, o.n, o.directed, GRAPH.edge_lookup)
     return str(err.value)
 
 
@@ -118,8 +117,9 @@ def test_messages_name_the_entry():
 
 @st.composite
 def lookups(draw):
-    """An exact SingleFDO (dummy values) on a random graph or digraph, n <= 8,
-    and a failure-set entry: an edge, a reversed edge, or any pair of ids
+    """An exact SingleFDO on a random graph or digraph, n <= 8, that
+    answers 1 on its edges and 0 elsewhere, its graph and a failure-set
+    entry: an edge, a reversed edge, or any pair of ids
     in -1..n or bools, so non-edges, self pairs and invalid ids too."""
     directed = draw(st.booleans())
     n = draw(st.integers(2, 8))
@@ -132,14 +132,14 @@ def lookups(draw):
             seen.add(key)
             edges.append((u, v))
     g = build_graph(n, directed, edges)
-    o = SingleFDO("exact", g.n, g.directed, list(g.edges),
-                  dict.fromkeys(range(g.m), 0), {"base": 0})
+    o = SingleFDO.from_edge_values("exact", g, dict.fromkeys(range(g.m), 1),
+                                   {"base": 0})
     ids = st.integers(-1, n) | st.booleans()
     pair = st.tuples(ids, ids)
     if edges:
         pair = st.one_of(pair, st.sampled_from(edges),
                          st.sampled_from(edges).map(lambda e: e[::-1]))
-    return o, draw(pair)
+    return o, g, draw(pair)
 
 
 def outcome(fn):
@@ -152,12 +152,12 @@ def outcome(fn):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(lookups())
 def test_single_failure_lookup_matches_resolve_pairs(case):
-    o, pair = case
+    o, g, pair = case
 
     def reference():
-        eids, _ = resolve_pairs([pair], o.n, o.directed, o.edge_lookup)
-        return eids[0] if eids else None
+        eids, _ = resolve_pairs([pair], g.n, g.directed, g.edge_lookup)
+        return len(eids)
 
     want = outcome(reference)
-    assert outcome(lambda: _single_failure_eid(o, [pair])) == want
-    assert outcome(lambda: _single_failure_eid(o, (list(pair),))) == want
+    assert outcome(lambda: o.query([pair])) == want
+    assert outcome(lambda: o.query((list(pair),))) == want

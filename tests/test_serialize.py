@@ -4,8 +4,8 @@ import pytest
 
 from fdo import (INF, GraphError, brute_diam, build_approx_fdo, build_ecc_fdo,
                  build_exact_fdo, build_graph, build_lowdiam_fdo,
-                 build_multi_fdo, build_spanner_fdo, dumps_oracle, gen_random,
-                 loads_oracle)
+                 build_multi_fdo, build_spanner_fdo, dumps_oracle,
+                 gen_dense_lb, gen_random, loads_oracle, random_payload)
 from fdo.verify import enumerate_failures
 
 from conftest import parse_capped
@@ -63,11 +63,19 @@ def test_loaded_oracle_answers_identically():
 @pytest.mark.parametrize("text, msg", [
     ("garbage\n", "FDO header"),
     ("FDO exact 2 1 fmt=9 dir=0 base=1\nE 0 0 1 1\nD 0 1\n", "version"),
-    ("FDO exact 2 1 fmt=1 dir=0 base=1\nD 0 1\n", "edge dictionary"),
-    ("FDO exact 2 1 fmt=1 dir=0 base=1\nE 0 0 1 1\n", "missing stored"),
+    # single-failure files of format 1, with their edge dictionary
+    ("FDO exact 2 1 fmt=1 dir=0 base=1\nE 0 0 1 1\nD 0 1\n",
+     "unsupported format version fmt='1' for kind exact, which is read as "
+     "fmt=2: rebuild the oracle file"),
+    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nD - 1\n",
+     "edge dictionary"),
+    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\n",
+     "missing stored"),
     ("FDO wat 2 1 fmt=1 dir=0\nE 0 0 1 1\nD 0 1\n", "unknown oracle kind"),
-    ("FDO exact 2 1 fmt=1 dir=0 base=1\nE 1 0 1 1\nD 0 1\n", "malformed"),
-    ("FDO exact 2 1 fmt=1 dir=0 base=1\nE\nD 0 1\n", "malformed"),
+    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 1 0 1 1\nD - 1\n",
+     "malformed"),
+    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE\nD - 1\n",
+     "malformed"),
 ])
 def test_loader_rejects(text, msg):
     with pytest.raises(GraphError, match=msg):
@@ -91,8 +99,8 @@ BAD_VALUES = [
     ("no-empty-key", "lowdiam", "D - 2\n", "", "missing stored entries"),
     # header values and stored entries no build writes
     ("maxdist-nan", "multi", "maxdist=2", "maxdist=nan", "maxdist=nan"),
-    ("entry-nan", "exact", "D 0 3", "D 0 nan", "line 'D 0 nan'"),
-    ("entry-negative", "exact", "D 0 3", "D 0 -1", "line 'D 0 -1'"),
+    ("entry-nan", "exact", "D 0-1 3", "D 0-1 nan", "line 'D 0-1 nan'"),
+    ("entry-negative", "exact", "D 0-1 3", "D 0-1 -1", "line 'D 0-1 -1'"),
     ("base-negative", "exact", "base=2", "base=-1", "base=-1"),
     ("k-negative", "spanner", "k=2", "k=-3", "k=-3"),
     ("k-zero", "spanner", "k=2", "k=0", "k=0"),
@@ -107,26 +115,53 @@ BAD_VALUES = [
     *[(f"dir-1-{kind}", kind, "dir=0", "dir=1", f"dir='1' in a {kind}")
       for kind in ("ecc", "spanner", "multi", "lowdiam")],
     # D and P lines checked against the file
-    ("repeated-key", "exact", "D 0 3\n", "D 0 3\nD 0 2\n",
-     "repeated stored entry 'D 0 2'"),
-    ("repeated-edge", "exact", "E 1 1 2 1\n", "E 1 1 2 1\nE 1 0 2 1\n",
+    ("repeated-key", "exact", "D 0-1 3\n", "D 0-1 3\nD 0-1 2\n",
+     "repeated stored entry 'D 0-1 2'"),
+    ("repeated-edge", "multi", "E 1 1 2 1\n", "E 1 1 2 1\nE 1 0 2 1\n",
      "line 'E 1 0 2 1'"),
     ("repeated-header-key", "exact", "base=2", "base=2 base=9",
      "bad header token 'base=9'"),
-    ("ecc-key-m", "ecc", "D 0 6\n", "D 0 6\nD 99 6\n", "line 'D 99 6'"),
-    ("ecc-key-negative", "ecc", "D 0 6\n", "D 0 6\nD -5 6\n",
-     "line 'D -5 6'"),
-    ("spanner-key-m", "spanner", "D 0 3\n", "D 0 3\nD 99 3\n",
-     "line 'D 99 3'"),
-    ("spanner-key-negative", "spanner", "D 0 3\n", "D 0 3\nD -5 3\n",
-     "line 'D -5 3'"),
+    ("ecc-key-m", "ecc", "D 0-1 6\n", "D 0-1 6\nD 0-4 6\n",
+     "line 'D 0-4 6'"),
+    ("ecc-key-negative", "ecc", "D 0-1 6\n", "D 0-1 6\nD -5-1 6\n",
+     "line 'D -5-1 6'"),
+    ("spanner-key-m", "spanner", "D 0-1 3\n", "D 0-1 3\nD 2-99 3\n",
+     "line 'D 2-99 3'"),
+    ("spanner-key-negative", "spanner", "D 0-1 3\n", "D 0-1 3\nD 1--5 3\n",
+     "line 'D 1--5 3'"),
     ("subset-unsorted", "lowdiam", "D 1-2 inf", "D 2-1 inf",
      "line 'D 2-1 inf'"),
     ("subset-repeated", "lowdiam", "D 1-2 inf", "D 1-1 inf",
      "line 'D 1-1 inf'"),
     ("subset-m", "lowdiam", "D 1-2 inf", "D 1-4 inf", "line 'D 1-4 inf'"),
-    ("ecc-pivot", "ecc", "D 0 6\n", "P 0\nD 0 6\n", "no 'P' lines in ecc"),
+    ("ecc-pivot", "ecc", "D 0-1 6\n", "P 0\nD 0-1 6\n", "no 'P' lines in ecc"),
     ("pivot-n", "approx", "P 1\n", "P 77\n", "line 'P 77'"),
+    # the vertex-pair keys of single-failure files
+    ("pair-edge-id", "exact", "D 0-1 3", "D 0 3", "line 'D 0 3'"),
+    ("pair-three-ids", "exact", "D 0-1 3", "D 0-1-2 3", "line 'D 0-1-2 3'"),
+    ("pair-vertex-n", "exact", "D 0-1 3", "D 0-4 3", "line 'D 0-4 3'"),
+    ("pair-self", "exact", "D 0-1 3", "D 1-1 3", "line 'D 1-1 3'"),
+    ("pair-descending", "exact", "D 0-1 3", "D 1-0 3", "line 'D 1-0 3'"),
+    ("pair-repeated", "spanner", "D 1-2 3", "D 0-1 3", "repeated stored"),
+    ("entry-word", "exact", "D 0-1 3", "D 0-1 three", "line 'D 0-1 three'"),
+    # an entry equal to the fallback, which no build keeps
+    *[(f"entry-fallback-{kind}", kind, old, new, f"its fallback {fallback}")
+      for kind, old, new, fallback in [
+          ("exact", "D 0-1 3", "D 0-1 2", 2), ("ecc", "D 0-1 6", "D 0-1 4", 4),
+          ("spanner", "D 0-1 3", "D 0-1 4", 4),
+          ("approx", "D 0-1 5", "D 0-1 2", 2)]],
+    *[(f"e-line-{kind}", kind, "\nD 0-1", "\nE 0 0 1 1\nD 0-1",
+       f"no 'E' lines in {kind} oracle files")
+      for kind in ("exact", "ecc", "spanner", "approx")],
+    # each kind reads only its own format version
+    *[(f"fmt-{kind}", kind, f"fmt={new}", f"fmt={old}",
+       f"version fmt='{old}' for kind {kind}")
+      for kind, old, new in [("exact", 1, 2), ("ecc", 1, 2), ("spanner", 1, 2),
+                             ("approx", 1, 2), ("multi", 2, 1),
+                             ("lowdiam", 2, 1)]],
+    # header counts: more edges than vertex pairs
+    ("m-over-pairs", "exact", "FDO exact 4 4", "FDO exact 4 7", "do not fit"),
+    ("m-negative", "exact", "FDO exact 4 4", "FDO exact 4 -1", "do not fit"),
 ]
 
 
@@ -204,6 +239,26 @@ def test_loaded_multi_f1_gap_is_never_negative():
 
 
 def test_loader_rejects_huge_edge_count():
-    text = "FDO exact 2 10000000000 fmt=1 dir=0 base=1\nE 0 0 1 1\nD 0 1\n"
+    # a single-failure file has no line per edge: m must fit the pairs of
+    # its n vertices, and nothing is allocated by it
+    text = "FDO exact 2 10000000000 fmt=2 dir=0 base=1\nD 0-1 2\n"
     got = parse_capped("loads_oracle", text)
     assert got.startswith("GraphError:") and "do not fit" in got, got
+    text = "FDO exact 200000 10000000000 fmt=2 dir=0 base=1\nD 0-1 2\n"
+    assert parse_capped("loads_oracle", text) == "loaded"
+
+
+@pytest.mark.parametrize("r, seed", [(3, 1), (4, 2), (5, 3)])
+def test_dense_lb_file_size_follows_the_payload(r, seed):
+    # The Omega(m)-bit bound of stretch below 3/2 in the file: diam(G) is 2
+    # and failing {b_i, d_j} lifts it to 3 exactly when bit (i, j) is 0, so
+    # the exact oracle keeps one D line per edge that lifts the diameter,
+    # and the loaded file still decodes every payload bit.
+    inst = gen_dense_lb(random_payload(r, seed))
+    g = inst.graph
+    text = dumps_oracle(build_exact_fdo(g))
+    lifting = sum(brute_diam(g, [(u, v)]) != 2 for u, v, _ in g.edges)
+    assert sum(ln.startswith("D ") for ln in text.splitlines()) == lifting
+    assert lifting >= sum(row.count(0) for row in inst.payload) > 0
+    loaded = loads_oracle(text)
+    assert inst.decode(loaded.query) == inst.payload

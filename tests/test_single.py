@@ -7,14 +7,14 @@ import pytest
 from fdo import (GraphError, INF, SingleFDO, brute_diam, build_approx_fdo,
                  build_ecc_fdo, build_exact_fdo, build_graph,
                  build_spanner_fdo, deterministic_pivots,
-                 diameter, distances, dumps_oracle, extract_path, gen_random,
+                 diameter, distances, dumps_oracle, gen_random,
                  greedy_hitting_set, in_tree, random_pivots, sssp,
                  strong_bridges)
 
 from fdo import single
-from fdo.single import raise_by_replacement_ecc
+from fdo.single import greedy_spanner, raise_by_replacement_ecc
 
-from conftest import small_graph_corpus, zero_weight_graphs
+from conftest import extract_path, small_graph_corpus, zero_weight_graphs
 
 
 def dicycle_with_chord(n, chords=((0, None),)):
@@ -29,7 +29,7 @@ def dicycle_with_chord(n, chords=((0, None),)):
 
 def test_exact_c4(c4):
     o = build_exact_fdo(c4)
-    assert o.values == {0: 3, 1: 3, 2: 3, 3: 3}
+    assert o.values == {(0, 1): 3, (1, 2): 3, (2, 3): 3, (0, 3): 3}
     assert o.query([(0, 1)]) == 3
     assert o.query([(0, 2)]) == 2  # non-edge: unchanged graph
 
@@ -37,12 +37,13 @@ def test_exact_c4(c4):
 def test_exact_k4(k4):
     o = build_exact_fdo(k4)
     # frozen: brute diameter of K4 minus any edge
-    assert o.values == dict.fromkeys(range(6), 2)
+    assert o.values == dict.fromkeys(
+        [(u, v) for u in range(4) for v in range(u + 1, 4)], 2)
 
 
 def test_exact_p4(p4):
     o = build_exact_fdo(p4)
-    assert o.values == {0: INF, 1: INF, 2: INF}
+    assert o.values == {(0, 1): INF, (1, 2): INF, (2, 3): INF}
     assert o.query([(1, 2)]) == INF
 
 
@@ -82,9 +83,14 @@ def test_exact_matches_brute_exhaustively():
         if g.weighted:
             continue
         o = build_exact_fdo(g)
+        base = diameter(g)
+        lifted = 0
         for u, v, _ in g.edges:
-            assert o.query([(u, v)]) == brute_diam(g, [(u, v)])
-        assert len(o.values) == g.m  # space accounting: one entry per edge
+            truth = brute_diam(g, [(u, v)])
+            assert o.query([(u, v)]) == truth
+            lifted += truth != base
+        # space accounting: one entry per edge whose answer is not diam(G)
+        assert len(o.values) == lifted
 
 
 def test_files_match_per_edge_diameters():
@@ -99,16 +105,17 @@ def test_files_match_per_edge_diameters():
     for g in graphs:
         base = diameter(g)
         per_edge = [diameter(g, {eid}) for eid in range(g.m)]
-        ref = SingleFDO("exact", g.n, g.directed, list(g.edges),
-                        dict(enumerate(per_edge)), {"base": base})
+        ref = SingleFDO.from_edge_values("exact", g, dict(enumerate(per_edge)),
+                                         {"base": base})
         assert dumps_oracle(build_exact_fdo(g)) == dumps_oracle(ref)
         if g.directed or g.weighted:
             continue
         for k in (1, 2):
             o = build_spanner_fdo(g, k)
-            ref = SingleFDO("spanner", g.n, False, list(g.edges),
-                            {eid: per_edge[eid] for eid in o.values},
-                            {"k": k, "base": base})
+            ref = SingleFDO.from_edge_values(
+                "spanner", g, {eid: per_edge[eid]
+                               for eid in greedy_spanner(g, k)},
+                {"k": k, "base": base})
             assert dumps_oracle(o) == dumps_oracle(ref)
 
 
@@ -201,7 +208,7 @@ def test_lane_kernel_rejects_weighted():
 
 
 def test_query_details_says_whether_the_answer_is_stored(c4):
-    spanner = build_spanner_fdo(c4, 2)     # stores edges 0, 1 and 2
+    spanner = build_spanner_fdo(c4, 2)     # stores 0-1, 1-2 and 2-3
     assert spanner.query_details([(1, 0)]) == {"answer": 3, "stored": True}
     assert spanner.query_details([(3, 0)]) == {"answer": 4, "stored": False}
     assert spanner.query_details([(0, 2)]) == {"answer": 4, "stored": False}
@@ -210,7 +217,8 @@ def test_query_details_says_whether_the_answer_is_stored(c4):
         for pair in [(0, 1), (2, 3), (3, 0), (0, 2), (3, 1)]:
             details = o.query_details([pair])
             assert details["answer"] == o.query([pair]), (o.kind, pair)
-            assert details["stored"] == (c4.edge_id(*pair) in o.values)
+            assert details["stored"] == (tuple(sorted(pair)) in o.values)
+            assert details["stored"] == (details["answer"] != o.fallback)
 
 
 # ------------------------------------------------------------------------ ecc
@@ -222,8 +230,8 @@ def test_ecc_c4(c4):
     assert o.fallback == 4
     assert o.query([(2, 3)]) == 4   # non-tree edge under smallest-id parents
     assert o.query([(0, 1)]) == 6
-    assert len(o.values) == c4.n - 1
-    assert c4.edge_id(2, 3) not in o.values
+    # of the n-1 tree edges, 1-2 leaves ecc(0) at 2 and keeps no entry
+    assert o.values == {(0, 1): 6, (0, 3): 6}
 
 
 def test_ecc_star_detach(star5):
@@ -255,7 +263,8 @@ def test_ecc_sandwich():
 def test_spanner_k1_is_whole_graph(c4):
     o1 = build_spanner_fdo(c4, 1)
     ex = build_exact_fdo(c4)
-    assert sorted(o1.values) == list(range(c4.m))
+    assert greedy_spanner(c4, 1) == list(range(c4.m))
+    assert o1.values == ex.values
     for u, v, _ in c4.edges:
         assert o1.query([(u, v)]) == ex.query([(u, v)])
 
@@ -263,7 +272,8 @@ def test_spanner_k1_is_whole_graph(c4):
 def test_spanner_c4_k2(c4):
     o = build_spanner_fdo(c4, 2)
     # greedy in id order keeps 0,1,2 and skips 3-0 (three hops suffice)
-    assert sorted(o.values) == [0, 1, 2]
+    assert greedy_spanner(c4, 2) == [0, 1, 2]
+    assert o.values == {(0, 1): 3, (1, 2): 3, (2, 3): 3}
     assert o.query([(3, 0)]) == 4   # fallback diam+2 over true value 3
     assert o.query([(0, 2)]) == 4   # non-edge treated the same way
 
@@ -279,7 +289,7 @@ def test_spanner_stretch_property():
             continue
         for k in (1, 2, 3):
             o = build_spanner_fdo(g, k)
-            keep = set(o.values)
+            keep = set(greedy_spanner(g, k))
             h = build_graph(g.n, False, [(u, v) for eid, (u, v, _)
                                          in enumerate(g.edges) if eid in keep])
             for s in range(g.n):
@@ -413,7 +423,7 @@ def reference_pivot_paths(g, root, length, bridges):
     for s in range(g.n):
         if s == root:
             continue
-        verts, eids = extract_path(base, s)
+        verts, eids = extract_path(base, s, toward_root=True)
         if base.dist[s] > length:
             paths.append(verts[:length + 1])
         for eid in eids[:length]:
@@ -423,7 +433,7 @@ def reference_pivot_paths(g, root, length, bridges):
                 detour_trees[eid] = in_tree(g, root, {eid})
             te = detour_trees[eid]
             if te.dist[s] > length:
-                got = extract_path(te, s)
+                got = extract_path(te, s, toward_root=True)
                 paths.append([s] if got is None else got[0][:length + 1])
     return paths
 

@@ -38,7 +38,7 @@ def test_audit_ecc_within_stretch_two(c4):
 
 def test_audit_flags_corrupted_oracle(c4):
     o = build_exact_fdo(c4)
-    o.values[0] = 1   # below the true value: must be caught
+    o.values[(0, 1)] = 1   # below the true value: must be caught
     rep = audit(o, c4, enumerate_failures(c4, 1), stretch=1.0)
     assert rep.violations >= 1
     bad = [r for r in rep.records if not r.ok]
