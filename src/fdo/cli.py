@@ -15,15 +15,13 @@ import sys
 import time
 
 from .graph import GraphError, INF, fmt_dist, load_graph, save_graph
-from .serialize import load_oracle, save_oracle
+from .serialize import FORMATS, load_oracle, save_oracle
 
 # `query` runs none of json, random, fractions, fdo.verify, fdo.instances or
 # the builders, so the commands that do import them themselves: a query
 # starts faster, and loads only the oracle module of its file's kind.
 
 DEFAULT_SEED = 0xFD0
-
-ORACLE_KINDS = ("exact", "ecc", "spanner", "approx", "multi", "lowdiam")
 
 # Bytes asked of the query source per read: bulk input is answered in few
 # large writes, and a read returns early with what a pipe holds.
@@ -73,8 +71,7 @@ def _build_oracle(g, args):
         from .multi import build_multi_fdo
         oracle = build_multi_fdo(g, args.f, mode="tight" if args.tight else "paper")
         info.update(f=args.f, mode=oracle.mode)
-    elif kind == "lowdiam":
-        # f=1 builds the exact single-failure oracle
+    else:   # lowdiam; f=1 builds the exact single-failure oracle
         sampled = args.backend == "sampled" and args.f > 1
         backend = "sampled" if sampled else "exact"
         seed = _seed_for(args, sampled)
@@ -85,18 +82,7 @@ def _build_oracle(g, args):
         info.update(f=args.f, delta=args.delta, backend=backend, seed=seed)
         if sampled:
             info["subgraph_count"] = oracle.subgraph_count
-    else:
-        raise GraphError(f"unknown oracle kind {kind!r}")
     return oracle, info
-
-
-def _entry_count(oracle):
-    # single-failure kinds: the kept entries, which differ from the fallback
-    if hasattr(oracle, "table"):
-        return len(oracle.table)
-    if hasattr(oracle, "swap_weight"):
-        return len(oracle.swap_weight)
-    return len(oracle.values)
 
 
 def cmd_build(args):
@@ -104,9 +90,9 @@ def cmd_build(args):
     t0 = time.perf_counter()
     oracle, info = _build_oracle(g, args)
     wall = time.perf_counter() - t0
-    save_oracle(oracle, args.out)
+    text = save_oracle(oracle, args.out)
     record = {"record": "build-stats", "graph": args.graph, "out": args.out,
-              "n": g.n, "m": g.m, "entries": _entry_count(oracle),
+              "n": g.n, "m": g.m, "entries": text.count("\nD "),
               "timing": {"wall_s": round(wall, 6)}}
     record.update(info)
     _emit(record)
@@ -250,9 +236,7 @@ def _default_stretch(oracle):
         return 1.0 + 2 * (oracle.params["k"] - 1) / base if base > 0 else 1.0
     if kind == "approx":
         return 1.0 + oracle.params["eps"]
-    if kind == "multi":
-        return oracle.f + 2.0
-    raise GraphError(f"no default stretch for kind {kind!r}")
+    return oracle.f + 2.0   # multi
 
 
 def cmd_audit(args):
@@ -296,7 +280,7 @@ def make_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def add_build_opts(p, kind_required=True):
-        p.add_argument("--kind", required=kind_required, choices=ORACLE_KINDS)
+        p.add_argument("--kind", required=kind_required, choices=tuple(FORMATS))
         p.add_argument("--eps", type=float, default=0.5,
                        help="approx: approximation parameter")
         p.add_argument("--k", type=int, default=2, help="spanner parameter")

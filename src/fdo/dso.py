@@ -17,26 +17,22 @@ from .graph import Graph, GraphError, INF, lane_bfs, lane_path
 
 class SampledFDSO:
     """Path-reporting f-DSO over k sampled spanning subgraphs; bit i of a
-    mask stands for subgraph i.  ``drop[eid]`` marks the subgraphs without
-    edge eid and ``alive[eid]`` those with it; ``levels[s]`` are the
-    :func:`graph.lane_bfs` levels of source s, so ``levels[s][d][t]`` marks
-    the subgraphs where t is exactly d hops from s.  A query ANDs the
-    failed edges' drop masks into the survivor mask, answers with the first
-    level whose mask at t meets it, and walks the lowest such subgraph's
-    path back with :func:`graph.lane_path`.  Every reported distance is the
-    length of a genuine path avoiding the failures, so never below the true
-    one, and matches it with high probability over the build seed.  Nothing
-    changes after the build, so concurrent queries are safe.
+    mask stands for subgraph i.  ``alive[eid]`` marks the subgraphs with
+    edge eid; ``levels[s]`` are the :func:`graph.lane_bfs` levels of source
+    s, so ``levels[s][d][t]`` marks the subgraphs where t is exactly d hops
+    from s.  A query ANDs the complements of the failed edges' alive masks
+    into the survivor mask, answers with the first level whose mask at t
+    meets it, and walks the lowest such subgraph's path back with
+    :func:`graph.lane_path`.  Every reported distance is the length of a
+    genuine path avoiding the failures, so never below the true one, and
+    matches it with high probability over the build seed.  Nothing changes
+    after the build, so concurrent queries are safe.
     """
 
-    def __init__(self, g, f, delta, C, seed, k, drop, alive, levels):
+    def __init__(self, g, f, k, alive, levels):
         self.g = g
         self.f = f
-        self.delta = delta
-        self.C = C
-        self.seed = seed
         self.k = k
-        self.drop = drop
         self.alive = alive
         self.levels = levels
 
@@ -63,13 +59,13 @@ class SampledFDSO:
         return {"dist": dist, "path": path, "survivors": surv.bit_count()}
 
     def survivors(self, failed_eids):
-        """Mask of the subgraphs that keep every failed edge."""
+        """Mask of the subgraphs that lack every failed edge."""
         failed = set(failed_eids)
         if len(failed) > self.f:
             raise GraphError(f"failure set of size {len(failed)} exceeds f={self.f}")
         surv = (1 << self.k) - 1
         for eid in failed:
-            surv &= self.drop[eid]
+            surv &= ~self.alive[eid]
         return surv
 
 
@@ -93,16 +89,15 @@ def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
     if k > max_subgraphs:
         raise GraphError(f"subgraph count k={k} exceeds budget {max_subgraphs}")
     drop_p = n ** (-delta / f)
-    drop = [0] * m
+    full = (1 << k) - 1
+    alive = [full] * m
     for i in range(k):
         rng = random.Random(seed * 2654435761 + i)
         bit = 1 << i
         for eid in range(m):
             if rng.random() < drop_p:
-                drop[eid] |= bit
-    full = (1 << k) - 1
-    alive = [full ^ mask for mask in drop]
+                alive[eid] ^= bit
     levels = [lane_bfs(g._out_nbrs, alive, {s: full}, full)[0]
               for s in range(n)]
-    return SampledFDSO(g, f, delta, C, seed, k, drop, alive, levels)
+    return SampledFDSO(g, f, k, alive, levels)
 

@@ -245,6 +245,27 @@ def in_tree(g: Graph, root, excluded=frozenset()) -> ShortestPathTree:
                             _parents(g, root, dist, order, excluded, True))
 
 
+def preorder(children, root):
+    """Preorder of the tree at ``root``, visiting each ``children[v]`` list
+    in order; no vertex may be listed twice.  Returns ``(order, tin,
+    size)``: the subtree of v is ``order[tin[v]:tin[v] + size[v]]``, and
+    the vertices not reached are left out of ``order``."""
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack += reversed(children[v])
+    tin = [0] * len(children)
+    size = [1] * len(children)
+    for i, v in enumerate(order):
+        tin[v] = i
+    for v in reversed(order):
+        for c in children[v]:
+            size[v] += size[c]
+    return order, tin, size
+
+
 def lane_bfs(nbrs, alive, start, full):
     """One BFS over many (source, edge subset) lanes at once: bit i of a
     mask is lane i, and lane i keeps edge eid iff bit i of ``alive[eid]``

@@ -16,7 +16,7 @@ lane of that hit, walked back from t (:func:`graph.lane_path`).  Exact
 backend: lane i keeps every edge outside the batch's i-th subset, so one
 lane BFS per (source, depth) replaces one BFS per (source, subset).
 Sampled backend (Weimann-Yuster): the lanes are the subgraphs of the
-sampled f-DSO, and a subset's mask those that keep all its edges.  A node
+sampled f-DSO, and a subset's mask those that lack all its edges.  A node
 then costs a level scan and a walk back, O(D) and O(D * degree).
 
 With the exact backend the answer equals the true diameter of G-F; with
@@ -73,8 +73,7 @@ class LowDiamFDO:
 
 
 def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
-                      seed=None, dso_delta=None, dso_C=3.0,
-                      max_subgraphs=50_000):
+                      seed=None, dso_delta=None, dso_C=3.0):
     """Build the oracle; f=1 falls back to the exact single-failure oracle
     (no subset machinery needed there).
 
@@ -127,7 +126,7 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
             raise GraphError("sampled backend requires a seed")
         from .dso import build_sampled_fdso
         dso = build_sampled_fdso(g, f, delta=dso_delta or delta, C=dso_C,
-                                 seed=seed, max_subgraphs=max_subgraphs)
+                                 seed=seed)
 
         def lanes(s, keys):
             return dso.levels[s], [dso.survivors(key) for key in keys], dso.alive

@@ -9,7 +9,7 @@ answers f*gap + 2*maxdist.  Infinity is returned exactly when the failures
 disconnect the graph.
 
 Query cost: after k tree-edge cuts every component but the source's lies
-in the Euler-tour slice of a cut subtree, and only non-tree edges cross
+in the preorder slice of a cut subtree, and only non-tree edges cross
 components (cf. Duan & Pettie, "Connectivity oracles for failure prone
 graphs", STOC 2010).  A query labels those slices and scans their vertices'
 non-tree half-edges: O(k + sum of the cut-subtree sizes + their non-tree
@@ -23,7 +23,8 @@ table.
 """
 from __future__ import annotations
 
-from .graph import Graph, GraphError, INF, index_edges, resolve_pairs, sssp
+from .graph import (Graph, GraphError, INF, index_edges, preorder,
+                    resolve_pairs, sssp)
 
 
 class MultiFDO:
@@ -73,7 +74,7 @@ class MultiFDO:
         self.f1_swap = self._cover_tree_edges() if f == 1 else None
 
     def _index_tree(self):
-        # Euler-tour intervals: nested, so the deepest failed tree edge
+        # Preorder intervals: nested, so the deepest failed tree edge
         # enclosing a vertex identifies its component after the cut.  The
         # subtree of v is the slice euler[tin[v]:tout[v]].  Loaded rows are
         # checked to form a spanning tree at the source on the way, or the
@@ -81,8 +82,11 @@ class MultiFDO:
         n, m = self.n, len(self.edges)
         if not 0 <= self.source < n or self.parent_eid[self.source] is not None:
             raise GraphError(f"tree rows do not root at source {self.source}")
-        children = [[] for _ in range(n)]
+        children = [[] for _ in range(n)]     # ascending, as v ascends
         parent_vert = [None] * n
+        # child endpoint of each tree edge (the component root once it
+        # fails); its keys are the tree edges
+        self.cut_root = cut_root = {}
         for v, eid in enumerate(self.parent_eid):
             if eid is None:
                 continue
@@ -94,39 +98,18 @@ class MultiFDO:
             pv = ev if eu == v else eu
             parent_vert[v] = pv
             children[pv].append(v)
-        for ch in children:
-            ch.sort()
-        tin = [0] * n
-        tout = [0] * n
-        depth = [0] * n
-        euler = []
-        clock = 0
-        stack = [(self.source, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                tout[v] = clock
-                continue
-            tin[v] = clock
-            clock += 1
-            euler.append(v)
-            stack.append((v, True))
-            for c in reversed(children[v]):
-                depth[c] = depth[v] + 1
-                stack.append((c, False))
-        # every vertex but the source has one parent, so none is pushed twice
-        if clock != n:
-            raise GraphError(f"tree rows reach {clock} of {n} vertices "
+            cut_root[eid] = v
+        # every vertex but the source has one parent, so none is visited twice
+        euler, tin, size = preorder(children, self.source)
+        if len(euler) != n:
+            raise GraphError(f"tree rows reach {len(euler)} of {n} vertices "
                              f"from source {self.source}")
-        self.tin, self.tout, self.depth = tin, tout, depth
-        self.euler = euler
+        depth = [0] * n
+        for v in euler[1:]:
+            depth[v] = depth[parent_vert[v]] + 1
+        self.tin, self.depth, self.euler = tin, depth, euler
+        self.tout = [t + s for t, s in zip(tin, size)]
         self.parent_vert = parent_vert
-        # child endpoint of each tree edge (the component root once it
-        # fails); its keys are the tree edges
-        self.cut_root = {}
-        for v, eid in enumerate(self.parent_eid):
-            if eid is not None:
-                self.cut_root[eid] = v
 
     def _tree_path_eids(self, x, y):
         eids = []

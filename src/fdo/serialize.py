@@ -31,6 +31,14 @@ _DIST = (parse_dist, lambda d, n: d >= 0)
 _COUNT = (int, lambda v, n: v >= 1)
 
 
+def _unwritten(text):
+    # int() also takes '+1', '1_0' and other scripts' digits.  No build
+    # writes '+' (a float of 1e16 or more is integral, so fmt_dist writes
+    # it as an int), '_' or a non-ASCII character, so in a text without
+    # them int() takes only the ASCII -?[0-9]+ integer tokens builds write.
+    return not text.isascii() or "_" in text or "+" in text
+
+
 def _index(tok, size):
     # an edge id (size m) or a vertex (size n)
     i = int(tok)
@@ -154,12 +162,15 @@ def loads_oracle(text: str):
     no build writes: a value out of range, a repeated header key, E id, V
     row or D key, a missing required D line, E, P or V lines a kind lacks,
     dir=1 in a kind that no digraph build writes, a format version other
-    than its kind's, more edges than vertex pairs, or in a single-failure
-    file an undirected key u-v with u > v or a D value equal to the
-    fallback."""
+    than its kind's, more edges than vertex pairs, a '+', '_' or non-ASCII
+    character, or in a single-failure file an undirected key u-v with u > v
+    or a D value equal to the fallback."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("FDO "):
         raise GraphError("not an oracle file (missing FDO header)")
+    bad = _unwritten(text) and next(filter(_unwritten, lines), None)
+    if bad:
+        raise GraphError(f"malformed oracle line {bad!r}")
     head = lines[0].split()
     if len(head) < 5:
         raise GraphError(f"truncated oracle header {lines[0]!r}")
@@ -243,13 +254,18 @@ def loads_oracle(text: str):
         raise GraphError("oracle file is missing stored entries")
     try:
         return make(n, m, directed, edges, entries, params, rows)
+    except GraphError:
+        raise
     except (IndexError, ValueError) as exc:
         raise GraphError(f"malformed oracle value: {exc}") from None
 
 
 def save_oracle(oracle, path):
+    """Write ``dumps_oracle(oracle)`` to ``path``; returns that text."""
+    text = dumps_oracle(oracle)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_oracle(oracle))
+        fh.write(text)
+    return text
 
 
 def load_oracle(path):

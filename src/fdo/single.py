@@ -48,7 +48,7 @@ import random
 from heapq import heapify, heappop, heappush
 
 from .graph import (Graph, GraphError, INF, diameter, in_tree, is_connected,
-                    lane_bfs, lane_path, pair_key, reject_pair, sssp,
+                    lane_bfs, lane_path, pair_key, preorder, reject_pair, sssp,
                     strong_bridges)
 
 
@@ -289,20 +289,7 @@ def _raise_by_subtree_repair(g, trees, values):
         for v, entry in enumerate(parent):
             if entry is not None:
                 children[entry[0]].append(v)
-        # preorder numbering: the subtree of v is pre[tin[v]:tin[v]+size[v]]
-        pre = []
-        stack = [tree.source]
-        while stack:
-            v = stack.pop()
-            pre.append(v)
-            stack += children[v]
-        tin = [0] * n
-        for i, v in enumerate(pre):
-            tin[v] = i
-        size = [1] * n
-        for v in reversed(pre):
-            if parent[v] is not None:
-                size[parent[v][0]] += size[v]
+        pre, tin, size = preorder(children, tree.source)
         new = [INF] * n
         inside = [-1] * n       # tin of the subtree root whose run marked it
         for v, eid in cut:

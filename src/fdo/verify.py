@@ -56,8 +56,7 @@ class AuditReport:
     records: list = field(default_factory=list)
 
 
-def audit(oracle, g: Graph, failure_sets, stretch=1.0,
-          keep_records=True) -> AuditReport:
+def audit(oracle, g: Graph, failure_sets, stretch=1.0) -> AuditReport:
     """Compare the oracle against brute force on every failure set.
 
     A query is a violation when answer < truth, answer > stretch * truth,
@@ -84,9 +83,8 @@ def audit(oracle, g: Graph, failure_sets, stretch=1.0,
             report.violations += 1
         if ratio > report.max_ratio:
             report.max_ratio = ratio
-        if keep_records:
-            report.records.append(AuditRecord(tuple(pairs), answer, truth,
-                                              ratio, ok))
+        report.records.append(AuditRecord(tuple(pairs), answer, truth, ratio,
+                                          ok))
     report.wall_s = time.perf_counter() - t0
     return report
 

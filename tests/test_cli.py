@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fdo
-from fdo import (GraphError, build_exact_fdo, build_graph, build_multi_fdo,
-                 dumps_oracle, gen_random, parse_graph, save_graph)
-from fdo.cli import _parse_query_line, main, serve_queries
+from fdo import (GraphError, build_approx_fdo, build_ecc_fdo, build_exact_fdo,
+                 build_graph, build_lowdiam_fdo, build_multi_fdo,
+                 build_spanner_fdo, dumps_oracle, gen_random, parse_graph,
+                 save_graph)
+from fdo.cli import _parse_query_line, main, make_parser, serve_queries
+from fdo.serialize import FORMATS
 from fdo.graph import fmt_dist
 
 SRC = os.path.dirname(os.path.dirname(fdo.__file__))
@@ -41,6 +44,19 @@ def records(stdout):
 
 # ---------------------------------------------------------------------- build
 
+# Per kind: the build flags used across this suite, and the library build
+# they ask for.
+KIND_BUILDS = {
+    "exact": ([], build_exact_fdo),
+    "ecc": ([], build_ecc_fdo),
+    "spanner": (["--k", "2"], lambda g: build_spanner_fdo(g, 2)),
+    "approx": (["--eps", "0.5"], lambda g: build_approx_fdo(g, 0.5)),
+    "multi": (["--f", "2"], lambda g: build_multi_fdo(g, 2)),
+    "lowdiam": (["--f", "2", "--delta", "3"],
+                lambda g: build_lowdiam_fdo(g, 2, 3.0, backend="exact")),
+}
+
+
 def test_build_exact(capsys, tmp_path, c4_file):
     out = str(tmp_path / "c4.fdo")
     code, stdout, _ = run(capsys, ["build", "--graph", c4_file,
@@ -50,6 +66,20 @@ def test_build_exact(capsys, tmp_path, c4_file):
     assert rec["record"] == "build-stats" and rec["entries"] == 4
     dlines = [ln for ln in open(out) if ln.startswith("D ")]
     assert len(dlines) == 4 and all(ln.split()[2] == "3" for ln in dlines)
+    # every kind: the file is the library build's, and entries counts its
+    # D lines
+    sub = next(a for a in make_parser()._actions if a.dest == "cmd")
+    for cmd in ("build", "audit"):
+        kind = next(a for a in sub.choices[cmd]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == tuple(FORMATS) == tuple(KIND_BUILDS)
+    g = parse_graph(C4_TEXT)
+    for kind, (flags, build) in KIND_BUILDS.items():
+        code, stdout, _ = run(capsys, ["build", "--graph", c4_file, "--kind",
+                                       kind, "--out", out] + flags)
+        text = open(out).read()
+        assert code == 0 and text == dumps_oracle(build(g)), kind
+        dcount = sum(ln.startswith("D ") for ln in text.splitlines())
+        assert records(stdout)[0]["entries"] == dcount, kind
 
 
 def test_build_approx_stats_schema(capsys, tmp_path):
@@ -183,6 +213,10 @@ def test_query_oracle_edge_id_out_of_range(capsys, tmp_path):
     ("FDO exact 2 1 fmt=2 dir=0 base=1\nD 1-0 2\n", "line 'D 1-0 2'"),
     ("FDO exact 2 1 fmt=2 dir=0 base=1\nD 0-1 1\n", "its fallback 1"),
     ("FDO exact 2 1 fmt=2 dir=0 base=1\nE 0 0 1 1\n", "no 'E' lines"),
+    # integer tokens int() takes but no build writes
+    ("FDO exact 2 1 fmt=2 dir=0 base=1\nD +0-1 3\n", "line 'D +0-1 3'"),
+    ("FDO exact 12 1 fmt=2 dir=0 base=1\nD 1_0-11 3\n", "line 'D 1_0-11 3'"),
+    ("FDO exact 2 1 fmt=2 dir=0 base=1\nD 0-\u0661 3\n", "line 'D 0-\u0661 3'"),
 ])
 def test_query_refuses_bad_single_failure_file(capsys, tmp_path, text, msg):
     bad = tmp_path / "bad.fdo"

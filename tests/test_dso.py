@@ -45,6 +45,11 @@ def cycle(n):
     return build_graph(n, False, [(i, (i + 1) % n) for i in range(n)])
 
 
+def drop_mask(d, eid):
+    # the subgraphs without edge eid: the complement of alive[eid]
+    return ~d.alive[eid] & (1 << d.k) - 1
+
+
 def test_sampled_subgraph_count_formula():
     # ceil(3 * 1 * 8 * ln 8) = 50
     d = build_sampled_fdso(cycle(8), f=1, delta=1.0, C=3.0, seed=3)
@@ -55,20 +60,20 @@ def test_sampled_build_deterministic():
     g = cycle(8)
     d1 = build_sampled_fdso(g, f=2, delta=1.0, C=2.0, seed=9)
     d2 = build_sampled_fdso(g, f=2, delta=1.0, C=2.0, seed=9)
-    assert d1.drop == d2.drop
-    assert any(d1.drop)
+    assert d1.alive == d2.alive
+    assert any(drop_mask(d1, eid) for eid in range(g.m))
 
 
 def test_sampled_drop_lists_match_subgraphs():
-    # bit i of drop[eid] is subgraph i's draw for edge eid: replay the
-    # per-subgraph streams, in edge-id order, one subgraph after another
+    # bit i of drop_mask(d, eid) is subgraph i's draw for edge eid: replay
+    # the per-subgraph streams, in edge-id order, one subgraph after another
     d = build_sampled_fdso(cycle(8), f=1, delta=1.0, C=1.0, seed=5)
     for i in range(d.k):
         rng = random.Random(5 * 2654435761 + i)
         dropped = {eid for eid in range(8) if rng.random() < 8 ** -1.0}
         for eid in range(8):
-            assert bool(d.drop[eid] >> i & 1) == (eid in dropped)
-    assert all(mask < 1 << d.k for mask in d.drop)
+            assert bool(drop_mask(d, eid) >> i & 1) == (eid in dropped)
+    assert all(0 <= mask < 1 << d.k for mask in d.alive)
 
 
 def test_sampled_budget_rejected():
@@ -99,7 +104,7 @@ def test_sampled_query_details_counts_survivors(c4):
     assert d.query_details(0, 2, [])["survivors"] == d.k
     got = d.query_details(0, 2, [0, 3])
     both = sum(1 for i in range(d.k)
-               if d.drop[0] >> i & 1 and d.drop[3] >> i & 1)
+               if drop_mask(d, 0) >> i & 1 and drop_mask(d, 3) >> i & 1)
     assert got["survivors"] == both
     assert (got["dist"], got["path"]) == d.query(0, 2, [0, 3])
 

@@ -33,7 +33,8 @@ ODD = st.sampled_from(["", "x", "-", "--2", "+3", "1.5", "inf", "nan",
                        "1e999", "0x1", "1_0", "²", "١", "D", "U",
                        "W", "UW", "E", "V", "P", "FDO", "=", "fmt=1",
                        "fmt=2", "0-1", "1-0", "2-2", "0-99", "3-1-2", "-1-2",
-                       "1-"])
+                       "1-", "+0-1", "0-0_1", "1_0-11", "0-\u0661", "+0",
+                       "\u0660"])
 
 
 def _graph_texts():

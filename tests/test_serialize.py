@@ -76,6 +76,13 @@ def test_loaded_oracle_answers_identically():
      "malformed"),
     ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE\nD - 1\n",
      "malformed"),
+    # integer tokens int() takes but no build writes
+    ("FDO exact 1_2 1 fmt=2 dir=0 base=1\nD 0-1 2\n", "line 'FDO exact 1_2 1"),
+    ("FDO exact 12 1 fmt=2 dir=0 base=1\nD 1_0-11 3\n", "line 'D 1_0-11 3'"),
+    ("FDO exact 2 1 fmt=2 dir=0 base=1\nD +0-1 3\n", r"line 'D \+0-1 3'"),
+    ("FDO exact 2 1 fmt=2 dir=0 base=1\nD 0-\u0661 3\n", "line 'D 0-\u0661 3'"),
+    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 \u0661 1\nD - 1\n",
+     "malformed"),
 ])
 def test_loader_rejects(text, msg):
     with pytest.raises(GraphError, match=msg):
@@ -162,6 +169,33 @@ BAD_VALUES = [
     # header counts: more edges than vertex pairs
     ("m-over-pairs", "exact", "FDO exact 4 4", "FDO exact 4 7", "do not fit"),
     ("m-negative", "exact", "FDO exact 4 4", "FDO exact 4 -1", "do not fit"),
+    # characters int() takes but no build writes: a sign, an underscore and
+    # other scripts' digits, in every line that holds integers, and a sign
+    # in a distance
+    ("n-plus", "exact", "FDO exact 4 4", "FDO exact +4 4",
+     "line 'FDO exact +4 4"),
+    ("m-underscore", "exact", "FDO exact 4 4", "FDO exact 4 0_4",
+     "line 'FDO exact 4 0_4"),
+    ("k-plus", "spanner", "k=2", "k=+2", "k=+2"),
+    ("source-arabic-indic", "ecc", "source=0", "source=\u0660",
+     "source=\u0660"),
+    ("slack-underscore", "approx", "slack=2", "slack=0_2", "slack=0_2"),
+    ("multi-source-plus", "multi", "source=0", "source=+0", "source=+0"),
+    ("pair-plus", "exact", "D 0-1 3", "D +0-1 3", "line 'D +0-1 3'"),
+    ("entry-plus", "exact", "D 0-1 3", "D 0-1 +3", "line 'D 0-1 +3'"),
+    ("pair-underscore", "exact", "D 0-1 3", "D 0-0_1 3", "line 'D 0-0_1 3'"),
+    ("pair-arabic-indic", "exact", "D 0-1 3", "D 0-\u0661 3",
+     "line 'D 0-\u0661 3'"),
+    ("subset-underscore", "lowdiam", "D 1-2 inf", "D 1-0_2 inf",
+     "line 'D 1-0_2 inf'"),
+    ("multi-key-plus", "multi", "D 1 0", "D +1 0", "line 'D +1 0'"),
+    ("e-line-plus", "multi", "E 1 1 2 1", "E 1 +1 2 1", "line 'E 1 +1 2 1'"),
+    ("e-id-underscore", "multi", "E 1 1 2 1", "E 0_1 1 2 1",
+     "line 'E 0_1 1 2 1'"),
+    ("pivot-plus", "approx", "P 1\n", "P +1\n", "line 'P +1'"),
+    ("v-vertex-arabic-indic", "multi", "V 2 2 1", "V \u0662 2 1",
+     "line 'V \u0662 2 1'"),
+    ("v-parent-plus", "multi", "V 2 2 1", "V 2 2 +1", "line 'V 2 2 +1'"),
 ]
 
 
@@ -171,8 +205,10 @@ BAD_VALUES = [
 def test_loader_rejects_values_no_build_writes(kind, old, new, msg):
     text = dumps_oracle(C4_BUILDS[kind](C4))
     assert old in text
-    with pytest.raises(GraphError, match=re.escape(msg)):
+    with pytest.raises(GraphError, match=re.escape(msg)) as info:
         loads_oracle(text.replace(old, new, 1))
+    # a maker's own GraphError keeps its message
+    assert "malformed oracle value" not in str(info.value)
 
 
 MULTI_TEXT = """FDO multi 6 7 fmt=1 dir=0 f=2 mode=paper source=0 maxdist=12
@@ -222,6 +258,7 @@ def test_loader_rejects_bad_multi_tree(old, new, msg):
     assert old in MULTI_TEXT
     got = parse_capped("loads_oracle", MULTI_TEXT.replace(old, new, 1))
     assert got.startswith("GraphError:") and msg in got, got
+    assert "malformed oracle value" not in got, got
 
 
 def test_loaded_multi_f1_gap_is_never_negative():
