@@ -104,10 +104,12 @@ def _parse_query_line(line):
     try:
         for tok in line.split():
             u, sep, v = tok.partition("-")
-            if not sep or not u.lstrip("-").isdigit() or not v.lstrip("-").isdigit():
+            if (not sep or not tok.isascii() or not u.lstrip("-").isdigit()
+                    or not v.lstrip("-").isdigit()):
                 raise ValueError(tok)
             pairs.append((int(u), int(v)))
     except ValueError:
+        # isdigit() and int() take other scripts' digits, hence isascii();
         # int() also refuses tokens that pass isdigit(), e.g. '--2' or '²'
         raise GraphError(f"malformed pair {tok!r}, want 'u-v'") from None
     return pairs

@@ -38,6 +38,13 @@ def fmt_dist(x) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
 
+def _unwritten(text) -> bool:
+    # int() takes '+1', '1_0' and other scripts' digits, which no file
+    # this package writes holds (fmt_dist writes a float of 1e16 or more,
+    # all integral, as an int): the parsers refuse them.
+    return not text.isascii() or "_" in text or "+" in text
+
+
 def parse_dist(tok: str):
     if tok == "inf":
         return INF
@@ -455,6 +462,9 @@ def parse_graph(text: str) -> Graph:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise GraphError("empty graph file")
+    bad = _unwritten(text) and next(filter(_unwritten, lines), None)
+    if bad:
+        raise GraphError(f"malformed graph line {bad!r}")
     head = lines[0].split()
     if len(head) != 4 or head[2] not in ("D", "U") or head[3] not in ("W", "UW"):
         raise GraphError(f"bad header {lines[0]!r}, want 'n m D|U W|UW'")

@@ -1,8 +1,11 @@
 """(f+2)-approximate diameter oracle for multiple edge failures.
 
-Undirected, non-negative weights.  One shortest-path tree from a fixed
-source is stored together with a swap weight per edge (zero on tree edges,
-tree-distance detour cost elsewhere).  A query reconnects the tree around
+Undirected, non-negative weights.  The oracle is one shortest-path tree
+from a fixed source (per vertex: its distance and parent edge) and the
+edge list.  The constructor derives the rest from them, on a build and on
+a load alike: a swap weight per edge (zero on tree edges, the tree-distance
+detour dist[u] + w + dist[v] elsewhere), maxdist = max(dist) and the
+preorder index of the tree.  A query reconnects the tree around
 the failed tree edges with minimum-swap-weight edges, derives a certified
 lower bound on the new diameter from the most expensive reconnection, and
 answers f*gap + 2*maxdist.  Infinity is returned exactly when the failures
@@ -23,8 +26,8 @@ table.
 """
 from __future__ import annotations
 
-from .graph import (Graph, GraphError, INF, index_edges, preorder,
-                    resolve_pairs, sssp)
+from .graph import (Graph, GraphError, INF, dist_eq, fmt_dist, index_edges,
+                    preorder, resolve_pairs, sssp)
 
 
 class MultiFDO:
@@ -34,13 +37,16 @@ class MultiFDO:
     actually failed tree edges instead of f.  Both sit within the same
     [truth, (f+2)*truth] window.  Queries allocate only transient state, so
     concurrent querying is safe.
+
+    The constructor takes the tree rows ``dist`` and ``parent_eid``, checks
+    that they are a shortest-path tree at ``source`` (under ``dist_eq``)
+    and derives ``swap_weight``, ``maxdist``, ``cut_root`` and ``f1_swap``.
     """
 
     kind = "multi"
     directed = False
 
-    def __init__(self, n, edges, f, mode, source, dist, parent_eid,
-                 swap_weight=None, maxdist=None):
+    def __init__(self, n, edges, f, mode, source, dist, parent_eid):
         if f < 1:
             raise GraphError(f"failure budget must be >= 1, got {f}")
         if mode not in ("paper", "tight"):
@@ -54,21 +60,16 @@ class MultiFDO:
         self.parent_eid = parent_eid        # per vertex, None at the source
         self.m = len(edges)
         self.edge_lookup = index_edges(edges, False)
-        self.maxdist = max(dist) if maxdist is None else maxdist
+        self.maxdist = max(dist)
         self._index_tree()
         cut_root = self.cut_root
         # Per vertex, its non-tree half-edges: (other end, swap weight, eid).
-        # A build computes the swap weights on the way; tree edges keep 0.
-        build = swap_weight is None
-        if build:
-            swap_weight = [0] * len(edges)
-        self.swap_weight = swap_weight
+        # Tree edges keep swap weight 0.
+        self.swap_weight = swap_weight = [0] * len(edges)
         self.nontree = nontree = [[] for _ in range(n)]
         for eid, (u, v, w) in enumerate(edges):
             if eid not in cut_root:
-                if build:
-                    swap_weight[eid] = dist[u] + w + dist[v]
-                sw = swap_weight[eid]
+                sw = swap_weight[eid] = dist[u] + w + dist[v]
                 nontree[u].append((v, sw, eid))
                 nontree[v].append((u, sw, eid))
         self.f1_swap = self._cover_tree_edges() if f == 1 else None
@@ -78,21 +79,25 @@ class MultiFDO:
         # enclosing a vertex identifies its component after the cut.  The
         # subtree of v is the slice euler[tin[v]:tout[v]].  Loaded rows are
         # checked to form a spanning tree at the source on the way, or the
-        # walk could loop forever or skip vertices.
-        n, m = self.n, len(self.edges)
-        if not 0 <= self.source < n or self.parent_eid[self.source] is not None:
-            raise GraphError(f"tree rows do not root at source {self.source}")
+        # walk could loop forever or skip vertices, and to hold the distances
+        # of that tree, which the swap weights are made of.
+        n, m, edges, dist = self.n, self.m, self.edges, self.dist
+        parent_eid, source = self.parent_eid, self.source
+        if (not 0 <= source < n or parent_eid[source] is not None
+                or dist[source] != 0):
+            raise GraphError(f"tree rows do not root at source {source} "
+                             f"at distance 0")
         children = [[] for _ in range(n)]     # ascending, as v ascends
         parent_vert = [None] * n
         # child endpoint of each tree edge (the component root once it
         # fails); its keys are the tree edges
         self.cut_root = cut_root = {}
-        for v, eid in enumerate(self.parent_eid):
+        for v, eid in enumerate(parent_eid):
             if eid is None:
                 continue
             if not 0 <= eid < m:
                 raise GraphError(f"tree row of vertex {v} names edge {eid} (m={m})")
-            eu, ev, _ = self.edges[eid]
+            eu, ev, _ = edges[eid]
             if v != eu and v != ev:
                 raise GraphError(f"parent edge {eid} of vertex {v} does not touch it")
             pv = ev if eu == v else eu
@@ -100,13 +105,20 @@ class MultiFDO:
             children[pv].append(v)
             cut_root[eid] = v
         # every vertex but the source has one parent, so none is visited twice
-        euler, tin, size = preorder(children, self.source)
+        euler, tin, size = preorder(children, source)
         if len(euler) != n:
             raise GraphError(f"tree rows reach {len(euler)} of {n} vertices "
-                             f"from source {self.source}")
+                             f"from source {source}")
         depth = [0] * n
         for v in euler[1:]:
-            depth[v] = depth[parent_vert[v]] + 1
+            pv = parent_vert[v]
+            depth[v] = depth[pv] + 1
+            w = edges[parent_eid[v]][2]
+            d = dist[pv] + w
+            if d != dist[v] and not dist_eq(d, dist[v]):
+                raise GraphError(f"tree row of vertex {v} has distance "
+                                 f"{fmt_dist(dist[v])}, not {fmt_dist(dist[pv])}"
+                                 f" + {fmt_dist(w)} along edge {parent_eid[v]}")
         self.tin, self.depth, self.euler = tin, depth, euler
         self.tout = [t + s for t, s in zip(tin, size)]
         self.parent_vert = parent_vert

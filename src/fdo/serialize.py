@@ -3,14 +3,16 @@
 Layout (see README for the full grammar):
 
     FDO <kind> <n> <m> fmt=<1|2> dir=<0|1> <kind-specific key=value...>
-    E <eid> <u> <v> <w>          edge dictionary, ascending ids (fmt=1 only)
+    E <eid> <u> <v> <w>          edge dictionary, ascending ids (multi, lowdiam)
     P <vertex>                   pivots (approx, pivot mode only)
     V <vertex> <dist> <peid|->   tree rows (multi only)
-    D <key> <value>              stored entries; 'inf' for infinity
+    D <key> <value>              stored entries; 'inf' for infinity (not multi)
 
-The single-failure kinds write fmt=2: no E lines, and ``D u-v value``
-(u < v when undirected) for each answer that differs from the fallback.
-multi and lowdiam write fmt=1.  Other versions are refused: rebuild.
+The single-failure kinds write fmt=2: ``D u-v value`` (u < v when
+undirected) for each answer that differs from the fallback.  multi writes
+fmt=2: E and V lines only, and MultiFDO derives the swap weights and
+maxdist from them as on a build.  lowdiam writes fmt=1.  Other versions
+are refused: rebuild.
 
 Round trips are bit-exact: dumps(loads(text)) == text for anything dumps
 produced, and rebuilding with the same seed yields identical bytes.
@@ -20,7 +22,8 @@ from __future__ import annotations
 from functools import partial
 from operator import lt
 
-from .graph import GraphError, fmt_dist, parse_dist, read_text
+from .graph import (INF, GraphError, _unwritten, fmt_dist, parse_dist,
+                    read_text)
 
 # The oracle classes are imported by the makers below, so loading a file
 # imports only the module of its kind.
@@ -31,20 +34,11 @@ _DIST = (parse_dist, lambda d, n: d >= 0)
 _COUNT = (int, lambda v, n: v >= 1)
 
 
-def _unwritten(text):
-    # int() also takes '+1', '1_0' and other scripts' digits.  No build
-    # writes '+' (a float of 1e16 or more is integral, so fmt_dist writes
-    # it as an int), '_' or a non-ASCII character, so in a text without
-    # them int() takes only the ASCII -?[0-9]+ integer tokens builds write.
-    return not text.isascii() or "_" in text or "+" in text
-
-
-def _index(tok, size):
-    # an edge id (size m) or a vertex (size n)
-    i = int(tok)
-    if not 0 <= i < size:
+def _vertex(tok, n):
+    v = int(tok)
+    if not 0 <= v < n:
         raise ValueError(tok)
-    return i
+    return v
 
 
 def _pair(tok, n, m, directed):
@@ -67,19 +61,16 @@ def _subset(tok, n, m, directed):
 
 def _multi_parts(o):
     # not vars(o): an instance's __dict__, once made, slows its queries
-    params = {"f": o.f, "mode": o.mode, "source": o.source,
-              "maxdist": o.maxdist}
+    params = {"f": o.f, "mode": o.mode, "source": o.source}
     rows = [f"V {v} {fmt_dist(d)} {'-' if peid is None else peid}"
             for v, (d, peid) in enumerate(zip(o.dist, o.parent_eid))]
-    return params, rows, enumerate(o.swap_weight)
+    return params, rows, ()
 
 
-def _make_multi(n, m, directed, edges, swap, p, rows):
+def _make_multi(n, m, directed, edges, entries, p, rows):
     from .multi import MultiFDO
     return MultiFDO(n, edges, p["f"], p["mode"], p["source"],
-                    [r[0] for r in rows], [r[1] for r in rows],
-                    swap_weight=[swap[eid] for eid in range(len(edges))],
-                    maxdist=p["maxdist"])
+                    [r[0] for r in rows], [r[1] for r in rows])
 
 
 def _lowdiam_parts(o):
@@ -103,21 +94,21 @@ def _make_lowdiam(n, m, directed, edges, table, p, rows):
                       backend="loaded")
 
 
-def _single(kind, header, rows="", dirs=("0",)):
-    return ("2", header, _pair, lambda m: (), rows,
+def _single(kind, header, tags=("D",), dirs=("0",)):
+    return ("2", tags, header, _pair, lambda m: (),
             lambda o: (o.params, [f"P {v}" for v in o.pivots],
                        [(f"{u}-{v}", val)
                         for (u, v), val in sorted(o.values.items())]),
             partial(_make_single, kind), dirs)
 
 
-# Per kind: its format version (E lines in "1" only); the header keys
-# after dir=, in file order, with their checks; the parser of a D key,
-# (token, n, m, directed) -> key; m -> the D keys every file holds; the
-# tag of its P or V lines; oracle -> (header values, P or V lines, sorted
-# D entries); (n, m, directed, edges, D entries, header values, rows) ->
-# the oracle; and the dir= flags its builds write ("1" only where a build
-# takes digraphs).
+# Per kind: its format version; the tags of the lines its files hold
+# (E lines: one per edge, V lines: one per vertex); the header keys after
+# dir=, in file order, with their checks; the parser of a D key, (token,
+# n, m, directed) -> key; m -> the D keys every file holds; oracle ->
+# (header values, P or V lines, sorted D entries); (n, m, directed, edges,
+# D entries, header values, P or V rows) -> the oracle; and the dir= flags
+# its builds write ("1" only where a build takes digraphs).
 FORMATS = {
     "exact": _single("exact", {"base": _DIST}, dirs=("0", "1")),
     "ecc": _single("ecc", {"source": (int, lambda v, n: 0 <= v < n),
@@ -126,16 +117,15 @@ FORMATS = {
     "approx": _single("approx", {
         "base": _DIST, "eps": _DIST, "slack": (int, lambda v, n: v >= 0),
         "mode": (str, lambda v, n: v in ("exact-scan", "pivot"))},
-        "P", ("0", "1")),
-    # MultiFDO checks that source roots the tree rows
-    "multi": ("1", {"f": _COUNT,
-                    "mode": (str, lambda v, n: v in ("paper", "tight")),
-                    "source": (int, lambda v, n: True), "maxdist": _DIST},
-              lambda tok, n, m, directed: _index(tok, m), range, "V",
-              _multi_parts, _make_multi, ("0",)),
-    "lowdiam": ("1", {"f": _COUNT, "delta": _DIST, "base": _DIST},
-                _subset, lambda m: [()], "", _lowdiam_parts, _make_lowdiam,
-                ("0",)),
+        ("D", "P"), ("0", "1")),
+    # MultiFDO checks that source roots the tree rows and their distances
+    "multi": ("2", ("E", "V"), {
+        "f": _COUNT, "mode": (str, lambda v, n: v in ("paper", "tight")),
+        "source": (int, lambda v, n: True)},
+        None, lambda m: (), _multi_parts, _make_multi, ("0",)),
+    "lowdiam": ("1", ("E", "D"), {
+        "f": _COUNT, "delta": _DIST, "base": _DIST},
+        _subset, lambda m: [()], _lowdiam_parts, _make_lowdiam, ("0",)),
 }
 
 
@@ -143,13 +133,13 @@ def dumps_oracle(oracle) -> str:
     kind = oracle.kind
     if kind not in FORMATS:
         raise GraphError(f"cannot serialize oracle kind {kind!r}")
-    version, header, _, _, _, parts, _, _ = FORMATS[kind]
+    version, tags, header, _, _, parts, _, _ = FORMATS[kind]
     params, rows, entries = parts(oracle)
     head = [f"FDO {kind} {oracle.n} {oracle.m} fmt={version}",
             f"dir={1 if oracle.directed else 0}"]
     head += [f"{key}={fmt_dist(params[key])}" for key in header]
     out = [" ".join(head)]
-    if version == "1":
+    if "E" in tags:
         for eid, (u, v, w) in enumerate(oracle.edges):
             out.append(f"E {eid} {u} {v} {fmt_dist(w)}")
     out += rows
@@ -160,11 +150,14 @@ def dumps_oracle(oracle) -> str:
 def loads_oracle(text: str):
     """Parse an oracle file.  GraphError on malformed content and on what
     no build writes: a value out of range, a repeated header key, E id, V
-    row or D key, a missing required D line, E, P or V lines a kind lacks,
-    dir=1 in a kind that no digraph build writes, a format version other
-    than its kind's, more edges than vertex pairs, a '+', '_' or non-ASCII
-    character, or in a single-failure file an undirected key u-v with u > v
-    or a D value equal to the fallback."""
+    row or D key, a missing required D line, E, P, V or D lines a kind
+    lacks, dir=1 in a kind that no digraph build writes, a format version
+    other than its kind's, more edges than vertex pairs, a '+', '_' or
+    non-ASCII character, an E line with an endpoint outside 0..n-1, u == v
+    or a weight that is not finite and >= 0, in a single-failure file an
+    undirected key u-v with u > v or a D value equal to the fallback, and
+    in a multi file tree rows that are not a shortest-path tree at the
+    source (MultiFDO checks them)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("FDO "):
         raise GraphError("not an oracle file (missing FDO header)")
@@ -180,7 +173,7 @@ def loads_oracle(text: str):
         raise GraphError(f"bad oracle header {lines[0]!r}") from None
     if kind not in FORMATS:
         raise GraphError(f"unknown oracle kind {kind!r}")
-    version, header, parse_key, need, row_tag, _, make, dirs = FORMATS[kind]
+    version, tags, header, parse_key, need, _, make, dirs = FORMATS[kind]
     raw = {}
     for tok in head[4:]:
         key, eq, val = tok.partition("=")
@@ -196,10 +189,10 @@ def loads_oracle(text: str):
         raise GraphError(f"bad direction flag dir={raw.get('dir')!r} in a "
                          f"{kind} oracle file")
 
-    # In fmt=1 each edge has an E line and, in multi files, each vertex a
-    # V line: check the counts before allocating by them.
-    edge_rows = m if version == "1" else 0
-    tree_rows = n if row_tag == "V" else 0
+    # Where a kind has E and V lines, each edge has an E line and each
+    # vertex a V line: check the counts before allocating by them.
+    edge_rows = m if "E" in tags else 0
+    tree_rows = n if "V" in tags else 0
     if (n < 1 or not 0 <= m <= n * (n - 1) // (1 if directed else 2)
             or edge_rows + tree_rows > len(lines) - 1):
         raise GraphError(f"oracle header counts n={n} m={m} do not fit "
@@ -217,26 +210,30 @@ def loads_oracle(text: str):
     edges = [None] * edge_rows
     rows = [None] * tree_rows
     entries = {}
+    has_d, has_e, has_p, has_v = (t in tags for t in "DEPV")
     for ln in lines[1:]:
         toks = ln.split()
         tag = toks[0]
         try:
-            if tag == "E" and version == "1":
-                eid = int(toks[1])
-                if eid < 0 or edges[eid] is not None:   # a repeated id too
-                    raise IndexError(eid)
-                edges[eid] = (int(toks[2]), int(toks[3]), parse_dist(toks[4]))
-            elif tag == "D":
+            if tag == "D" and has_d:
                 key = parse_key(toks[1], n, m, directed)
                 if key in entries:
                     raise GraphError(f"repeated stored entry {ln!r}")
                 val = entries[key] = parse_dist(toks[2])
                 if not val >= 0:
                     raise ValueError(val)
-            elif tag == row_tag == "P":
-                rows.append(_index(toks[1], n))
-            elif tag == row_tag == "V":
-                vid, dist = _index(toks[1], n), parse_dist(toks[2])
+            elif tag == "E" and has_e:
+                eid, u, v = int(toks[1]), int(toks[2]), int(toks[3])
+                w = parse_dist(toks[4])
+                if eid < 0 or edges[eid] is not None:   # a repeated id too
+                    raise IndexError(eid)
+                if not (0 <= u < n and 0 <= v < n and u != v and 0 <= w < INF):
+                    raise ValueError(ln)
+                edges[eid] = (u, v, w)
+            elif tag == "P" and has_p:
+                rows.append(_vertex(toks[1], n))
+            elif tag == "V" and has_v:
+                vid, dist = _vertex(toks[1], n), parse_dist(toks[2])
                 if not dist >= 0 or rows[vid] is not None:
                     raise ValueError(dist)
                 rows[vid] = (dist, None if toks[3] == "-" else int(toks[3]))

@@ -464,10 +464,13 @@ def test_c9_determinism_and_serialization():
 
 
 # sha256 of each C9 oracle file: any later change to the file bytes shows
-# here.  multi and lowdiam were recorded when the four single-failure
-# classes became one; the single-failure files when they became fmt=2,
-# after the answer of every ordered vertex pair on each C9 graph, built
-# and loaded, was checked equal to that of the fmt=1 files before.
+# here.  lowdiam was recorded when the four single-failure classes became
+# one; the single-failure files when they became fmt=2, after the answer
+# of every ordered vertex pair on each C9 graph, built and loaded, was
+# checked equal to that of the fmt=1 files before; multi when it became
+# fmt=2, after the query_details transcript of every failure set of C9's
+# enumeration (and of every set of one or two edges) on its graph, built
+# and loaded, was checked equal to that of the fmt=1 file.
 C9_DIGESTS = {
     "exact":
         "2346d4b0dc7dc1d451bab7a7ada4aa532b779a121cec96760f20daafb0615610",
@@ -479,7 +482,7 @@ C9_DIGESTS = {
     "approx-rand":
         "78af7589db5b7c25085bc589fcb1d7618e5f0456a2c71fd12a241af7fe29f3cf",
     "multi":
-        "2b1b963f4212970ce9d926f0758921abf2e82065db398b1d192e8e1547fd2f95",
+        "3f30ae579abd0e6cc126cc4de49733fbfed5f25f850e785b62278d3ac868094a",
     "lowdiam-exact":
         "1187acfacaa0a0c25a4342405df5f2dd33da1f208c9dc40b8ba05c0748b7ceb8",
     "lowdiam-sampled":

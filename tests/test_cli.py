@@ -176,6 +176,20 @@ def test_query_unparsable_number_line(capsys, tmp_path, c4_file, line):
         f"error: malformed pair {bad!r}, want 'u-v'", "3"]
 
 
+def test_query_other_scripts_digits_line(capsys, tmp_path, c4_file):
+    # isdigit() and int() take Arabic-Indic digits: '0-\u0661 \u0662-3' was
+    # answered as '0-1 2-3'
+    out = str(tmp_path / "c4.fdo")
+    run(capsys, ["build", "--graph", c4_file, "--kind", "exact", "--out", out])
+    qfile = tmp_path / "q.txt"
+    qfile.write_text("0-\u0661 \u0662-3\n0-1\n", encoding="utf-8")
+    code, stdout, _ = run(capsys, ["query", "--oracle", out,
+                                   "--queries", str(qfile)])
+    assert code == 0
+    assert stdout.splitlines() == [
+        "error: malformed pair '0-\u0661', want 'u-v'", "3"]
+
+
 def test_query_too_many_failures_line(capsys, tmp_path):
     g = gen_random("er-weighted", seed=2, n=10, p=0.4)
     gpath, opath = tmp_path / "g.txt", str(tmp_path / "g.fdo")

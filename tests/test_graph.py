@@ -324,10 +324,18 @@ def test_edge_list_weighted_and_comments():
     "3 3 U W\n0 1 nan\n1 2 1\n0 2 1", "2 1 U W\n0 1 1e999",
     "2 1 U W\n0 1 inf",
     "4 2 U UW\n0 1\n1 2",  # two edges connect at most three vertices
+    # int() and float() take other scripts' digits, '+' and '_', which
+    # format_graph never writes: the first loaded as the edge (0, 1, 5),
+    # and in the second '1_0' named vertex 10
+    "2 1 U W\n0 \u0661 +5",
+    "11 10 U UW\n" + "".join(f"{i} {i + 1}\n" for i in range(9)) + "0 1_0",
+    "3 2 U W\n0 1 1\n1 2 1e+2", "+2 1 U UW\n0 1",
 ])
 def test_edge_list_rejects(text):
     with pytest.raises(GraphError):
         parse_graph(text)
+    # a comment may hold any character
+    assert parse_graph("# \u00e9 + _\n2 1 U UW\n0 1\n").edges == [(0, 1, 1)]
 
 
 def test_parse_graph_rejects_huge_vertex_count():

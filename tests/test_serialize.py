@@ -105,7 +105,7 @@ BAD_VALUES = [
     # the empty subset's entry, which every lowdiam query reads
     ("no-empty-key", "lowdiam", "D - 2\n", "", "missing stored entries"),
     # header values and stored entries no build writes
-    ("maxdist-nan", "multi", "maxdist=2", "maxdist=nan", "maxdist=nan"),
+    ("v-dist-nan", "multi", "V 2 2 1", "V 2 nan 1", "line 'V 2 nan 1'"),
     ("entry-nan", "exact", "D 0-1 3", "D 0-1 nan", "line 'D 0-1 nan'"),
     ("entry-negative", "exact", "D 0-1 3", "D 0-1 -1", "line 'D 0-1 -1'"),
     ("base-negative", "exact", "base=2", "base=-1", "base=-1"),
@@ -126,6 +126,8 @@ BAD_VALUES = [
      "repeated stored entry 'D 0-1 2'"),
     ("repeated-edge", "multi", "E 1 1 2 1\n", "E 1 1 2 1\nE 1 0 2 1\n",
      "line 'E 1 0 2 1'"),
+    ("d-line-multi", "multi", "V 3 1 3\n", "V 3 1 3\nD 0 0\n",
+     "no 'D' lines in multi oracle files"),
     ("repeated-header-key", "exact", "base=2", "base=2 base=9",
      "bad header token 'base=9'"),
     ("ecc-key-m", "ecc", "D 0-1 6\n", "D 0-1 6\nD 0-4 6\n",
@@ -164,7 +166,7 @@ BAD_VALUES = [
     *[(f"fmt-{kind}", kind, f"fmt={new}", f"fmt={old}",
        f"version fmt='{old}' for kind {kind}")
       for kind, old, new in [("exact", 1, 2), ("ecc", 1, 2), ("spanner", 1, 2),
-                             ("approx", 1, 2), ("multi", 2, 1),
+                             ("approx", 1, 2), ("multi", 1, 2),
                              ("lowdiam", 2, 1)]],
     # header counts: more edges than vertex pairs
     ("m-over-pairs", "exact", "FDO exact 4 4", "FDO exact 4 7", "do not fit"),
@@ -188,7 +190,7 @@ BAD_VALUES = [
      "line 'D 0-\u0661 3'"),
     ("subset-underscore", "lowdiam", "D 1-2 inf", "D 1-0_2 inf",
      "line 'D 1-0_2 inf'"),
-    ("multi-key-plus", "multi", "D 1 0", "D +1 0", "line 'D +1 0'"),
+    ("v-dist-plus", "multi", "V 2 2 1", "V 2 +2 1", "line 'V 2 +2 1'"),
     ("e-line-plus", "multi", "E 1 1 2 1", "E 1 +1 2 1", "line 'E 1 +1 2 1'"),
     ("e-id-underscore", "multi", "E 1 1 2 1", "E 0_1 1 2 1",
      "line 'E 0_1 1 2 1'"),
@@ -211,7 +213,7 @@ def test_loader_rejects_values_no_build_writes(kind, old, new, msg):
     assert "malformed oracle value" not in str(info.value)
 
 
-MULTI_TEXT = """FDO multi 6 7 fmt=1 dir=0 f=2 mode=paper source=0 maxdist=12
+MULTI_TEXT = """FDO multi 6 7 fmt=2 dir=0 f=2 mode=paper source=0
 E 0 0 1 10
 E 1 0 5 5
 E 2 1 2 1
@@ -225,18 +227,27 @@ V 2 8 2
 V 3 7 6
 V 4 12 5
 V 5 5 1
-D 0 17
-D 1 0
-D 2 0
-D 3 20
-D 4 0
-D 5 0
-D 6 0
 """
 
 def test_multi_text_loads():
     assert parse_capped("loads_oracle", MULTI_TEXT) == "loaded"
-    assert dumps_oracle(loads_oracle(MULTI_TEXT)) == MULTI_TEXT
+    o = loads_oracle(MULTI_TEXT)
+    assert dumps_oracle(o) == MULTI_TEXT
+    # the swap weights and maxdist that fmt=1 files stored as D lines and
+    # maxdist=, recomputed from the edges and the tree rows
+    assert o.swap_weight == [17, 0, 0, 20, 0, 0, 0] and o.maxdist == 12
+
+
+def test_loader_refuses_multi_fmt1():
+    # fmt=1 also stored the swap weights (D lines) and maxdist=
+    text = ("FDO multi 6 7 fmt=1 dir=0 f=2 mode=paper source=0 maxdist=12\n"
+            + MULTI_TEXT.split("\n", 1)[1]
+            + "".join(f"D {eid} {sw}\n"
+                      for eid, sw in enumerate([17, 0, 0, 20, 0, 0, 0])))
+    with pytest.raises(GraphError, match="unsupported format version fmt='1' "
+                       "for kind multi, which is read as fmt=2: rebuild the "
+                       "oracle file"):
+        loads_oracle(text)
 
 
 @pytest.mark.parametrize("old, new, msg", [
@@ -253,6 +264,19 @@ def test_multi_text_loads():
     ("FDO multi 6 7", "FDO multi 10000000000 7", "do not fit"),
     ("FDO multi 6 7", "FDO multi 6 -1", "do not fit"),
     ("FDO multi 6 7", "FDO multi 0 7", "do not fit"),
+    # distances that are not the tree's: the swap weights are made of them
+    ("V 0 0 -", "V 0 1 -", "do not root at source 0 at distance 0"),
+    ("V 2 8 2", "V 2 9 2",
+     "tree row of vertex 2 has distance 9, not 7 + 1 along edge 2"),
+    ("V 2 8 2", "V 2 8.000001 2", "tree row of vertex 2 has distance 8.000001"),
+    ("V 5 5 1", "V 5 0 1", "tree row of vertex 5 has distance 0, not 0 + 5"),
+    # E lines: endpoints in 0..n-1 and distinct, a finite weight >= 0
+    ("E 2 1 2 1", "E 2 1 6 1", "line 'E 2 1 6 1'"),
+    ("E 2 1 2 1", "E 2 -1 2 1", "line 'E 2 -1 2 1'"),
+    ("E 2 1 2 1", "E 2 2 2 1", "line 'E 2 2 2 1'"),
+    ("E 2 1 2 1", "E 2 1 2 -1", "line 'E 2 1 2 -1'"),
+    ("E 2 1 2 1", "E 2 1 2 nan", "line 'E 2 1 2 nan'"),
+    ("E 2 1 2 1", "E 2 1 2 inf", "line 'E 2 1 2 inf'"),
 ])
 def test_loader_rejects_bad_multi_tree(old, new, msg):
     assert old in MULTI_TEXT
@@ -262,12 +286,22 @@ def test_loader_rejects_bad_multi_tree(old, new, msg):
 
 
 def test_loaded_multi_f1_gap_is_never_negative():
-    # swap weights below the tree distance of the cut vertex, which no build
-    # writes, made the f=1 lookup answer below 2*maxdist; it floors the gap
-    # at 0, as the general path does
-    text = (MULTI_TEXT.replace("f=2", "f=1").replace("D 0 17", "D 0 0")
-            .replace("D 3 20", "D 3 0"))
-    o = loads_oracle(text)
+    # fmt=1 files stored swap weights, and ones below the tree distance of
+    # the cut vertex, which no build writes, made the f=1 lookup answer
+    # below 2*maxdist.  Swap weights are now made of the tree rows'
+    # distances, and rows that push a non-tree endpoint below its cut
+    # vertex's distance are refused...
+    text = MULTI_TEXT.replace("f=2", "f=1").replace("V 4 12 5", "V 4 1 5")
+    with pytest.raises(GraphError, match="tree row of vertex 4 has distance 1"):
+        loads_oracle(text)
+    # ... unless they stay within the dist_eq tolerance of the tree: here
+    # the 0-weight tree edge 1-2 takes vertex 2 just below vertex 1, so the
+    # swap edge 0-2 leaves the cut of edge 0 a gap of -5e-10.  The f=1
+    # lookup floors it at 0, as the general path does.
+    o = loads_oracle("FDO multi 3 3 fmt=2 dir=0 f=1 mode=paper source=0\n"
+                     "E 0 0 1 1\nE 1 0 2 0\nE 2 1 2 0\n"
+                     "V 0 0 -\nV 1 1 0\nV 2 0.9999999995 2\n")
+    assert o.swap_weight[1] - o.dist[1] < 0
     for u, v, _ in o.edges:
         answer = o.query([(u, v)])
         assert answer == INF or answer >= 2 * o.maxdist, ((u, v), answer)
