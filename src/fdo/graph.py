@@ -30,18 +30,24 @@ def dist_eq(a, b) -> bool:
 
 
 def fmt_dist(x) -> str:
-    """Render a distance; 'inf' for unreachable, repr-roundtrip for floats."""
+    """Render a distance; 'inf' for unreachable, repr-roundtrip for floats.
+
+    An integral float is written as an int below 2^53, where the int and
+    its sums below 2^53 are exact, and as ``<int>.0`` from 2^53 on.  There
+    ``parse_dist`` reads it back as a float, so a loader that adds it rounds
+    as the build did, and no '+' of repr's exponent appears.
+    """
     if x == INF:
         return "inf"
     if isinstance(x, float) and x.is_integer():
-        x = int(x)
+        return str(int(x)) if abs(x) < 2 ** 53 else f"{int(x)}.0"
     return repr(x) if isinstance(x, float) else str(x)
 
 
 def _unwritten(text) -> bool:
     # int() takes '+1', '1_0' and other scripts' digits, which no file
-    # this package writes holds (fmt_dist writes a float of 1e16 or more,
-    # all integral, as an int): the parsers refuse them.
+    # this package writes holds (fmt_dist writes a float of 2^53 or more,
+    # all integral, as digits and '.0'): the parsers refuse them.
     return not text.isascii() or "_" in text or "+" in text
 
 

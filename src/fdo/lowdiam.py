@@ -32,13 +32,18 @@ from .graph import (Graph, GraphError, INF, diameter, index_edges, lane_bfs,
 
 
 class LowDiamFDO:
-    """Subset-keyed max-distance table plus the usual edge dictionary."""
+    """Subset-keyed max-distance table plus the usual edge dictionary.
+
+    ``build_stats`` holds a build's counters, ``nodes`` (failure-subset
+    tree nodes) and ``max_fanout`` (longest path branched on); a loaded
+    oracle has None.
+    """
 
     kind = "lowdiam"
     directed = False
 
     def __init__(self, n, edges, f, delta, base_diam, table, backend="exact",
-                 subgraph_count=None):
+                 subgraph_count=None, build_stats=None):
         self.n = n
         self.edges = edges
         self.f = f
@@ -47,6 +52,7 @@ class LowDiamFDO:
         self.table = table          # sorted edge-id tuple -> distance
         self.backend = backend
         self.subgraph_count = subgraph_count    # k of the sampled backend
+        self.build_stats = build_stats
         self.m = len(edges)
         self.edge_lookup = index_edges(edges, False)
 
@@ -164,8 +170,7 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
                                             {})[t] = None
                 table[key] = worst
             pending = children
-    oracle = LowDiamFDO(g.n, list(g.edges), f, delta, base, table,
-                        backend=backend,
-                        subgraph_count=dso.k if backend == "sampled" else None)
-    oracle.build_stats = {"nodes": nodes, "max_fanout": max_fanout}
-    return oracle
+    return LowDiamFDO(g.n, list(g.edges), f, delta, base, table,
+                      backend=backend,
+                      subgraph_count=dso.k if backend == "sampled" else None,
+                      build_stats={"nodes": nodes, "max_fanout": max_fanout})

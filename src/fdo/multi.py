@@ -15,14 +15,15 @@ Query cost: after k tree-edge cuts every component but the source's lies
 in the preorder slice of a cut subtree, and only non-tree edges cross
 components (cf. Duan & Pettie, "Connectivity oracles for failure prone
 graphs", STOC 2010).  A query labels those slices and scans their vertices'
-non-tree half-edges: O(k + sum of the cut-subtree sizes + their non-tree
-degree) rather than O(m + n*k).  ``nontree[v]`` holds v's non-tree
-half-edges as ``(other end, swap weight, eid)``, so the scan reads no edge
-rows.  The spanning step runs inline on the at most k+1 components: one
-Prim pass from component 0 over the cheapest edge per component pair,
-O(k*p) for p <= k(k+1)/2 pairs, joins each other component by the swap
-edge to its parent.  With f=1 a query is one lookup in a precomputed swap
-table.
+non-tree half-edges, ``nontree[v]``, sorted by ``(swap weight, eid)``.
+Each vertex of a component c stops at its first edge into the source's
+component 0 or at the first key at or above b0(c), the cheapest such edge
+seen so far: O(k + sum of the cut-subtree sizes) plus the half-edges below
+b0(c), and at most the slices' whole non-tree degree.  The spanning step
+runs inline on the at most k+1 components: one Prim pass from component 0
+over the cheapest edge per component pair, O(k*p) for p <= k(k+1)/2
+pairs, joins each other component by the swap edge to its parent.  With
+f=1 a query is one lookup in a precomputed swap table.
 """
 from __future__ import annotations
 
@@ -40,7 +41,8 @@ class MultiFDO:
 
     The constructor takes the tree rows ``dist`` and ``parent_eid``, checks
     that they are a shortest-path tree at ``source`` (under ``dist_eq``)
-    and derives ``swap_weight``, ``maxdist``, ``cut_root`` and ``f1_swap``.
+    and derives ``swap_weight``, ``maxdist``, ``cut_root``, the sorted
+    ``nontree`` rows and ``f1_swap``.
     """
 
     kind = "multi"
@@ -63,15 +65,19 @@ class MultiFDO:
         self.maxdist = max(dist)
         self._index_tree()
         cut_root = self.cut_root
-        # Per vertex, its non-tree half-edges: (other end, swap weight, eid).
-        # Tree edges keep swap weight 0.
+        # Per vertex, its non-tree half-edges as (swap weight, eid, other
+        # end), sorted by the distinct (swap weight, eid) keys, so a query
+        # stops each row at its component's cheapest edge to the source's
+        # component (query_details says why).  Tree edges keep swap weight 0.
         self.swap_weight = swap_weight = [0] * len(edges)
         self.nontree = nontree = [[] for _ in range(n)]
         for eid, (u, v, w) in enumerate(edges):
             if eid not in cut_root:
                 sw = swap_weight[eid] = dist[u] + w + dist[v]
-                nontree[u].append((v, sw, eid))
-                nontree[v].append((u, sw, eid))
+                nontree[u].append((sw, eid, v))
+                nontree[v].append((sw, eid, u))
+        for row in nontree:
+            row.sort()
         self.f1_swap = self._cover_tree_edges() if f == 1 else None
 
     def _index_tree(self):
@@ -154,11 +160,28 @@ class MultiFDO:
         """Full query transcript: answer, lower-bound gap, swap edges picked,
         and the failed-tree-edge count (used by the stretch audits).
 
-        The general path scans the k failed tree edges' subtrees, O(k + sum
-        of the cut-subtree sizes + their non-tree degree), then joins the
-        components in one Prim pass over the p <= k(k+1)/2 cheapest pair
-        edges, O(k*p); with f=1 (unless ``force_general``) it is one lookup
-        in the precomputed swap table.
+        The general path labels the k failed tree edges' subtrees and walks
+        their vertices' sorted ``nontree`` rows, skipping internal and
+        failed half-edges.  It keeps b0(c), the cheapest non-failed edge
+        from component c to the source's component 0, and each vertex of c
+        stops at its first edge into component 0 or at the first key at or
+        above b0(c); edges to other cut components are kept per component
+        pair on the way.  One Prim pass over the b0 edges and the pair
+        minima, p <= k(k+1)/2 edges, then joins the components in O(k*p).
+
+        Why stopping is exact: the minimum spanning tree over the
+        components is unique, as the (swap weight, eid) keys are distinct.
+        A vertex stops before its cheapest edge to component 0 only at a
+        cheaper one, so each b0(c) is exact.  If both endpoints of an edge
+        e between components c and c', neither of them 0, stop before e,
+        then b0(c) and b0(c') are both cheaper than e: e is the heaviest
+        edge of the cycle c-0-c' and in no minimum spanning tree.  So every
+        tree edge is kept, Prim finds the same tree, and ``swap_eids``,
+        ``gap``, ``k``, ``finite`` and ``answer`` equal a full scan's.  A
+        component with no edge to component 0 never stops early.
+
+        With f=1 (unless ``force_general``) the query is one lookup in the
+        precomputed swap table.
         """
         if not isinstance(pairs, (tuple, list)):
             pairs = list(pairs)
@@ -194,20 +217,27 @@ class MultiFDO:
         for c, r in enumerate(roots, 1):
             comp.update(dict.fromkeys(euler[tin[r]:tout[r]], c))
         # cheapest (swap weight, eid, c, c') per component pair, keyed by
-        # c*(k+1) + c' with c < c'; an edge is checked against the failed
-        # ones only if it would improve its pair
+        # c*(k+1) + c' with c < c', so key c holds b0(c)
         nontree = self.nontree
         crossing = {}
         k1 = k + 1
+        top = (INF, self.m)         # above every (swap weight, eid) key
         for v, cv in comp.items():
-            for u, sw, eid in nontree[v]:
+            stop = crossing.get(cv, top)
+            for half in nontree[v]:
+                if half >= stop:
+                    break
+                sw, eid, u = half
                 cu = comp.get(u, 0)
-                if cu == cv:
+                if cu == cv or eid in eids:
                     continue
+                if not cu:
+                    crossing[cv] = (sw, eid, 0, cv)
+                    break
                 key = cu * k1 + cv if cu < cv else cv * k1 + cu
                 old = crossing.get(key)
-                if ((old is None or sw < old[0] or sw == old[0] and eid < old[1])
-                        and eid not in eids):
+                # decided by eid, unless old is this edge from its other end
+                if old is None or half < old:
                     crossing[key] = (sw, eid, cu, cv)
         # Prim from component 0: each step joins the cheapest pair edge with
         # one end joined, the new component's parent edge in the minimum

@@ -36,6 +36,14 @@ def test_single_vertex_holds_the_empty_key():
     assert loads_oracle(dumps_oracle(o)).query([]) == 0
 
 
+def test_build_stats_from_the_constructor():
+    # a build passes its counters to the constructor; a file holds none
+    o = build_lowdiam_fdo(chorded_c4(), 2, delta=3.0)
+    assert o.build_stats["nodes"] >= len(o.table)
+    assert o.build_stats["max_fanout"] == 2
+    assert loads_oracle(dumps_oracle(o)).build_stats is None
+
+
 def test_keys_capped_at_f():
     o = build_lowdiam_fdo(chorded_c4(), 2, delta=3.0)
     assert max(len(k) for k in o.table) <= 2

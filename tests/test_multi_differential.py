@@ -9,13 +9,24 @@ edge, then a Kruskal of its own over the components), and every answer must
 meet the oracle's contract against ``fdo.verify.brute_diam``.  A fixed
 n=300 graph, cut at four of its largest subtrees at a time, checks the same
 transcripts where components are large and nested.
+
+The query scan stops each component's walk at its cheapest edge to the
+source's component, b0.  Fixed graphs check the transcripts where that
+pruning could go wrong: failure sets that also fail the cheapest crossing
+edges (a b0 candidate and a pair candidate), nested cuts whose inner
+component reaches only the outer one (a pair edge between two cut
+components joins the spanning tree), and a unit-weight grid full of
+swap-weight ties.  Built and loaded oracles keep each ``nontree`` row
+sorted by (swap weight, eid), holding exactly the vertex's non-tree
+half-edges.
 """
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdo import INF, brute_diam, build_graph, build_multi_fdo, gen_random
+from fdo import (INF, brute_diam, build_graph, build_multi_fdo, dumps_oracle,
+                 gen_random, loads_oracle)
 from fdo.graph import DIST_EPS, resolve_pairs
 
 WEIGHTS = {
@@ -109,6 +120,33 @@ def rooted_parent_edges(num_comps, chosen):
     return parent_edge
 
 
+def reference_components(o, failed_tree):
+    """Per vertex, 1 + the index in ``failed_tree`` of its deepest enclosing
+    cut edge, or 0 in the source's component."""
+    roots = [o.cut_root[e] for e in failed_tree]
+    comp = [0] * o.n
+    for v in range(o.n):
+        best_tin = -1
+        for i, r in enumerate(roots):
+            if o.tin[r] <= o.tin[v] < o.tout[r] and o.tin[r] > best_tin:
+                best_tin = o.tin[r]
+                comp[v] = i + 1
+    return comp
+
+
+def assert_sorted_rows(o):
+    """Each ``nontree[v]`` is v's non-tree half-edges (swap weight, eid,
+    other end), sorted by (swap weight, eid)."""
+    want = [[] for _ in range(o.n)]
+    for eid, (u, v, w) in enumerate(o.edges):
+        if eid not in o.cut_root:
+            sw = o.dist[u] + w + o.dist[v]
+            want[u].append((sw, eid, v))
+            want[v].append((sw, eid, u))
+    for v, row in enumerate(o.nontree):
+        assert row == sorted(want[v], key=lambda h: h[:2]), v
+
+
 def reference_details(o, pairs):
     """The general query path as a plain O(m + n*k) pass: every vertex gets
     its deepest enclosing cut root, then every edge is scanned."""
@@ -122,13 +160,7 @@ def reference_details(o, pairs):
         detail["answer"] = 2 * o.maxdist
         return detail
     roots = [o.cut_root[e] for e in failed_tree]
-    comp = [0] * o.n
-    for v in range(o.n):
-        best_tin = -1
-        for i, r in enumerate(roots):
-            if o.tin[r] <= o.tin[v] < o.tout[r] and o.tin[r] > best_tin:
-                best_tin = o.tin[r]
-                comp[v] = i + 1
+    comp = reference_components(o, failed_tree)
     crossing = {}
     for eid, (u, v, _) in enumerate(o.edges):
         if eid in failed or comp[u] == comp[v]:
@@ -167,6 +199,8 @@ def test_multi_matches_reference_and_brute(kind, data):
     for f in range(1, 9):
         o = build_multi_fdo(g, f, mode=data.draw(st.sampled_from(
             ["paper", "tight"])))
+        assert_sorted_rows(o)
+        assert_sorted_rows(loads_oracle(dumps_oracle(o)))
         for pairs in data.draw(st.lists(failure_sets(o, f), min_size=1,
                                         max_size=4)):
             truth = brute_diam(g, pairs)
@@ -192,3 +226,114 @@ def test_largest_subtree_cuts_match_reference():
         pairs = rng.sample(largest, 4)
         assert (list(o.query_details(pairs).items())
                 == list(reference_details(o, pairs).items())), pairs
+
+
+def oriented(rng, o, eids):
+    """The vertex pairs of ``eids``, each either way round, shuffled."""
+    pairs = [o.edges[e][:2][::rng.choice((1, -1))] for e in eids]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def float_graph(seed, n, p):
+    g = gen_random("er-weighted", seed, n=n, p=p)
+    rng = random.Random(seed)
+    return build_graph(n, False, [(u, v, rng.choice((0.0, w / 3)))
+                                  for u, v, w in g.edges])
+
+
+PRUNING_GRAPHS = {
+    "unit": lambda seed: gen_random("er-undirected", seed, n=40, p=0.12),
+    "int": lambda seed: gen_random("er-weighted", seed, n=40, p=0.12,
+                                   weight_max=3),
+    "float": lambda seed: float_graph(seed, 40, 0.12),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PRUNING_GRAPHS))
+def test_failed_cheapest_crossing_edges_match_reference(kind):
+    # Two cuts, plus the failure of the cheapest edge from each cut
+    # component to the source's component (its b0 candidate) and of the
+    # cheapest edge between the two cut components: the scan must skip
+    # failed edges, not stop at them.
+    o = build_multi_fdo(PRUNING_GRAPHS[kind](11), 5)
+    loaded = loads_oracle(dumps_oracle(o))
+    assert_sorted_rows(o)
+    assert_sorted_rows(loaded)
+    rng = random.Random(11)
+    tree = sorted(o.cut_root)
+    failed_pair_edges = 0
+    for _ in range(300):
+        cuts = sorted(rng.sample(tree, 2))
+        comp = reference_components(o, cuts)
+        crossing = sorted((o.swap_weight[e], e)
+                          for e, (u, v, _) in enumerate(o.edges)
+                          if e not in o.cut_root and comp[u] != comp[v])
+        extra = []
+        for c in (1, 2):
+            extra += [e for _, e in crossing
+                      if {comp[o.edges[e][0]], comp[o.edges[e][1]]} == {0, c}
+                      ][:1]
+        pair = [e for _, e in crossing
+                if {comp[o.edges[e][0]], comp[o.edges[e][1]]} == {1, 2}][:1]
+        failed_pair_edges += len(pair)
+        pairs = oriented(rng, o, cuts + extra + pair)
+        want = list(reference_details(o, pairs).items())
+        assert list(o.query_details(pairs).items()) == want, pairs
+        assert list(loaded.query_details(pairs).items()) == want, pairs
+    assert failed_pair_edges >= 30
+
+
+@pytest.mark.parametrize("kind", sorted(PRUNING_GRAPHS))
+def test_inner_component_reaching_only_outer_matches_reference(kind):
+    # Nested cuts, with every edge from the inner component to the
+    # source's component failed as well: the inner component never stops
+    # early, and it joins the spanning tree by a pair edge to the outer one.
+    o = build_multi_fdo(PRUNING_GRAPHS[kind](12), 8)
+    rng = random.Random(12)
+    nested = [(a, b) for a in o.cut_root for b in o.cut_root
+              if a != b and o.tin[o.cut_root[a]] < o.tin[o.cut_root[b]]
+              < o.tout[o.cut_root[a]]]
+    pair_joins = 0
+    for outer, inner in rng.sample(nested, min(len(nested), 400)):
+        cuts = sorted((outer, inner))
+        comp = reference_components(o, cuts)
+        c_in, c_out = comp[o.cut_root[inner]], comp[o.cut_root[outer]]
+        to_source = [e for e, (u, v, _) in enumerate(o.edges)
+                     if e not in o.cut_root and {comp[u], comp[v]} == {0, c_in}]
+        if len(to_source) > 6:
+            continue
+        pairs = oriented(rng, o, cuts + to_source)
+        detail = o.query_details(pairs)
+        assert list(detail.items()) == list(
+            reference_details(o, pairs).items()), pairs
+        pair_joins += any({comp[o.edges[e][0]], comp[o.edges[e][1]]}
+                          == {c_in, c_out} for e in detail["swap_eids"])
+    assert pair_joins >= 10
+
+
+def test_unit_weight_grid_ties_match_reference():
+    # On a 12x12 grid every swap weight is dist[u] + 1 + dist[v], so
+    # hundreds of non-tree edges share a few dozen swap weights and the
+    # (swap weight, eid) order decides the stops and the picked edges.
+    side = 12
+    g = build_graph(side * side, False,
+                    [(r * side + c, r * side + c + 1)
+                     for r in range(side) for c in range(side - 1)]
+                    + [(r * side + c, (r + 1) * side + c)
+                       for r in range(side - 1) for c in range(side)])
+    o = build_multi_fdo(g, 4)
+    loaded = loads_oracle(dumps_oracle(o))
+    assert_sorted_rows(o)
+    assert_sorted_rows(loaded)
+    nontree = [e for e in range(o.m) if e not in o.cut_root]
+    assert len({o.swap_weight[e] for e in nontree}) * 4 < len(nontree)
+    rng = random.Random(13)
+    tree = sorted(o.cut_root)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        eids = rng.sample(tree, k) + rng.sample(nontree, 4 - k)
+        pairs = oriented(rng, o, eids)
+        want = list(reference_details(o, pairs).items())
+        assert list(o.query_details(pairs).items()) == want, pairs
+        assert list(loaded.query_details(pairs).items()) == want, pairs

@@ -1,4 +1,5 @@
 import re
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from fdo import (INF, GraphError, brute_diam, build_approx_fdo, build_ecc_fdo,
                  build_exact_fdo, build_graph, build_lowdiam_fdo,
                  build_multi_fdo, build_spanner_fdo, dumps_oracle,
                  gen_dense_lb, gen_random, loads_oracle, random_payload)
+from fdo.graph import format_graph, parse_graph
 from fdo.verify import enumerate_failures
 
 from conftest import parse_capped
@@ -307,6 +309,28 @@ def test_loaded_multi_f1_gap_is_never_negative():
         assert answer == INF or answer >= 2 * o.maxdist, ((u, v), answer)
         general = o.query_details([(u, v)], force_general=True)
         assert answer == general["answer"]
+
+
+def test_multi_float_distances_past_2_53_load():
+    # Integral floats of 2^53 or more are written as digits and '.0', so the
+    # loader reads floats and adds them as the build did.  Written as ints,
+    # dist[2] = 1e16 + 3 (rounded to ...004) was refused as "not 1e16 + 3".
+    g = build_graph(3, False, [(0, 1, 1e16), (1, 2, 3.0), (0, 2, 3e16)])
+    text = format_graph(g)
+    assert "+" not in text
+    again = parse_graph(text)
+    assert again.edges == g.edges
+    assert [type(w) for _, _, w in again.edges if w >= 2 ** 53] == [float] * 2
+    built = build_multi_fdo(g, 2)
+    assert dumps_oracle(build_multi_fdo(again, 2)) == dumps_oracle(built)
+    loaded = loads_oracle(dumps_oracle(built))
+    assert loaded.swap_weight == built.swap_weight
+    pairs = [(u, v) for u, v, _ in g.edges]
+    for size in range(3):
+        for failed in combinations(pairs, size):
+            for general in (False, True):
+                assert (loaded.query_details(failed, force_general=general)
+                        == built.query_details(failed, force_general=general))
 
 
 def test_loader_rejects_huge_edge_count():
