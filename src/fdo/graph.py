@@ -78,7 +78,9 @@ class Graph:
         self.directed = directed
         self.edges = edges  # list of (u, v, w)
         self.weighted = any(w != 1 for _, _, w in edges)
-        self.edge_lookup = index_edges(edges, directed)
+        # pair -> edge id; (u, v) with u < v when undirected
+        self.edge_lookup = {(v, u) if v < u and not directed else (u, v): eid
+                            for eid, (u, v, _) in enumerate(edges)}
         out_nbrs = [[] for _ in range(n)]
         in_nbrs = [[] for _ in range(n)]
         for eid, (u, v, w) in enumerate(edges):
@@ -404,12 +406,6 @@ def strong_bridges(g: Graph) -> set:
 
 # ---------------------------------------------------------------------------
 # failure sets
-
-def index_edges(edges, directed):
-    """Pair -> edge id dictionary for an (u, v, w) edge table."""
-    return {(v, u) if v < u and not directed else (u, v): eid
-            for eid, (u, v, _) in enumerate(edges)}
-
 
 def resolve_pairs(pairs, n, directed, edge_lookup):
     """Validate a failure set of vertex pairs and split it against the edge

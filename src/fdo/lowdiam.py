@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graph import (Graph, GraphError, INF, diameter, index_edges, lane_bfs,
-                    lane_path, resolve_pairs)
+from .graph import (Graph, GraphError, INF, diameter, lane_bfs, lane_path,
+                    resolve_pairs)
 
 
 class LowDiamFDO:
@@ -42,10 +42,11 @@ class LowDiamFDO:
     kind = "lowdiam"
     directed = False
 
-    def __init__(self, n, edges, f, delta, base_diam, table, backend="exact",
-                 subgraph_count=None, build_stats=None):
+    def __init__(self, n, edges, edge_lookup, f, delta, base_diam, table,
+                 backend="exact", subgraph_count=None, build_stats=None):
         self.n = n
         self.edges = edges
+        self.edge_lookup = edge_lookup      # (u, v) with u < v -> edge id
         self.f = f
         self.delta = delta
         self.base_diam = base_diam
@@ -54,7 +55,6 @@ class LowDiamFDO:
         self.subgraph_count = subgraph_count    # k of the sampled backend
         self.build_stats = build_stats
         self.m = len(edges)
-        self.edge_lookup = index_edges(edges, False)
 
     def query(self, pairs):
         return self.query_details(pairs)["answer"]
@@ -170,7 +170,7 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
                                             {})[t] = None
                 table[key] = worst
             pending = children
-    return LowDiamFDO(g.n, list(g.edges), f, delta, base, table,
+    return LowDiamFDO(g.n, list(g.edges), g.edge_lookup, f, delta, base, table,
                       backend=backend,
                       subgraph_count=dso.k if backend == "sampled" else None,
                       build_stats={"nodes": nodes, "max_fanout": max_fanout})

@@ -4,31 +4,37 @@ Undirected, non-negative weights.  The oracle is one shortest-path tree
 from a fixed source (per vertex: its distance and parent edge) and the
 edge list.  The constructor derives the rest from them, on a build and on
 a load alike: a swap weight per edge (zero on tree edges, the tree-distance
-detour dist[u] + w + dist[v] elsewhere), maxdist = max(dist) and the
-preorder index of the tree.  A query reconnects the tree around
-the failed tree edges with minimum-swap-weight edges, derives a certified
-lower bound on the new diameter from the most expensive reconnection, and
-answers f*gap + 2*maxdist.  Infinity is returned exactly when the failures
-disconnect the graph.
+detour dist[u] + w + dist[v] elsewhere), maxdist = max(dist), the
+preorder index of the tree and the cover table.  A query reconnects the
+tree around the failed tree edges with minimum-swap-weight edges, derives
+a certified lower bound on the new diameter from the most expensive
+reconnection, and answers f*gap + 2*maxdist.  Infinity is returned
+exactly when the failures disconnect the graph.
 
 Query cost: after k tree-edge cuts every component but the source's lies
 in the preorder slice of a cut subtree, and only non-tree edges cross
 components (cf. Duan & Pettie, "Connectivity oracles for failure prone
-graphs", STOC 2010).  A query labels those slices and scans their vertices'
-non-tree half-edges, ``nontree[v]``, sorted by ``(swap weight, eid)``.
+graphs", STOC 2010).  ``cover[v]``, the cheapest non-tree edge by
+``(swap weight, eid)`` with exactly one end in subtree(v), comes from one
+union-find pass over the non-tree edges in key order (Tarjan's path
+painting, "Sensitivity analysis of minimum spanning trees and shortest
+path trees", IPL 1982).  Disjoint cuts with k distinct, unfailed cover
+edges reconnect from it in O(k log k), and a cut with no cover edge is
+inf.  Other queries (nested cuts, a failed or shared cover edge) label
+the cut slices and scan their vertices' non-tree half-edges,
+``nontree[v]``, sorted by the same key.
 Each vertex of a component c stops at its first edge into the source's
 component 0 or at the first key at or above b0(c), the cheapest such edge
 seen so far: O(k + sum of the cut-subtree sizes) plus the half-edges below
 b0(c), and at most the slices' whole non-tree degree.  The spanning step
 runs inline on the at most k+1 components: one Prim pass from component 0
 over the cheapest edge per component pair, O(k*p) for p <= k(k+1)/2
-pairs, joins each other component by the swap edge to its parent.  With
-f=1 a query is one lookup in a precomputed swap table.
+pairs, joins each other component by the swap edge to its parent.
 """
 from __future__ import annotations
 
-from .graph import (Graph, GraphError, INF, dist_eq, fmt_dist, index_edges,
-                    preorder, resolve_pairs, sssp)
+from .graph import (Graph, GraphError, INF, dist_eq, fmt_dist, preorder,
+                    resolve_pairs, sssp)
 
 
 class MultiFDO:
@@ -42,43 +48,70 @@ class MultiFDO:
     The constructor takes the tree rows ``dist`` and ``parent_eid``, checks
     that they are a shortest-path tree at ``source`` (under ``dist_eq``)
     and derives ``swap_weight``, ``maxdist``, ``cut_root``, the sorted
-    ``nontree`` rows and ``f1_swap``.
+    ``nontree`` rows and ``cover``.  ``edge_lookup`` maps each vertex pair
+    (u, v), u < v, to its edge id, as ``Graph.edge_lookup`` does.
     """
 
     kind = "multi"
     directed = False
 
-    def __init__(self, n, edges, f, mode, source, dist, parent_eid):
+    def __init__(self, n, edges, edge_lookup, f, mode, source, dist,
+                 parent_eid):
         if f < 1:
             raise GraphError(f"failure budget must be >= 1, got {f}")
         if mode not in ("paper", "tight"):
             raise GraphError(f"unknown output mode {mode!r}")
         self.n = n
         self.edges = edges
+        self.edge_lookup = edge_lookup      # (u, v) with u < v -> edge id
         self.f = f
         self.mode = mode
         self.source = source
         self.dist = dist
         self.parent_eid = parent_eid        # per vertex, None at the source
         self.m = len(edges)
-        self.edge_lookup = index_edges(edges, False)
         self.maxdist = max(dist)
         self._index_tree()
-        cut_root = self.cut_root
-        # Per vertex, its non-tree half-edges as (swap weight, eid, other
-        # end), sorted by the distinct (swap weight, eid) keys, so a query
-        # stops each row at its component's cheapest edge to the source's
-        # component (query_details says why).  Tree edges keep swap weight 0.
+        cut_root, tin = self.cut_root, self.tin
+        parent_vert = self.parent_vert
+        # Tree edges keep swap weight 0; the non-tree edges are walked once
+        # in (swap weight, eid) order, a stable sort of ascending eids.
         self.swap_weight = swap_weight = [0] * len(edges)
-        self.nontree = nontree = [[] for _ in range(n)]
+        off_tree = []
         for eid, (u, v, w) in enumerate(edges):
             if eid not in cut_root:
-                sw = swap_weight[eid] = dist[u] + w + dist[v]
-                nontree[u].append((sw, eid, v))
-                nontree[v].append((sw, eid, u))
-        for row in nontree:
-            row.sort()
-        self.f1_swap = self._cover_tree_edges() if f == 1 else None
+                swap_weight[eid] = dist[u] + w + dist[v]
+                off_tree.append(eid)
+        off_tree.sort(key=swap_weight.__getitem__)
+        # Per vertex, its non-tree half-edges as (swap weight, eid, other
+        # end), sorted by key as they are appended, so a query stops each
+        # row at its component's cheapest edge to the source's component
+        # (query_details says why).  cover[v] is the first edge in key order
+        # whose tree path holds v's parent edge: the cheapest with exactly
+        # one end in subtree(v), or None.  Each edge paints the unpainted
+        # edges of its path (Tarjan's path painting); find[x] leads through
+        # painted vertices to x's nearest unpainted ancestor (path halving).
+        # Of two distinct such ancestors, the one with the larger tin is no
+        # ancestor of the other, so its parent edge is on the path.
+        self.nontree = nontree = [[] for _ in range(n)]
+        self.cover = cover = [None] * n
+        find = list(range(n))
+        for eid in off_tree:
+            x, y, _ = edges[eid]
+            sw = swap_weight[eid]
+            nontree[x].append((sw, eid, y))
+            nontree[y].append((sw, eid, x))
+            while True:
+                while find[x] != x:
+                    find[x] = x = find[find[x]]
+                while find[y] != y:
+                    find[y] = y = find[find[y]]
+                if x == y:
+                    break
+                if tin[x] < tin[y]:
+                    x, y = y, x
+                cover[x] = eid
+                find[x] = parent_vert[x]
 
     def _index_tree(self):
         # Preorder intervals: nested, so the deepest failed tree edge
@@ -115,41 +148,17 @@ class MultiFDO:
         if len(euler) != n:
             raise GraphError(f"tree rows reach {len(euler)} of {n} vertices "
                              f"from source {source}")
-        depth = [0] * n
         for v in euler[1:]:
             pv = parent_vert[v]
-            depth[v] = depth[pv] + 1
             w = edges[parent_eid[v]][2]
             d = dist[pv] + w
             if d != dist[v] and not dist_eq(d, dist[v]):
                 raise GraphError(f"tree row of vertex {v} has distance "
                                  f"{fmt_dist(dist[v])}, not {fmt_dist(dist[pv])}"
                                  f" + {fmt_dist(w)} along edge {parent_eid[v]}")
-        self.tin, self.depth, self.euler = tin, depth, euler
+        self.tin, self.euler = tin, euler
         self.tout = [t + s for t, s in zip(tin, size)]
         self.parent_vert = parent_vert
-
-    def _tree_path_eids(self, x, y):
-        eids = []
-        while x != y:
-            if self.depth[x] < self.depth[y]:
-                x, y = y, x
-            eids.append(self.parent_eid[x])
-            x = self.parent_vert[x]
-        return eids
-
-    def _cover_tree_edges(self):
-        # Single-failure fast path: cheapest swap edge per tree edge, found
-        # by marking every tree edge on each non-tree edge's endpoint path.
-        best = {}
-        for eid, (u, v, _) in enumerate(self.edges):
-            if eid in self.cut_root:
-                continue
-            cand = (self.swap_weight[eid], eid)
-            for teid in self._tree_path_eids(u, v):
-                if teid not in best or cand < best[teid]:
-                    best[teid] = cand
-        return {teid: eid for teid, (_, eid) in best.items()}
 
     # ------------------------------------------------------------------ query
 
@@ -160,14 +169,32 @@ class MultiFDO:
         """Full query transcript: answer, lower-bound gap, swap edges picked,
         and the failed-tree-edge count (used by the stretch audits).
 
-        The general path labels the k failed tree edges' subtrees and walks
-        their vertices' sorted ``nontree`` rows, skipping internal and
-        failed half-edges.  It keeps b0(c), the cheapest non-failed edge
-        from component c to the source's component 0, and each vertex of c
-        stops at its first edge into component 0 or at the first key at or
-        above b0(c); edges to other cut components are kept per component
-        pair on the way.  One Prim pass over the b0 edges and the pair
-        minima, p <= k(k+1)/2 edges, then joins the components in O(k*p).
+        Cover table: if no cut root's ``cover`` is None, the cut subtrees
+        are pairwise disjoint (consecutive roots in tin order do not
+        nest), no cover edge failed and the k cover edges are distinct,
+        then component i is subtree(r_i), and its cheapest edge out is
+        cover[r_i]: only non-tree edges leave it besides its failed tree
+        edge.  By Borůvka's rule each component's cheapest edge out is in
+        the minimum spanning tree over the components, which is unique as
+        the (swap weight, eid) keys are distinct; k distinct such edges
+        are all k of its edges.  Directed away from the component that
+        chose it, each edge leaves one of the k components other than 0,
+        one edge each, so in the tree they all point toward component 0:
+        cover[r_i] is the swap edge from component i to its parent, and
+        gap = max(swap_weight[cover[r_i]] - dist[r_i], 0).  A cut root
+        whose cover is None has only its failed tree edge out of its
+        subtree: the answer is inf.  With k = 1 only the None and the
+        failed checks apply.
+
+        Otherwise (and with ``force_general``) the scan labels the k failed
+        tree edges' subtrees and walks their vertices' sorted ``nontree``
+        rows, skipping internal and failed half-edges.  It keeps b0(c), the
+        cheapest non-failed edge from component c to the source's
+        component 0, and each vertex of c stops at its first edge into
+        component 0 or at the first key at or above b0(c); edges to other
+        cut components are kept per component pair on the way.  One Prim
+        pass over the b0 edges and the pair minima, p <= k(k+1)/2 edges,
+        then joins the components in O(k*p).
 
         Why stopping is exact: the minimum spanning tree over the
         components is unique, as the (swap weight, eid) keys are distinct.
@@ -179,9 +206,6 @@ class MultiFDO:
         tree edge is kept, Prim finds the same tree, and ``swap_eids``,
         ``gap``, ``k``, ``finite`` and ``answer`` equal a full scan's.  A
         component with no edge to component 0 never stops early.
-
-        With f=1 (unless ``force_general``) the query is one lookup in the
-        precomputed swap table.
         """
         if not isinstance(pairs, (tuple, list)):
             pairs = list(pairs)
@@ -195,24 +219,56 @@ class MultiFDO:
         if k == 0:
             return {"k": 0, "gap": 0, "swap_eids": [], "finite": True,
                     "answer": 2 * self.maxdist}
-        swap_weight, dist = self.swap_weight, self.dist
-        if self.f == 1 and not force_general:
-            swap = self.f1_swap.get(failed_tree[0])
-            if swap is None:
+        if k == 1 and not force_general:
+            # the one cut's cover edge, unless there is none or it failed
+            root = cut_root[failed_tree[0]]
+            swap = self.cover[root]
+            if swap is not None and swap not in eids:
+                g = self.swap_weight[swap] - self.dist[root]
+                gap = g if g > 0 else 0     # nor nan: never below 0
+                mult = self.f if self.mode == "paper" else 1
+                return {"k": 1, "gap": gap, "swap_eids": [swap],
+                        "finite": True,
+                        "answer": mult * gap + 2 * self.maxdist}
+        tin = self.tin
+        roots = sorted([cut_root[e] for e in failed_tree], key=tin.__getitem__)
+        swaps = None
+        if not force_general:
+            cover, tout = self.cover, self.tout
+            swaps = [cover[r] for r in roots]
+            if None in swaps:
                 return {"k": k, "gap": 0, "swap_eids": [], "finite": False,
                         "answer": INF}
-            gap = swap_weight[swap] - dist[cut_root[failed_tree[0]]]
-            if not gap >= 0:  # nor nan: never below 0, as on the general path
-                gap = 0
-            return {"k": k, "gap": gap, "swap_eids": [swap], "finite": True,
-                    "answer": gap + 2 * self.maxdist}
+            used = set(swaps)
+            if not (len(used) == k and used.isdisjoint(eids)
+                    and all(tout[a] <= tin[b]
+                            for a, b in zip(roots, roots[1:]))):
+                swaps = None
+        if swaps is None:
+            swaps = self._reconnect(roots, eids)
+            if swaps is None:
+                return {"k": k, "gap": 0, "swap_eids": [], "finite": False,
+                        "answer": INF}
+        swap_weight, dist = self.swap_weight, self.dist
+        gap = 0
+        for r, eid in zip(roots, swaps):
+            g = swap_weight[eid] - dist[r]
+            if g > gap:     # nor nan: never below 0
+                gap = g
+        swaps.sort()
+        mult = self.f if self.mode == "paper" else k
+        return {"k": k, "gap": gap, "swap_eids": swaps, "finite": True,
+                "answer": mult * gap + 2 * self.maxdist}
 
+    def _reconnect(self, roots, eids):
+        """The swap edge joining each cut root's component to its parent in
+        the minimum spanning tree over the components, by the sorted-row
+        scan and a Prim pass; None when the failures disconnect G."""
         # Component c = i+1 is the subtree of roots[i] minus deeper cut
         # subtrees: roots sorted by tin, so the slices are labelled
         # outermost first and nested ones overwrite.  Vertices left
         # unlabelled are in the source's component 0.
         tin, tout, euler = self.tin, self.tout, self.euler
-        roots = sorted([cut_root[e] for e in failed_tree], key=tin.__getitem__)
         comp = {}
         for c, r in enumerate(roots, 1):
             comp.update(dict.fromkeys(euler[tin[r]:tout[r]], c))
@@ -220,6 +276,7 @@ class MultiFDO:
         # c*(k+1) + c' with c < c', so key c holds b0(c)
         nontree = self.nontree
         crossing = {}
+        k = len(roots)
         k1 = k + 1
         top = (INF, self.m)         # above every (swap weight, eid) key
         for v, cv in comp.items():
@@ -245,25 +302,17 @@ class MultiFDO:
         # No such edge left: the failures disconnect G.
         pair_edges = sorted(crossing.values())
         joined = [True] + [False] * k
-        gap = 0
-        swap_eids = []
+        swaps = [None] * k
         for _ in range(k):
             for sw, eid, a, b in pair_edges:
                 if joined[a] != joined[b]:
                     break
             else:
-                return {"k": k, "gap": 0, "swap_eids": [], "finite": False,
-                        "answer": INF}
+                return None
             c = b if joined[a] else a
             joined[c] = True
-            swap_eids.append(eid)
-            g = sw - dist[roots[c - 1]]
-            if g > gap:
-                gap = g
-        swap_eids.sort()
-        mult = self.f if self.mode == "paper" else k
-        return {"k": k, "gap": gap, "swap_eids": swap_eids, "finite": True,
-                "answer": mult * gap + 2 * self.maxdist}
+            swaps[c - 1] = eid
+        return swaps
 
 
 def build_multi_fdo(g: Graph, f: int, mode="paper") -> MultiFDO:
@@ -273,4 +322,5 @@ def build_multi_fdo(g: Graph, f: int, mode="paper") -> MultiFDO:
     if INF in tree.dist:
         raise GraphError("multi-failure FDO needs a connected graph")
     parent_eid = [entry[1] if entry is not None else None for entry in tree.parent]
-    return MultiFDO(g.n, list(g.edges), f, mode, 0, tree.dist, parent_eid)
+    return MultiFDO(g.n, list(g.edges), g.edge_lookup, f, mode, 0, tree.dist,
+                    parent_eid)

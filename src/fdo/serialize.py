@@ -67,9 +67,9 @@ def _multi_parts(o):
     return params, rows, ()
 
 
-def _make_multi(n, m, directed, edges, entries, p, rows):
+def _make_multi(n, m, directed, edges, lookup, entries, p, rows):
     from .multi import MultiFDO
-    return MultiFDO(n, edges, p["f"], p["mode"], p["source"],
+    return MultiFDO(n, edges, lookup, p["f"], p["mode"], p["source"],
                     [r[0] for r in rows], [r[1] for r in rows])
 
 
@@ -79,7 +79,7 @@ def _lowdiam_parts(o):
     return {"f": o.f, "delta": o.delta, "base": o.base_diam}, [], entries
 
 
-def _make_single(kind, n, m, directed, edges, values, p, pivots):
+def _make_single(kind, n, m, directed, edges, lookup, values, p, pivots):
     from .single import SingleFDO
     o = SingleFDO(kind, n, m, directed, values, p, pivots)
     if o.fallback in values.values():   # no build keeps one
@@ -88,9 +88,9 @@ def _make_single(kind, n, m, directed, edges, values, p, pivots):
     return o
 
 
-def _make_lowdiam(n, m, directed, edges, table, p, rows):
+def _make_lowdiam(n, m, directed, edges, lookup, table, p, rows):
     from .lowdiam import LowDiamFDO
-    return LowDiamFDO(n, edges, p["f"], p["delta"], p["base"], table,
+    return LowDiamFDO(n, edges, lookup, p["f"], p["delta"], p["base"], table,
                       backend="loaded")
 
 
@@ -107,7 +107,8 @@ def _single(kind, header, tags=("D",), dirs=("0",)):
 # dir=, in file order, with their checks; the parser of a D key, (token,
 # n, m, directed) -> key; m -> the D keys every file holds; oracle ->
 # (header values, P or V lines, sorted D entries); (n, m, directed, edges,
-# D entries, header values, P or V rows) -> the oracle; and the dir= flags
+# pair -> edge id dictionary, D entries, header values, P or V rows) -> the
+# oracle; and the dir= flags
 # its builds write ("1" only where a build takes digraphs).
 FORMATS = {
     "exact": _single("exact", {"base": _DIST}, dirs=("0", "1")),
@@ -153,8 +154,9 @@ def loads_oracle(text: str):
     row or D key, a missing required D line, E, P, V or D lines a kind
     lacks, dir=1 in a kind that no digraph build writes, a format version
     other than its kind's, more edges than vertex pairs, a '+', '_' or
-    non-ASCII character, an E line with an endpoint outside 0..n-1, u == v
-    or a weight that is not finite and >= 0, in a single-failure file an
+    non-ASCII character, an E line with an endpoint outside 0..n-1, u == v,
+    a weight that is not finite and >= 0 or the vertex pair of an earlier E
+    line (either way round), in a single-failure file an
     undirected key u-v with u > v or a D value equal to the fallback, and
     in a multi file tree rows that are not a shortest-path tree at the
     source (MultiFDO checks them)."""
@@ -208,6 +210,7 @@ def loads_oracle(text: str):
         except ValueError:
             raise GraphError(f"bad header value {key}={raw[key]}") from None
     edges = [None] * edge_rows
+    lookup = {}     # (u, v) with u < v -> edge id, as Graph.edge_lookup
     rows = [None] * tree_rows
     entries = {}
     has_d, has_e, has_p, has_v = (t in tags for t in "DEPV")
@@ -230,6 +233,7 @@ def loads_oracle(text: str):
                 if not (0 <= u < n and 0 <= v < n and u != v and 0 <= w < INF):
                     raise ValueError(ln)
                 edges[eid] = (u, v, w)
+                lookup[(u, v) if u < v else (v, u)] = eid
             elif tag == "P" and has_p:
                 rows.append(_vertex(toks[1], n))
             elif tag == "V" and has_v:
@@ -245,12 +249,17 @@ def loads_oracle(text: str):
             raise GraphError(f"malformed oracle line {ln!r}") from None
     if any(e is None for e in edges):
         raise GraphError("oracle file is missing edge dictionary lines")
+    if len(lookup) < edge_rows:     # a later E line took the pair's entry
+        eid, u, v = next((e, u, v) for e, (u, v, _) in enumerate(edges)
+                         if lookup[(u, v) if u < v else (v, u)] != e)
+        raise GraphError(f"E lines {eid} and {lookup[min(u, v), max(u, v)]}"
+                         f" repeat the vertex pair {u}-{v}")
     if any(r is None for r in rows):
         raise GraphError(f"{kind} oracle file is missing tree rows")
     if not all(map(entries.__contains__, need(m))):
         raise GraphError("oracle file is missing stored entries")
     try:
-        return make(n, m, directed, edges, entries, params, rows)
+        return make(n, m, directed, edges, lookup, entries, params, rows)
     except GraphError:
         raise
     except (IndexError, ValueError) as exc:

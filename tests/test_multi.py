@@ -48,14 +48,14 @@ def test_build_triangle(tri):
     assert sorted(o.cut_root) == [0, 2]   # the tree edges
     assert o.swap_weight == [0, 3, 0]   # d(0,1) + 1 + d(0,2) for edge {1,2}
     assert o.maxdist == 1
-    assert o.f1_swap == {0: 1, 2: 1}    # the only non-tree edge covers both
+    assert o.cover == [None, 1, 1]      # the only non-tree edge covers both
 
 
 def test_build_path(tri):
     p3 = build_graph(3, False, [(0, 1), (1, 2)])
     o = build_multi_fdo(p3, 2)
     assert o.swap_weight == [0, 0] and o.maxdist == 2
-    assert o.f1_swap is None
+    assert o.cover == [None, None, None]   # both edges are bridges
 
 
 def test_build_rejects_directed(dicycle3):
@@ -105,14 +105,22 @@ def test_query_discards_nonedges(c4):
 
 
 def test_fast_path_equals_general():
+    # the cover table's transcripts, or the scan's where the table falls
+    # back, equal the scan's, keys in the same order
     for seed in range(4):
         g = gen_random("er-weighted", seed=seed + 50, n=18, p=0.25)
-        o = build_multi_fdo(g, 1)
-        for u, v, _ in g.edges:
-            fast = o.query_details([(u, v)])
-            slow = o.query_details([(u, v)], force_general=True)
-            assert fast["answer"] == slow["answer"]
-            assert fast["swap_eids"] == slow["swap_eids"]
+        pairs_all = [(u, v) for u, v, _ in g.edges]
+        rng = random.Random(seed)
+        for f in (1, 2, 3, 4):
+            o = build_multi_fdo(g, f)
+            cases = [[p] for p in pairs_all]
+            if f > 1:
+                cases += [rng.sample(pairs_all, rng.randint(2, f))
+                          for _ in range(100)]
+            for pairs in cases:
+                fast = o.query_details(pairs)
+                slow = o.query_details(pairs, force_general=True)
+                assert list(fast.items()) == list(slow.items()), (f, pairs)
 
 
 def stretch_case(g, o, pairs, f):

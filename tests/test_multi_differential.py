@@ -19,6 +19,12 @@ components joins the spanning tree), and a unit-weight grid full of
 swap-weight ties.  Built and loaded oracles keep each ``nontree`` row
 sorted by (swap weight, eid), holding exactly the vertex's non-tree
 half-edges.
+
+Queries answered from the cover table (disjoint cuts, and cuts with no
+cover edge) and each trigger of its fallback to the scan (nested cuts, a
+failed cover edge, a cover edge shared by two cuts) are drawn on fixed
+graphs, and a fixed gadget nests two cuts so that the outer cut's cover
+edge starts in the inner cut's subtree.
 """
 import random
 
@@ -205,10 +211,12 @@ def test_multi_matches_reference_and_brute(kind, data):
                                         max_size=4)):
             truth = brute_diam(g, pairs)
             general = o.query_details(pairs, force_general=True)
+            default = o.query_details(pairs)
             # equal transcripts, keys in the same order
-            assert (list(general.items())
-                    == list(reference_details(o, pairs).items())), (f, pairs)
-            for detail in (general, o.query_details(pairs)):
+            want = list(reference_details(o, pairs).items())
+            assert list(general.items()) == want, (f, pairs)
+            assert list(default.items()) == want, (f, pairs)
+            for detail in (general, default):
                 assert meets_contract(detail, truth, f), (f, pairs, detail,
                                                           truth)
 
@@ -337,3 +345,99 @@ def test_unit_weight_grid_ties_match_reference():
         want = list(reference_details(o, pairs).items())
         assert list(o.query_details(pairs).items()) == want, pairs
         assert list(loaded.query_details(pairs).items()) == want, pairs
+
+
+def cover_case(o, eids):
+    """The cover table's outcome for failing the edges ``eids``: "no-cover"
+    if a cut subtree has no edge out but its tree edge, else the one
+    fallback trigger that holds ("nested" cut subtrees, a "failed-cover"
+    edge, a "shared-cover" edge of two cuts), "disjoint" if none does, or
+    None if several do."""
+    roots = sorted((o.cut_root[e] for e in eids if e in o.cut_root),
+                   key=o.tin.__getitem__)
+    covers = [o.cover[r] for r in roots]
+    if None in covers:
+        return "no-cover"
+    triggers = [name for name, hit in (
+        ("nested", any(o.tin[a] < o.tin[b] < o.tout[a]
+                       for a in roots for b in roots)),
+        ("failed-cover", bool(set(covers) & set(eids))),
+        ("shared-cover", len(set(covers)) < len(covers))) if hit]
+    return triggers[0] if len(triggers) == 1 else (
+        None if triggers else "disjoint")
+
+
+def with_tail(g):
+    """g plus a two-edge path hanging off vertex 1: two tree edges that no
+    non-tree edge covers."""
+    n = g.n
+    return build_graph(n + 2, False, list(g.edges) + [(1, n, 1), (n, n + 1, 1)])
+
+
+@pytest.mark.parametrize("kind", sorted(PRUNING_GRAPHS))
+def test_cover_table_cases_match_reference(kind):
+    # Failure sets of each cover-table outcome (disjoint cuts answered from
+    # the table, a cut that nothing covers answered inf) and of each
+    # fallback trigger alone (nested cuts, a failed cover edge, two cuts
+    # sharing a cover edge), built and loaded, against the reference.
+    o = build_multi_fdo(with_tail(PRUNING_GRAPHS[kind](14)), 6)
+    loaded = loads_oracle(dumps_oracle(o))
+    assert loaded.cover == o.cover
+    rng = random.Random(14)
+    tree = sorted(o.cut_root)
+    nested = [(a, b) for a in tree for b in tree
+              if o.tin[o.cut_root[a]] < o.tin[o.cut_root[b]]
+              < o.tout[o.cut_root[a]]]
+    by_cover = {}
+    for e in tree:
+        by_cover.setdefault(o.cover[o.cut_root[e]], []).append(e)
+    shared = [(a, b) for c, es in by_cover.items() if c is not None
+              for a in es for b in es
+              if a < b and cover_case(o, [a, b]) == "shared-cover"]
+
+    def failed_cover():
+        cuts = rng.sample(tree, rng.randint(1, 3))
+        return cuts + [o.cover[o.cut_root[rng.choice(cuts)]]]
+
+    draws = [lambda: rng.sample(tree, rng.randint(1, 4)),
+             lambda: list(rng.choice(nested)), failed_cover,
+             lambda: list(rng.choice(shared))]
+    counts = dict.fromkeys(["disjoint", "nested", "failed-cover",
+                            "shared-cover", "no-cover"], 0)
+    for _ in range(250):
+        for draw in draws:
+            eids = [e for e in draw() if e is not None]    # None: no cover
+            case = cover_case(o, eids)
+            if case is not None:
+                counts[case] += 1
+            pairs = oriented(rng, o, eids)
+            want = list(reference_details(o, pairs).items())
+            assert list(o.query_details(pairs).items()) == want, (case, pairs)
+            assert list(loaded.query_details(pairs).items()) == want, (
+                case, pairs)
+            if case == "no-cover":
+                assert o.query(pairs) == INF
+    assert min(counts.values()) >= 20, counts
+
+
+@pytest.mark.parametrize("w", [1, 2, 0.5], ids=["unit", "int", "float"])
+def test_nested_cuts_outer_cover_inside_inner_subtree(w):
+    # Cut r1 = 1 and its child r2 = 2.  Vertex 4, below r2, has the cheapest
+    # edge out of subtree(r1), 4-7, and out of subtree(r2), 4-3 into the
+    # outer component.  The cover edges are distinct and none failed, but
+    # 4-7 joins the inner component to the source's, and 4-3 the outer one
+    # to the inner: read as the cuts' own edges, the gap would be
+    # sw(4-7) - dist[1] = 6w where the reconnection gives 5w.
+    g = build_graph(8, False, [(u, v, w) for u, v in [
+        (0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (0, 5), (5, 6), (6, 7),
+        (4, 7)]])
+    o = build_multi_fdo(g, 2)
+    assert o.parent_vert == [None, 0, 1, 1, 2, 0, 5, 6]
+    assert o.cover[1] == g.edge_id(4, 7) and o.cover[2] == g.edge_id(3, 4)
+    assert o.swap_weight[o.cover[1]] - o.dist[1] == 6 * w
+    for oracle in (o, loads_oracle(dumps_oracle(o))):
+        for pairs in ([(0, 1), (1, 2)], [(2, 1), (1, 0)]):
+            detail = oracle.query_details(pairs)
+            assert list(detail.items()) == list(
+                reference_details(oracle, pairs).items())
+            assert detail["gap"] == 5 * w

@@ -85,6 +85,8 @@ def test_loaded_oracle_answers_identically():
     ("FDO exact 2 1 fmt=2 dir=0 base=1\nD 0-\u0661 3\n", "line 'D 0-\u0661 3'"),
     ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 \u0661 1\nD - 1\n",
      "malformed"),
+    ("FDO lowdiam 3 2 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nE 1 1 0 1\n"
+     "D - 1\n", "E lines 0 and 1 repeat the vertex pair 0-1"),
 ])
 def test_loader_rejects(text, msg):
     with pytest.raises(GraphError, match=msg):
@@ -128,6 +130,12 @@ BAD_VALUES = [
      "repeated stored entry 'D 0-1 2'"),
     ("repeated-edge", "multi", "E 1 1 2 1\n", "E 1 1 2 1\nE 1 0 2 1\n",
      "line 'E 1 0 2 1'"),
+    # a vertex pair named by two E lines, either way round: the later line
+    # took the pair's entry in the edge dictionary, so edge 0 could not fail
+    *[(f"repeated-pair-{kind}-{way}", kind, "E 2 2 3 1", new,
+       "E lines 0 and 2 repeat the vertex pair 0-1")
+      for kind in ("multi", "lowdiam")
+      for way, new in (("same", "E 2 0 1 1"), ("reversed", "E 2 1 0 1"))],
     ("d-line-multi", "multi", "V 3 1 3\n", "V 3 1 3\nD 0 0\n",
      "no 'D' lines in multi oracle files"),
     ("repeated-header-key", "exact", "base=2", "base=2 base=9",
