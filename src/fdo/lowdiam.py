@@ -22,6 +22,13 @@ then costs a level scan and a walk back, O(D) and O(D * degree).
 With the exact backend the answer equals the true diameter of G-F; with
 the sampled backend it never undershoots and matches with high probability
 over the build seed.
+
+The oracle keeps only the undominated entries (:func:`undominated`): those
+whose value is strictly above the answer of every proper subset of their
+key, the answer of a key being the maximum over the entries at its
+subsets.  A dropped entry is no larger than a proper subset's answer, so
+removing it changes no answer: by induction on the key size, every key's
+answer over the kept entries equals its answer over the whole table.
 """
 from __future__ import annotations
 
@@ -61,7 +68,8 @@ class LowDiamFDO:
 
     def query_details(self, pairs):
         """Answer plus its cost: ``probes`` table lookups, one per subset of
-        the failed edges (2^|F| after non-edges are dropped)."""
+        the failed edges (2^|F| after non-edges are dropped), of which
+        ``hits`` found a stored entry (the empty subset's always does)."""
         if not isinstance(pairs, (tuple, list)):
             pairs = list(pairs)
         if len(pairs) > self.f:
@@ -69,13 +77,46 @@ class LowDiamFDO:
                 f"too many failures: {len(pairs)} pairs, oracle has f={self.f}")
         eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup)
         get = self.table.get
-        best = get(())
+        best = self.table[()]
+        hits = 1
         for size in range(1, len(eids) + 1):
             for key in combinations(eids, size):
                 val = get(key)
-                if val is not None and (best is None or val > best):
-                    best = val
-        return {"answer": best, "probes": 1 << len(eids)}
+                if val is not None:
+                    hits += 1
+                    if val > best:
+                        best = val
+        return {"answer": best, "probes": 1 << len(eids), "hits": hits}
+
+
+def undominated(table):
+    """The entries of a subset table (which holds the empty key) whose value
+    is strictly above the answer of every proper subset of their key.
+
+    One pass by key size: a key's answer is its value if kept, else the
+    largest answer of its one-smaller subsets, which a subset the table
+    lacks also takes, computed on demand (see the module docstring).
+    """
+    answer = {(): table[()]}
+
+    def below(key):     # the largest answer among key's one-smaller subsets
+        best = -1
+        for sub in combinations(key, len(key) - 1):
+            val = answer.get(sub)
+            if val is None:
+                val = answer[sub] = below(sub)
+            if val > best:
+                best = val
+        return best
+
+    kept = {(): table[()]}
+    for key in sorted(table, key=len)[1:]:
+        val, floor = table[key], below(key)
+        if val > floor:
+            kept[key] = answer[key] = val
+        else:
+            answer[key] = floor
+    return kept
 
 
 def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
@@ -170,7 +211,8 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
                                             {})[t] = None
                 table[key] = worst
             pending = children
-    return LowDiamFDO(g.n, list(g.edges), g.edge_lookup, f, delta, base, table,
+    return LowDiamFDO(g.n, list(g.edges), g.edge_lookup, f, delta, base,
+                      undominated(table),
                       backend=backend,
                       subgraph_count=dso.k if backend == "sampled" else None,
                       build_stats={"nodes": nodes, "max_fanout": max_fanout})

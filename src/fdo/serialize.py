@@ -11,8 +11,9 @@ Layout (see README for the full grammar):
 The single-failure kinds write fmt=2: ``D u-v value`` (u < v when
 undirected) for each answer that differs from the fallback.  multi writes
 fmt=2: E and V lines only, and MultiFDO derives the swap weights and
-maxdist from them as on a build.  lowdiam writes fmt=1.  Other versions
-are refused: rebuild.
+maxdist from them as on a build.  lowdiam writes fmt=2: E lines and the
+undominated subset entries (lowdiam.undominated), the ones that can decide
+an answer.  Other versions are refused: rebuild.
 
 Round trips are bit-exact: dumps(loads(text)) == text for anything dumps
 produced, and rebuilding with the same seed yields identical bytes.
@@ -73,8 +74,12 @@ def _make_multi(n, m, directed, edges, lookup, entries, p, rows):
                     [r[0] for r in rows], [r[1] for r in rows])
 
 
+def _subset_token(key):
+    return "-".join(map(str, key)) or "-"
+
+
 def _lowdiam_parts(o):
-    entries = [("-".join(map(str, key)) or "-", val)
+    entries = [(_subset_token(key), val)
                for key, val in sorted(o.table.items())]
     return {"f": o.f, "delta": o.delta, "base": o.base_diam}, [], entries
 
@@ -89,7 +94,14 @@ def _make_single(kind, n, m, directed, edges, lookup, values, p, pivots):
 
 
 def _make_lowdiam(n, m, directed, edges, lookup, table, p, rows):
-    from .lowdiam import LowDiamFDO
+    from .lowdiam import LowDiamFDO, undominated
+    kept = undominated(table)
+    if len(kept) < len(table):      # no build keeps one
+        key = next(key for key in table if key not in kept)
+        raise GraphError(
+            f"lowdiam oracle file stores the dominated entry 'D "
+            f"{_subset_token(key)} {fmt_dist(table[key])}', not above the "
+            "answer of every proper subset of its key")
     return LowDiamFDO(n, edges, lookup, p["f"], p["delta"], p["base"], table,
                       backend="loaded")
 
@@ -124,7 +136,7 @@ FORMATS = {
         "f": _COUNT, "mode": (str, lambda v, n: v in ("paper", "tight")),
         "source": (int, lambda v, n: True)},
         None, lambda m: (), _multi_parts, _make_multi, ("0",)),
-    "lowdiam": ("1", ("E", "D"), {
+    "lowdiam": ("2", ("E", "D"), {
         "f": _COUNT, "delta": _DIST, "base": _DIST},
         _subset, lambda m: [()], _lowdiam_parts, _make_lowdiam, ("0",)),
 }
@@ -157,9 +169,11 @@ def loads_oracle(text: str):
     non-ASCII character, an E line with an endpoint outside 0..n-1, u == v,
     a weight that is not finite and >= 0 or the vertex pair of an earlier E
     line (either way round), in a single-failure file an
-    undirected key u-v with u > v or a D value equal to the fallback, and
-    in a multi file tree rows that are not a shortest-path tree at the
-    source (MultiFDO checks them)."""
+    undirected key u-v with u > v or a D value equal to the fallback, in a
+    lowdiam file a dominated entry, one not above the answer of every
+    proper subset of its key (lowdiam.undominated), and in a multi file
+    tree rows that are not a shortest-path tree at the source (MultiFDO
+    checks them)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("FDO "):
         raise GraphError("not an oracle file (missing FDO header)")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import strategies as st
@@ -183,3 +184,30 @@ def reference_lowdiam_table(g, f, dso):
                         visited.add(child)
                         stack.append(child)
     return table, stats
+
+
+def check_pruned_oracle(g, f, oracle, table):
+    """Check a lowdiam oracle against ``table``, the unpruned subset table of
+    its build (see reference_lowdiam_table).  Built and loaded, the oracle
+    answers every failure set of at most f edges with the maximum over the
+    entries of ``table`` at the subsets of its key, and it keeps exactly the
+    entries strictly above the largest entry at a proper subset of their
+    key, which is the largest answer of a proper subset.  From f=3 on, the
+    table must lack a one-smaller subset of some key, the case that the
+    pruning pass computes on demand."""
+    def top(key, sizes):
+        return max((table[sub] for size in sizes
+                    for sub in combinations(key, size) if sub in table),
+                   default=-1)
+
+    loaded = fdo.loads_oracle(fdo.dumps_oracle(oracle))
+    for size in range(f + 1):
+        for key in combinations(range(g.m), size):
+            pairs = [g.edges[eid][:2] for eid in key]
+            want = top(key, range(size + 1))
+            assert oracle.query(pairs) == loaded.query(pairs) == want, key
+    kept = {key: val for key, val in table.items()
+            if val > top(key, range(len(key)))}
+    assert oracle.table == kept
+    assert f < 3 or any(sub not in table for key in table if key
+                        for sub in combinations(key, len(key) - 1))

@@ -214,7 +214,7 @@ def test_query_bad_oracle_file(capsys, tmp_path):
 
 def test_query_oracle_edge_id_out_of_range(capsys, tmp_path):
     bad = tmp_path / "bad.fdo"
-    bad.write_text("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\n"
+    bad.write_text("FDO lowdiam 2 1 fmt=2 dir=0 f=2 delta=1 base=1\n"
                    "E 1 0 1 1\nD - 1\n")
     code, _, err = run(capsys, ["query", "--oracle", str(bad)])
     assert code == 2 and "malformed oracle line" in err
@@ -233,6 +233,20 @@ def test_query_oracle_edge_id_out_of_range(capsys, tmp_path):
     ("FDO exact 2 1 fmt=2 dir=0 base=1\nD 0-\u0661 3\n", "line 'D 0-\u0661 3'"),
 ])
 def test_query_refuses_bad_single_failure_file(capsys, tmp_path, text, msg):
+    bad = tmp_path / "bad.fdo"
+    bad.write_text(text)
+    code, out, err = run(capsys, ["query", "--oracle", str(bad)])
+    assert code == 2 and out == "" and msg in err
+
+
+@pytest.mark.parametrize("text, msg", [
+    # format 1 also held the dominated entries
+    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nD - 1\n"
+     "D 0 1\n", "fmt='1' for kind lowdiam, which is read as fmt=2: rebuild"),
+    ("FDO lowdiam 2 1 fmt=2 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nD - 1\n"
+     "D 0 1\n", "stores the dominated entry 'D 0 1'"),
+])
+def test_query_refuses_bad_lowdiam_file(capsys, tmp_path, text, msg):
     bad = tmp_path / "bad.fdo"
     bad.write_text(text)
     code, out, err = run(capsys, ["query", "--oracle", str(bad)])

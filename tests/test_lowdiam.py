@@ -50,10 +50,10 @@ def test_keys_capped_at_f():
 
 
 def test_single_edge_key_covers_its_diameter():
+    # the edge's own entry may be dropped as dominated; its answer stays
     g = chorded_c4()
     o = build_lowdiam_fdo(g, 2, delta=3.0)
-    eid = g.edge_id(0, 1)
-    assert o.table[(eid,)] >= brute_diam(g, [(0, 1)])
+    assert o.query([(0, 1)]) >= brute_diam(g, [(0, 1)])
 
 
 def test_diameter_gate_rejected():
@@ -122,7 +122,11 @@ def test_query_probe_budget():
     pairs = [(g.edges[0][0], g.edges[0][1]), (g.edges[1][0], g.edges[1][1])]
     d = o.query_details(pairs)
     assert d["probes"] <= 4 and d["answer"] == o.query(pairs)
-    assert o.query_details([])["probes"] == 1
+    # the probes that found an entry: the empty key's always does
+    assert d["hits"] == sum(key in o.table
+                            for key in [(), (0,), (1,), (0, 1)])
+    assert o.query_details([]) == {"answer": o.base_diam, "probes": 1,
+                                   "hits": 1}
 
 
 def test_query_leaves_oracle_unchanged():

@@ -14,14 +14,20 @@ queries, so the sampled backend runs at C=10, exponent 2 here (0 of 1800),
 and the derandomized examples pin the build seeds that are checked.
 
 The enumeration backend's bit-lane table build is also pinned to the
-per-pair construction driven by a tree-memo DSO: the same tables and
-``build_stats``.
+per-pair construction driven by a tree-memo DSO: the same ``build_stats``,
+and the undominated entries of its table.  On fixed hub graphs at f = 2, 3
+the oracle, built and loaded, answers every failure set of at most f edges
+as that unpruned table does.
 """
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdo import INF, brute_diam, build_graph, build_lowdiam_fdo, sssp
+from fdo import (INF, brute_diam, build_graph, build_lowdiam_fdo, gen_random,
+                 sssp)
+from fdo.lowdiam import undominated
 
-from conftest import connected_graphs, extract_path, reference_lowdiam_table
+from conftest import (check_pruned_oracle, connected_graphs, extract_path,
+                      reference_lowdiam_table)
 
 
 class TreeMemoExactDSO:
@@ -93,5 +99,14 @@ def test_exact_dso_matches_tree_memo(data):
     # gate exponent 3f admits any connected graph of this size
     got = build_lowdiam_fdo(g, f, 3.0 * f, backend="exact")
     table, stats = reference_lowdiam_table(g, f, TreeMemoExactDSO(g, f))
-    assert got.table == table
+    assert got.table == undominated(table)
     assert got.build_stats == stats
+
+
+@pytest.mark.parametrize("f", [2, 3])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_answers_match_the_unpruned_table(f, seed):
+    g = gen_random("low-diam-hub", seed, n=10, p=0.2)
+    o = build_lowdiam_fdo(g, f, 3.0 * f, backend="exact")
+    table, _ = reference_lowdiam_table(g, f, TreeMemoExactDSO(g, f))
+    check_pruned_oracle(g, f, o, table)

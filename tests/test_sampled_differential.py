@@ -7,19 +7,24 @@ sets of 0..f edges.  ``build_sampled_fdso`` must give the same
 construction it replaces: per subgraph, one ``distances`` row and one
 smallest-id parent row per source, and per edge the ascending list of
 subgraphs that drop it, intersected over the failed edges.  A sampled
-``lowdiam`` build must give the same table and ``build_stats`` as the
-per-pair construction driven by the reference.
+``lowdiam`` build must give the same ``build_stats`` as the per-pair
+construction driven by the reference, and the undominated entries of its
+table; on fixed hub graphs at f = 2, 3 it must, built and loaded, answer
+every failure set of at most f edges as that unpruned table does.
 """
 import math
 import random
 from bisect import bisect_left
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdo import GraphError, INF, build_lowdiam_fdo, distances
+from fdo import GraphError, INF, build_lowdiam_fdo, distances, gen_random
 from fdo.dso import build_sampled_fdso
+from fdo.lowdiam import undominated
 
-from conftest import connected_graphs, reference_lowdiam_table
+from conftest import (check_pruned_oracle, connected_graphs,
+                      reference_lowdiam_table)
 
 
 class ScalarSampledDSO:
@@ -133,6 +138,17 @@ def test_lowdiam_tables_match_scalar_construction(data):
                             dso_delta=dso_delta, dso_C=dso_C)
     ref = ScalarSampledDSO(g, f, delta=dso_delta, C=dso_C, seed=seed)
     table, stats = reference_lowdiam_table(g, f, ref)
-    assert new.table == table
+    assert new.table == undominated(table)
     assert new.build_stats == stats
     assert new.subgraph_count == ref.k
+
+
+@pytest.mark.parametrize("f", [2, 3])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_answers_match_the_unpruned_table(f, seed):
+    g = gen_random("low-diam-hub", seed, n=10, p=0.2)
+    o = build_lowdiam_fdo(g, f, 3.0 * f, backend="sampled", seed=seed,
+                          dso_delta=1.0, dso_C=1.0)
+    table, _ = reference_lowdiam_table(
+        g, f, ScalarSampledDSO(g, f, delta=1.0, C=1.0, seed=seed))
+    check_pruned_oracle(g, f, o, table)

@@ -62,6 +62,11 @@ def test_loaded_oracle_answers_identically():
             assert oracle.query([nonedge]) == loaded.query([nonedge])
 
 
+# the header and edge lines of a lowdiam file on the 4-cycle
+LOWDIAM_C4 = ("FDO lowdiam 4 4 fmt=2 dir=0 f=2 delta=3 base=2\n"
+              "E 0 0 1 1\nE 1 1 2 1\nE 2 2 3 1\nE 3 3 0 1\n")
+
+
 @pytest.mark.parametrize("text, msg", [
     ("garbage\n", "FDO header"),
     ("FDO exact 2 1 fmt=9 dir=0 base=1\nE 0 0 1 1\nD 0 1\n", "version"),
@@ -69,24 +74,39 @@ def test_loaded_oracle_answers_identically():
     ("FDO exact 2 1 fmt=1 dir=0 base=1\nE 0 0 1 1\nD 0 1\n",
      "unsupported format version fmt='1' for kind exact, which is read as "
      "fmt=2: rebuild the oracle file"),
-    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nD - 1\n",
+    ("FDO lowdiam 2 1 fmt=2 dir=0 f=2 delta=1 base=1\nD - 1\n",
      "edge dictionary"),
-    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\n",
+    ("FDO lowdiam 2 1 fmt=2 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\n",
      "missing stored"),
     ("FDO wat 2 1 fmt=1 dir=0\nE 0 0 1 1\nD 0 1\n", "unknown oracle kind"),
-    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 1 0 1 1\nD - 1\n",
+    ("FDO lowdiam 2 1 fmt=2 dir=0 f=2 delta=1 base=1\nE 1 0 1 1\nD - 1\n",
      "malformed"),
-    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE\nD - 1\n",
+    ("FDO lowdiam 2 1 fmt=2 dir=0 f=2 delta=1 base=1\nE\nD - 1\n",
      "malformed"),
     # integer tokens int() takes but no build writes
     ("FDO exact 1_2 1 fmt=2 dir=0 base=1\nD 0-1 2\n", "line 'FDO exact 1_2 1"),
     ("FDO exact 12 1 fmt=2 dir=0 base=1\nD 1_0-11 3\n", "line 'D 1_0-11 3'"),
     ("FDO exact 2 1 fmt=2 dir=0 base=1\nD +0-1 3\n", r"line 'D \+0-1 3'"),
     ("FDO exact 2 1 fmt=2 dir=0 base=1\nD 0-\u0661 3\n", "line 'D 0-\u0661 3'"),
-    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 \u0661 1\nD - 1\n",
+    ("FDO lowdiam 2 1 fmt=2 dir=0 f=2 delta=1 base=1\nE 0 0 \u0661 1\nD - 1\n",
      "malformed"),
-    ("FDO lowdiam 3 2 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nE 1 1 0 1\n"
+    ("FDO lowdiam 3 2 fmt=2 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nE 1 1 0 1\n"
      "D - 1\n", "E lines 0 and 1 repeat the vertex pair 0-1"),
+    # a lowdiam file of format 1, which also held the dominated entries
+    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nD - 1\n",
+     "unsupported format version fmt='1' for kind lowdiam, which is read as "
+     "fmt=2: rebuild the oracle file"),
+    # a lowdiam entry no larger than the answer of a proper subset of its
+    # key, which no build keeps: a single edge's entry equal to base, a pair
+    # entry equal to one of its singles (written after it), a pair entry
+    # equal to base where both singles are absent, and inf under an inf
+    # single
+    *[(LOWDIAM_C4 + entries, f"stores the dominated entry {dominated!r}")
+      for entries, dominated in [
+          ("D - 2\nD 1 2\n", "D 1 2"),
+          ("D - 2\nD 0 3\nD 0-1 4\nD 1 4\n", "D 0-1 4"),
+          ("D - 2\nD 1-3 2\n", "D 1-3 2"),
+          ("D - 2\nD 2 inf\nD 2-3 inf\n", "D 2-3 inf")]],
 ])
 def test_loader_rejects(text, msg):
     with pytest.raises(GraphError, match=msg):
@@ -177,7 +197,7 @@ BAD_VALUES = [
        f"version fmt='{old}' for kind {kind}")
       for kind, old, new in [("exact", 1, 2), ("ecc", 1, 2), ("spanner", 1, 2),
                              ("approx", 1, 2), ("multi", 1, 2),
-                             ("lowdiam", 2, 1)]],
+                             ("lowdiam", 1, 2)]],
     # header counts: more edges than vertex pairs
     ("m-over-pairs", "exact", "FDO exact 4 4", "FDO exact 4 7", "do not fit"),
     ("m-negative", "exact", "FDO exact 4 4", "FDO exact 4 -1", "do not fit"),
