@@ -32,22 +32,22 @@ def dist_eq(a, b) -> bool:
 def fmt_dist(x) -> str:
     """Render a distance; 'inf' for unreachable, repr-roundtrip for floats.
 
-    An integral float is written as an int below 2^53, where the int and
-    its sums below 2^53 are exact, and as ``<int>.0`` from 2^53 on.  There
-    ``parse_dist`` reads it back as a float, so a loader that adds it rounds
-    as the build did, and no '+' of repr's exponent appears.
+    An integral float is written as ``<int>.0`` (``7.0``, and 1e16 as
+    ``10000000000000000.0``), so ``parse_dist`` reads every float back as a
+    float, a loader that adds them rounds as the build did, and no '+' of
+    repr's exponent appears.
     """
     if x == INF:
         return "inf"
-    if isinstance(x, float) and x.is_integer():
-        return str(int(x)) if abs(x) < 2 ** 53 else f"{int(x)}.0"
-    return repr(x) if isinstance(x, float) else str(x)
+    if isinstance(x, float):
+        return f"{int(x)}.0" if x.is_integer() else repr(x)
+    return str(x)
 
 
 def _unwritten(text) -> bool:
     # int() takes '+1', '1_0' and other scripts' digits, which no file
-    # this package writes holds (fmt_dist writes a float of 2^53 or more,
-    # all integral, as digits and '.0'): the parsers refuse them.
+    # this package writes holds (fmt_dist writes an integral float as
+    # digits and '.0'): the parsers refuse them.
     return not text.isascii() or "_" in text or "+" in text
 
 
@@ -82,17 +82,15 @@ class Graph:
         self.edge_lookup = {(v, u) if v < u and not directed else (u, v): eid
                             for eid, (u, v, _) in enumerate(edges)}
         out_nbrs = [[] for _ in range(n)]
-        in_nbrs = [[] for _ in range(n)]
+        # undirected: one row per vertex holds both ends' entries
+        in_nbrs = [[] for _ in range(n)] if directed else out_nbrs
         for eid, (u, v, w) in enumerate(edges):
             out_nbrs[u].append((v, eid, w))
-            if directed:
-                in_nbrs[v].append((u, eid, w))
-            else:
-                out_nbrs[v].append((u, eid, w))
-        for row in out_nbrs + in_nbrs:
+            in_nbrs[v].append((u, eid, w))
+        for row in out_nbrs + in_nbrs if directed else out_nbrs:
             row.sort()  # pairs are unique: no two entries share u
         self._out_nbrs = out_nbrs
-        self._in_nbrs = in_nbrs if directed else out_nbrs
+        self._in_nbrs = in_nbrs
 
     @property
     def m(self) -> int:
@@ -212,7 +210,8 @@ def _search(g, source, excluded, reverse):
 
 def _parents(g, root, dist, order, excluded, reverse):
     # Among equal-distance predecessors pick the smallest vertex id, which
-    # makes every tree (and everything built on top) deterministic.  A
+    # makes every tree (and everything built on top) deterministic: the rows
+    # are sorted by neighbour id, so that is the first that qualifies.  A
     # predecessor qualifies only if the search settled it earlier.  Across a
     # positive weight that always holds; across a zero weight it keeps
     # equal-distance vertices from choosing each other and closing a cycle.
@@ -220,28 +219,23 @@ def _parents(g, root, dist, order, excluded, reverse):
     parent = [None] * g.n
     if not g.weighted:  # BFS: one level closer is settled earlier
         for v in order[1:]:
-            up, best = dist[v] - 1, None
+            up = dist[v] - 1
             for u, eid, _ in nbrs[v]:
-                if (dist[u] == up and eid not in excluded
-                        and (best is None or u < best[0])):
-                    best = (u, eid)
-            parent[v] = best
+                if dist[u] == up and eid not in excluded:
+                    parent[v] = (u, eid)
+                    break
         return parent
     rank = [0] * g.n
     for i, v in enumerate(order):
         rank[v] = i
-    for v in order:
-        if v == root:
-            continue
+    for v in order[1:]:
         dv = dist[v]
         rv = rank[v]
-        best = None
         for u, eid, w in nbrs[v]:
             if (rank[u] < rv and eid not in excluded
                     and dist_eq(dist[u] + w, dv)):
-                if best is None or u < best[0]:
-                    best = (u, eid)
-        parent[v] = best
+                parent[v] = (u, eid)
+                break
     return parent
 
 

@@ -39,7 +39,7 @@ from .graph import (Graph, GraphError, INF, diameter, lane_bfs, lane_path,
 
 
 class LowDiamFDO:
-    """Subset-keyed max-distance table plus the usual edge dictionary.
+    """Subset-keyed max-distance table plus the edge dictionary of g.
 
     ``build_stats`` holds a build's counters, ``nodes`` (failure-subset
     tree nodes) and ``max_fanout`` (longest path branched on); a loaded
@@ -49,11 +49,12 @@ class LowDiamFDO:
     kind = "lowdiam"
     directed = False
 
-    def __init__(self, n, edges, edge_lookup, f, delta, base_diam, table,
+    def __init__(self, g: Graph, f, delta, base_diam, table,
                  backend="exact", subgraph_count=None, build_stats=None):
-        self.n = n
-        self.edges = edges
-        self.edge_lookup = edge_lookup      # (u, v) with u < v -> edge id
+        self.n = g.n
+        self.m = g.m
+        self.edges = g.edges
+        self.edge_lookup = g.edge_lookup    # (u, v) with u < v -> edge id
         self.f = f
         self.delta = delta
         self.base_diam = base_diam
@@ -61,7 +62,6 @@ class LowDiamFDO:
         self.backend = backend
         self.subgraph_count = subgraph_count    # k of the sampled backend
         self.build_stats = build_stats
-        self.m = len(edges)
 
     def query(self, pairs):
         return self.query_details(pairs)["answer"]
@@ -211,8 +211,7 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
                                             {})[t] = None
                 table[key] = worst
             pending = children
-    return LowDiamFDO(g.n, list(g.edges), g.edge_lookup, f, delta, base,
-                      undominated(table),
+    return LowDiamFDO(g, f, delta, base, undominated(table),
                       backend=backend,
                       subgraph_count=dso.k if backend == "sampled" else None,
                       build_stats={"nodes": nodes, "max_fanout": max_fanout})

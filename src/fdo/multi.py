@@ -1,15 +1,16 @@
 """(f+2)-approximate diameter oracle for multiple edge failures.
 
-Undirected, non-negative weights.  The oracle is one shortest-path tree
-from a fixed source (per vertex: its distance and parent edge) and the
-edge list.  The constructor derives the rest from them, on a build and on
-a load alike: a swap weight per edge (zero on tree edges, the tree-distance
-detour dist[u] + w + dist[v] elsewhere), maxdist = max(dist), the
-preorder index of the tree and the cover table.  A query reconnects the
-tree around the failed tree edges with minimum-swap-weight edges, derives
-a certified lower bound on the new diameter from the most expensive
-reconnection, and answers f*gap + 2*maxdist.  Infinity is returned
-exactly when the failures disconnect the graph.
+Undirected, non-negative weights.  The oracle is a function of the graph
+alone, and its file holds the edges and nothing derived.  On a build and
+on a load alike the constructor runs ``sssp(g, 0)``, the shortest-path
+tree from source 0, and derives the rest from it: a swap weight per edge
+(zero on tree edges, the tree-distance detour dist[u] + w + dist[v]
+elsewhere), maxdist = max(dist), the preorder index of the tree and the
+cover table.  A query reconnects the tree around the failed tree edges
+with minimum-swap-weight edges, derives a certified lower bound on the
+new diameter from the most expensive reconnection, and answers f*gap +
+2*maxdist.  Infinity is returned exactly when the failures disconnect the
+graph.
 
 Query cost: after k tree-edge cuts every component but the source's lies
 in the preorder slice of a cut subtree, and only non-tree edges cross
@@ -33,8 +34,7 @@ pairs, joins each other component by the swap edge to its parent.
 """
 from __future__ import annotations
 
-from .graph import (Graph, GraphError, INF, dist_eq, fmt_dist, preorder,
-                    resolve_pairs, sssp)
+from .graph import Graph, GraphError, INF, preorder, resolve_pairs, sssp
 
 
 class MultiFDO:
@@ -45,33 +45,34 @@ class MultiFDO:
     [truth, (f+2)*truth] window.  Queries allocate only transient state, so
     concurrent querying is safe.
 
-    The constructor takes the tree rows ``dist`` and ``parent_eid``, checks
-    that they are a shortest-path tree at ``source`` (under ``dist_eq``)
-    and derives ``swap_weight``, ``maxdist``, ``cut_root``, the sorted
-    ``nontree`` rows and ``cover``.  ``edge_lookup`` maps each vertex pair
-    (u, v), u < v, to its edge id, as ``Graph.edge_lookup`` does.
+    The constructor is the one way to make the oracle, for a build and a
+    load alike: it runs ``sssp(g, 0)`` on the connected, undirected graph
+    g and derives ``dist``, ``maxdist``, ``swap_weight``, ``cut_root``,
+    the sorted ``nontree`` rows and ``cover`` from that tree and g's edges.
     """
 
     kind = "multi"
     directed = False
 
-    def __init__(self, n, edges, edge_lookup, f, mode, source, dist,
-                 parent_eid):
+    def __init__(self, g: Graph, f: int, mode="paper"):
+        if g.directed:
+            raise GraphError("multi-failure FDO requires an undirected graph")
         if f < 1:
             raise GraphError(f"failure budget must be >= 1, got {f}")
         if mode not in ("paper", "tight"):
             raise GraphError(f"unknown output mode {mode!r}")
-        self.n = n
-        self.edges = edges
-        self.edge_lookup = edge_lookup      # (u, v) with u < v -> edge id
+        tree = sssp(g, 0)
+        if INF in tree.dist:
+            raise GraphError("multi-failure FDO needs a connected graph")
+        self.n = n = g.n
+        self.m = g.m
+        self.edges = edges = g.edges
+        self.edge_lookup = g.edge_lookup    # (u, v) with u < v -> edge id
         self.f = f
         self.mode = mode
-        self.source = source
-        self.dist = dist
-        self.parent_eid = parent_eid        # per vertex, None at the source
-        self.m = len(edges)
+        self.dist = dist = tree.dist
         self.maxdist = max(dist)
-        self._index_tree()
+        self._index_tree(tree.parent)
         cut_root, tin = self.cut_root, self.tin
         parent_vert = self.parent_vert
         # Tree edges keep swap weight 0; the non-tree edges are walked once
@@ -113,52 +114,23 @@ class MultiFDO:
                 cover[x] = eid
                 find[x] = parent_vert[x]
 
-    def _index_tree(self):
+    def _index_tree(self, parent):
         # Preorder intervals: nested, so the deepest failed tree edge
         # enclosing a vertex identifies its component after the cut.  The
-        # subtree of v is the slice euler[tin[v]:tout[v]].  Loaded rows are
-        # checked to form a spanning tree at the source on the way, or the
-        # walk could loop forever or skip vertices, and to hold the distances
-        # of that tree, which the swap weights are made of.
-        n, m, edges, dist = self.n, self.m, self.edges, self.dist
-        parent_eid, source = self.parent_eid, self.source
-        if (not 0 <= source < n or parent_eid[source] is not None
-                or dist[source] != 0):
-            raise GraphError(f"tree rows do not root at source {source} "
-                             f"at distance 0")
-        children = [[] for _ in range(n)]     # ascending, as v ascends
-        parent_vert = [None] * n
-        # child endpoint of each tree edge (the component root once it
-        # fails); its keys are the tree edges
+        # subtree of v is the slice euler[tin[v]:tout[v]].  cut_root maps
+        # each tree edge to its child endpoint, the component root once it
+        # fails.
+        children = [[] for _ in range(self.n)]     # ascending, as v ascends
+        self.parent_vert = parent_vert = [None] * self.n
         self.cut_root = cut_root = {}
-        for v, eid in enumerate(parent_eid):
-            if eid is None:
-                continue
-            if not 0 <= eid < m:
-                raise GraphError(f"tree row of vertex {v} names edge {eid} (m={m})")
-            eu, ev, _ = edges[eid]
-            if v != eu and v != ev:
-                raise GraphError(f"parent edge {eid} of vertex {v} does not touch it")
-            pv = ev if eu == v else eu
-            parent_vert[v] = pv
-            children[pv].append(v)
-            cut_root[eid] = v
-        # every vertex but the source has one parent, so none is visited twice
-        euler, tin, size = preorder(children, source)
-        if len(euler) != n:
-            raise GraphError(f"tree rows reach {len(euler)} of {n} vertices "
-                             f"from source {source}")
-        for v in euler[1:]:
-            pv = parent_vert[v]
-            w = edges[parent_eid[v]][2]
-            d = dist[pv] + w
-            if d != dist[v] and not dist_eq(d, dist[v]):
-                raise GraphError(f"tree row of vertex {v} has distance "
-                                 f"{fmt_dist(dist[v])}, not {fmt_dist(dist[pv])}"
-                                 f" + {fmt_dist(w)} along edge {parent_eid[v]}")
-        self.tin, self.euler = tin, euler
-        self.tout = [t + s for t, s in zip(tin, size)]
-        self.parent_vert = parent_vert
+        for v, entry in enumerate(parent):
+            if entry is not None:
+                pv, eid = entry
+                parent_vert[v] = pv
+                children[pv].append(v)
+                cut_root[eid] = v
+        self.euler, self.tin, size = preorder(children, 0)
+        self.tout = [t + s for t, s in zip(self.tin, size)]
 
     # ------------------------------------------------------------------ query
 
@@ -316,11 +288,4 @@ class MultiFDO:
 
 
 def build_multi_fdo(g: Graph, f: int, mode="paper") -> MultiFDO:
-    if g.directed:
-        raise GraphError("multi-failure FDO requires an undirected graph")
-    tree = sssp(g, 0)
-    if INF in tree.dist:
-        raise GraphError("multi-failure FDO needs a connected graph")
-    parent_eid = [entry[1] if entry is not None else None for entry in tree.parent]
-    return MultiFDO(g.n, list(g.edges), g.edge_lookup, f, mode, 0, tree.dist,
-                    parent_eid)
+    return MultiFDO(g, f, mode)

@@ -2,18 +2,19 @@
 
 Layout (see README for the full grammar):
 
-    FDO <kind> <n> <m> fmt=<1|2> dir=<0|1> <kind-specific key=value...>
-    E <eid> <u> <v> <w>          edge dictionary, ascending ids (multi, lowdiam)
+    FDO <kind> <n> <m> fmt=<2|3> dir=<0|1> <kind-specific key=value...>
+    E <u> <v> <w>                edges in id order (multi, lowdiam)
     P <vertex>                   pivots (approx, pivot mode only)
-    V <vertex> <dist> <peid|->   tree rows (multi only)
     D <key> <value>              stored entries; 'inf' for infinity (not multi)
 
 The single-failure kinds write fmt=2: ``D u-v value`` (u < v when
-undirected) for each answer that differs from the fallback.  multi writes
-fmt=2: E and V lines only, and MultiFDO derives the swap weights and
-maxdist from them as on a build.  lowdiam writes fmt=2: E lines and the
-undominated subset entries (lowdiam.undominated), the ones that can decide
-an answer.  Other versions are refused: rebuild.
+undirected) for each answer that differs from the fallback.  multi and
+lowdiam write fmt=3, whose E lines are those of a graph file, the edge id
+implied by the line order.  The loader builds one Graph from them and
+passes it to the constructor a build uses: a multi file holds E lines
+only, and MultiFDO derives its tree and the rest from the graph; a lowdiam
+file adds the undominated subset entries (lowdiam.undominated), the ones
+that can decide an answer.  Other versions are refused: rebuild.
 
 Round trips are bit-exact: dumps(loads(text)) == text for anything dumps
 produced, and rebuilding with the same seed yields identical bytes.
@@ -23,8 +24,8 @@ from __future__ import annotations
 from functools import partial
 from operator import lt
 
-from .graph import (INF, GraphError, _unwritten, fmt_dist, parse_dist,
-                    read_text)
+from .graph import (INF, Graph, GraphError, _unwritten, fmt_dist,
+                    parse_dist, read_text)
 
 # The oracle classes are imported by the makers below, so loading a file
 # imports only the module of its kind.
@@ -62,16 +63,12 @@ def _subset(tok, n, m, directed):
 
 def _multi_parts(o):
     # not vars(o): an instance's __dict__, once made, slows its queries
-    params = {"f": o.f, "mode": o.mode, "source": o.source}
-    rows = [f"V {v} {fmt_dist(d)} {'-' if peid is None else peid}"
-            for v, (d, peid) in enumerate(zip(o.dist, o.parent_eid))]
-    return params, rows, ()
+    return {"f": o.f, "mode": o.mode}, (), ()
 
 
-def _make_multi(n, m, directed, edges, lookup, entries, p, rows):
+def _make_multi(counts, g, entries, p, pivots):
     from .multi import MultiFDO
-    return MultiFDO(n, edges, lookup, p["f"], p["mode"], p["source"],
-                    [r[0] for r in rows], [r[1] for r in rows])
+    return MultiFDO(g, p["f"], p["mode"])
 
 
 def _subset_token(key):
@@ -84,16 +81,16 @@ def _lowdiam_parts(o):
     return {"f": o.f, "delta": o.delta, "base": o.base_diam}, [], entries
 
 
-def _make_single(kind, n, m, directed, edges, lookup, values, p, pivots):
+def _make_single(kind, counts, g, values, p, pivots):
     from .single import SingleFDO
-    o = SingleFDO(kind, n, m, directed, values, p, pivots)
+    o = SingleFDO(kind, *counts, values, p, pivots)
     if o.fallback in values.values():   # no build keeps one
         raise GraphError(f"{kind} oracle file stores an entry equal to its "
                          f"fallback {fmt_dist(o.fallback)}")
     return o
 
 
-def _make_lowdiam(n, m, directed, edges, lookup, table, p, rows):
+def _make_lowdiam(counts, g, table, p, pivots):
     from .lowdiam import LowDiamFDO, undominated
     kept = undominated(table)
     if len(kept) < len(table):      # no build keeps one
@@ -102,7 +99,7 @@ def _make_lowdiam(n, m, directed, edges, lookup, table, p, rows):
             f"lowdiam oracle file stores the dominated entry 'D "
             f"{_subset_token(key)} {fmt_dist(table[key])}', not above the "
             "answer of every proper subset of its key")
-    return LowDiamFDO(n, edges, lookup, p["f"], p["delta"], p["base"], table,
+    return LowDiamFDO(g, p["f"], p["delta"], p["base"], table,
                       backend="loaded")
 
 
@@ -114,14 +111,13 @@ def _single(kind, header, tags=("D",), dirs=("0",)):
             partial(_make_single, kind), dirs)
 
 
-# Per kind: its format version; the tags of the lines its files hold
-# (E lines: one per edge, V lines: one per vertex); the header keys after
-# dir=, in file order, with their checks; the parser of a D key, (token,
-# n, m, directed) -> key; m -> the D keys every file holds; oracle ->
-# (header values, P or V lines, sorted D entries); (n, m, directed, edges,
-# pair -> edge id dictionary, D entries, header values, P or V rows) -> the
-# oracle; and the dir= flags
-# its builds write ("1" only where a build takes digraphs).
+# Per kind: its format version; the tags of the lines its files hold (E
+# lines: one per edge); the header keys after dir=, in file order, with
+# their checks; the parser of a D key, (token, n, m, directed) -> key; m ->
+# the D keys every file holds; oracle -> (header values, P lines, sorted D
+# entries); ((n, m, directed), the Graph of the E lines or None, D
+# entries, header values, pivots) -> the oracle; and the dir= flags its
+# builds write ("1" only where a build takes digraphs).
 FORMATS = {
     "exact": _single("exact", {"base": _DIST}, dirs=("0", "1")),
     "ecc": _single("ecc", {"source": (int, lambda v, n: 0 <= v < n),
@@ -131,12 +127,10 @@ FORMATS = {
         "base": _DIST, "eps": _DIST, "slack": (int, lambda v, n: v >= 0),
         "mode": (str, lambda v, n: v in ("exact-scan", "pivot"))},
         ("D", "P"), ("0", "1")),
-    # MultiFDO checks that source roots the tree rows and their distances
-    "multi": ("2", ("E", "V"), {
-        "f": _COUNT, "mode": (str, lambda v, n: v in ("paper", "tight")),
-        "source": (int, lambda v, n: True)},
+    "multi": ("3", ("E",), {
+        "f": _COUNT, "mode": (str, lambda v, n: v in ("paper", "tight"))},
         None, lambda m: (), _multi_parts, _make_multi, ("0",)),
-    "lowdiam": ("2", ("E", "D"), {
+    "lowdiam": ("3", ("E", "D"), {
         "f": _COUNT, "delta": _DIST, "base": _DIST},
         _subset, lambda m: [()], _lowdiam_parts, _make_lowdiam, ("0",)),
 }
@@ -153,8 +147,7 @@ def dumps_oracle(oracle) -> str:
     head += [f"{key}={fmt_dist(params[key])}" for key in header]
     out = [" ".join(head)]
     if "E" in tags:
-        for eid, (u, v, w) in enumerate(oracle.edges):
-            out.append(f"E {eid} {u} {v} {fmt_dist(w)}")
+        out += [f"E {u} {v} {fmt_dist(w)}" for u, v, w in oracle.edges]
     out += rows
     out += [f"D {key} {fmt_dist(val)}" for key, val in entries]
     return "\n".join(out) + "\n"
@@ -162,18 +155,21 @@ def dumps_oracle(oracle) -> str:
 
 def loads_oracle(text: str):
     """Parse an oracle file.  GraphError on malformed content and on what
-    no build writes: a value out of range, a repeated header key, E id, V
-    row or D key, a missing required D line, E, P, V or D lines a kind
-    lacks, dir=1 in a kind that no digraph build writes, a format version
-    other than its kind's, more edges than vertex pairs, a '+', '_' or
-    non-ASCII character, an E line with an endpoint outside 0..n-1, u == v,
-    a weight that is not finite and >= 0 or the vertex pair of an earlier E
-    line (either way round), in a single-failure file an
+    no build writes: a value out of range, a header key repeated or not of
+    its kind, a repeated D key, a missing required D line, E, P or D lines
+    a kind lacks, more or fewer E lines than m, dir=1 in a kind that no
+    digraph build writes, a format version other than its kind's, more
+    edges than vertex pairs, fewer than n - 1 edges in a kind with E lines,
+    a '+', '_' or non-ASCII character, an E line with an endpoint outside
+    0..n-1, u == v, a weight that is not finite and >= 0 or the vertex pair
+    of an earlier E line (either way round), in a single-failure file an
     undirected key u-v with u > v or a D value equal to the fallback, in a
     lowdiam file a dominated entry, one not above the answer of every
-    proper subset of its key (lowdiam.undominated), and in a multi file
-    tree rows that are not a shortest-path tree at the source (MultiFDO
-    checks them)."""
+    proper subset of its key (lowdiam.undominated), and in a multi file a
+    disconnected graph (MultiFDO refuses it, as on a build).
+
+    The E lines of a multi or lowdiam file make one Graph, which goes to
+    the constructor a build uses; so a loaded oracle is the built one."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("FDO "):
         raise GraphError("not an oracle file (missing FDO header)")
@@ -205,12 +201,12 @@ def loads_oracle(text: str):
         raise GraphError(f"bad direction flag dir={raw.get('dir')!r} in a "
                          f"{kind} oracle file")
 
-    # Where a kind has E and V lines, each edge has an E line and each
-    # vertex a V line: check the counts before allocating by them.
-    edge_rows = m if "E" in tags else 0
-    tree_rows = n if "V" in tags else 0
+    # Where a kind has E lines, each edge has one, and they must connect
+    # the n vertices: check the counts before allocating by them.
+    has_d, has_e, has_p = (t in tags for t in "DEP")
+    edge_rows = m if has_e else 0
     if (n < 1 or not 0 <= m <= n * (n - 1) // (1 if directed else 2)
-            or edge_rows + tree_rows > len(lines) - 1):
+            or edge_rows > len(lines) - 1 or has_e and n > m + 1):
         raise GraphError(f"oracle header counts n={n} m={m} do not fit "
                          f"its {len(lines) - 1} body lines")
     params = {}
@@ -223,57 +219,53 @@ def loads_oracle(text: str):
                 raise ValueError
         except ValueError:
             raise GraphError(f"bad header value {key}={raw[key]}") from None
-    edges = [None] * edge_rows
-    lookup = {}     # (u, v) with u < v -> edge id, as Graph.edge_lookup
-    rows = [None] * tree_rows
+    extra = raw.keys() - header.keys() - {"fmt", "dir"}
+    if extra:
+        raise GraphError(f"no {min(extra)}= key in {kind} oracle headers")
+    edges = []
     entries = {}
-    has_d, has_e, has_p, has_v = (t in tags for t in "DEPV")
+    pivots = []
     for ln in lines[1:]:
         toks = ln.split()
         tag = toks[0]
         try:
-            if tag == "D" and has_d:
+            if tag == "E" and has_e:
+                _, u, v, w = toks
+                u, v, w = int(u), int(v), parse_dist(w)
+                if not (0 <= u < n and 0 <= v < n and u != v and 0 <= w < INF):
+                    raise ValueError(ln)
+                edges.append((u, v, w))
+            elif tag == "D" and has_d:
                 key = parse_key(toks[1], n, m, directed)
                 if key in entries:
                     raise GraphError(f"repeated stored entry {ln!r}")
                 val = entries[key] = parse_dist(toks[2])
                 if not val >= 0:
                     raise ValueError(val)
-            elif tag == "E" and has_e:
-                eid, u, v = int(toks[1]), int(toks[2]), int(toks[3])
-                w = parse_dist(toks[4])
-                if eid < 0 or edges[eid] is not None:   # a repeated id too
-                    raise IndexError(eid)
-                if not (0 <= u < n and 0 <= v < n and u != v and 0 <= w < INF):
-                    raise ValueError(ln)
-                edges[eid] = (u, v, w)
-                lookup[(u, v) if u < v else (v, u)] = eid
             elif tag == "P" and has_p:
-                rows.append(_vertex(toks[1], n))
-            elif tag == "V" and has_v:
-                vid, dist = _vertex(toks[1], n), parse_dist(toks[2])
-                if not dist >= 0 or rows[vid] is not None:
-                    raise ValueError(dist)
-                rows[vid] = (dist, None if toks[3] == "-" else int(toks[3]))
+                pivots.append(_vertex(toks[1], n))
             else:
                 raise GraphError(f"no {tag!r} lines in {kind} oracle files")
         except GraphError:
             raise
         except (IndexError, ValueError):
             raise GraphError(f"malformed oracle line {ln!r}") from None
-    if any(e is None for e in edges):
-        raise GraphError("oracle file is missing edge dictionary lines")
-    if len(lookup) < edge_rows:     # a later E line took the pair's entry
-        eid, u, v = next((e, u, v) for e, (u, v, _) in enumerate(edges)
-                         if lookup[(u, v) if u < v else (v, u)] != e)
-        raise GraphError(f"E lines {eid} and {lookup[min(u, v), max(u, v)]}"
-                         f" repeat the vertex pair {u}-{v}")
-    if any(r is None for r in rows):
-        raise GraphError(f"{kind} oracle file is missing tree rows")
+    if len(edges) != edge_rows:
+        raise GraphError(f"oracle file holds {len(edges)} edge dictionary "
+                         f"lines, not m={m}")
+    g = None
+    if has_e:
+        g = Graph(n, directed, edges)
+        lookup = g.edge_lookup
+        if len(lookup) < m:     # a later E line took the pair's entry
+            eid, u, v = next((e, u, v) for e, (u, v, _) in enumerate(edges)
+                             if lookup[(u, v) if u < v else (v, u)] != e)
+            raise GraphError(f"E lines {eid} and {lookup[min(u, v), max(u, v)]}"
+                             f" repeat the vertex pair {u}-{v}")
     if not all(map(entries.__contains__, need(m))):
         raise GraphError("oracle file is missing stored entries")
     try:
-        return make(n, m, directed, edges, lookup, entries, params, rows)
+        return make((n, m, directed), g, entries, params, pivots)
     except GraphError:
         raise
     except (IndexError, ValueError) as exc:

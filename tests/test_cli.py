@@ -213,8 +213,9 @@ def test_query_bad_oracle_file(capsys, tmp_path):
 
 
 def test_query_oracle_edge_id_out_of_range(capsys, tmp_path):
+    # E lines hold no edge id since fmt=3: one that does is malformed
     bad = tmp_path / "bad.fdo"
-    bad.write_text("FDO lowdiam 2 1 fmt=2 dir=0 f=2 delta=1 base=1\n"
+    bad.write_text("FDO lowdiam 2 1 fmt=3 dir=0 f=2 delta=1 base=1\n"
                    "E 1 0 1 1\nD - 1\n")
     code, _, err = run(capsys, ["query", "--oracle", str(bad)])
     assert code == 2 and "malformed oracle line" in err
@@ -239,12 +240,21 @@ def test_query_refuses_bad_single_failure_file(capsys, tmp_path, text, msg):
     assert code == 2 and out == "" and msg in err
 
 
+# format 1 also held the dominated entries; the ids are those of the cases
+# before lowdiam files became fmt=3
+LOWDIAM_FMT1 = ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\n"
+                "D - 1\nD 0 1\n")
+LOWDIAM_FMT2 = LOWDIAM_FMT1.replace("fmt=1", "fmt=2")
+
+
 @pytest.mark.parametrize("text, msg", [
-    # format 1 also held the dominated entries
-    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nD - 1\n"
-     "D 0 1\n", "fmt='1' for kind lowdiam, which is read as fmt=2: rebuild"),
-    ("FDO lowdiam 2 1 fmt=2 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nD - 1\n"
-     "D 0 1\n", "stores the dominated entry 'D 0 1'"),
+    pytest.param(LOWDIAM_FMT1, "fmt='1' for kind lowdiam, which is read as "
+                 "fmt=3: rebuild", id=f"{LOWDIAM_FMT1}-fmt='1' for kind "
+                 "lowdiam, which is read as fmt=2: rebuild"),
+    pytest.param("FDO lowdiam 2 1 fmt=3 dir=0 f=2 delta=1 base=1\nE 0 1 1\n"
+                 "D - 1\nD 0 1\n", "stores the dominated entry 'D 0 1'",
+                 id=f"{LOWDIAM_FMT2}-stores the dominated entry 'D 0 1'"),
+    (LOWDIAM_FMT2, "fmt='2' for kind lowdiam, which is read as fmt=3: rebuild"),
 ])
 def test_query_refuses_bad_lowdiam_file(capsys, tmp_path, text, msg):
     bad = tmp_path / "bad.fdo"
@@ -583,3 +593,20 @@ def test_audit_corrupted_oracle_nonzero_exit(capsys, tmp_path, c4_file):
 def test_audit_requires_kind_or_oracle(capsys, c4_file):
     code, _, err = run(capsys, ["audit", "--graph", c4_file])
     assert code == 2 and "--kind" in err or "kind" in err
+
+
+def test_audit_float_multi_answers_alike_built_and_loaded(capsys, tmp_path):
+    # An integral float answer reads the same in both audits: the file
+    # writes 7.0 as '7.0', where it once wrote '7' and loaded an int
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("4 5 U W\n0 1 0.5\n1 2 1.5\n2 3 1.0\n3 0 2.0\n0 2 3.0\n")
+    opath = tmp_path / "g.fdo"
+    assert run(capsys, ["build", "--graph", str(gpath), "--kind", "multi",
+                        "--f", "1", "--out", str(opath)])[0] == 0
+    answers = []
+    for source in (["--kind", "multi", "--f", "1"], ["--oracle", str(opath)]):
+        code, stdout, _ = run(capsys, ["audit", "--graph", str(gpath), *source])
+        assert code == 0
+        answers.append([line for line in stdout.splitlines()
+                        if '"F": "1-2"' in line][0])
+    assert answers[0] == answers[1] and '"answer": 7.0,' in answers[0]

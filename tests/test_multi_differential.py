@@ -33,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdo import (INF, brute_diam, build_graph, build_multi_fdo, dumps_oracle,
                  gen_random, loads_oracle)
-from fdo.graph import DIST_EPS, resolve_pairs
+from fdo.graph import DIST_EPS, resolve_pairs, sssp
 
 WEIGHTS = {
     "unit": None,
@@ -65,10 +65,17 @@ def graphs(draw, kind):
                                   for u, v in pairs])
 
 
+def tree_edges(o):
+    """The edge ids of the shortest-path tree from 0 on the oracle's edges,
+    found without the oracle's own tree index."""
+    tree = sssp(build_graph(o.n, False, o.edges), 0)
+    return {p[1] for p in tree.parent if p is not None}
+
+
 def failure_sets(o, f):
     """Sets of at most f distinct vertex pairs, each drawn from the tree
     edges, the non-tree edges or the non-edges of the oracle's graph."""
-    tree_eids = {e for e in o.parent_eid if e is not None}
+    tree_eids = tree_edges(o)
     tree = [o.edges[e][:2] for e in sorted(tree_eids)]
     nontree = [(u, v) for e, (u, v, _) in enumerate(o.edges)
                if e not in tree_eids]
@@ -158,7 +165,7 @@ def reference_details(o, pairs):
     its deepest enclosing cut root, then every edge is scanned."""
     eids, _ = resolve_pairs(pairs, o.n, False, o.edge_lookup)
     failed = set(eids)
-    tree_eids = {e for e in o.parent_eid if e is not None}
+    tree_eids = tree_edges(o)
     failed_tree = sorted(e for e in eids if e in tree_eids)
     k = len(failed_tree)
     detail = {"k": k, "gap": 0, "swap_eids": [], "finite": True}

@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import combinations
 
@@ -62,19 +63,28 @@ def test_loaded_oracle_answers_identically():
             assert oracle.query([nonedge]) == loaded.query([nonedge])
 
 
-def _lowdiam_case(counts, body, msg):
-    """A loader case on a lowdiam file with these vertex and edge counts.
-    Its id keeps the fmt=1 header these cases had before lowdiam files
-    became fmt=2, so the test's name does not change with the version; the
-    structure each case breaks is the same in both versions."""
+def _was(case, *was):
+    """``case`` with the id it had before multi and lowdiam files became
+    fmt=3: ``was`` is the parameters its id was made of then.  The files
+    broken are the same in structure, so the test's name does not change
+    with the version."""
+    return pytest.param(*case, id="-".join(was))
+
+
+def _lowdiam_case(counts, body, msg, was=None):
+    """A loader case on a lowdiam file with these vertex and edge counts,
+    whose id keeps the fmt=1 header (and ``was``, the body) it had."""
     head = f"FDO lowdiam {counts} fmt={{}} dir=0 f=2 delta=1 base=1\n"
-    return pytest.param(head.format(2) + body, msg,
-                        id=f"{head.format(1)}{body}-{msg}")
+    return _was((head.format(3) + body, msg), head.format(1) + (was or body),
+                msg)
 
 
-# the header and edge lines of a lowdiam file on the 4-cycle
-LOWDIAM_C4 = ("FDO lowdiam 4 4 fmt=2 dir=0 f=2 delta=3 base=2\n"
-              "E 0 0 1 1\nE 1 1 2 1\nE 2 2 3 1\nE 3 3 0 1\n")
+# the header and edge lines of a lowdiam file on the 4-cycle, and as they
+# were in fmt=2
+LOWDIAM_C4 = ("FDO lowdiam 4 4 fmt=3 dir=0 f=2 delta=3 base=2\n"
+              "E 0 1 1\nE 1 2 1\nE 2 3 1\nE 3 0 1\n")
+LOWDIAM_C4_FMT2 = ("FDO lowdiam 4 4 fmt=2 dir=0 f=2 delta=3 base=2\n"
+                   "E 0 0 1 1\nE 1 1 2 1\nE 2 2 3 1\nE 3 3 0 1\n")
 
 
 @pytest.mark.parametrize("text, msg", [
@@ -85,8 +95,9 @@ LOWDIAM_C4 = ("FDO lowdiam 4 4 fmt=2 dir=0 f=2 delta=3 base=2\n"
      "unsupported format version fmt='1' for kind exact, which is read as "
      "fmt=2: rebuild the oracle file"),
     _lowdiam_case("2 1", "D - 1\n", "edge dictionary"),
-    _lowdiam_case("2 1", "E 0 0 1 1\n", "missing stored"),
+    _lowdiam_case("2 1", "E 0 1 1\n", "missing stored", was="E 0 0 1 1\n"),
     ("FDO wat 2 1 fmt=1 dir=0\nE 0 0 1 1\nD 0 1\n", "unknown oracle kind"),
+    # an E line with an edge id, as fmt=2 wrote them, and a bare tag
     _lowdiam_case("2 1", "E 1 0 1 1\nD - 1\n", "malformed"),
     _lowdiam_case("2 1", "E\nD - 1\n", "malformed"),
     # integer tokens int() takes but no build writes
@@ -94,19 +105,29 @@ LOWDIAM_C4 = ("FDO lowdiam 4 4 fmt=2 dir=0 f=2 delta=3 base=2\n"
     ("FDO exact 12 1 fmt=2 dir=0 base=1\nD 1_0-11 3\n", "line 'D 1_0-11 3'"),
     ("FDO exact 2 1 fmt=2 dir=0 base=1\nD +0-1 3\n", r"line 'D \+0-1 3'"),
     ("FDO exact 2 1 fmt=2 dir=0 base=1\nD 0-\u0661 3\n", "line 'D 0-\u0661 3'"),
-    _lowdiam_case("2 1", "E 0 0 \u0661 1\nD - 1\n", "malformed"),
-    _lowdiam_case("3 2", "E 0 0 1 1\nE 1 1 0 1\nD - 1\n",
-                  "E lines 0 and 1 repeat the vertex pair 0-1"),
-    # a lowdiam file of format 1, which also held the dominated entries
-    ("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nD - 1\n",
-     "unsupported format version fmt='1' for kind lowdiam, which is read as "
-     "fmt=2: rebuild the oracle file"),
+    _lowdiam_case("2 1", "E 0 \u0661 1\nD - 1\n", "malformed",
+                  was="E 0 0 \u0661 1\nD - 1\n"),
+    _lowdiam_case("3 2", "E 0 1 1\nE 1 0 1\nD - 1\n",
+                  "E lines 0 and 1 repeat the vertex pair 0-1",
+                  was="E 0 0 1 1\nE 1 1 0 1\nD - 1\n"),
+    # lowdiam files of format 1, which also held the dominated entries, and
+    # of format 2, whose E lines held edge ids
+    _was(("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nD - 1\n",
+          "unsupported format version fmt='1' for kind lowdiam, which is read "
+          "as fmt=3: rebuild the oracle file"),
+         "FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nD - 1\n",
+         "unsupported format version fmt='1' for kind lowdiam, which is read as "
+         "fmt=2: rebuild the oracle file"),
+    ("FDO lowdiam 2 1 fmt=2 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nD - 1\n",
+     "unsupported format version fmt='2' for kind lowdiam, which is read as "
+     "fmt=3: rebuild the oracle file"),
     # a lowdiam entry no larger than the answer of a proper subset of its
     # key, which no build keeps: a single edge's entry equal to base, a pair
     # entry equal to one of its singles (written after it), a pair entry
     # equal to base where both singles are absent, and inf under an inf
     # single
-    *[(LOWDIAM_C4 + entries, f"stores the dominated entry {dominated!r}")
+    *[_was((LOWDIAM_C4 + entries, f"stores the dominated entry {dominated!r}"),
+           LOWDIAM_C4_FMT2 + entries, f"stores the dominated entry {dominated!r}")
       for entries, dominated in [
           ("D - 2\nD 1 2\n", "D 1 2"),
           ("D - 2\nD 0 3\nD 0-1 4\nD 1 4\n", "D 0-1 4"),
@@ -134,7 +155,15 @@ BAD_VALUES = [
     # the empty subset's entry, which every lowdiam query reads
     ("no-empty-key", "lowdiam", "D - 2\n", "", "missing stored entries"),
     # header values and stored entries no build writes
-    ("v-dist-nan", "multi", "V 2 2 1", "V 2 nan 1", "line 'V 2 nan 1'"),
+    # a V line, a tree row of fmt=2 files: the loader makes the tree
+    ("v-dist-nan", "multi", "E 3 0 1\n", "E 3 0 1\nV 2 nan 1\n",
+     "no 'V' lines in multi oracle files"),
+    ("v-line-multi", "multi", "E 3 0 1\n", "E 3 0 1\nV 0 0 -\n",
+     "no 'V' lines in multi oracle files"),
+    # and the source= key of fmt=2 multi headers, or any key not the kind's
+    ("source-key-multi", "multi", "mode=paper", "mode=paper source=0",
+     "no source= key in multi oracle headers"),
+    ("eps-key-exact", "exact", "base=2", "base=2 eps=1", "no eps= key"),
     ("entry-nan", "exact", "D 0-1 3", "D 0-1 nan", "line 'D 0-1 nan'"),
     ("entry-negative", "exact", "D 0-1 3", "D 0-1 -1", "line 'D 0-1 -1'"),
     ("base-negative", "exact", "base=2", "base=-1", "base=-1"),
@@ -153,15 +182,22 @@ BAD_VALUES = [
     # D and P lines checked against the file
     ("repeated-key", "exact", "D 0-1 3\n", "D 0-1 3\nD 0-1 2\n",
      "repeated stored entry 'D 0-1 2'"),
-    ("repeated-edge", "multi", "E 1 1 2 1\n", "E 1 1 2 1\nE 1 0 2 1\n",
-     "line 'E 1 0 2 1'"),
+    # one E line per edge, m in all: more or fewer are refused
+    ("repeated-edge", "multi", "E 1 2 1\n", "E 1 2 1\nE 0 2 1\n",
+     "oracle file holds 5 edge dictionary lines, not m=4"),
+    ("missing-edge", "multi", "E 3 0 1\n", "",
+     "oracle header counts n=4 m=4 do not fit its 3 body lines"),
+    ("missing-edge-lowdiam", "lowdiam", "E 3 0 1\n", "",
+     "oracle file holds 3 edge dictionary lines, not m=4"),
+    # an E line with the edge id fmt=2 wrote
+    ("e-line-id", "multi", "E 1 2 1", "E 1 1 2 1", "line 'E 1 1 2 1'"),
     # a vertex pair named by two E lines, either way round: the later line
     # took the pair's entry in the edge dictionary, so edge 0 could not fail
-    *[(f"repeated-pair-{kind}-{way}", kind, "E 2 2 3 1", new,
+    *[(f"repeated-pair-{kind}-{way}", kind, "E 2 3 1", new,
        "E lines 0 and 2 repeat the vertex pair 0-1")
       for kind in ("multi", "lowdiam")
-      for way, new in (("same", "E 2 0 1 1"), ("reversed", "E 2 1 0 1"))],
-    ("d-line-multi", "multi", "V 3 1 3\n", "V 3 1 3\nD 0 0\n",
+      for way, new in (("same", "E 0 1 1"), ("reversed", "E 1 0 1"))],
+    ("d-line-multi", "multi", "E 3 0 1\n", "E 3 0 1\nD 0 0\n",
      "no 'D' lines in multi oracle files"),
     ("repeated-header-key", "exact", "base=2", "base=2 base=9",
      "bad header token 'base=9'"),
@@ -201,8 +237,8 @@ BAD_VALUES = [
     *[(f"fmt-{kind}", kind, f"fmt={new}", f"fmt={old}",
        f"version fmt='{old}' for kind {kind}")
       for kind, old, new in [("exact", 1, 2), ("ecc", 1, 2), ("spanner", 1, 2),
-                             ("approx", 1, 2), ("multi", 1, 2),
-                             ("lowdiam", 1, 2)]],
+                             ("approx", 1, 2), ("multi", 2, 3),
+                             ("lowdiam", 2, 3)]],
     # header counts: more edges than vertex pairs
     ("m-over-pairs", "exact", "FDO exact 4 4", "FDO exact 4 7", "do not fit"),
     ("m-negative", "exact", "FDO exact 4 4", "FDO exact 4 -1", "do not fit"),
@@ -217,7 +253,8 @@ BAD_VALUES = [
     ("source-arabic-indic", "ecc", "source=0", "source=\u0660",
      "source=\u0660"),
     ("slack-underscore", "approx", "slack=2", "slack=0_2", "slack=0_2"),
-    ("multi-source-plus", "multi", "source=0", "source=+0", "source=+0"),
+    ("multi-source-plus", "multi", "mode=paper", "mode=paper source=+0",
+     "source=+0"),
     ("pair-plus", "exact", "D 0-1 3", "D +0-1 3", "line 'D +0-1 3'"),
     ("entry-plus", "exact", "D 0-1 3", "D 0-1 +3", "line 'D 0-1 +3'"),
     ("pair-underscore", "exact", "D 0-1 3", "D 0-0_1 3", "line 'D 0-0_1 3'"),
@@ -225,14 +262,16 @@ BAD_VALUES = [
      "line 'D 0-\u0661 3'"),
     ("subset-underscore", "lowdiam", "D 1-2 inf", "D 1-0_2 inf",
      "line 'D 1-0_2 inf'"),
-    ("v-dist-plus", "multi", "V 2 2 1", "V 2 +2 1", "line 'V 2 +2 1'"),
-    ("e-line-plus", "multi", "E 1 1 2 1", "E 1 +1 2 1", "line 'E 1 +1 2 1'"),
-    ("e-id-underscore", "multi", "E 1 1 2 1", "E 0_1 1 2 1",
-     "line 'E 0_1 1 2 1'"),
+    ("v-dist-plus", "multi", "E 3 0 1\n", "E 3 0 1\nV 2 +2 1\n",
+     "line 'V 2 +2 1'"),
+    ("e-line-plus", "multi", "E 1 2 1", "E +1 2 1", "line 'E +1 2 1'"),
+    # the first integer of an E line, its edge id in fmt=2
+    ("e-id-underscore", "multi", "E 1 2 1", "E 0_1 2 1", "line 'E 0_1 2 1'"),
     ("pivot-plus", "approx", "P 1\n", "P +1\n", "line 'P +1'"),
-    ("v-vertex-arabic-indic", "multi", "V 2 2 1", "V \u0662 2 1",
+    ("v-vertex-arabic-indic", "multi", "E 3 0 1\n", "E 3 0 1\nV \u0662 2 1\n",
      "line 'V \u0662 2 1'"),
-    ("v-parent-plus", "multi", "V 2 2 1", "V 2 2 +1", "line 'V 2 2 +1'"),
+    ("v-parent-plus", "multi", "E 3 0 1\n", "E 3 0 1\nV 2 2 +1\n",
+     "line 'V 2 2 +1'"),
 ]
 
 
@@ -248,7 +287,18 @@ def test_loader_rejects_values_no_build_writes(kind, old, new, msg):
     assert "malformed oracle value" not in str(info.value)
 
 
-MULTI_TEXT = """FDO multi 6 7 fmt=2 dir=0 f=2 mode=paper source=0
+MULTI_TEXT = """FDO multi 6 7 fmt=3 dir=0 f=2 mode=paper
+E 0 1 10
+E 0 5 5
+E 1 2 1
+E 1 3 6
+E 1 5 2
+E 2 4 4
+E 3 5 2
+"""
+
+# the same oracle in format 2, which also stored the tree as V rows
+MULTI_TEXT_FMT2 = """FDO multi 6 7 fmt=2 dir=0 f=2 mode=paper source=0
 E 0 0 1 10
 E 1 0 5 5
 E 2 1 2 1
@@ -264,54 +314,53 @@ V 4 12 5
 V 5 5 1
 """
 
+
 def test_multi_text_loads():
     assert parse_capped("loads_oracle", MULTI_TEXT) == "loaded"
     o = loads_oracle(MULTI_TEXT)
     assert dumps_oracle(o) == MULTI_TEXT
-    # the swap weights and maxdist that fmt=1 files stored as D lines and
-    # maxdist=, recomputed from the edges and the tree rows
+    # the tree that fmt=2 files stored as V rows, and the swap weights and
+    # maxdist that fmt=1 files stored as D lines and maxdist=, made from
+    # the edges
+    assert o.dist == [0, 7, 8, 7, 12, 5]
+    assert sorted(o.cut_root.items()) == [(1, 5), (2, 2), (4, 1), (5, 4),
+                                          (6, 3)]
     assert o.swap_weight == [17, 0, 0, 20, 0, 0, 0] and o.maxdist == 12
 
 
 def test_loader_refuses_multi_fmt1():
-    # fmt=1 also stored the swap weights (D lines) and maxdist=
-    text = ("FDO multi 6 7 fmt=1 dir=0 f=2 mode=paper source=0 maxdist=12\n"
-            + MULTI_TEXT.split("\n", 1)[1]
+    # fmt=1 also stored the swap weights (D lines) and maxdist=, and both
+    # older formats the tree
+    fmt1 = (MULTI_TEXT_FMT2.replace("fmt=2", "fmt=1").replace(
+        "source=0", "source=0 maxdist=12")
             + "".join(f"D {eid} {sw}\n"
                       for eid, sw in enumerate([17, 0, 0, 20, 0, 0, 0])))
-    with pytest.raises(GraphError, match="unsupported format version fmt='1' "
-                       "for kind multi, which is read as fmt=2: rebuild the "
-                       "oracle file"):
-        loads_oracle(text)
+    for old, text in (("1", fmt1), ("2", MULTI_TEXT_FMT2)):
+        with pytest.raises(GraphError, match=f"unsupported format version "
+                           f"fmt='{old}' for kind multi, which is read as "
+                           "fmt=3: rebuild the oracle file"):
+            loads_oracle(text)
 
 
 @pytest.mark.parametrize("old, new, msg", [
-    ("V 0 0 -", "V 0 0 5", "do not root at source 0"),     # source with a parent
-    ("source=0", "source=6", "do not root at source 6"),
-    ("source=0", "source=-1", "do not root at source -1"),
-    ("V 2 8 2", "V 2 8 0", "edge 0 of vertex 2 does not touch it"),
-    ("V 2 8 2", "V 2 8 -1", "names edge -1"),
-    ("V 2 8 2", "V 2 8 7", "names edge 7"),
-    ("V 2 8 2", "V 2 8 -", "reach 4 of 6 vertices"),       # second root
-    ("V 5 5 1", "V 5 5 4", "reach 1 of 6 vertices"),       # cycle 1-5 off the tree
-    ("V 5 5 1", "V 5 5 1\nV 5 6 1", "line 'V 5 6 1'"),     # a repeated row
     ("FDO multi 6 7", "FDO multi 6 10000000000", "do not fit"),
     ("FDO multi 6 7", "FDO multi 10000000000 7", "do not fit"),
     ("FDO multi 6 7", "FDO multi 6 -1", "do not fit"),
     ("FDO multi 6 7", "FDO multi 0 7", "do not fit"),
-    # distances that are not the tree's: the swap weights are made of them
-    ("V 0 0 -", "V 0 1 -", "do not root at source 0 at distance 0"),
-    ("V 2 8 2", "V 2 9 2",
-     "tree row of vertex 2 has distance 9, not 7 + 1 along edge 2"),
-    ("V 2 8 2", "V 2 8.000001 2", "tree row of vertex 2 has distance 8.000001"),
-    ("V 5 5 1", "V 5 0 1", "tree row of vertex 5 has distance 0, not 0 + 5"),
-    # E lines: endpoints in 0..n-1 and distinct, a finite weight >= 0
-    ("E 2 1 2 1", "E 2 1 6 1", "line 'E 2 1 6 1'"),
-    ("E 2 1 2 1", "E 2 -1 2 1", "line 'E 2 -1 2 1'"),
-    ("E 2 1 2 1", "E 2 2 2 1", "line 'E 2 2 2 1'"),
-    ("E 2 1 2 1", "E 2 1 2 -1", "line 'E 2 1 2 -1'"),
-    ("E 2 1 2 1", "E 2 1 2 nan", "line 'E 2 1 2 nan'"),
-    ("E 2 1 2 1", "E 2 1 2 inf", "line 'E 2 1 2 inf'"),
+    # more vertices than the edges can connect
+    ("FDO multi 6 7", "FDO multi 9 7", "do not fit"),
+    # more or fewer E lines than m
+    ("E 3 5 2\n", "E 3 5 2\nE 2 3 1\n",
+     "oracle file holds 8 edge dictionary lines, not m=7"),
+    ("E 3 5 2\n", "", "n=6 m=7 do not fit its 6 body lines"),
+    # a disconnected graph: vertex 4 loses its one edge
+    ("E 2 4 4", "E 0 2 4", "multi-failure FDO needs a connected graph"),
+    # E lines: endpoints in 0..n-1 and distinct, a finite weight >= 0.
+    # Their ids name the fmt=2 line 'E 2 1 2 1', edge id first.
+    *[_was(("E 1 2 1", new, f"line '{new}'"), "E 2 1 2 1",
+           f"E 2 {new[2:]}", f"line 'E 2 {new[2:]}'")
+      for new in ("E 1 6 1", "E -1 2 1", "E 2 2 1", "E 1 2 -1", "E 1 2 nan",
+                  "E 1 2 inf")],
 ])
 def test_loader_rejects_bad_multi_tree(old, new, msg):
     assert old in MULTI_TEXT
@@ -323,31 +372,35 @@ def test_loader_rejects_bad_multi_tree(old, new, msg):
 def test_loaded_multi_f1_gap_is_never_negative():
     # fmt=1 files stored swap weights, and ones below the tree distance of
     # the cut vertex, which no build writes, made the f=1 lookup answer
-    # below 2*maxdist.  Swap weights are now made of the tree rows'
-    # distances, and rows that push a non-tree endpoint below its cut
-    # vertex's distance are refused...
-    text = MULTI_TEXT.replace("f=2", "f=1").replace("V 4 12 5", "V 4 1 5")
-    with pytest.raises(GraphError, match="tree row of vertex 4 has distance 1"):
-        loads_oracle(text)
-    # ... unless they stay within the dist_eq tolerance of the tree: here
-    # the 0-weight tree edge 1-2 takes vertex 2 just below vertex 1, so the
-    # swap edge 0-2 leaves the cut of edge 0 a gap of -5e-10.  The f=1
-    # lookup floors it at 0, as the general path does.
-    o = loads_oracle("FDO multi 3 3 fmt=2 dir=0 f=1 mode=paper source=0\n"
-                     "E 0 0 1 1\nE 1 0 2 0\nE 2 1 2 0\n"
-                     "V 0 0 -\nV 1 1 0\nV 2 0.9999999995 2\n")
-    assert o.swap_weight[1] - o.dist[1] < 0
-    for u, v, _ in o.edges:
-        answer = o.query([(u, v)])
-        assert answer == INF or answer >= 2 * o.maxdist, ((u, v), answer)
-        general = o.query_details([(u, v)], force_general=True)
-        assert answer == general["answer"]
+    # below 2*maxdist; fmt=2 tree rows could sit just below their parent's
+    # distance within the dist_eq tolerance.  Now every tree is a built
+    # one: a vertex settles no earlier than its parent, so no vertex of a
+    # cut subtree is nearer the source than the cut vertex, and no swap
+    # weight is below its distance, on zero and near-tie float weights too.
+    # The f=1 lookup still floors the gap at 0, as the general path does.
+    rng = random.Random(3)
+    graphs = [build_graph(3, False, [(0, 1, 1), (0, 2, 0), (1, 2, 0)]),
+              build_graph(3, False, [(0, 1, 1.0), (0, 2, 0.9999999995),
+                                     (1, 2, 0.0)])]
+    for _ in range(20):
+        g = gen_random("er-undirected", rng.randrange(10**6), n=9, p=0.4)
+        graphs.append(build_graph(g.n, False, [
+            (u, v, rng.choice((0, 0.0, 0.1, 0.2, 0.3, 1e-10, 1)))
+            for u, v, _ in g.edges]))
+    for g in graphs:
+        built = build_multi_fdo(g, 1)
+        for o in (built, loads_oracle(dumps_oracle(built))):
+            for u, v, _ in o.edges:
+                d = o.query_details([(u, v)])
+                assert d["answer"] == INF or (
+                    d["gap"] >= 0 and d["answer"] >= 2 * o.maxdist), (u, v)
+                assert d == o.query_details([(u, v)], force_general=True)
 
 
 def test_multi_float_distances_past_2_53_load():
-    # Integral floats of 2^53 or more are written as digits and '.0', so the
-    # loader reads floats and adds them as the build did.  Written as ints,
-    # dist[2] = 1e16 + 3 (rounded to ...004) was refused as "not 1e16 + 3".
+    # Integral floats are written as digits and '.0', so the loader reads
+    # floats and adds them as the build did.  Written as ints, dist[2] =
+    # 1e16 + 3 (rounded to ...004) was once refused as "not 1e16 + 3".
     g = build_graph(3, False, [(0, 1, 1e16), (1, 2, 3.0), (0, 2, 3e16)])
     text = format_graph(g)
     assert "+" not in text
@@ -364,6 +417,76 @@ def test_multi_float_distances_past_2_53_load():
             for general in (False, True):
                 assert (loaded.query_details(failed, force_general=general)
                         == built.query_details(failed, force_general=general))
+
+
+P52 = 2 ** 52
+
+
+def test_multi_float_weights_load_as_built():
+    # A float weight written as an int loaded back as an int, so a loaded
+    # multi oracle added exactly where the build rounded, and answered an
+    # int where the build answered a float.  Both graphs of that defect.
+    cases = [
+        (build_graph(3, False, [(0, 1, P52 + 1.0), (0, 2, P52 + 2.0),
+                                (1, 2, 2.0)]), 2, (0, 1), "1.801439850948199e+16"),
+        (build_graph(4, False, [(0, 1, 0.5), (1, 2, 1.5), (2, 3, 1.0),
+                                (3, 0, 2.0), (0, 2, 3.0)]), 1, (1, 2), "7.0"),
+    ]
+    for g, f, pair, answer in cases:
+        built = build_multi_fdo(g, f)
+        loaded = loads_oracle(dumps_oracle(built))
+        assert repr(loaded.swap_weight) == repr(built.swap_weight)
+        got = [repr(o.query_details([pair])) for o in (built, loaded)]
+        assert got[0] == got[1] and f"'answer': {answer}" in got[0]
+
+
+# Graphs of the repr round trip, each connected: unit, int, float, mixed
+# int and float, and zero weights, and float sums that cross 2^53.
+ROUNDTRIP_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 4),
+                   (3, 5), (5, 1)]
+ROUNDTRIP_WEIGHTS = {
+    "unit": None,
+    "int": [3, 1, 4, 1, 5, 9, 2, 6, 5],
+    "float": [0.5, 1.5, 1.0, 2.0, 3.0, 0.25, 4.0, 1.0, 2.5],
+    "mixed": [1, 2.0, 3, 0.5, 2, 7.0, 1.5, 4, 3.0],
+    "zero": [0, 1, 0, 2, 0.0, 3, 1.0, 0, 2],
+    "near-2^53": [P52 + 1.0, P52 + 2.0, 2.0, P52 - 1.0, 3.0, P52 + 0.0,
+                  1.0, P52 + 4.0, 5.0],
+}
+ROUNDTRIP_BUILDS = {
+    "exact": (build_exact_fdo, ROUNDTRIP_WEIGHTS),
+    "ecc": (build_ecc_fdo, ROUNDTRIP_WEIGHTS),
+    "spanner": (lambda g: build_spanner_fdo(g, 2), ["unit"]),
+    "approx": (lambda g: build_approx_fdo(g, 0.5), ["unit"]),
+    "approx-pivot": (lambda g: build_approx_fdo(g, 1.0, scan_threshold=0),
+                     ["unit"]),
+    "multi": (lambda g: build_multi_fdo(g, 2), ROUNDTRIP_WEIGHTS),
+    "multi-tight": (lambda g: build_multi_fdo(g, 3, mode="tight"),
+                    ROUNDTRIP_WEIGHTS),
+    "lowdiam": (lambda g: build_lowdiam_fdo(g, 2, delta=3.0), ["unit"]),
+}
+
+
+@pytest.mark.parametrize("kind, weights", [
+    (kind, weights) for kind, (_, accepted) in ROUNDTRIP_BUILDS.items()
+    for weights in accepted])
+def test_loaded_transcripts_equal_built_by_repr(kind, weights):
+    # Every kind, loaded from its own file, gives the query_details
+    # transcript of its build for every failure set of at most f vertex
+    # pairs, non-edges included, equal under repr: 7.0 is not 7.
+    ws = ROUNDTRIP_WEIGHTS[weights]
+    g = build_graph(6, False, ROUNDTRIP_EDGES if ws is None else
+                    [(u, v, w) for (u, v), w in zip(ROUNDTRIP_EDGES, ws)])
+    built = ROUNDTRIP_BUILDS[kind][0](g)
+    text = dumps_oracle(built)
+    loaded = loads_oracle(text)
+    assert dumps_oracle(loaded) == text
+    pairs = list(combinations(range(g.n), 2))
+    # a single-failure oracle takes exactly one pair
+    for size in range(built.f + 1) if hasattr(built, "f") else [1]:
+        for failed in combinations(pairs, size):
+            assert (repr(loaded.query_details(failed))
+                    == repr(built.query_details(failed))), failed
 
 
 def test_loader_rejects_huge_edge_count():
