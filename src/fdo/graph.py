@@ -118,12 +118,12 @@ def build_graph(n, directed, edge_list) -> Graph:
     self-loops, duplicate pairs, negative or non-finite weights, weights
     that are not an ``int`` or ``float`` (``bool`` included), and ids that
     are not an ``int`` (``bool`` included) in 0..n-1, naming the offending
-    entry.
+    entry.  A repeated pair is found in ``Graph.edge_lookup``, the one pair
+    dictionary, and an entry that is a (u, v, w) tuple is kept as the edge.
     """
     if n < 1:
         raise GraphError(f"vertex count must be positive, got {n}")
     edges = []
-    seen = set()
     for item in edge_list:
         if len(item) == 2:
             u, v = item
@@ -144,12 +144,17 @@ def build_graph(n, directed, edge_list) -> Graph:
             raise GraphError(f"edge ({u},{v}) has negative weight {w}")
         if not w < INF:  # inf, and nan, which compares false to everything
             raise GraphError(f"edge ({u},{v}) has non-finite weight {w}")
-        key = pair_key(u, v, directed)
-        if key in seen:
-            raise GraphError(f"duplicate edge pair ({u},{v})")
-        seen.add(key)
-        edges.append((u, v, w))
-    return Graph(n, directed, edges)
+        edges.append(item if type(item) is tuple and len(item) == 3
+                     else (u, v, w))
+    g = Graph(n, directed, edges)
+    lookup = g.edge_lookup
+    if len(lookup) < len(edges):    # a later edge took the pair's entry
+        for eid, (u, v, _) in enumerate(edges):
+            later = lookup[pair_key(u, v, directed)]
+            if later != eid:
+                raise GraphError(f"duplicate edge pair ({u},{v}): edges "
+                                 f"{eid} and {later}")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +406,18 @@ def strong_bridges(g: Graph) -> set:
 # ---------------------------------------------------------------------------
 # failure sets
 
-def resolve_pairs(pairs, n, directed, edge_lookup):
+def resolve_pairs(pairs, n, directed, edge_lookup, f=None):
     """Validate a failure set of vertex pairs and split it against the edge
     dictionary.  Returns (sorted edge ids, non-edge pair count); removing a
-    non-edge leaves the graph unchanged, so callers just drop them."""
+    non-edge leaves the graph unchanged, so callers just drop them.  With
+    ``f``, an oracle's failure budget, a set of more than f entries (any
+    iterable, counted before its entries are checked) is refused first."""
+    if f is not None:
+        if not isinstance(pairs, (tuple, list)):
+            pairs = list(pairs)
+        if len(pairs) > f:
+            raise GraphError(
+                f"too many failures: {len(pairs)} pairs, oracle has f={f}")
     seen = set()
     eids = []
     nonedges = 0
@@ -481,12 +494,10 @@ def parse_graph(text: str) -> Graph:
         if len(toks) != (3 if weighted else 2):
             raise GraphError(f"bad {'weighted ' if weighted else ''}edge line {ln!r}")
         try:
-            edge = [int(toks[0]), int(toks[1])]
-            if weighted:
-                edge.append(parse_dist(toks[2]))
+            edge_list.append((int(toks[0]), int(toks[1]),
+                              parse_dist(toks[2]) if weighted else 1))
         except ValueError:
             raise GraphError(f"bad number in edge line {ln!r}") from None
-        edge_list.append(edge)
     return build_graph(n, directed, edge_list)
 
 

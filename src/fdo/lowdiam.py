@@ -70,12 +70,7 @@ class LowDiamFDO:
         """Answer plus its cost: ``probes`` table lookups, one per subset of
         the failed edges (2^|F| after non-edges are dropped), of which
         ``hits`` found a stored entry (the empty subset's always does)."""
-        if not isinstance(pairs, (tuple, list)):
-            pairs = list(pairs)
-        if len(pairs) > self.f:
-            raise GraphError(
-                f"too many failures: {len(pairs)} pairs, oracle has f={self.f}")
-        eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup)
+        eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup, self.f)
         get = self.table.get
         best = self.table[()]
         hits = 1

@@ -179,12 +179,7 @@ class MultiFDO:
         ``gap``, ``k``, ``finite`` and ``answer`` equal a full scan's.  A
         component with no edge to component 0 never stops early.
         """
-        if not isinstance(pairs, (tuple, list)):
-            pairs = list(pairs)
-        if len(pairs) > self.f:
-            raise GraphError(
-                f"too many failures: {len(pairs)} pairs, oracle has f={self.f}")
-        eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup)
+        eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup, self.f)
         cut_root = self.cut_root
         failed_tree = [e for e in eids if e in cut_root]    # sorted, as eids
         k = len(failed_tree)

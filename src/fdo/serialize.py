@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import partial
 from operator import lt
 
-from .graph import (INF, Graph, GraphError, _unwritten, fmt_dist,
+from .graph import (GraphError, _unwritten, build_graph, fmt_dist,
                     parse_dist, read_text)
 
 # The oracle classes are imported by the makers below, so loading a file
@@ -92,6 +92,8 @@ def _make_single(kind, counts, g, values, p, pivots):
 
 def _make_lowdiam(counts, g, table, p, pivots):
     from .lowdiam import LowDiamFDO, undominated
+    if () not in table:     # the empty subset's entry, which queries read
+        raise GraphError("oracle file is missing stored entries")
     kept = undominated(table)
     if len(kept) < len(table):      # no build keeps one
         key = next(key for key in table if key not in kept)
@@ -104,7 +106,7 @@ def _make_lowdiam(counts, g, table, p, pivots):
 
 
 def _single(kind, header, tags=("D",), dirs=("0",)):
-    return ("2", tags, header, _pair, lambda m: (),
+    return ("2", tags, header, _pair,
             lambda o: (o.params, [f"P {v}" for v in o.pivots],
                        [(f"{u}-{v}", val)
                         for (u, v), val in sorted(o.values.items())]),
@@ -113,11 +115,11 @@ def _single(kind, header, tags=("D",), dirs=("0",)):
 
 # Per kind: its format version; the tags of the lines its files hold (E
 # lines: one per edge); the header keys after dir=, in file order, with
-# their checks; the parser of a D key, (token, n, m, directed) -> key; m ->
-# the D keys every file holds; oracle -> (header values, P lines, sorted D
-# entries); ((n, m, directed), the Graph of the E lines or None, D
-# entries, header values, pivots) -> the oracle; and the dir= flags its
-# builds write ("1" only where a build takes digraphs).
+# their checks; the parser of a D key, (token, n, m, directed) -> key;
+# oracle -> (header values, P lines, sorted D entries); ((n, m, directed),
+# the Graph of the E lines or None, D entries, header values, pivots) ->
+# the oracle; and the dir= flags its builds write ("1" only where a build
+# takes digraphs).
 FORMATS = {
     "exact": _single("exact", {"base": _DIST}, dirs=("0", "1")),
     "ecc": _single("ecc", {"source": (int, lambda v, n: 0 <= v < n),
@@ -129,10 +131,10 @@ FORMATS = {
         ("D", "P"), ("0", "1")),
     "multi": ("3", ("E",), {
         "f": _COUNT, "mode": (str, lambda v, n: v in ("paper", "tight"))},
-        None, lambda m: (), _multi_parts, _make_multi, ("0",)),
+        None, _multi_parts, _make_multi, ("0",)),
     "lowdiam": ("3", ("E", "D"), {
         "f": _COUNT, "delta": _DIST, "base": _DIST},
-        _subset, lambda m: [()], _lowdiam_parts, _make_lowdiam, ("0",)),
+        _subset, _lowdiam_parts, _make_lowdiam, ("0",)),
 }
 
 
@@ -140,7 +142,7 @@ def dumps_oracle(oracle) -> str:
     kind = oracle.kind
     if kind not in FORMATS:
         raise GraphError(f"cannot serialize oracle kind {kind!r}")
-    version, tags, header, _, _, parts, _, _ = FORMATS[kind]
+    version, tags, header, _, parts, _, _ = FORMATS[kind]
     params, rows, entries = parts(oracle)
     head = [f"FDO {kind} {oracle.n} {oracle.m} fmt={version}",
             f"dir={1 if oracle.directed else 0}"]
@@ -156,20 +158,22 @@ def dumps_oracle(oracle) -> str:
 def loads_oracle(text: str):
     """Parse an oracle file.  GraphError on malformed content and on what
     no build writes: a value out of range, a header key repeated or not of
-    its kind, a repeated D key, a missing required D line, E, P or D lines
-    a kind lacks, more or fewer E lines than m, dir=1 in a kind that no
-    digraph build writes, a format version other than its kind's, more
-    edges than vertex pairs, fewer than n - 1 edges in a kind with E lines,
-    a '+', '_' or non-ASCII character, an E line with an endpoint outside
-    0..n-1, u == v, a weight that is not finite and >= 0 or the vertex pair
-    of an earlier E line (either way round), in a single-failure file an
-    undirected key u-v with u > v or a D value equal to the fallback, in a
-    lowdiam file a dominated entry, one not above the answer of every
-    proper subset of its key (lowdiam.undominated), and in a multi file a
-    disconnected graph (MultiFDO refuses it, as on a build).
+    its kind, a repeated D key, E, P or D lines a kind lacks, more or fewer
+    E lines than m, dir=1 in a kind that no digraph build writes, a format
+    version other than its kind's, more edges than vertex pairs, fewer
+    than n - 1 edges in a kind with E lines, a '+', '_' or non-ASCII
+    character, an E line that is not two integers and a distance, in a
+    single-failure file an undirected key u-v with u > v or a D value
+    equal to the fallback, in a lowdiam file no empty subset's D line or a
+    dominated entry, one not above the answer of every proper subset of
+    its key (lowdiam.undominated), and in a multi file a disconnected
+    graph (MultiFDO refuses it, as on a build).
 
-    The E lines of a multi or lowdiam file make one Graph, which goes to
-    the constructor a build uses; so a loaded oracle is the built one."""
+    The E lines of a multi or lowdiam file go to graph.build_graph, which
+    refuses what it refuses in a graph file (an endpoint outside 0..n-1,
+    u == v, a weight that is not finite and >= 0, a repeated vertex pair),
+    and the Graph it makes to the constructor a build uses; so a loaded
+    oracle is the built one."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("FDO "):
         raise GraphError("not an oracle file (missing FDO header)")
@@ -185,7 +189,7 @@ def loads_oracle(text: str):
         raise GraphError(f"bad oracle header {lines[0]!r}") from None
     if kind not in FORMATS:
         raise GraphError(f"unknown oracle kind {kind!r}")
-    version, tags, header, parse_key, need, _, make, dirs = FORMATS[kind]
+    version, tags, header, parse_key, _, make, dirs = FORMATS[kind]
     raw = {}
     for tok in head[4:]:
         key, eq, val = tok.partition("=")
@@ -231,10 +235,7 @@ def loads_oracle(text: str):
         try:
             if tag == "E" and has_e:
                 _, u, v, w = toks
-                u, v, w = int(u), int(v), parse_dist(w)
-                if not (0 <= u < n and 0 <= v < n and u != v and 0 <= w < INF):
-                    raise ValueError(ln)
-                edges.append((u, v, w))
+                edges.append((int(u), int(v), parse_dist(w)))
             elif tag == "D" and has_d:
                 key = parse_key(toks[1], n, m, directed)
                 if key in entries:
@@ -253,23 +254,8 @@ def loads_oracle(text: str):
     if len(edges) != edge_rows:
         raise GraphError(f"oracle file holds {len(edges)} edge dictionary "
                          f"lines, not m={m}")
-    g = None
-    if has_e:
-        g = Graph(n, directed, edges)
-        lookup = g.edge_lookup
-        if len(lookup) < m:     # a later E line took the pair's entry
-            eid, u, v = next((e, u, v) for e, (u, v, _) in enumerate(edges)
-                             if lookup[(u, v) if u < v else (v, u)] != e)
-            raise GraphError(f"E lines {eid} and {lookup[min(u, v), max(u, v)]}"
-                             f" repeat the vertex pair {u}-{v}")
-    if not all(map(entries.__contains__, need(m))):
-        raise GraphError("oracle file is missing stored entries")
-    try:
-        return make((n, m, directed), g, entries, params, pivots)
-    except GraphError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise GraphError(f"malformed oracle value: {exc}") from None
+    g = build_graph(n, directed, edges) if has_e else None
+    return make((n, m, directed), g, entries, params, pivots)
 
 
 def save_oracle(oracle, path):

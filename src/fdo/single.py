@@ -348,9 +348,7 @@ def build_ecc_fdo(g: Graph, source=0) -> SingleFDO:
 
 
 def _limited_bfs_dist(adj, s, t, limit):
-    # distance from s to t in the adjacency dict, capped at limit+1
-    if s == t:
-        return 0
+    # distance from s to t != s in the adjacency dict, capped at limit+1
     seen = {s: 0}
     frontier = [s]
     d = 0

@@ -42,6 +42,15 @@ def dicycle3():
     return build_graph(3, True, [(0, 1), (1, 2), (2, 0)])
 
 
+# a graph in two parts, and a digraph whose vertex 0 reaches every vertex
+# but is reached by none: the out-tree from 0 misses a vertex in the first,
+# the in-tree to 0 in the second
+NOT_STRONGLY_CONNECTED = [
+    build_graph(4, False, [(0, 1), (2, 3)]),
+    build_graph(3, True, [(0, 1), (1, 2), (0, 2)]),
+]
+
+
 def extract_path(tree, endpoint, toward_root=False):
     """Tree path between source/root and ``endpoint`` as (vertices,
     edge_ids), or None when the endpoint is unreachable: the reference for

@@ -11,8 +11,8 @@ from fdo import (GraphError, INF, brute_diam, build_graph, diameter, distances,
                  strong_bridges)
 from fdo.graph import format_graph, lane_bfs, lane_path
 
-from conftest import (connected_graphs, endpoints, extract_path,
-                      parse_capped, small_graph_corpus, weight,
+from conftest import (NOT_STRONGLY_CONNECTED, connected_graphs, endpoints,
+                      extract_path, parse_capped, small_graph_corpus, weight,
                       zero_weight_graphs)
 
 
@@ -196,6 +196,13 @@ def test_strong_bridges_examples(c4, p4, dicycle3):
     assert strong_bridges(dicycle3) == {0, 1, 2}
     assert strong_bridges(c4) == set()
     assert strong_bridges(p4) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("g", NOT_STRONGLY_CONNECTED, ids=repr)
+def test_strong_bridges_refuses_not_strongly_connected(g):
+    with pytest.raises(GraphError, match=re.escape(
+            "graph must be (strongly) connected")):
+        strong_bridges(g)
 
 
 def test_strong_bridges_equals_infinite_diameter():

@@ -82,6 +82,19 @@ def test_multi_pair_sets(oracle, case):
     assert str(err.value) == message, (kind, case)
 
 
+@pytest.mark.parametrize("kind", ["lowdiam", "multi"])
+@pytest.mark.parametrize("pairs", [[(0, 1), (1, 2), (2, 3)],
+                                   [(0, 1), (1, 2), (9, 9)]],
+                         ids=["three", "three-one-malformed"])
+def test_too_many_failures(kind, pairs):
+    # f=2: the count is refused before the entries are checked
+    o = KINDS[kind]()
+    for given_as in (pairs, tuple(pairs), iter(pairs)):
+        with pytest.raises(GraphError) as err:
+            o.query(given_as)
+        assert str(err.value) == "too many failures: 3 pairs, oracle has f=2"
+
+
 @pytest.mark.parametrize("kind", sorted(SINGLE))
 @pytest.mark.parametrize("pairs", [[], [(0, 1), (1, 2)], [(0, 1)] * 3],
                          ids=["none", "two", "three"])

@@ -71,12 +71,13 @@ def _was(case, *was):
     return pytest.param(*case, id="-".join(was))
 
 
-def _lowdiam_case(counts, body, msg, was=None):
+def _lowdiam_case(counts, body, msg, was=None, was_msg=None):
     """A loader case on a lowdiam file with these vertex and edge counts,
-    whose id keeps the fmt=1 header (and ``was``, the body) it had."""
+    whose id keeps the fmt=1 header (and ``was``, the body, and
+    ``was_msg``, the message) it had."""
     head = f"FDO lowdiam {counts} fmt={{}} dir=0 f=2 delta=1 base=1\n"
     return _was((head.format(3) + body, msg), head.format(1) + (was or body),
-                msg)
+                was_msg or msg)
 
 
 # the header and edge lines of a lowdiam file on the 4-cycle, and as they
@@ -107,9 +108,11 @@ LOWDIAM_C4_FMT2 = ("FDO lowdiam 4 4 fmt=2 dir=0 f=2 delta=3 base=2\n"
     ("FDO exact 2 1 fmt=2 dir=0 base=1\nD 0-\u0661 3\n", "line 'D 0-\u0661 3'"),
     _lowdiam_case("2 1", "E 0 \u0661 1\nD - 1\n", "malformed",
                   was="E 0 0 \u0661 1\nD - 1\n"),
+    # build_graph's message, which the id keeps from the loader's own check
     _lowdiam_case("3 2", "E 0 1 1\nE 1 0 1\nD - 1\n",
-                  "E lines 0 and 1 repeat the vertex pair 0-1",
-                  was="E 0 0 1 1\nE 1 1 0 1\nD - 1\n"),
+                  re.escape("duplicate edge pair (0,1): edges 0 and 1"),
+                  was="E 0 0 1 1\nE 1 1 0 1\nD - 1\n",
+                  was_msg="E lines 0 and 1 repeat the vertex pair 0-1"),
     # lowdiam files of format 1, which also held the dominated entries, and
     # of format 2, whose E lines held edge ids
     _was(("FDO lowdiam 2 1 fmt=1 dir=0 f=2 delta=1 base=1\nE 0 0 1 1\nD - 1\n",
@@ -194,7 +197,7 @@ BAD_VALUES = [
     # a vertex pair named by two E lines, either way round: the later line
     # took the pair's entry in the edge dictionary, so edge 0 could not fail
     *[(f"repeated-pair-{kind}-{way}", kind, "E 2 3 1", new,
-       "E lines 0 and 2 repeat the vertex pair 0-1")
+       "duplicate edge pair (0,1): edges 0 and 2")
       for kind in ("multi", "lowdiam")
       for way, new in (("same", "E 0 1 1"), ("reversed", "E 1 0 1"))],
     ("d-line-multi", "multi", "E 3 0 1\n", "E 3 0 1\nD 0 0\n",
@@ -355,12 +358,18 @@ def test_loader_refuses_multi_fmt1():
     ("E 3 5 2\n", "", "n=6 m=7 do not fit its 6 body lines"),
     # a disconnected graph: vertex 4 loses its one edge
     ("E 2 4 4", "E 0 2 4", "multi-failure FDO needs a connected graph"),
-    # E lines: endpoints in 0..n-1 and distinct, a finite weight >= 0.
-    # Their ids name the fmt=2 line 'E 2 1 2 1', edge id first.
-    *[_was(("E 1 2 1", new, f"line '{new}'"), "E 2 1 2 1",
-           f"E 2 {new[2:]}", f"line 'E 2 {new[2:]}'")
-      for new in ("E 1 6 1", "E -1 2 1", "E 2 2 1", "E 1 2 -1", "E 1 2 nan",
-                  "E 1 2 inf")],
+    # E lines: endpoints in 0..n-1 and distinct, a finite weight >= 0, in
+    # build_graph's words.  Their ids name the fmt=2 line 'E 2 1 2 1', edge
+    # id first, and the loader's message of then.
+    *[_was(("E 1 2 1", new, msg), "E 2 1 2 1", f"E 2 {new[2:]}",
+           f"line 'E 2 {new[2:]}'")
+      for new, msg in [
+          ("E 1 6 1", "edge (1,6) has out-of-range endpoint (n=6)"),
+          ("E -1 2 1", "edge (-1,2) has out-of-range endpoint (n=6)"),
+          ("E 2 2 1", "self-loop (2,2) not allowed"),
+          ("E 1 2 -1", "edge (1,2) has negative weight -1"),
+          ("E 1 2 nan", "edge (1,2) has non-finite weight nan"),
+          ("E 1 2 inf", "edge (1,2) has non-finite weight inf")]],
 ])
 def test_loader_rejects_bad_multi_tree(old, new, msg):
     assert old in MULTI_TEXT

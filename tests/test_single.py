@@ -14,7 +14,8 @@ from fdo import (GraphError, INF, SingleFDO, brute_diam, build_approx_fdo,
 from fdo import single
 from fdo.single import greedy_spanner, raise_by_replacement_ecc
 
-from conftest import extract_path, small_graph_corpus, zero_weight_graphs
+from conftest import (NOT_STRONGLY_CONNECTED, extract_path,
+                      small_graph_corpus, zero_weight_graphs)
 
 
 def dicycle_with_chord(n, chords=((0, None),)):
@@ -463,6 +464,13 @@ def test_pivot_paths_match_in_tree_walk():
 def test_deterministic_pivots_rejects_weighted():
     g = gen_random("er-weighted", 1, n=8, p=0.5)
     with pytest.raises(GraphError, match="unweighted"):
+        deterministic_pivots(g, 2)
+
+
+@pytest.mark.parametrize("g", NOT_STRONGLY_CONNECTED, ids=repr)
+def test_deterministic_pivots_rejects_not_strongly_connected(g):
+    # no bridges given: deterministic_pivots finds them itself
+    with pytest.raises(GraphError, match="strongly connected"):
         deterministic_pivots(g, 2)
 
 
