@@ -1,12 +1,11 @@
 """Command-line surface: build oracles, answer streamed queries, generate
-instances, and audit oracles against brute force.
+instances, and audit oracle files against brute force.
 
 All data output is line-delimited: distances as plain numbers ('inf' when
 infinite), records as one JSON object per line.  Every command is
 deterministic given its arguments; wall-clock times live in a separate
 "timing" field so the data portion is reproducible byte for byte.
-Randomized builds refuse to run without an explicit --seed unless
---default-seed is passed.
+Randomized builds and every generator refuse to run without --seed.
 """
 from __future__ import annotations
 
@@ -20,8 +19,6 @@ from .serialize import FORMATS, load_oracle, save_oracle
 # `query` runs none of json, random, fractions, fdo.verify, fdo.instances or
 # the builders, so the commands that do import them themselves: a query
 # starts faster, and loads only the oracle module of its file's kind.
-
-DEFAULT_SEED = 0xFD0
 
 # Bytes asked of the query source per read: bulk input is answered in few
 # large writes, and a read returns early with what a pipe holds.
@@ -38,19 +35,16 @@ def _num(x):
 
 
 def _seed_for(args, needed: bool):
-    if not needed:
-        return args.seed
-    if args.seed is not None:
-        return args.seed
-    if args.default_seed:
-        return DEFAULT_SEED
-    raise GraphError("this build is randomized: pass --seed N or --default-seed")
+    if needed and args.seed is None:
+        raise GraphError("this build is randomized: pass --seed N")
+    return args.seed
 
 
-def _build_oracle(g, args):
-    """Shared by `build` and `audit`; returns (oracle, info-dict)."""
+def cmd_build(args):
+    g = load_graph(args.graph)
     kind = args.kind
     info = {"kind": kind}
+    t0 = time.perf_counter()
     if kind in ("exact", "ecc", "spanner", "approx"):
         from . import single
     if kind == "exact":
@@ -82,13 +76,6 @@ def _build_oracle(g, args):
         info.update(f=args.f, delta=args.delta, backend=backend, seed=seed)
         if sampled:
             info["subgraph_count"] = oracle.subgraph_count
-    return oracle, info
-
-
-def cmd_build(args):
-    g = load_graph(args.graph)
-    t0 = time.perf_counter()
-    oracle, info = _build_oracle(g, args)
     wall = time.perf_counter() - t0
     text = save_oracle(oracle, args.out)
     record = {"record": "build-stats", "graph": args.graph, "out": args.out,
@@ -181,17 +168,11 @@ def cmd_gen(args):
                     "er-weighted": "er-weighted",
                     "low-diam-hub": "low-diam-hub"}
     inst = None
+    seed = args.seed
     if args.kind in random_kinds:
-        seed = _seed_for(args, True)
         g = gen_random(random_kinds[args.kind], seed, n=args.n, p=args.p,
                        weight_max=args.weight_max)
     else:
-        seed = args.payload_seed
-        if seed is None:
-            if not args.default_seed:
-                raise GraphError("gadget payloads are randomized: pass "
-                                 "--payload-seed N or --default-seed")
-            seed = DEFAULT_SEED
         if args.kind == "dense-lb":
             inst = gen_dense_lb(random_payload(args.r, seed))
         elif args.kind == "sparse-lb":
@@ -208,12 +189,10 @@ def cmd_gen(args):
                     for j in range(i + 1, min(i + span + 1, count))
                     if rng.random() < 0.5}
             inst = gen_multi_lb(args.f, args.k, args.n, kept)
-        elif args.kind == "multi-lb-f1":
+        else:   # multi-lb-f1
             rng = random.Random(seed)
             kept = {i for i in range(args.n // 2 - 1) if rng.random() < 0.5}
             inst = gen_multi_lb_f1(args.n, kept)
-        else:
-            raise GraphError(f"unknown generator {args.kind!r}")
         g = inst.graph
     save_graph(g, args.out)
     record = {"record": "gen", "kind": args.kind, "n": g.n, "m": g.m,
@@ -245,13 +224,7 @@ def cmd_audit(args):
     from .verify import audit, enumerate_failures
 
     g = load_graph(args.graph)
-    if args.oracle:
-        oracle = load_oracle(args.oracle)
-        info = {"kind": oracle.kind, "oracle": args.oracle}
-    elif args.kind:
-        oracle, info = _build_oracle(g, args)
-    else:
-        raise GraphError("audit needs --kind (to build) or --oracle (a file)")
+    oracle = load_oracle(args.oracle)
     stretch = args.stretch if args.stretch else _default_stretch(oracle)
     failures = getattr(oracle, "f", 1) if args.failures is None else args.failures
     sets = list(enumerate_failures(g, failures, samples=args.samples,
@@ -266,8 +239,8 @@ def cmd_audit(args):
     summary = {"record": "audit-summary", "stretch": stretch,
                "queries": report.queries, "violations": report.violations,
                "max_ratio": _num(report.max_ratio),
-               "timing": {"wall_s": round(report.wall_s, 6)}}
-    summary.update(info)
+               "timing": {"wall_s": round(report.wall_s, 6)},
+               "kind": oracle.kind, "oracle": args.oracle}
     _emit(summary, out)
     if out:
         out.close()
@@ -281,35 +254,30 @@ def make_parser():
         description="Fault-tolerant diameter oracles: build, query, gen, audit")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add_build_opts(p, kind_required=True):
-        p.add_argument("--kind", required=kind_required, choices=tuple(FORMATS))
-        p.add_argument("--eps", type=float, default=0.5,
-                       help="approx: approximation parameter")
-        p.add_argument("--k", type=int, default=2, help="spanner parameter")
-        p.add_argument("--f", type=int, default=2, help="failure budget")
-        p.add_argument("--delta", type=float, default=2.0,
-                       help="lowdiam: diameter-gate exponent")
-        p.add_argument("--dso-delta", type=float, default=None,
-                       help="lowdiam: sampled-backend exponent (default: delta)")
-        p.add_argument("--C", type=float, default=3.0,
-                       help="sampling constant for randomized parts")
-        p.add_argument("--pivot-mode", choices=("deterministic", "random"),
-                       default="deterministic")
-        p.add_argument("--scan-threshold", type=int, default=None,
-                       help="approx: exact-scan cutoff for the additive slack")
-        p.add_argument("--backend", choices=("auto", "exact", "sampled"),
-                       default="auto",
-                       help="lowdiam distance backend (auto: exact)")
-        p.add_argument("--tight", action="store_true",
-                       help="multi: multiply by failed tree edges, not f")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--default-seed", action="store_true",
-                       help=f"allow the built-in seed {DEFAULT_SEED}")
-
     b = sub.add_parser("build", help="build and serialize an oracle")
     b.add_argument("--graph", required=True)
     b.add_argument("--out", required=True)
-    add_build_opts(b)
+    b.add_argument("--kind", required=True, choices=tuple(FORMATS))
+    b.add_argument("--eps", type=float, default=0.5,
+                   help="approx: approximation parameter")
+    b.add_argument("--k", type=int, default=2, help="spanner parameter")
+    b.add_argument("--f", type=int, default=2, help="failure budget")
+    b.add_argument("--delta", type=float, default=2.0,
+                   help="lowdiam: diameter-gate exponent")
+    b.add_argument("--dso-delta", type=float, default=None,
+                   help="lowdiam: sampled-backend exponent (default: delta)")
+    b.add_argument("--C", type=float, default=3.0,
+                   help="sampling constant for randomized parts")
+    b.add_argument("--pivot-mode", choices=("deterministic", "random"),
+                   default="deterministic")
+    b.add_argument("--scan-threshold", type=int, default=None,
+                   help="approx: exact-scan cutoff for the additive slack")
+    b.add_argument("--backend", choices=("exact", "sampled"), default="exact",
+                   help="lowdiam distance backend")
+    b.add_argument("--tight", action="store_true",
+                   help="multi: multiply by failed tree edges, not f")
+    b.add_argument("--seed", type=int, default=None,
+                   help="required by random pivots and the sampled backend")
     b.set_defaults(func=cmd_build)
 
     q = sub.add_parser("query", help="answer failure-set queries from a stream")
@@ -333,22 +301,20 @@ def make_parser():
     gp.add_argument("--k", type=int, default=3)
     gp.add_argument("--eps-num", type=int, default=1)
     gp.add_argument("--eps-den", type=int, default=3)
-    gp.add_argument("--seed", type=int, default=None)
-    gp.add_argument("--payload-seed", type=int, default=None)
-    gp.add_argument("--default-seed", action="store_true")
+    gp.add_argument("--seed", type=int, required=True,
+                    help="random graph or gadget payload seed")
     gp.set_defaults(func=cmd_gen)
 
-    a = sub.add_parser("audit", help="compare an oracle against brute force")
+    a = sub.add_parser("audit",
+                       help="compare an oracle file against brute force")
     a.add_argument("--graph", required=True)
-    a.add_argument("--oracle", default=None,
-                   help="audit a serialized oracle instead of building")
+    a.add_argument("--oracle", required=True)
     a.add_argument("--stretch", type=float, default=None)
     a.add_argument("--failures", type=int, default=None)
     a.add_argument("--samples", type=int, default=2000)
     a.add_argument("--enum-seed", type=int, default=0)
     a.add_argument("--records", default=None,
                    help="write records to a file instead of stdout")
-    add_build_opts(a, kind_required=False)
     a.set_defaults(func=cmd_audit)
     return ap
 

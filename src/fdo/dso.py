@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import random
 
-from .graph import Graph, GraphError, INF, lane_bfs, lane_path
+from .graph import (Graph, GraphError, INF, lane_bfs, lane_path,
+                    require_positive)
 
 
 class SampledFDSO:
@@ -82,10 +83,14 @@ def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
     """
     if g.directed or g.weighted:
         raise GraphError("sampled f-DSO requires an undirected unweighted graph")
-    if f < 1 or delta <= 0:
-        raise GraphError(f"need f >= 1 and delta > 0, got f={f}, delta={delta}")
+    if f < 1:
+        raise GraphError(f"need f >= 1, got f={f}")
+    require_positive(delta=delta, C=C)
     n, m = g.n, g.m
-    k = math.ceil(C * f * (n ** delta) * math.log(n))
+    try:
+        k = math.ceil(C * f * (n ** delta) * math.log(n))
+    except OverflowError:
+        k = INF     # over every budget
     if k > max_subgraphs:
         raise GraphError(f"subgraph count k={k} exceeds budget {max_subgraphs}")
     drop_p = n ** (-delta / f)

@@ -20,6 +20,13 @@ class GraphError(ValueError):
     """Malformed graph data, failure set, or violated oracle precondition."""
 
 
+def require_positive(**params):
+    """Refuse a float build parameter that is not finite and above 0."""
+    for name, x in params.items():
+        if not 0 < x < INF:     # nan fails too
+            raise GraphError(f"{name} must be positive and finite, got {x}")
+
+
 def dist_eq(a, b) -> bool:
     """Distance equality, tolerant for floats, with inf == inf."""
     if a == b:

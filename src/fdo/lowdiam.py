@@ -35,7 +35,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .graph import (Graph, GraphError, INF, diameter, lane_bfs, lane_path,
-                    resolve_pairs)
+                    require_positive, resolve_pairs)
 
 
 class LowDiamFDO:
@@ -114,17 +114,18 @@ def undominated(table):
     return kept
 
 
-def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
+def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="exact",
                       seed=None, dso_delta=None, dso_C=3.0):
     """Build the oracle; f=1 falls back to the exact single-failure oracle
     (no subset machinery needed there).
 
-    ``backend`` is ``"exact"`` (also what ``"auto"`` builds) or
-    ``"sampled"``, which needs a ``seed``.  ``delta`` gates the admissible
-    diameter, n^(delta/f)/(f+1).  The sampled backend may run at its own
-    exponent ``dso_delta`` (defaults to delta): it trades the per-subgraph
-    edge-drop rate against the subgraph count and is deliberately
-    independent of the gate.  Disconnected graphs are refused.
+    ``backend`` is ``"exact"`` or ``"sampled"``, which needs a ``seed``.
+    ``delta`` gates the admissible diameter, n^(delta/f)/(f+1).  The
+    sampled backend may run at its own exponent ``dso_delta`` (defaults to
+    delta): it trades the per-subgraph edge-drop rate against the subgraph
+    count and is deliberately independent of the gate.  Disconnected
+    graphs are refused, and so are float parameters that are not finite
+    and above 0.
 
     The sampled backend never undershoots, but small graphs leave it few
     subgraphs: at ``dso_C=3``, ``dso_delta=1`` on hub graphs with n <= 12
@@ -136,8 +137,8 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
         raise GraphError("low-diameter FDO requires an undirected unweighted graph")
     if f < 1:
         raise GraphError(f"failure budget must be >= 1, got {f}")
-    if delta <= 0:
-        raise GraphError(f"delta must be positive, got {delta}")
+    dso_delta = delta if dso_delta is None else dso_delta
+    require_positive(delta=delta, dso_delta=dso_delta, dso_C=dso_C)
     if f == 1:
         from .single import build_exact_fdo
         return build_exact_fdo(g)
@@ -145,14 +146,17 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
     base = diameter(g)
     if base == INF:
         raise GraphError("low-diameter FDO needs a connected graph")
-    bound = g.n ** (delta / f) / (f + 1)
+    try:
+        bound = g.n ** (delta / f) / (f + 1)
+    except OverflowError:
+        raise GraphError(f"n^(delta/f) overflows: n={g.n}, delta={delta}, "
+                         f"f={f}") from None
     if base > bound:
         raise GraphError(
             f"diameter {base} exceeds the admissible bound "
             f"n^(delta/f)/(f+1) = {bound:.3f}")
 
-    if backend in ("auto", "exact"):
-        backend = "exact"
+    if backend == "exact":
 
         def lanes(s, keys):
             # lane i keeps every edge outside keys[i]
@@ -167,8 +171,7 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="auto",
         if seed is None:
             raise GraphError("sampled backend requires a seed")
         from .dso import build_sampled_fdso
-        dso = build_sampled_fdso(g, f, delta=dso_delta or delta, C=dso_C,
-                                 seed=seed)
+        dso = build_sampled_fdso(g, f, delta=dso_delta, C=dso_C, seed=seed)
 
         def lanes(s, keys):
             return dso.levels[s], [dso.survivors(key) for key in keys], dso.alive

@@ -24,15 +24,17 @@ from __future__ import annotations
 from functools import partial
 from operator import lt
 
-from .graph import (GraphError, _unwritten, build_graph, fmt_dist,
+from .graph import (GraphError, INF, _unwritten, build_graph, fmt_dist,
                     parse_dist, read_text)
 
 # The oracle classes are imported by the makers below, so loading a file
 # imports only the module of its kind.
 
 # Header values: (parse, good), and good(value, n) holds for what builds
-# write.  A distance is 'inf' or a finite number >= 0 (nan fails).
-_DIST = (parse_dist, lambda d, n: d >= 0)
+# write: a finite number >= 0 (a diameter, a fallback), or > 0 (eps,
+# delta); inf and nan fail.
+_FINITE = (parse_dist, lambda d, n: 0 <= d < INF)
+_POSITIVE = (parse_dist, lambda d, n: 0 < d < INF)
 _COUNT = (int, lambda v, n: v >= 1)
 
 
@@ -94,6 +96,11 @@ def _make_lowdiam(counts, g, table, p, pivots):
     from .lowdiam import LowDiamFDO, undominated
     if () not in table:     # the empty subset's entry, which queries read
         raise GraphError("oracle file is missing stored entries")
+    wide = next((key for key in table if len(key) > p["f"]), None)
+    if wide:    # refused before undominated walks its 2^len subsets
+        raise GraphError(f"lowdiam oracle file stores the entry 'D "
+                         f"{_subset_token(wide)}' of {len(wide)} edges, "
+                         f"more than f={p['f']}")
     kept = undominated(table)
     if len(kept) < len(table):      # no build keeps one
         key = next(key for key in table if key not in kept)
@@ -121,19 +128,20 @@ def _single(kind, header, tags=("D",), dirs=("0",)):
 # the oracle; and the dir= flags its builds write ("1" only where a build
 # takes digraphs).
 FORMATS = {
-    "exact": _single("exact", {"base": _DIST}, dirs=("0", "1")),
+    "exact": _single("exact", {"base": _FINITE}, dirs=("0", "1")),
     "ecc": _single("ecc", {"source": (int, lambda v, n: 0 <= v < n),
-                           "fallback": _DIST}),
-    "spanner": _single("spanner", {"k": _COUNT, "base": _DIST}),
+                           "fallback": _FINITE}),
+    "spanner": _single("spanner", {"k": _COUNT, "base": _FINITE}),
     "approx": _single("approx", {
-        "base": _DIST, "eps": _DIST, "slack": (int, lambda v, n: v >= 0),
+        "base": _FINITE, "eps": _POSITIVE,
+        "slack": (int, lambda v, n: v >= 0),
         "mode": (str, lambda v, n: v in ("exact-scan", "pivot"))},
         ("D", "P"), ("0", "1")),
     "multi": ("3", ("E",), {
         "f": _COUNT, "mode": (str, lambda v, n: v in ("paper", "tight"))},
         None, _multi_parts, _make_multi, ("0",)),
     "lowdiam": ("3", ("E", "D"), {
-        "f": _COUNT, "delta": _DIST, "base": _DIST},
+        "f": _COUNT, "delta": _POSITIVE, "base": _FINITE},
         _subset, _lowdiam_parts, _make_lowdiam, ("0",)),
 }
 
@@ -157,17 +165,18 @@ def dumps_oracle(oracle) -> str:
 
 def loads_oracle(text: str):
     """Parse an oracle file.  GraphError on malformed content and on what
-    no build writes: a value out of range, a header key repeated or not of
-    its kind, a repeated D key, E, P or D lines a kind lacks, more or fewer
-    E lines than m, dir=1 in a kind that no digraph build writes, a format
-    version other than its kind's, more edges than vertex pairs, fewer
-    than n - 1 edges in a kind with E lines, a '+', '_' or non-ASCII
+    no build writes: a value out of range (an infinite base= or fallback=,
+    an eps= or delta= not finite and above 0), a header key repeated or
+    not of its kind, a repeated D key, E, P or D lines a kind lacks, more
+    or fewer E lines than m, dir=1 in a kind that no digraph build writes,
+    a format version other than its kind's, more edges than vertex pairs,
+    fewer than n - 1 edges in a kind with E lines, a '+', '_' or non-ASCII
     character, an E line that is not two integers and a distance, in a
     single-failure file an undirected key u-v with u > v or a D value
-    equal to the fallback, in a lowdiam file no empty subset's D line or a
-    dominated entry, one not above the answer of every proper subset of
-    its key (lowdiam.undominated), and in a multi file a disconnected
-    graph (MultiFDO refuses it, as on a build).
+    equal to the fallback, in a lowdiam file no empty subset's D line, a
+    key of more than f edges or a dominated entry, one not above the
+    answer of every proper subset of its key (lowdiam.undominated), and in
+    a multi file a disconnected graph (MultiFDO refuses it, as on a build).
 
     The E lines of a multi or lowdiam file go to graph.build_graph, which
     refuses what it refuses in a graph file (an endpoint outside 0..n-1,

@@ -48,8 +48,8 @@ import random
 from heapq import heapify, heappop, heappush
 
 from .graph import (Graph, GraphError, INF, diameter, in_tree, is_connected,
-                    lane_bfs, lane_path, pair_key, preorder, reject_pair, sssp,
-                    strong_bridges)
+                    lane_bfs, lane_path, pair_key, preorder, reject_pair,
+                    require_positive, sssp, strong_bridges)
 
 
 def _single_failure_key(oracle, pairs):
@@ -420,13 +420,14 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
     The kernel runs a few scanned sources per bit-lane BFS, instead of n*m
     per source.
     """
-    if epsilon <= 0:
-        raise GraphError(f"epsilon must be positive, got {epsilon}")
+    require_positive(epsilon=epsilon, C=C)
     if g.weighted:
         raise GraphError("approximate FDO requires an unweighted graph")
     base = diameter(g)
     if base == INF:
         raise GraphError("approximate FDO needs a strongly connected graph")
+    if epsilon * base == INF:
+        raise GraphError(f"epsilon * diam(G) overflows: {epsilon} * {base}")
     slack = math.floor(epsilon * base)
     if scan_threshold is None:
         scan_threshold = default_scan_threshold(g.n)
@@ -484,16 +485,19 @@ def deterministic_pivots(g: Graph, theta: int, bridges=None):
     from one :func:`graph.in_tree` per e: each is lane e's
     :func:`graph.lane_path` from s, whose parents ``in_tree(g, root, {e})``
     picks too, so the pivots are the same.
-    Unit weights only: weighted graphs raise :class:`GraphError`.
+    Unit weights only: weighted graphs raise :class:`GraphError`, and so do
+    graphs that are not strongly connected.  A given ``bridges`` must be
+    ``strong_bridges(g)``, which refused such a graph: it saves both that
+    call and the connectivity check.
     """
     if theta < 1:
         raise GraphError(f"theta must be >= 1, got {theta}")
     if g.weighted:
         raise GraphError("deterministic pivots need an unweighted graph")
-    if not is_connected(g):
-        raise GraphError("pivot construction needs a strongly connected graph")
     prefix_len = min(theta, math.isqrt(g.n)) or 1
     if bridges is None:
+        if not is_connected(g):
+            raise GraphError("pivot construction needs a strongly connected graph")
         bridges = strong_bridges(g)
     pivots = set(greedy_hitting_set(_pivot_paths(g, 0, prefix_len, bridges)))
     pivots.add(0)

@@ -1,10 +1,13 @@
 import io
 import json
 import os
+import random
 import select
+import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,16 +16,21 @@ from hypothesis import strategies as st
 import fdo
 from fdo import (GraphError, build_approx_fdo, build_ecc_fdo, build_exact_fdo,
                  build_graph, build_lowdiam_fdo, build_multi_fdo,
-                 build_spanner_fdo, dumps_oracle, gen_random, parse_graph,
-                 save_graph)
+                 build_spanner_fdo, dumps_oracle, gen_dense_lb, gen_multi_lb,
+                 gen_multi_lb_f1, gen_random, gen_sparse_lb, gen_weighted_lb,
+                 parse_graph, random_payload, save_graph)
 from fdo.cli import _parse_query_line, main, make_parser, serve_queries
+from fdo.instances import format_manifest
 from fdo.serialize import FORMATS
-from fdo.graph import fmt_dist
+from fdo.graph import fmt_dist, format_graph
 
 SRC = os.path.dirname(os.path.dirname(fdo.__file__))
+README = os.path.join(os.path.dirname(SRC), "README.md")
 
 
 C4_TEXT = "4 4 U UW\n0 1\n1 2\n2 3\n3 0\n"
+
+SEED = 0xFD0
 
 
 @pytest.fixture
@@ -40,6 +48,40 @@ def run(capsys, argv):
 
 def records(stdout):
     return [json.loads(line) for line in stdout.splitlines() if line]
+
+
+# ------------------------------------------------------------- the surface
+
+def test_option_counts():
+    # one spelling per knob: -h aside, 35 options (51 when audit could build
+    # and two more options chose a seed)
+    sub = next(a for a in make_parser()._actions if a.dest == "cmd")
+    counts = {cmd: len(p._actions) - 1 for cmd, p in sub.choices.items()}
+    assert counts == {"build": 14, "query": 2, "gen": 12, "audit": 7}
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    # every command of README's CLI block, in order, in an empty directory
+    text = open(README, encoding="utf-8").read()
+    block = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for line in block.splitlines():
+        feed = b""
+        if " | " in line:   # printf FORMAT | fdo ...
+            printf, line = line.split(" | ")
+            feed = shlex.split(printf)[1].encode().decode("unicode_escape")
+            feed = feed.encode()
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "fdo", line
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(feed)))
+        code, stdout, err = run(capsys, argv[1:])
+        assert code == 0, (line, err)
+        outputs.append(stdout)
+    assert len(outputs) == 6
+    assert len(outputs[2].splitlines()) == 2     # one answer per query line
+    assert records(outputs[4])[-1]["violations"] == 0
+    assert (tmp_path / "gad.txt.manifest").exists()
 
 
 # ---------------------------------------------------------------------- build
@@ -69,9 +111,8 @@ def test_build_exact(capsys, tmp_path, c4_file):
     # every kind: the file is the library build's, and entries counts its
     # D lines
     sub = next(a for a in make_parser()._actions if a.dest == "cmd")
-    for cmd in ("build", "audit"):
-        kind = next(a for a in sub.choices[cmd]._actions if a.dest == "kind")
-        assert tuple(kind.choices) == tuple(FORMATS) == tuple(KIND_BUILDS)
+    kind = next(a for a in sub.choices["build"]._actions if a.dest == "kind")
+    assert tuple(kind.choices) == tuple(FORMATS) == tuple(KIND_BUILDS)
     g = parse_graph(C4_TEXT)
     for kind, (flags, build) in KIND_BUILDS.items():
         code, stdout, _ = run(capsys, ["build", "--graph", c4_file, "--kind",
@@ -112,32 +153,68 @@ def test_build_random_needs_seed(capsys, tmp_path, c4_file):
             "--pivot-mode", "random", "--scan-threshold", "0",
             "--out", str(tmp_path / "x.fdo")]
     code, _, err = run(capsys, argv)
-    assert code == 2 and "--default-seed" in err
-    code, stdout, _ = run(capsys, argv + ["--default-seed"])
-    assert code == 0 and records(stdout)[0]["seed"] == 0xFD0
+    assert code == 2 and "pass --seed N" in err
+    code, stdout, _ = run(capsys, argv + ["--seed", str(SEED)])
+    assert code == 0 and records(stdout)[0]["seed"] == SEED
 
 
-def test_lowdiam_auto_backend_threshold(capsys, tmp_path):
-    def argv(n, f=2, backend="auto"):
+def test_lowdiam_default_backend_is_exact(capsys, tmp_path):
+    def argv(n, f=2, backend=()):
         g = gen_random("low-diam-hub", seed=3, n=n, p=0.1)
         gpath = tmp_path / f"hub{n}.txt"
         save_graph(g, gpath)
         return ["build", "--graph", str(gpath), "--kind", "lowdiam",
-                "--f", str(f), "--delta", "2.0", "--backend", backend,
+                "--f", str(f), "--delta", "2.0", *backend,
                 "--out", str(tmp_path / f"hub{n}.fdo")]
 
-    # auto builds the exact backend at every size: no seed needed
+    # the default builds the exact backend at every size: no seed needed
     for n in (12, 65):
         code, stdout, _ = run(capsys, argv(n))
         rec = records(stdout)[0]
         assert code == 0 and rec["backend"] == "exact" and rec["seed"] is None
     # the sampled backend is opt-in and randomized
-    code, _, err = run(capsys, argv(12, backend="sampled"))
+    code, _, err = run(capsys, argv(12, backend=("--backend", "sampled")))
     assert code == 2 and "--seed" in err
+    # there is no third backend
+    with pytest.raises(SystemExit):
+        main(argv(12, backend=("--backend", "auto")))
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
     # f=1 builds the exact single-failure oracle: no seed needed
     code, stdout, _ = run(capsys, argv(65, f=1))
     rec = records(stdout)[0]
     assert code == 0 and rec["backend"] == "exact" and rec["seed"] is None
+
+
+SAMPLED = ["--kind", "lowdiam", "--backend", "sampled", "--seed", "1"]
+BAD_FLOATS = [
+    *[(["--kind", "approx", "--eps", x],
+       f"epsilon must be positive and finite, got {x}") for x in ("inf", "nan")],
+    (["--kind", "approx", "--eps", "1e308"], "epsilon * diam(G) overflows"),
+    (["--kind", "lowdiam", "--delta", "1e308"], "n^(delta/f) overflows"),
+    *[(["--kind", "lowdiam", "--delta", x],
+       f"delta must be positive and finite, got {x}") for x in ("nan", "inf")],
+    (SAMPLED + ["--dso-delta", "1e308"], "subgraph count k=inf exceeds"),
+    (SAMPLED + ["--dso-delta", "nan"], "dso_delta must be positive"),
+    *[(SAMPLED + ["--C", x], f"dso_C must be positive and finite, got {x}")
+      for x in ("nan", "inf", "-1.0", "0.0")],
+]
+
+
+@pytest.mark.parametrize("flags, message", BAD_FLOATS,
+                         ids=[" ".join(["sampled" if "sampled" in flags
+                                        else flags[1], *flags[-2:]])
+                              for flags, _ in BAD_FLOATS])
+def test_build_refuses_floats_not_finite_and_positive(capsys, tmp_path, flags,
+                                                      message):
+    # each ended in a traceback, a k=0 oracle, or (delta=nan) a file that
+    # `fdo query` refused and a build-stats record that is not JSON
+    gpath = tmp_path / "hub12.txt"
+    save_graph(gen_random("low-diam-hub", seed=3, n=12, p=0.1), gpath)
+    opath = tmp_path / "hub12.fdo"
+    code, out, err = run(capsys, ["build", "--graph", str(gpath),
+                                  "--out", str(opath), *flags])
+    assert (code, out) == (2, "") and not opath.exists()
+    assert err.startswith("fdo: error: ") and message in err
 
 
 def test_build_deterministic_bytes(capsys, tmp_path, c4_file):
@@ -516,12 +593,65 @@ def test_lazy_names_are_not_cached():
 def test_gen_gadget_with_manifest(capsys, tmp_path):
     out = str(tmp_path / "dense.txt")
     code, stdout, _ = run(capsys, ["gen", "--kind", "dense-lb", "--r", "2",
-                                   "--payload-seed", "1", "--out", out])
+                                   "--seed", "1", "--out", out])
     assert code == 0
     rec = records(stdout)[0]
     assert rec["n"] == 8 and rec["manifest"].endswith(".manifest")
     assert open(out).readline().startswith("8 ")
     assert open(rec["manifest"]).readline().startswith("GADGET dense-lb")
+
+
+def _pair_coins(seed, f, k):
+    # the CLI's multi-lb payload: pair (i, j) of the f*k blocks with
+    # j - i <= f // 2 kept on a fair coin, in (i, j) order
+    rng = random.Random(seed)
+    count = f * k
+    return {(i, j) for i in range(count)
+            for j in range(i + 1, min(i + f // 2 + 1, count))
+            if rng.random() < 0.5}
+
+
+def _index_coins(seed, n):
+    # the CLI's multi-lb-f1 payload: index i < n/2 - 1 kept on a fair coin
+    rng = random.Random(seed)
+    return {i for i in range(n // 2 - 1) if rng.random() < 0.5}
+
+
+# Per gadget kind: `gen` flags, and the library build of the same seed
+GEN_GADGETS = {
+    "dense-lb": (["--r", "2"], lambda s: gen_dense_lb(random_payload(2, s))),
+    "sparse-lb": (["--r", "3", "--n", "14"],
+                  lambda s: gen_sparse_lb(random_payload(3, s), 14)),
+    "weighted-lb": (["--r", "2", "--eps-num", "1", "--eps-den", "4",
+                     "--n", "9"],
+                    lambda s: gen_weighted_lb(random_payload(2, s),
+                                              Fraction(1, 4), n=9)),
+    "multi-lb": (["--f", "4", "--k", "2", "--n", "20"],
+                 lambda s: gen_multi_lb(4, 2, 20, _pair_coins(s, 4, 2))),
+    "multi-lb-f1": (["--n", "18"],
+                    lambda s: gen_multi_lb_f1(18, _index_coins(s, 18))),
+}
+
+
+@pytest.mark.parametrize("kind", GEN_GADGETS)
+def test_gen_gadget_equals_library_build(capsys, tmp_path, kind):
+    flags, build = GEN_GADGETS[kind]
+    out = tmp_path / "g.txt"
+    for seed in (1, 7):
+        code, stdout, _ = run(capsys, ["gen", "--kind", kind, "--seed",
+                                       str(seed), "--out", str(out), *flags])
+        inst = build(seed)
+        assert code == 0 and records(stdout)[0]["seed"] == seed
+        assert out.read_text() == format_graph(inst.graph)
+        manifest = tmp_path / "g.txt.manifest"
+        assert manifest.read_text() == format_manifest(inst)
+
+
+def test_gen_requires_seed(capsys, tmp_path):
+    for kind in ("er", "dense-lb"):
+        with pytest.raises(SystemExit):
+            main(["gen", "--kind", kind, "--out", str(tmp_path / "x")])
+        assert "required: --seed" in capsys.readouterr().err
 
 
 def test_gen_er_deterministic(capsys, tmp_path):
@@ -540,23 +670,36 @@ def test_gen_bad_kind_usage_error(capsys, tmp_path):
 
 # ---------------------------------------------------------------------- audit
 
-def test_audit_exact_clean(capsys, c4_file):
-    code, stdout, _ = run(capsys, ["audit", "--graph", c4_file,
-                                   "--kind", "exact"])
+def audit_built(capsys, tmp_path, graph, build_flags, audit_flags=()):
+    """Build an oracle file with `fdo build`, then `fdo audit` it; returns
+    the audit's exit code and records."""
+    opath = str(tmp_path / "audited.fdo")
+    code, _, err = run(capsys, ["build", "--graph", graph, "--out", opath,
+                                *build_flags])
+    assert code == 0, err
+    code, stdout, _ = run(capsys, ["audit", "--graph", graph,
+                                   "--oracle", opath, *audit_flags])
+    return code, records(stdout)
+
+
+def test_audit_exact_clean(capsys, tmp_path, c4_file):
+    code, recs = audit_built(capsys, tmp_path, c4_file, ["--kind", "exact"])
+    summary = recs[-1]
     assert code == 0
-    summary = records(stdout)[-1]
     assert summary["record"] == "audit-summary" and summary["violations"] == 0
+    assert summary["kind"] == "exact" and summary["queries"] == 4
 
 
-def test_audit_ecc_stretch_two(capsys, c4_file):
-    code, stdout, _ = run(capsys, ["audit", "--graph", c4_file,
-                                   "--kind", "ecc"])
+def test_audit_ecc_stretch_two(capsys, tmp_path, c4_file):
+    code, recs = audit_built(capsys, tmp_path, c4_file, ["--kind", "ecc"])
     assert code == 0
-    assert records(stdout)[-1]["violations"] == 0
+    assert recs[-1]["violations"] == 0 and recs[-1]["stretch"] == 2.0
 
 
-def test_audit_spanner_computes_diameter_once(capsys, monkeypatch, c4_file):
-    # the default stretch reads diam(G) from the oracle, not a second run
+def test_audit_spanner_computes_diameter_once(capsys, monkeypatch, tmp_path,
+                                              c4_file):
+    # the default stretch reads diam(G) from the oracle file, not a second
+    # run: the build computes it once and the audit not at all
     import fdo.verify  # noqa: F401  (loaded by audit; patched if it binds it)
     real, calls = fdo.graph.diameter, []
 
@@ -564,12 +707,13 @@ def test_audit_spanner_computes_diameter_once(capsys, monkeypatch, c4_file):
         calls.append(args)
         return real(*args, **kwargs)
 
+    import fdo.single  # noqa: F401  (the spanner build binds diameter)
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "fdo" and getattr(mod, "diameter", None) is real:
             monkeypatch.setattr(mod, "diameter", counted)
-    code, stdout, _ = run(capsys, ["audit", "--graph", c4_file,
-                                   "--kind", "spanner", "--k", "2"])
-    summary = records(stdout)[-1]
+    code, recs = audit_built(capsys, tmp_path, c4_file,
+                             ["--kind", "spanner", "--k", "2"])
+    summary = recs[-1]
     assert code == 0 and summary["violations"] == 0
     assert summary["stretch"] == 2.0     # 1 + 2(k-1)/diam(C4)
     assert len(calls) == 1
@@ -590,23 +734,28 @@ def test_audit_corrupted_oracle_nonzero_exit(capsys, tmp_path, c4_file):
     assert records(stdout)[-1]["violations"] >= 1
 
 
-def test_audit_requires_kind_or_oracle(capsys, c4_file):
-    code, _, err = run(capsys, ["audit", "--graph", c4_file])
-    assert code == 2 and "--kind" in err or "kind" in err
+def test_audit_requires_oracle(capsys, c4_file):
+    # audit reads oracle files only: it has no build options
+    for extra, msg in [([], "required: --oracle"),
+                       (["--oracle", c4_file, "--kind", "exact"],
+                        "unrecognized arguments: --kind exact")]:
+        with pytest.raises(SystemExit) as info:
+            main(["audit", "--graph", c4_file, *extra])
+        assert info.value.code == 2 and msg in capsys.readouterr().err
 
 
 def test_audit_float_multi_answers_alike_built_and_loaded(capsys, tmp_path):
-    # An integral float answer reads the same in both audits: the file
-    # writes 7.0 as '7.0', where it once wrote '7' and loaded an int
+    # An integral float answer reads the same from the built oracle and in
+    # the audit of its file: the file writes 7.0 as '7.0', where it once
+    # wrote '7' and loaded an int
+    text = "4 5 U W\n0 1 0.5\n1 2 1.5\n2 3 1.0\n3 0 2.0\n0 2 3.0\n"
     gpath = tmp_path / "g.txt"
-    gpath.write_text("4 5 U W\n0 1 0.5\n1 2 1.5\n2 3 1.0\n3 0 2.0\n0 2 3.0\n")
-    opath = tmp_path / "g.fdo"
-    assert run(capsys, ["build", "--graph", str(gpath), "--kind", "multi",
-                        "--f", "1", "--out", str(opath)])[0] == 0
-    answers = []
-    for source in (["--kind", "multi", "--f", "1"], ["--oracle", str(opath)]):
-        code, stdout, _ = run(capsys, ["audit", "--graph", str(gpath), *source])
-        assert code == 0
-        answers.append([line for line in stdout.splitlines()
-                        if '"F": "1-2"' in line][0])
-    assert answers[0] == answers[1] and '"answer": 7.0,' in answers[0]
+    gpath.write_text(text)
+    built = build_multi_fdo(parse_graph(text), 1).query([(1, 2)])
+    assert built == 7.0 and isinstance(built, float)
+    code, recs = audit_built(capsys, tmp_path, str(gpath),
+                             ["--kind", "multi", "--f", "1"])
+    assert code == 0
+    line = json.dumps([r for r in recs if r.get("F") == "1-2"][0],
+                      sort_keys=True)
+    assert '"answer": 7.0,' in line

@@ -2,9 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from fdo import (GraphError, INF, SingleFDO, brute_diam, build_exact_fdo,
-                 build_graph, build_lowdiam_fdo, dumps_oracle, gen_random,
-                 loads_oracle)
+from fdo import (GraphError, INF, SingleFDO, brute_diam, build_approx_fdo,
+                 build_exact_fdo, build_graph, build_lowdiam_fdo,
+                 build_sampled_fdso, dumps_oracle, gen_random, loads_oracle)
 
 
 def chorded_c4():
@@ -80,6 +80,53 @@ def test_build_rejects_disconnected(f, backend, message):
     with pytest.raises(GraphError) as err:
         build_lowdiam_fdo(g, f, delta=3.0, backend=backend, seed=1)
     assert str(err.value) == message
+
+
+def _sampled(g, **kw):
+    return build_lowdiam_fdo(g, 2, 2.0, backend="sampled", seed=1, **kw)
+
+
+@pytest.mark.parametrize("build, message", [
+    # approx: eps and C, and eps * diam(G)
+    *[pytest.param(lambda g, x=x: build_approx_fdo(g, x),
+                   f"epsilon must be positive and finite, got {x}",
+                   id=f"approx-eps-{x}") for x in (INF, float("nan"), 0, -1)],
+    pytest.param(lambda g: build_approx_fdo(g, 1e308),
+                 "epsilon * diam(G) overflows", id="approx-eps-1e308"),
+    pytest.param(lambda g: build_approx_fdo(g, 0.5, C=float("nan")),
+                 "C must be positive and finite, got nan", id="approx-C-nan"),
+    # lowdiam: delta and n^(delta/f); dso_delta and dso_C
+    *[pytest.param(lambda g, x=x: build_lowdiam_fdo(g, 2, x),
+                   f"delta must be positive and finite, got {x}",
+                   id=f"lowdiam-delta-{x}") for x in (INF, float("nan"))],
+    pytest.param(lambda g: build_lowdiam_fdo(g, 2, 1e308),
+                 "n^(delta/f) overflows", id="lowdiam-delta-1e308"),
+    pytest.param(lambda g: _sampled(g, dso_delta=float("nan")),
+                 "dso_delta must be positive and finite, got nan",
+                 id="sampled-dso-delta-nan"),
+    pytest.param(lambda g: _sampled(g, dso_delta=1e308),
+                 "subgraph count k=inf exceeds", id="sampled-dso-delta-1e308"),
+    *[pytest.param(lambda g, x=x: _sampled(g, dso_C=x),
+                   f"dso_C must be positive and finite, got {x}",
+                   id=f"sampled-C-{x}")
+      for x in (float("nan"), INF, -1.0, 0.0)],
+    # the sampled f-DSO: delta, C and the subgraph count k
+    *[pytest.param(lambda g, kw=kw: build_sampled_fdso(g, 2, seed=1, **kw),
+                   message, id=f"dso-{name}")
+      for name, kw, message in [
+          ("delta-nan", {"delta": float("nan")}, "delta must be positive"),
+          ("C-zero", {"C": 0.0}, "C must be positive and finite, got 0.0"),
+          ("C-negative", {"C": -1.0}, "C must be positive and finite"),
+          ("C-inf", {"C": INF}, "C must be positive and finite, got inf"),
+          ("C-1e308", {"C": 1e308}, "subgraph count k=inf exceeds"),
+          ("delta-1e308", {"delta": 1e308}, "subgraph count k=inf exceeds")]],
+])
+def test_builders_refuse_floats_not_finite_and_positive(build, message):
+    # each once ended in OverflowError, ValueError, a negative shift count,
+    # a k=0 oracle or a file with delta=nan that no loader reads
+    with pytest.raises(GraphError) as err:
+        build(hub_graph(3, n=12, p=0.1))
+    assert message in str(err.value)
 
 
 def test_sampled_backend_needs_seed():

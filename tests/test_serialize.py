@@ -170,6 +170,16 @@ BAD_VALUES = [
     ("entry-nan", "exact", "D 0-1 3", "D 0-1 nan", "line 'D 0-1 nan'"),
     ("entry-negative", "exact", "D 0-1 3", "D 0-1 -1", "line 'D 0-1 -1'"),
     ("base-negative", "exact", "base=2", "base=-1", "base=-1"),
+    # an infinite diameter or fallback, which no build of a connected graph
+    # writes: an exact file with base=inf answered inf for every pair it
+    # did not store; and an eps or delta that is not finite and above 0
+    *[(f"base-inf-{kind}", kind, "base=2", "base=inf", "value base=inf")
+      for kind in ("exact", "spanner", "approx", "lowdiam")],
+    ("fallback-inf", "ecc", "fallback=4", "fallback=inf", "fallback=inf"),
+    *[(f"{key}-{name}", kind, f"{key}={old}", f"{key}={new}",
+       f"value {key}={new}")
+      for kind, key, old in [("approx", "eps", "1.0"), ("lowdiam", "delta", "3.0")]
+      for name, new in [("zero", "0"), ("zero-float", "0.0"), ("inf", "inf")]],
     ("k-negative", "spanner", "k=2", "k=-3", "k=-3"),
     ("k-zero", "spanner", "k=2", "k=0", "k=0"),
     ("f-negative", "lowdiam", "f=2", "f=-1", "f=-1"),
@@ -288,6 +298,26 @@ def test_loader_rejects_values_no_build_writes(kind, old, new, msg):
         loads_oracle(text.replace(old, new, 1))
     # a maker's own GraphError keeps its message
     assert "malformed oracle value" not in str(info.value)
+
+
+def test_loader_refuses_lowdiam_key_wider_than_f():
+    # no query of at most f failures reads such a key, and undominated
+    # walks its 2^size subsets: the load cost doubled with each extra id
+    k9 = build_graph(9, False, list(combinations(range(9), 2)))
+    text = dumps_oracle(build_lowdiam_fdo(k9, 2, delta=3.0))
+    wide = "-".join(map(str, range(30)))
+    with pytest.raises(GraphError, match=f"stores the entry 'D {wide}' of 30 "
+                       "edges, more than f=2"):
+        loads_oracle(text + f"D {wide} 9\n")
+
+
+def test_loader_keeps_lowdiam_empty_entry_above_base():
+    # the sampled backend may write D - above base=, e.g. base=2 and D - inf
+    # when no subgraph holds a shortest path
+    text = dumps_oracle(C4_BUILDS["lowdiam"](C4))
+    head = [ln for ln in text.splitlines() if not ln.startswith("D ")]
+    o = loads_oracle("\n".join(head + ["D - inf"]) + "\n")
+    assert o.base_diam == 2 and o.query([]) == INF
 
 
 MULTI_TEXT = """FDO multi 6 7 fmt=3 dir=0 f=2 mode=paper

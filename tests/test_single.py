@@ -474,6 +474,18 @@ def test_deterministic_pivots_rejects_not_strongly_connected(g):
         deterministic_pivots(g, 2)
 
 
+def test_pivot_build_checks_connectivity_once(monkeypatch):
+    # build_approx_fdo refuses an infinite diam(G) and passes the bridges:
+    # deterministic_pivots runs no connectivity pass of its own then
+    def refused(*args):
+        raise AssertionError("is_connected ran")
+
+    monkeypatch.setattr(single, "is_connected", refused)
+    g = gen_random("er-undirected", seed=1, n=40, p=0.08)
+    o = build_approx_fdo(g, 1.0, scan_threshold=0)
+    assert o.params["mode"] == "pivot" and len(o.pivots) > 1
+
+
 def reference_greedy_hitting_set(paths):
     # the greedy pick over a bucket queue of unhit-path counts
     incidence = {}

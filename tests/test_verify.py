@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from fdo import (INF, audit, brute_diam, brute_replacement, build_ecc_fdo,
-                 build_exact_fdo, enumerate_failures, gen_random)
+                 build_exact_fdo, build_graph, enumerate_failures, gen_random)
 
 
 def test_brute_diam_examples(c4):
@@ -43,6 +43,41 @@ def test_audit_flags_corrupted_oracle(c4):
     assert rep.violations >= 1
     bad = [r for r in rep.records if not r.ok]
     assert bad and bad[0].answer < bad[0].truth
+
+
+class Constant:
+    """A stub oracle that gives one answer to every query."""
+    kind = "stub"
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def query(self, pairs):
+        return self.answer
+
+
+# (graph, failure set, oracle, truth, ok): the infinite and zero truths
+@pytest.mark.parametrize("g, pairs, oracle, truth, ok", [
+    # a bridge of P4: both sides inf, which matches
+    pytest.param(build_graph(4, False, [(0, 1), (1, 2), (2, 3)]), [(1, 2)],
+                 None, INF, True, id="bridge-inf-inf"),
+    pytest.param(build_graph(4, False, [(0, 1), (1, 2), (2, 3)]), [(1, 2)],
+                 Constant(5), INF, False, id="finite-against-inf"),
+    pytest.param(build_graph(4, False, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+                 [(1, 2)], Constant(INF), 3, False, id="inf-against-finite"),
+    # zero weights: G - F has diameter 0, matched only by 0
+    pytest.param(build_graph(3, False, [(0, 1, 0), (1, 2, 0), (2, 0, 0)]),
+                 [(0, 1)], Constant(0), 0, True, id="zero-zero"),
+    pytest.param(build_graph(3, False, [(0, 1, 0), (1, 2, 0), (2, 0, 0)]),
+                 [(0, 1)], Constant(1e-12), 0, False, id="above-zero"),
+])
+def test_audit_infinite_and_zero_truth(g, pairs, oracle, truth, ok):
+    oracle = oracle or build_exact_fdo(g)
+    rep = audit(oracle, g, [pairs], stretch=2.0)
+    (rec,) = rep.records
+    assert rec.truth == truth and rec.ok is ok
+    assert rec.ratio == rep.max_ratio == (1.0 if ok else INF)
+    assert rep.violations == (not ok)
 
 
 def test_audit_rejects_bad_stretch(c4):
