@@ -5,7 +5,8 @@ All data output is line-delimited: distances as plain numbers ('inf' when
 infinite), records as one JSON object per line.  Every command is
 deterministic given its arguments; wall-clock times live in a separate
 "timing" field so the data portion is reproducible byte for byte.
-Randomized builds and every generator refuse to run without --seed.
+Every generator refuses to run without --seed, and so do the builders of
+randomized oracles: `build` hands --seed and --backend to them unchanged.
 """
 from __future__ import annotations
 
@@ -25,25 +26,19 @@ from .serialize import FORMATS, load_oracle, save_oracle
 QUERY_CHUNK = 1 << 16
 
 
-def _emit(record, stream=None):
+def _emit(record):
     import json
-    print(json.dumps(record, sort_keys=True), file=stream or sys.stdout)
+    print(json.dumps(record, sort_keys=True))
 
 
 def _num(x):
     return "inf" if x == INF else x
 
 
-def _seed_for(args, needed: bool):
-    if needed and args.seed is None:
-        raise GraphError("this build is randomized: pass --seed N")
-    return args.seed
-
-
 def cmd_build(args):
     g = load_graph(args.graph)
     kind = args.kind
-    info = {"kind": kind}
+    info = {"kind": kind, "seed": args.seed}
     t0 = time.perf_counter()
     if kind in ("exact", "ecc", "spanner", "approx"):
         from . import single
@@ -55,26 +50,23 @@ def cmd_build(args):
         oracle = single.build_spanner_fdo(g, args.k)
         info["k"] = args.k
     elif kind == "approx":
-        seed = _seed_for(args, args.pivot_mode == "random")
         oracle = single.build_approx_fdo(
-            g, args.eps, pivot_mode=args.pivot_mode, seed=seed, C=args.C,
-            scan_threshold=args.scan_threshold)
-        info.update(eps=args.eps, mode=oracle.params["mode"], seed=seed,
+            g, args.eps, pivot_mode=args.pivot_mode, seed=args.seed, C=args.C)
+        info.update(eps=args.eps, mode=oracle.params["mode"],
                     pivot_count=len(oracle.pivots))
     elif kind == "multi":
         from .multi import build_multi_fdo
         oracle = build_multi_fdo(g, args.f, mode="tight" if args.tight else "paper")
         info.update(f=args.f, mode=oracle.mode)
-    else:   # lowdiam; f=1 builds the exact single-failure oracle
-        sampled = args.backend == "sampled" and args.f > 1
-        backend = "sampled" if sampled else "exact"
-        seed = _seed_for(args, sampled)
+    else:   # lowdiam
         from .lowdiam import build_lowdiam_fdo
-        oracle = build_lowdiam_fdo(g, args.f, args.delta, backend=backend,
-                                   seed=seed, dso_delta=args.dso_delta,
+        oracle = build_lowdiam_fdo(g, args.f, args.delta, backend=args.backend,
+                                   seed=args.seed, dso_delta=args.dso_delta,
                                    dso_C=args.C)
-        info.update(f=args.f, delta=args.delta, backend=backend, seed=seed)
-        if sampled:
+        # f=1 builds the exact single-failure oracle, which has no backend
+        backend = getattr(oracle, "backend", "exact")
+        info.update(f=args.f, delta=args.delta, backend=backend)
+        if backend == "sampled":
             info["subgraph_count"] = oracle.subgraph_count
     wall = time.perf_counter() - t0
     text = save_oracle(oracle, args.out)
@@ -225,26 +217,21 @@ def cmd_audit(args):
 
     g = load_graph(args.graph)
     oracle = load_oracle(args.oracle)
-    stretch = args.stretch if args.stretch else _default_stretch(oracle)
+    stretch = _default_stretch(oracle) if args.stretch is None else args.stretch
     failures = getattr(oracle, "f", 1) if args.failures is None else args.failures
     sets = list(enumerate_failures(g, failures, samples=args.samples,
-                                   seed=args.enum_seed))
+                                   seed=args.seed))
     report = audit(oracle, g, sets, stretch=stretch)
-    out = open(args.records, "w", encoding="utf-8") if args.records else None
     for rec in report.records:
         _emit({"record": "audit",
                "F": " ".join(f"{u}-{v}" for u, v in rec.failures),
                "answer": _num(rec.answer), "truth": _num(rec.truth),
-               "ratio": _num(rec.ratio), "ok": rec.ok}, out)
-    summary = {"record": "audit-summary", "stretch": stretch,
-               "queries": report.queries, "violations": report.violations,
-               "max_ratio": _num(report.max_ratio),
-               "timing": {"wall_s": round(report.wall_s, 6)},
-               "kind": oracle.kind, "oracle": args.oracle}
-    _emit(summary, out)
-    if out:
-        out.close()
-        _emit(summary)  # keep the verdict visible on stdout as well
+               "ratio": _num(rec.ratio), "ok": rec.ok})
+    _emit({"record": "audit-summary", "stretch": stretch,
+           "queries": report.queries, "violations": report.violations,
+           "max_ratio": _num(report.max_ratio),
+           "timing": {"wall_s": round(report.wall_s, 6)},
+           "kind": oracle.kind, "oracle": args.oracle})
     return 1 if report.violations else 0
 
 
@@ -270,8 +257,6 @@ def make_parser():
                    help="sampling constant for randomized parts")
     b.add_argument("--pivot-mode", choices=("deterministic", "random"),
                    default="deterministic")
-    b.add_argument("--scan-threshold", type=int, default=None,
-                   help="approx: exact-scan cutoff for the additive slack")
     b.add_argument("--backend", choices=("exact", "sampled"), default="exact",
                    help="lowdiam distance backend")
     b.add_argument("--tight", action="store_true",
@@ -312,9 +297,8 @@ def make_parser():
     a.add_argument("--stretch", type=float, default=None)
     a.add_argument("--failures", type=int, default=None)
     a.add_argument("--samples", type=int, default=2000)
-    a.add_argument("--enum-seed", type=int, default=0)
-    a.add_argument("--records", default=None,
-                   help="write records to a file instead of stdout")
+    a.add_argument("--seed", type=int, default=0,
+                   help="seed of the sampled failure sets")
     a.set_defaults(func=cmd_audit)
     return ap
 

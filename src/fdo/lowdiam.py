@@ -119,7 +119,8 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="exact",
     """Build the oracle; f=1 falls back to the exact single-failure oracle
     (no subset machinery needed there).
 
-    ``backend`` is ``"exact"`` or ``"sampled"``, which needs a ``seed``.
+    ``backend`` is ``"exact"`` or ``"sampled"``, which needs a ``seed`` when
+    f > 1; an unknown backend is refused at f=1 too.
     ``delta`` gates the admissible diameter, n^(delta/f)/(f+1).  The
     sampled backend may run at its own exponent ``dso_delta`` (defaults to
     delta): it trades the per-subgraph edge-drop rate against the subgraph
@@ -137,11 +138,15 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="exact",
         raise GraphError("low-diameter FDO requires an undirected unweighted graph")
     if f < 1:
         raise GraphError(f"failure budget must be >= 1, got {f}")
+    if backend not in ("exact", "sampled"):
+        raise GraphError(f"unknown backend {backend!r}")
     dso_delta = delta if dso_delta is None else dso_delta
     require_positive(delta=delta, dso_delta=dso_delta, dso_C=dso_C)
     if f == 1:
         from .single import build_exact_fdo
         return build_exact_fdo(g)
+    if backend == "sampled" and seed is None:
+        raise GraphError("sampled backend requires a seed")
 
     base = diameter(g)
     if base == INF:
@@ -167,16 +172,12 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="exact",
                     alive[eid] ^= 1 << i
             levels = lane_bfs(g._out_nbrs, alive, {s: full}, full)[0]
             return levels, [1 << i for i in range(len(keys))], alive
-    elif backend == "sampled":
-        if seed is None:
-            raise GraphError("sampled backend requires a seed")
+    else:
         from .dso import build_sampled_fdso
         dso = build_sampled_fdso(g, f, delta=dso_delta, C=dso_C, seed=seed)
 
         def lanes(s, keys):
             return dso.levels[s], [dso.survivors(key) for key in keys], dso.alive
-    else:
-        raise GraphError(f"unknown backend {backend!r}")
 
     table = {(): base}     # diam(G), also when n=1 leaves no pair
     nodes = max_fanout = 0

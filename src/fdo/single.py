@@ -419,8 +419,16 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
     scanned, each entry gets the slack added, and bridges answer infinity.
     The kernel runs a few scanned sources per bit-lane BFS, instead of n*m
     per source.
+
+    ``pivot_mode`` is ``"deterministic"`` or ``"random"``, which needs a
+    ``seed``; both are checked before the mode is chosen, so a seedless
+    random build is refused on a graph that would take the exact scan.
     """
     require_positive(epsilon=epsilon, C=C)
+    if pivot_mode not in ("deterministic", "random"):
+        raise GraphError(f"unknown pivot mode {pivot_mode!r}")
+    if pivot_mode == "random" and seed is None:
+        raise GraphError("random pivot mode requires a seed")
     if g.weighted:
         raise GraphError("approximate FDO requires an unweighted graph")
     base = diameter(g)
@@ -440,13 +448,9 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
     else:
         bridges = strong_bridges(g)
         if pivot_mode == "random":
-            if seed is None:
-                raise GraphError("random pivot mode requires a seed")
             pivots = random_pivots(g, slack, C=C, seed=seed)
-        elif pivot_mode == "deterministic":
-            pivots = deterministic_pivots(g, slack, bridges=bridges)
         else:
-            raise GraphError(f"unknown pivot mode {pivot_mode!r}")
+            pivots = deterministic_pivots(g, slack, bridges=bridges)
         raise_by_replacement_ecc(g, pivots, values)
         values = {eid: INF if eid in bridges else val + slack
                   for eid, val in values.items()}

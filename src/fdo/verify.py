@@ -10,10 +10,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
-from .graph import DIST_EPS, Graph, INF, distances, resolve_pairs
+from .graph import DIST_EPS, Graph, GraphError, INF, distances, resolve_pairs
 
 
 def brute_diam(g: Graph, pairs):
@@ -60,10 +60,22 @@ def audit(oracle, g: Graph, failure_sets, stretch=1.0) -> AuditReport:
     """Compare the oracle against brute force on every failure set.
 
     A query is a violation when answer < truth, answer > stretch * truth,
-    or exactly one side is infinite.
+    or exactly one side is infinite.  Refused with :class:`GraphError`: a
+    stretch that is not finite or is below 1, and an oracle whose n, m or
+    direction differs from g's, or whose edges do (``multi`` and
+    ``lowdiam``, which keep them; a single-failure oracle keeps no edges,
+    so a graph of equal n, m and direction passes).
     """
-    if stretch < 1:
-        raise ValueError(f"stretch must be >= 1, got {stretch}")
+    if not 1 <= stretch < INF:      # nan fails too
+        raise GraphError(f"stretch must be finite and >= 1, got {stretch}")
+    shape = (oracle.n, oracle.m, oracle.directed)
+    if shape != (g.n, g.m, g.directed):
+        raise GraphError(f"the oracle was built on another graph: n, m, "
+                         f"directed = {shape}, the graph's "
+                         f"{(g.n, g.m, g.directed)}")
+    if getattr(oracle, "edges", g.edges) != g.edges:
+        raise GraphError("the oracle was built on another graph: its edges "
+                         "differ from the graph's")
     report = AuditReport(getattr(oracle, "kind", "?"), stretch)
     t0 = time.perf_counter()
     for pairs in failure_sets:
@@ -94,16 +106,20 @@ def enumerate_failures(g: Graph, f: int, cap=100_000, samples=2000, seed=0):
 
     Exhaustive over all subsets of size 1..f while C(m,f) stays within
     ``cap``; otherwise ``samples`` seeded uniform draws (size uniform in
-    1..f, then a uniform edge subset of that size).
+    1..f, then a uniform edge subset of that size).  ``f`` or ``samples``
+    below 1, which would check nothing, raises :class:`GraphError` at the
+    call, not when the stream is read.
     """
+    if f < 1:
+        raise GraphError(f"failure budget must be >= 1, got {f}")
+    if samples < 1:
+        raise GraphError(f"sample count must be >= 1, got {samples}")
     pairs = [(u, v) for u, v, _ in g.edges]
     m = len(pairs)
     if comb(m, f) <= cap:
-        for size in range(1, f + 1):
-            yield from combinations(pairs, size)
-        return
+        return chain.from_iterable(combinations(pairs, size)
+                                   for size in range(1, f + 1))
     rng = random.Random(seed)
-    for _ in range(samples):
-        size = rng.randint(1, f)
-        idxs = rng.sample(range(m), size)
-        yield tuple(pairs[i] for i in sorted(idxs))
+    sizes = (rng.randint(1, f) for _ in range(samples))
+    return (tuple(pairs[i] for i in sorted(rng.sample(range(m), size)))
+            for size in sizes)

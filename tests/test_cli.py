@@ -53,11 +53,12 @@ def records(stdout):
 # ------------------------------------------------------------- the surface
 
 def test_option_counts():
-    # one spelling per knob: -h aside, 35 options (51 when audit could build
-    # and two more options chose a seed)
+    # one spelling per knob: -h aside, 33 options (51 when audit could build
+    # and two more options chose a seed, 35 with build --scan-threshold and
+    # audit --records)
     sub = next(a for a in make_parser()._actions if a.dest == "cmd")
     counts = {cmd: len(p._actions) - 1 for cmd, p in sub.choices.items()}
-    assert counts == {"build": 14, "query": 2, "gen": 12, "audit": 7}
+    assert counts == {"build": 13, "query": 2, "gen": 12, "audit": 6}
 
 
 def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
@@ -120,7 +121,8 @@ def test_build_exact(capsys, tmp_path, c4_file):
         text = open(out).read()
         assert code == 0 and text == dumps_oracle(build(g)), kind
         dcount = sum(ln.startswith("D ") for ln in text.splitlines())
-        assert records(stdout)[0]["entries"] == dcount, kind
+        rec = records(stdout)[0]
+        assert rec["entries"] == dcount and rec["seed"] is None, kind
 
 
 def test_build_approx_stats_schema(capsys, tmp_path):
@@ -146,14 +148,15 @@ def test_build_multi_on_directed_fails(capsys, tmp_path):
 
 
 def test_build_random_needs_seed(capsys, tmp_path, c4_file):
+    # the builder refuses a seedless random build before it picks the
+    # exact scan, which this graph gets
     big = gen_random("er-strongly-connected-digraph", seed=9, n=14, p=0.3)
     gpath = tmp_path / "big.txt"
     save_graph(big, gpath)
     argv = ["build", "--graph", str(gpath), "--kind", "approx",
-            "--pivot-mode", "random", "--scan-threshold", "0",
-            "--out", str(tmp_path / "x.fdo")]
+            "--pivot-mode", "random", "--out", str(tmp_path / "x.fdo")]
     code, _, err = run(capsys, argv)
-    assert code == 2 and "pass --seed N" in err
+    assert code == 2 and "random pivot mode requires a seed" in err
     code, stdout, _ = run(capsys, argv + ["--seed", str(SEED)])
     assert code == 0 and records(stdout)[0]["seed"] == SEED
 
@@ -174,15 +177,23 @@ def test_lowdiam_default_backend_is_exact(capsys, tmp_path):
         assert code == 0 and rec["backend"] == "exact" and rec["seed"] is None
     # the sampled backend is opt-in and randomized
     code, _, err = run(capsys, argv(12, backend=("--backend", "sampled")))
-    assert code == 2 and "--seed" in err
+    assert code == 2 and "sampled backend requires a seed" in err
+    code, stdout, _ = run(capsys, argv(12, backend=("--backend", "sampled",
+                                                    "--seed", "1")))
+    rec = records(stdout)[0]
+    assert code == 0 and rec["backend"] == "sampled" and rec["seed"] == 1
+    assert rec["subgraph_count"] > 0
     # there is no third backend
     with pytest.raises(SystemExit):
         main(argv(12, backend=("--backend", "auto")))
     assert "invalid choice: 'auto'" in capsys.readouterr().err
-    # f=1 builds the exact single-failure oracle: no seed needed
-    code, stdout, _ = run(capsys, argv(65, f=1))
-    rec = records(stdout)[0]
-    assert code == 0 and rec["backend"] == "exact" and rec["seed"] is None
+    # f=1 builds the exact single-failure oracle: no seed needed, even
+    # when the sampled backend is asked for
+    for backend in ((), ("--backend", "sampled")):
+        code, stdout, _ = run(capsys, argv(65, f=1, backend=backend))
+        rec = records(stdout)[0]
+        assert code == 0 and rec["backend"] == "exact" and rec["seed"] is None
+        assert "subgraph_count" not in rec
 
 
 SAMPLED = ["--kind", "lowdiam", "--backend", "sampled", "--seed", "1"]
@@ -732,6 +743,46 @@ def test_audit_corrupted_oracle_nonzero_exit(capsys, tmp_path, c4_file):
                                    "--oracle", str(opath)])
     assert code == 1
     assert records(stdout)[-1]["violations"] >= 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--stretch", "0.5"], "stretch must be finite and >= 1, got 0.5"),
+    (["--stretch", "nan"], "stretch must be finite and >= 1, got nan"),
+    (["--stretch", "0"], "stretch must be finite and >= 1, got 0.0"),
+    (["--failures", "-1"], "failure budget must be >= 1, got -1"),
+    (["--failures", "0"], "failure budget must be >= 1, got 0"),
+    (["--samples", "0"], "sample count must be >= 1, got 0"),
+], ids=["stretch-0.5", "stretch-nan", "stretch-0", "failures--1",
+        "failures-0", "samples-0"])
+def test_audit_refuses_bad_numbers(capsys, tmp_path, c4_file, flags, message):
+    opath = str(tmp_path / "c4.fdo")
+    run(capsys, ["build", "--graph", c4_file, "--kind", "exact",
+                 "--out", opath])
+    code, stdout, err = run(capsys, ["audit", "--graph", c4_file,
+                                     "--oracle", opath, *flags])
+    assert (code, stdout, err) == (2, "", f"fdo: error: {message}\n")
+
+
+@pytest.mark.parametrize("kind, build_flags", [
+    ("er", ["--kind", "exact"]),
+    ("er", ["--kind", "multi", "--f", "2"]),
+    ("low-diam-hub", ["--kind", "lowdiam", "--f", "2", "--delta", "3"]),
+], ids=["exact", "multi", "lowdiam"])
+def test_audit_refuses_another_graph(capsys, tmp_path, kind, build_flags):
+    # two graphs of one generator and n, seeds 1 and 2: their m differ
+    # (the er pair has m=26 and 29)
+    paths = [str(tmp_path / f"g{seed}.txt") for seed in (1, 2)]
+    for seed, path in zip((1, 2), paths):
+        assert run(capsys, ["gen", "--kind", kind, "--n", "14", "--seed",
+                            str(seed), "--out", path])[0] == 0
+    opath = str(tmp_path / "g1.fdo")
+    code, _, err = run(capsys, ["build", "--graph", paths[0], "--out", opath,
+                                *build_flags])
+    assert code == 0, err
+    code, stdout, err = run(capsys, ["audit", "--graph", paths[1],
+                                     "--oracle", opath])
+    assert code == 2 and stdout == ""
+    assert err.startswith("fdo: error: the oracle was built on another graph")
 
 
 def test_audit_requires_oracle(capsys, c4_file):

@@ -70,7 +70,7 @@ def test_f1_delegates_to_exact():
 
 
 @pytest.mark.parametrize("f, backend, message", [
-    (1, "auto", "exact FDO needs a (strongly) connected graph"),
+    (1, "exact", "exact FDO needs a (strongly) connected graph"),
     (2, "exact", "low-diameter FDO needs a connected graph"),
     (2, "sampled", "low-diameter FDO needs a connected graph"),
 ])
@@ -127,6 +127,13 @@ def test_builders_refuse_floats_not_finite_and_positive(build, message):
     with pytest.raises(GraphError) as err:
         build(hub_graph(3, n=12, p=0.1))
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_unknown_backend_refused(f):
+    # f=1 returns the exact single-failure oracle, after the check
+    with pytest.raises(GraphError, match="unknown backend 'bogus'"):
+        build_lowdiam_fdo(chorded_c4(), f, 2.0, backend="bogus")
 
 
 def test_sampled_backend_needs_seed():

@@ -352,6 +352,17 @@ def test_approx_random_mode_needs_seed(c4):
         build_approx_fdo(c4, 1.0, pivot_mode="random", scan_threshold=0)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"pivot_mode": "bogus"}, "unknown pivot mode 'bogus'"),
+    ({"pivot_mode": "random"}, "random pivot mode requires a seed"),
+])
+def test_approx_checks_pivot_mode_before_the_exact_scan(c4, kw, message):
+    # C4's slack of 1 takes the exact scan, which reads no pivot mode
+    assert build_approx_fdo(c4, 0.5).params["mode"] == "exact-scan"
+    with pytest.raises(GraphError, match=message):
+        build_approx_fdo(c4, 0.5, **kw)
+
+
 def test_approx_rejects_weighted():
     g = build_graph(3, False, [(0, 1, 2), (1, 2, 2), (0, 2, 2)])
     with pytest.raises(GraphError, match="unweighted"):

@@ -2,8 +2,10 @@ from math import comb
 
 import pytest
 
-from fdo import (INF, audit, brute_diam, brute_replacement, build_ecc_fdo,
-                 build_exact_fdo, build_graph, enumerate_failures, gen_random)
+from fdo import (INF, GraphError, audit, brute_diam, brute_replacement,
+                 build_ecc_fdo, build_exact_fdo, build_graph,
+                 build_lowdiam_fdo, build_multi_fdo, dumps_oracle,
+                 enumerate_failures, gen_random, loads_oracle)
 
 
 def test_brute_diam_examples(c4):
@@ -72,7 +74,10 @@ class Constant:
                  [(0, 1)], Constant(1e-12), 0, False, id="above-zero"),
 ])
 def test_audit_infinite_and_zero_truth(g, pairs, oracle, truth, ok):
-    oracle = oracle or build_exact_fdo(g)
+    if oracle is None:
+        oracle = build_exact_fdo(g)
+    else:   # the stub claims g's shape, which audit checks
+        oracle.n, oracle.m, oracle.directed = g.n, g.m, g.directed
     rep = audit(oracle, g, [pairs], stretch=2.0)
     (rec,) = rep.records
     assert rec.truth == truth and rec.ok is ok
@@ -83,6 +88,40 @@ def test_audit_infinite_and_zero_truth(g, pairs, oracle, truth, ok):
 def test_audit_rejects_bad_stretch(c4):
     with pytest.raises(ValueError):
         audit(build_exact_fdo(c4), c4, [], stretch=0.5)
+
+
+@pytest.mark.parametrize("stretch", [0.5, 0.0, -1.0, float("nan"), INF])
+def test_audit_refuses_stretch_not_finite_and_at_least_one(c4, stretch):
+    with pytest.raises(GraphError, match="stretch must be finite and >= 1"):
+        audit(build_exact_fdo(c4), c4, [], stretch=stretch)
+
+
+G14 = gen_random("er-undirected", seed=1, n=14, p=0.25)
+C6 = build_graph(6, False, [(i, (i + 1) % 6) for i in range(6)])
+# C6's n, m and direction, other edges: a triangle with a tail
+TAILED = build_graph(6, False, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
+                                (4, 5)])
+
+
+@pytest.mark.parametrize("g, build, other", [
+    # another er graph of the same n (m=26 against 29)
+    pytest.param(G14, build_exact_fdo,
+                 gen_random("er-undirected", seed=2, n=14, p=0.25), id="m"),
+    pytest.param(G14, build_exact_fdo, C6, id="n"),
+    pytest.param(G14, build_exact_fdo,
+                 build_graph(14, True, [e[:2] for e in G14.edges]),
+                 id="directed"),
+    pytest.param(C6, lambda g: build_multi_fdo(g, 2), TAILED,
+                 id="multi-edges"),
+    pytest.param(C6, lambda g: build_lowdiam_fdo(g, 2, 3.0), TAILED,
+                 id="lowdiam-edges"),
+])
+def test_audit_refuses_another_graph(g, build, other):
+    built, sets = build(g), [[g.edges[0][:2]]]
+    for oracle in (built, loads_oracle(dumps_oracle(built))):
+        assert audit(oracle, g, sets, stretch=4.0).violations == 0
+        with pytest.raises(GraphError, match="built on another graph"):
+            audit(oracle, other, sets, stretch=4.0)
 
 
 def test_enumerate_exhaustive_counts():
@@ -99,3 +138,16 @@ def test_enumerate_sampling_deterministic():
     assert a == b and len(a) == 25
     c = list(enumerate_failures(g, 3, cap=10, samples=25, seed=6))
     assert a != c
+
+
+@pytest.mark.parametrize("f, samples, message", [
+    (0, 2000, "failure budget must be >= 1, got 0"),
+    (-1, 2000, "failure budget must be >= 1, got -1"),
+    (1, 0, "sample count must be >= 1, got 0"),
+])
+def test_enumerate_refuses_streams_that_check_nothing(c4, f, samples,
+                                                      message):
+    # refused at the call, before the stream is read, and also where the
+    # stream would be exhaustive and not read samples at all
+    with pytest.raises(GraphError, match=message):
+        enumerate_failures(c4, f, samples=samples)
