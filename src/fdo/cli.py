@@ -218,7 +218,12 @@ def cmd_audit(args):
     g = load_graph(args.graph)
     oracle = load_oracle(args.oracle)
     stretch = _default_stretch(oracle) if args.stretch is None else args.stretch
-    failures = getattr(oracle, "f", 1) if args.failures is None else args.failures
+    f = getattr(oracle, "f", 1)
+    failures = f if args.failures is None else args.failures
+    if failures > f:
+        # refused before the brute force of every smaller set, not after
+        raise GraphError(f"--failures {failures} exceeds the oracle's "
+                         f"failure budget f={f}")
     sets = list(enumerate_failures(g, failures, samples=args.samples,
                                    seed=args.seed))
     report = audit(oracle, g, sets, stretch=stretch)

@@ -342,10 +342,13 @@ def _lane_levels(nbrs, alive, start, unreached):
         level = {}
         for v, mask in frontier.items():
             for u, eid, _ in nbrs[v]:
-                new = mask & alive[eid] & unreached[u]
+                # unreached[u] shrinks as lanes arrive: AND it in first
+                new = mask & unreached[u]
                 if new:
-                    unreached[u] ^= new
-                    level[u] = level.get(u, 0) | new
+                    new &= alive[eid]
+                    if new:
+                        unreached[u] ^= new
+                        level[u] = level.get(u, 0) | new
         frontier = level
 
 

@@ -43,7 +43,8 @@ class LowDiamFDO:
 
     ``build_stats`` holds a build's counters, ``nodes`` (failure-subset
     tree nodes) and ``max_fanout`` (longest path branched on); a loaded
-    oracle has None.
+    oracle has None.  ``query`` returns the answer of the core,
+    ``_solve``, and ``query_details`` adds its probe and hit counts.
     """
 
     kind = "lowdiam"
@@ -64,13 +65,20 @@ class LowDiamFDO:
         self.build_stats = build_stats
 
     def query(self, pairs):
-        return self.query_details(pairs)["answer"]
+        eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup, self.f)
+        return self._solve(eids)[0]
 
     def query_details(self, pairs):
         """Answer plus its cost: ``probes`` table lookups, one per subset of
         the failed edges (2^|F| after non-edges are dropped), of which
         ``hits`` found a stored entry (the empty subset's always does)."""
         eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup, self.f)
+        answer, hits = self._solve(eids)
+        return {"answer": answer, "probes": 1 << len(eids), "hits": hits}
+
+    def _solve(self, eids):
+        """``(answer, hits)``: the max over the entries stored at subsets
+        of the sorted edge ids, and how many such entries there are."""
         get = self.table.get
         best = self.table[()]
         hits = 1
@@ -81,7 +89,7 @@ class LowDiamFDO:
                     hits += 1
                     if val > best:
                         best = val
-        return {"answer": best, "probes": 1 << len(eids), "hits": hits}
+        return best, hits
 
 
 def undominated(table):

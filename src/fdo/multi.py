@@ -43,7 +43,9 @@ class MultiFDO:
     mode 'paper' answers f*gap + 2*maxdist; mode 'tight' uses the number of
     actually failed tree edges instead of f.  Both sit within the same
     [truth, (f+2)*truth] window.  Queries allocate only transient state, so
-    concurrent querying is safe.
+    concurrent querying is safe.  ``query`` returns the answer of the core,
+    ``_solve``, and ``query_details`` builds its transcript from the same
+    core.
 
     The constructor is the one way to make the oracle, for a build and a
     load alike: it runs ``sssp(g, 0)`` on the connected, undirected graph
@@ -87,7 +89,7 @@ class MultiFDO:
         # Per vertex, its non-tree half-edges as (swap weight, eid, other
         # end), sorted by key as they are appended, so a query stops each
         # row at its component's cheapest edge to the source's component
-        # (query_details says why).  cover[v] is the first edge in key order
+        # (_solve says why).  cover[v] is the first edge in key order
         # whose tree path holds v's parent edge: the cheapest with exactly
         # one end in subtree(v), or None.  Each edge paints the unpainted
         # edges of its path (Tarjan's path painting); find[x] leads through
@@ -135,11 +137,23 @@ class MultiFDO:
     # ------------------------------------------------------------------ query
 
     def query(self, pairs):
-        return self.query_details(pairs)["answer"]
+        eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup, self.f)
+        return self._solve(eids, False)[3]
 
     def query_details(self, pairs, force_general=False):
-        """Full query transcript: answer, lower-bound gap, swap edges picked,
-        and the failed-tree-edge count (used by the stretch audits).
+        """Full query transcript: answer, lower-bound gap, swap edges picked
+        (sorted), and the failed-tree-edge count (used by the stretch
+        audits), built from the same core as :meth:`query`."""
+        eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup, self.f)
+        k, gap, swaps, answer = self._solve(eids, force_general)
+        return {"k": k, "gap": gap,
+                "swap_eids": [] if swaps is None else sorted(swaps),
+                "finite": swaps is not None, "answer": answer}
+
+    def _solve(self, eids, force_general):
+        """``(k, gap, swaps, answer)`` for the sorted failed edge ids:
+        ``swaps`` is the swap edge of each cut root in tin order, [] when
+        no tree edge failed and None when the failures disconnect G.
 
         Cover table: if no cut root's ``cover`` is None, the cut subtrees
         are pairwise disjoint (consecutive roots in tin order do not
@@ -175,57 +189,58 @@ class MultiFDO:
         e between components c and c', neither of them 0, stop before e,
         then b0(c) and b0(c') are both cheaper than e: e is the heaviest
         edge of the cycle c-0-c' and in no minimum spanning tree.  So every
-        tree edge is kept, Prim finds the same tree, and ``swap_eids``,
-        ``gap``, ``k``, ``finite`` and ``answer`` equal a full scan's.  A
+        tree edge is kept, Prim finds the same tree, and ``swaps``,
+        ``gap``, ``k`` and ``answer`` equal a full scan's.  A
         component with no edge to component 0 never stops early.
         """
-        eids, _ = resolve_pairs(pairs, self.n, False, self.edge_lookup, self.f)
         cut_root = self.cut_root
-        failed_tree = [e for e in eids if e in cut_root]    # sorted, as eids
-        k = len(failed_tree)
-        if k == 0:
-            return {"k": 0, "gap": 0, "swap_eids": [], "finite": True,
-                    "answer": 2 * self.maxdist}
+        roots = [cut_root[e] for e in eids if e in cut_root]
+        k = len(roots)
+        if not k:
+            return 0, 0, [], 2 * self.maxdist
+        tin = self.tin
+        if k > 1:
+            roots.sort(key=tin.__getitem__)
+        swaps = None
         if k == 1 and not force_general:
             # the one cut's cover edge, unless there is none or it failed
-            root = cut_root[failed_tree[0]]
-            swap = self.cover[root]
-            if swap is not None and swap not in eids:
-                g = self.swap_weight[swap] - self.dist[root]
+            r = roots[0]
+            swap = self.cover[r]
+            if swap is None:
+                return 1, 0, None, INF
+            if swap not in eids:
+                g = self.swap_weight[swap] - self.dist[r]
                 gap = g if g > 0 else 0     # nor nan: never below 0
                 mult = self.f if self.mode == "paper" else 1
-                return {"k": 1, "gap": gap, "swap_eids": [swap],
-                        "finite": True,
-                        "answer": mult * gap + 2 * self.maxdist}
-        tin = self.tin
-        roots = sorted([cut_root[e] for e in failed_tree], key=tin.__getitem__)
-        swaps = None
-        if not force_general:
-            cover, tout = self.cover, self.tout
+                return 1, gap, [swap], mult * gap + 2 * self.maxdist
+        elif not force_general:
+            cover = self.cover
             swaps = [cover[r] for r in roots]
             if None in swaps:
-                return {"k": k, "gap": 0, "swap_eids": [], "finite": False,
-                        "answer": INF}
+                return k, 0, None, INF
             used = set(swaps)
-            if not (len(used) == k and used.isdisjoint(eids)
-                    and all(tout[a] <= tin[b]
-                            for a, b in zip(roots, roots[1:]))):
-                swaps = None
+            if len(used) < k or not used.isdisjoint(eids):
+                swaps = None    # a cover edge shared by two cuts, or failed
+            else:
+                tout = self.tout
+                end = 0
+                for r in roots:
+                    if tin[r] < end:    # nested in the previous root
+                        swaps = None
+                        break
+                    end = tout[r]
         if swaps is None:
             swaps = self._reconnect(roots, eids)
             if swaps is None:
-                return {"k": k, "gap": 0, "swap_eids": [], "finite": False,
-                        "answer": INF}
+                return k, 0, None, INF
         swap_weight, dist = self.swap_weight, self.dist
         gap = 0
         for r, eid in zip(roots, swaps):
             g = swap_weight[eid] - dist[r]
             if g > gap:     # nor nan: never below 0
                 gap = g
-        swaps.sort()
         mult = self.f if self.mode == "paper" else k
-        return {"k": k, "gap": gap, "swap_eids": swaps, "finite": True,
-                "answer": mult * gap + 2 * self.maxdist}
+        return k, gap, swaps, mult * gap + 2 * self.maxdist
 
     def _reconnect(self, roots, eids):
         """The swap edge joining each cut root's component to its parent in

@@ -752,9 +752,19 @@ def test_audit_corrupted_oracle_nonzero_exit(capsys, tmp_path, c4_file):
     (["--failures", "-1"], "failure budget must be >= 1, got -1"),
     (["--failures", "0"], "failure budget must be >= 1, got 0"),
     (["--samples", "0"], "sample count must be >= 1, got 0"),
+    (["--failures", "2"],
+     "--failures 2 exceeds the oracle's failure budget f=1"),
 ], ids=["stretch-0.5", "stretch-nan", "stretch-0", "failures--1",
-        "failures-0", "samples-0"])
-def test_audit_refuses_bad_numbers(capsys, tmp_path, c4_file, flags, message):
+        "failures-0", "samples-0", "failures-2"])
+def test_audit_refuses_bad_numbers(capsys, monkeypatch, tmp_path, c4_file,
+                                   flags, message):
+    # refused before any failure set is audited by brute force
+    import fdo.verify
+
+    def never(*args):
+        raise AssertionError("brute_diam called")
+
+    monkeypatch.setattr(fdo.verify, "brute_diam", never)
     opath = str(tmp_path / "c4.fdo")
     run(capsys, ["build", "--graph", c4_file, "--kind", "exact",
                  "--out", opath])

@@ -5,7 +5,8 @@ random extra pairs, n <= 12, random vertex labels and edge order) and
 failure sets of at most f vertex pairs (f = 2, 3), mixing edges and
 non-edges.  With the enumeration backend every answer must equal
 ``fdo.verify.brute_diam``.  With the sampled backend an answer must never
-be below it, and must be ``inf`` exactly when G-F is disconnected.
+be below it, and must be ``inf`` exactly when G-F is disconnected.  On
+both, ``query`` gives the answer of ``query_details``, of the same type.
 
 "Never below" is deterministic; an ``inf`` answer on a connected G-F is an
 overestimate that the sampling only makes unlikely.  On graphs this small
@@ -90,6 +91,25 @@ def test_lowdiam_backends_match_brute(data):
         assert answer >= truth, (pairs, answer, truth)
         assert (answer == INF) == (truth == INF), (pairs, answer, truth)
 
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_query_answers_as_query_details(data):
+    # query answers from the core without building a transcript: the same
+    # answer as query_details, of the same type, on both backends
+    g = data.draw(hub_graphs())
+    f = data.draw(st.integers(2, 3))
+    oracles = [build_lowdiam_fdo(g, f, 2.0 * f, backend="exact"),
+               build_lowdiam_fdo(g, f, 2.0 * f, backend="sampled",
+                                 seed=data.draw(st.integers(0, 10_000)),
+                                 dso_delta=2.0)]
+    for pairs in data.draw(st.lists(failure_sets(g, f), min_size=1,
+                                    max_size=12)):
+        for o in oracles:
+            assert (repr(o.query(pairs))
+                    == repr(o.query_details(pairs)["answer"])), (o.backend,
+                                                                 pairs)
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())

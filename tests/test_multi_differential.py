@@ -6,7 +6,8 @@ edges, non-tree edges and non-edges.  The general query path must give the
 same transcript, field by field and in the same key order, as a reference
 copy of the plain O(m + n*k) reconnection (label every vertex, scan every
 edge, then a Kruskal of its own over the components), and every answer must
-meet the oracle's contract against ``fdo.verify.brute_diam``.  A fixed
+meet the oracle's contract against ``fdo.verify.brute_diam``; ``query``,
+which builds no transcript, must give its answer, of the same type.  A fixed
 n=300 graph, cut at four of its largest subtrees at a time, checks the same
 transcripts where components are large and nested.
 
@@ -227,6 +228,25 @@ def test_multi_matches_reference_and_brute(kind, data):
                 assert meets_contract(detail, truth, f), (f, pairs, detail,
                                                           truth)
 
+
+
+@pytest.mark.parametrize("kind", sorted(WEIGHTS))
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_query_answers_as_query_details(kind, data):
+    # query answers from the core without building a transcript: the same
+    # answer as query_details, of the same type (repr tells 7 from 7.0),
+    # with and without force_general
+    g = data.draw(graphs(kind))
+    for f in range(1, 9):
+        for mode in ("paper", "tight"):
+            o = build_multi_fdo(g, f, mode=mode)
+            for pairs in data.draw(st.lists(failure_sets(o, f), min_size=1,
+                                            max_size=4)):
+                got = repr(o.query(pairs))
+                for general in (False, True):
+                    detail = o.query_details(pairs, force_general=general)
+                    assert got == repr(detail["answer"]), (f, mode, pairs)
 
 def test_largest_subtree_cuts_match_reference():
     # Cuts near the root label most of the graph and nest: the Hypothesis
