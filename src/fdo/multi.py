@@ -19,10 +19,14 @@ graphs", STOC 2010).  ``cover[v]``, the cheapest non-tree edge by
 ``(swap weight, eid)`` with exactly one end in subtree(v), comes from one
 union-find pass over the non-tree edges in key order (Tarjan's path
 painting, "Sensitivity analysis of minimum spanning trees and shortest
-path trees", IPL 1982).  Disjoint cuts with k distinct, unfailed cover
-edges reconnect from it in O(k log k), and a cut with no cover edge is
-inf.  Other queries (nested cuts, a failed or shared cover edge) label
-the cut slices and scan their vertices' non-tree half-edges,
+path trees", IPL 1982).  Cuts with k distinct, unfailed cover edges
+reconnect from it, nested or not: by the cut property those edges are the
+minimum spanning tree over the components, as each cut subtree is a union
+of components.  Disjoint cuts pair each cover edge with its own cut in
+O(k log k); nested ones label the edges' ends with their components in
+O(k^2), as an outer cut's cover edge may leave from an inner component.
+A cut with no cover edge is inf.  Other queries (a failed or shared cover
+edge) label the cut slices and scan their vertices' non-tree half-edges,
 ``nontree[v]``, sorted by the same key.
 Each vertex of a component c stops at its first edge into the source's
 component 0 or at the first key at or above b0(c), the cheapest such edge
@@ -155,19 +159,24 @@ class MultiFDO:
         ``swaps`` is the swap edge of each cut root in tin order, [] when
         no tree edge failed and None when the failures disconnect G.
 
-        Cover table: if no cut root's ``cover`` is None, the cut subtrees
-        are pairwise disjoint (consecutive roots in tin order do not
-        nest), no cover edge failed and the k cover edges are distinct,
-        then component i is subtree(r_i), and its cheapest edge out is
-        cover[r_i]: only non-tree edges leave it besides its failed tree
-        edge.  By Borůvka's rule each component's cheapest edge out is in
+        Cover table: if no cut root's ``cover`` is None, no cover edge
+        failed and the k cover edges are distinct, they are the k edges of
         the minimum spanning tree over the components, which is unique as
-        the (swap weight, eid) keys are distinct; k distinct such edges
-        are all k of its edges.  Directed away from the component that
-        chose it, each edge leaves one of the k components other than 0,
-        one edge each, so in the tree they all point toward component 0:
-        cover[r_i] is the swap edge from component i to its parent, and
-        gap = max(swap_weight[cover[r_i]] - dist[r_i], 0).  A cut root
+        the (swap weight, eid) keys are distinct.  The cut subtrees are
+        laminar (nested or disjoint), so each subtree(r_i) is a union of
+        components.  In G-F only non-tree edges cross its boundary, since
+        r_i's tree edge failed, and cover[r_i], unfailed, is the cheapest
+        of them; by the cut property it is in the minimum spanning tree,
+        and k distinct such edges are all k of its edges.  If the cuts are
+        disjoint (consecutive roots in tin order do not nest), component i
+        is subtree(r_i) and cover[r_i] leaves it.  Directed away from the
+        component it leaves, each edge leaves one of the k components
+        other than 0, one edge each, so in the tree they all point toward
+        component 0: cover[r_i] is the swap edge from component i to its
+        parent, and gap = max(swap_weight[cover[r_i]] - dist[r_i], 0).  If
+        they nest, cover[r_i] may leave subtree(r_i) from a deeper cut
+        component, so ``_orient`` labels both ends of each edge and roots
+        the tree at component 0 by the Prim pass of the scan.  A cut root
         whose cover is None has only its failed tree edge out of its
         subtree: the answer is inf.  With k = 1 only the None and the
         failed checks apply.
@@ -226,7 +235,7 @@ class MultiFDO:
                 end = 0
                 for r in roots:
                     if tin[r] < end:    # nested in the previous root
-                        swaps = None
+                        swaps = self._orient(roots, swaps)
                         break
                     end = tout[r]
         if swaps is None:
@@ -278,23 +287,47 @@ class MultiFDO:
                 # decided by eid, unless old is this edge from its other end
                 if old is None or half < old:
                     crossing[key] = (sw, eid, cu, cv)
-        # Prim from component 0: each step joins the cheapest pair edge with
-        # one end joined, the new component's parent edge in the minimum
-        # spanning tree (unique: the (swap weight, eid) keys are distinct).
-        # No such edge left: the failures disconnect G.
-        pair_edges = sorted(crossing.values())
-        joined = [True] + [False] * k
-        swaps = [None] * k
-        for _ in range(k):
-            for sw, eid, a, b in pair_edges:
-                if joined[a] != joined[b]:
-                    break
-            else:
-                return None
-            c = b if joined[a] else a
-            joined[c] = True
-            swaps[c - 1] = eid
-        return swaps
+        return _prim(crossing.values(), k)
+
+    def _orient(self, roots, covers):
+        """The swap edge of each cut root's component, from the k distinct,
+        unfailed cover edges of nested cuts: each end of each edge is
+        labelled with its component, the deepest cut root whose preorder
+        slice holds it (roots sorted by tin, so the last that does)."""
+        tin, tout, edges = self.tin, self.tout, self.edges
+        pair_edges = []
+        for eid in covers:
+            u, v, _ = edges[eid]
+            tu, tv = tin[u], tin[v]
+            a = b = 0
+            for c, r in enumerate(roots, 1):
+                if tin[r] <= tu < tout[r]:
+                    a = c
+                if tin[r] <= tv < tout[r]:
+                    b = c
+            pair_edges.append((self.swap_weight[eid], eid, a, b))
+        return _prim(pair_edges, len(roots))
+
+
+def _prim(pair_edges, k):
+    """The swap edge of components 1..k by Prim from component 0 over
+    ``(swap weight, eid, a, b)`` edges: each step joins the cheapest edge
+    with one end joined, the new component's parent edge in the minimum
+    spanning tree (unique: the keys are distinct).  None when no edge is
+    left: the failures disconnect G."""
+    pair_edges = sorted(pair_edges)
+    joined = [True] + [False] * k
+    swaps = [None] * k
+    for _ in range(k):
+        for sw, eid, a, b in pair_edges:
+            if joined[a] != joined[b]:
+                break
+        else:
+            return None
+        c = b if joined[a] else a
+        joined[c] = True
+        swaps[c - 1] = eid
+    return swaps
 
 
 def build_multi_fdo(g: Graph, f: int, mode="paper") -> MultiFDO:

@@ -21,12 +21,15 @@ swap-weight ties.  Built and loaded oracles keep each ``nontree`` row
 sorted by (swap weight, eid), holding exactly the vertex's non-tree
 half-edges.
 
-Queries answered from the cover table (disjoint cuts, and cuts with no
-cover edge) and each trigger of its fallback to the scan (nested cuts, a
-failed cover edge, a cover edge shared by two cuts) are drawn on fixed
-graphs, and a fixed gadget nests two cuts so that the outer cut's cover
-edge starts in the inner cut's subtree.
+Queries answered from the cover table (disjoint and nested cuts, and cuts
+with no cover edge) and each trigger of its fallback to the scan (a failed
+cover edge, a cover edge shared by two cuts) are drawn on fixed graphs,
+with a count of the scans each runs, and a fixed gadget nests two cuts so
+that the outer cut's cover edge starts in the inner cut's subtree.  An
+exhaustive sweep of small graphs cuts every nested set of two or three
+tree edges.
 """
+import itertools
 import random
 
 import pytest
@@ -35,6 +38,7 @@ from hypothesis import given, settings, strategies as st
 from fdo import (INF, brute_diam, build_graph, build_multi_fdo, dumps_oracle,
                  gen_random, loads_oracle)
 from fdo.graph import DIST_EPS, resolve_pairs, sssp
+from fdo.multi import MultiFDO
 
 WEIGHTS = {
     "unit": None,
@@ -376,10 +380,10 @@ def test_unit_weight_grid_ties_match_reference():
 
 def cover_case(o, eids):
     """The cover table's outcome for failing the edges ``eids``: "no-cover"
-    if a cut subtree has no edge out but its tree edge, else the one
-    fallback trigger that holds ("nested" cut subtrees, a "failed-cover"
-    edge, a "shared-cover" edge of two cuts), "disjoint" if none does, or
-    None if several do."""
+    if a cut subtree has no edge out but its tree edge, else the one case
+    that holds ("nested" cut subtrees, a "failed-cover" edge, a
+    "shared-cover" edge of two cuts), "disjoint" if none does, or None if
+    several do."""
     roots = sorted((o.cut_root[e] for e in eids if e in o.cut_root),
                    key=o.tin.__getitem__)
     covers = [o.cover[r] for r in roots]
@@ -401,12 +405,26 @@ def with_tail(g):
     return build_graph(n + 2, False, list(g.edges) + [(1, n, 1), (n, n + 1, 1)])
 
 
+def scan_spy(monkeypatch):
+    """A list that gets one entry per ``MultiFDO._reconnect`` call."""
+    scans = []
+    reconnect = MultiFDO._reconnect
+
+    def spy(self, roots, eids):
+        scans.append(roots)
+        return reconnect(self, roots, eids)
+    monkeypatch.setattr(MultiFDO, "_reconnect", spy)
+    return scans
+
+
 @pytest.mark.parametrize("kind", sorted(PRUNING_GRAPHS))
-def test_cover_table_cases_match_reference(kind):
-    # Failure sets of each cover-table outcome (disjoint cuts answered from
-    # the table, a cut that nothing covers answered inf) and of each
-    # fallback trigger alone (nested cuts, a failed cover edge, two cuts
-    # sharing a cover edge), built and loaded, against the reference.
+def test_cover_table_cases_match_reference(kind, monkeypatch):
+    # Failure sets of each cover-table outcome (disjoint and nested cuts
+    # answered from the table, a cut that nothing covers answered inf) and
+    # of each fallback trigger alone (a failed cover edge, two cuts sharing
+    # a cover edge), built and loaded, against the reference.  Only the
+    # triggers run the subtree scan.
+    scans = scan_spy(monkeypatch)
     o = build_multi_fdo(with_tail(PRUNING_GRAPHS[kind](14)), 6)
     loaded = loads_oracle(dumps_oracle(o))
     assert loaded.cover == o.cover
@@ -439,9 +457,14 @@ def test_cover_table_cases_match_reference(kind):
                 counts[case] += 1
             pairs = oriented(rng, o, eids)
             want = list(reference_details(o, pairs).items())
-            assert list(o.query_details(pairs).items()) == want, (case, pairs)
-            assert list(loaded.query_details(pairs).items()) == want, (
-                case, pairs)
+            for oracle in (o, loaded):
+                scans.clear()
+                assert list(oracle.query_details(pairs).items()) == want, (
+                    case, pairs)
+                if case in ("failed-cover", "shared-cover"):
+                    assert scans, (case, pairs)
+                elif case is not None:
+                    assert not scans, (case, pairs)
             if case == "no-cover":
                 assert o.query(pairs) == INF
     assert min(counts.values()) >= 20, counts
@@ -468,3 +491,64 @@ def test_nested_cuts_outer_cover_inside_inner_subtree(w):
             assert list(detail.items()) == list(
                 reference_details(oracle, pairs).items())
             assert detail["gap"] == 5 * w
+
+
+def connected_graphs(n, weights=None):
+    """Every connected labelled graph on n vertices, edges in lexicographic
+    order, with unit weights or with each weight drawn from ``weights``."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        comp = list(range(n))
+        for u, v in chosen:
+            while comp[u] != u:
+                u = comp[u]
+            while comp[v] != v:
+                v = comp[v]
+            comp[u] = v
+        if sum(comp[v] == v for v in range(n)) != 1:
+            continue
+        if weights is None:
+            yield build_graph(n, False, chosen)
+            continue
+        for ws in itertools.product(weights, repeat=len(chosen)):
+            yield build_graph(n, False, [(u, v, w)
+                                         for (u, v), w in zip(chosen, ws)])
+
+
+def test_small_scope_nested_cuts_match_reference(monkeypatch):
+    # Every connected graph with n <= 5 on unit weights and with n = 4 on
+    # weights {0, 1, 2}, as multi f=3 in both modes, built and loaded: each
+    # set of two or three tree edges in which one cut root nests in another
+    # is answered from the cover table or the scan, and must match both the
+    # scan alone (force_general) and the reference.  Counted: graphs,
+    # nested sets, and those of the built oracles answered without a scan.
+    scans = scan_spy(monkeypatch)
+    graphs = itertools.chain(
+        *(connected_graphs(n) for n in range(1, 6)),
+        connected_graphs(4, (0, 1, 2)))
+    counts = [0, 0, 0]
+    for g in graphs:
+        counts[0] += 1
+        for mode in ("paper", "tight"):
+            o = build_multi_fdo(g, 3, mode)
+            loaded = loads_oracle(dumps_oracle(o))
+            tin, tout = o.tin, o.tout
+            for k in (2, 3):
+                for cuts in itertools.combinations(sorted(o.cut_root), k):
+                    roots = [o.cut_root[e] for e in cuts]
+                    if not any(tin[a] < tin[b] < tout[a]
+                               for a in roots for b in roots):
+                        continue
+                    counts[1] += 1
+                    pairs = [o.edges[e][:2] for e in cuts]
+                    scans.clear()
+                    o.query(pairs)
+                    counts[2] += not scans
+                    want = list(reference_details(o, pairs).items())
+                    for oracle in (o, loaded):
+                        for general in (False, True):
+                            assert list(oracle.query_details(
+                                pairs, force_general=general).items()
+                                        ) == want, (g.edges, mode, pairs)
+    assert counts == [772 + 3834, 22986, 14242], counts
