@@ -421,35 +421,43 @@ def resolve_pairs(pairs, n, directed, edge_lookup, f=None):
     dictionary.  Returns (sorted edge ids, non-edge pair count); removing a
     non-edge leaves the graph unchanged, so callers just drop them.  With
     ``f``, an oracle's failure budget, a set of more than f entries (any
-    iterable, counted before its entries are checked) is refused first."""
+    iterable, counted before its entries are checked) is refused first.
+
+    Every key of ``edge_lookup`` must be a valid pair (ids in 0..n-1, not
+    a self pair, (u, v) with u < v unless ``directed``): an entry of two
+    exact ints is looked up first, and a hit needs no range or self-pair
+    check and is a duplicate only if its edge id was seen before.  Only a
+    miss gets those checks, and its key is compared with the other
+    non-edge keys."""
     if f is not None:
         if not isinstance(pairs, (tuple, list)):
             pairs = list(pairs)
         if len(pairs) > f:
             raise GraphError(
                 f"too many failures: {len(pairs)} pairs, oracle has f={f}")
-    seen = set()
     eids = []
-    nonedges = 0
+    nonedges = []
     for entry in pairs:
         try:
             u, v = entry
         except (TypeError, ValueError):
             reject_pair(entry, n)
-        if (not (type(u) is int and type(v) is int
-                 and 0 <= u < n and 0 <= v < n) or u == v):
+        if type(u) is not int or type(v) is not int:
             reject_pair(entry, n)
         key = (v, u) if v < u and not directed else (u, v)
-        if key in seen:
-            reject_pair(entry, n, duplicate=True)
-        seen.add(key)
         eid = edge_lookup.get(key)
-        if eid is None:
-            nonedges += 1
+        if eid is not None:
+            if eid in eids:     # distinct keys have distinct edge ids
+                reject_pair(entry, n, duplicate=True)
+            eids.append(eid)
         else:
-            eids.append(eid)    # distinct keys, so distinct edge ids
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                reject_pair(entry, n)
+            if key in nonedges:
+                reject_pair(entry, n, duplicate=True)
+            nonedges.append(key)
     eids.sort()
-    return eids, nonedges
+    return eids, len(nonedges)
 
 
 def reject_pair(entry, n, duplicate=False):

@@ -54,7 +54,8 @@ class MultiFDO:
     The constructor is the one way to make the oracle, for a build and a
     load alike: it runs ``sssp(g, 0)`` on the connected, undirected graph
     g and derives ``dist``, ``maxdist``, ``swap_weight``, ``cut_root``,
-    the sorted ``nontree`` rows and ``cover`` from that tree and g's edges.
+    the sorted ``nontree`` rows, ``cover`` and ``cover_gap`` from that tree
+    and g's edges.
     """
 
     kind = "multi"
@@ -119,6 +120,15 @@ class MultiFDO:
                     x, y = y, x
                 cover[x] = eid
                 find[x] = parent_vert[x]
+        # cover_gap[r]: the gap of cut root r joined by its cover edge,
+        # swap_weight[cover[r]] - dist[r] if above 0, else (nan and no
+        # cover too) the int 0, as _solve's gap loop would give it
+        self.cover_gap = cover_gap = [0] * n
+        for r, eid in enumerate(cover):
+            if eid is not None:
+                gap = swap_weight[eid] - dist[r]
+                if gap > 0:
+                    cover_gap[r] = gap
 
     def _index_tree(self, parent):
         # Preorder intervals: nested, so the deepest failed tree edge
@@ -173,7 +183,7 @@ class MultiFDO:
         component it leaves, each edge leaves one of the k components
         other than 0, one edge each, so in the tree they all point toward
         component 0: cover[r_i] is the swap edge from component i to its
-        parent, and gap = max(swap_weight[cover[r_i]] - dist[r_i], 0).  If
+        parent, and gap is the first largest ``cover_gap[r_i]``.  If
         they nest, cover[r_i] may leave subtree(r_i) from a deeper cut
         component, so ``_orient`` labels both ends of each edge and roots
         the tree at component 0 by the Prim pass of the scan.  A cut root
@@ -218,8 +228,7 @@ class MultiFDO:
             if swap is None:
                 return 1, 0, None, INF
             if swap not in eids:
-                g = self.swap_weight[swap] - self.dist[r]
-                gap = g if g > 0 else 0     # nor nan: never below 0
+                gap = self.cover_gap[r]
                 mult = self.f if self.mode == "paper" else 1
                 return 1, gap, [swap], mult * gap + 2 * self.maxdist
         elif not force_general:
@@ -238,6 +247,14 @@ class MultiFDO:
                         swaps = self._orient(roots, swaps)
                         break
                     end = tout[r]
+                else:
+                    cover_gap = self.cover_gap
+                    gap = 0
+                    for r in roots:
+                        if cover_gap[r] > gap:
+                            gap = cover_gap[r]
+                    mult = self.f if self.mode == "paper" else k
+                    return k, gap, swaps, mult * gap + 2 * self.maxdist
         if swaps is None:
             swaps = self._reconnect(roots, eids)
             if swaps is None:

@@ -552,3 +552,48 @@ def test_small_scope_nested_cuts_match_reference(monkeypatch):
                                 pairs, force_general=general).items()
                                         ) == want, (g.edges, mode, pairs)
     assert counts == [772 + 3834, 22986, 14242], counts
+
+
+@pytest.mark.parametrize("weights", [(0, 1, 2), (0.1, 0.2, 0.3), (0.0, 1)],
+                         ids=["int", "float", "mixed"])
+def test_cover_gap_answers_keep_their_type(weights, monkeypatch):
+    # Every connected graph with n = 4 on these weights, as multi f=2 in
+    # both modes, built and loaded: each cut of one tree edge and each
+    # disjoint cut of two is answered from cover_gap, and the answer's
+    # repr (7 or 7.0) must be the scan's.  That includes cover gaps of
+    # exactly 0 (int weights) and 0.0 (a float 0.0 weight among int
+    # ones, where 2*maxdist is an int), which cover_gap holds as the int 0
+    # as the scan's gap loop does.  Counted: the zero gaps of each type,
+    # and the cuts answered without a scan.
+    scans = scan_spy(monkeypatch)
+    counts = dict.fromkeys(["0", "0.0", "table"], 0)
+    for g in connected_graphs(4, weights):
+        for mode in ("paper", "tight"):
+            o = build_multi_fdo(g, 2, mode)
+            loaded = loads_oracle(dumps_oracle(o))
+            tin, tout = o.tin, o.tout
+            for cuts in itertools.chain(
+                    itertools.combinations(sorted(o.cut_root), 1),
+                    itertools.combinations(sorted(o.cut_root), 2)):
+                roots = [o.cut_root[e] for e in cuts]
+                if any(tin[a] < tin[b] < tout[a]
+                       for a in roots for b in roots):
+                    continue
+                for r in roots:
+                    if o.cover[r] is not None:
+                        gap = o.swap_weight[o.cover[r]] - o.dist[r]
+                        if gap == 0:
+                            counts[repr(gap)] += 1
+                pairs = [o.edges[e][:2] for e in cuts]
+                for oracle in (o, loaded):
+                    scans.clear()
+                    got = repr(oracle.query(pairs))
+                    counts["table"] += not scans
+                    assert got == repr(oracle.query_details(
+                        pairs, force_general=True)["answer"]), (
+                            g.edges, mode, pairs)
+    assert counts["table"] >= 1000, counts
+    if weights == (0, 1, 2):
+        assert counts["0"] >= 100, counts
+    if weights == (0.0, 1):
+        assert counts["0.0"] >= 100, counts

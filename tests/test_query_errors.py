@@ -7,6 +7,8 @@ single-failure lookup validates its one pair inline, so a Hypothesis test
 pins it to ``resolve_pairs`` on random pairs of undirected graphs and
 digraphs.
 """
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -174,3 +176,118 @@ def test_single_failure_lookup_matches_resolve_pairs(case):
     want = outcome(reference)
     assert outcome(lambda: o.query([pair])) == want
     assert outcome(lambda: o.query((list(pair),))) == want
+
+
+# The validator as it was before it looked edges up first (a set of seen
+# keys, every entry range-checked), kept verbatim with its error helper
+# as the reference for the one that checks only what a lookup cannot
+# prove.
+def reference_resolve_pairs(pairs, n, directed, edge_lookup, f=None):
+    if f is not None:
+        if not isinstance(pairs, (tuple, list)):
+            pairs = list(pairs)
+        if len(pairs) > f:
+            raise GraphError(
+                f"too many failures: {len(pairs)} pairs, oracle has f={f}")
+    seen = set()
+    eids = []
+    nonedges = 0
+    for entry in pairs:
+        try:
+            u, v = entry
+        except (TypeError, ValueError):
+            reference_reject_pair(entry, n)
+        if (not (type(u) is int and type(v) is int
+                 and 0 <= u < n and 0 <= v < n) or u == v):
+            reference_reject_pair(entry, n)
+        key = (v, u) if v < u and not directed else (u, v)
+        if key in seen:
+            reference_reject_pair(entry, n, duplicate=True)
+        seen.add(key)
+        eid = edge_lookup.get(key)
+        if eid is None:
+            nonedges += 1
+        else:
+            eids.append(eid)    # distinct keys, so distinct edge ids
+    eids.sort()
+    return eids, nonedges
+
+
+def reference_reject_pair(entry, n, duplicate=False):
+    try:
+        u, v = entry
+    except (TypeError, ValueError):
+        raise GraphError(f"failure-set entry {entry!r} is not a vertex pair") from None
+    if duplicate:
+        raise GraphError(f"duplicate pair ({u},{v}) in failure set")
+    if not (type(u) is int and type(v) is int
+            and 0 <= u < n and 0 <= v < n):
+        raise GraphError(f"pair ({u},{v}) has invalid vertex id (n={n})")
+    raise GraphError(f"pair ({u},{v}) is not a vertex pair")
+
+
+class Id(int):
+    """An int subclass: equal to and hashed as an int, but no vertex id."""
+
+
+# entries that are no pair of two exact ints, each a fresh object per call
+ODD_ENTRIES = [lambda: (1, 2, 3), lambda: "12", lambda: None, lambda: 5,
+               lambda: (1,), lambda: (True, 1), lambda: (0, False),
+               lambda: (1.0, 2), lambda: (0, Id(1)), lambda: (Id(2), Id(3))]
+FORMS = [tuple, list, lambda p: (x for x in p)]
+
+
+@st.composite
+def resolve_cases(draw):
+    """A graph or digraph (n <= 6) and a failure set of fresh entries, as
+    a list, tuple or generator: edges either way round and pairs of ids in
+    0..n-1 (so non-edges and self pairs), as tuples, lists or generators,
+    maybe a repeat of one of them either way round and maybe one bad
+    entry (ids out of range or negative, or an odd entry), with a budget f
+    of None or 0..6, so sets above f too."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, 6))
+    raw = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                  st.integers(0, n - 1)), max_size=2 * n))
+    edges, seen = [], set()
+    for u, v in raw:
+        key = (u, v) if directed else frozenset((u, v))
+        if u != v and key not in seen:
+            seen.add(key)
+            edges.append((u, v))
+    g = build_graph(n, directed, edges)
+    ids = st.integers(0, n - 1)
+    pair = st.tuples(ids, ids)
+    if edges:
+        pair = st.one_of(pair, st.sampled_from(edges),
+                         st.sampled_from(edges).map(lambda e: e[::-1]))
+    pairs = draw(st.lists(pair, max_size=5))
+    if pairs and draw(st.booleans()):
+        u, v = draw(st.sampled_from(pairs))
+        pairs.insert(draw(st.integers(0, len(pairs))),
+                     draw(st.sampled_from([(u, v), (v, u)])))
+    entries = [lambda p=p, form=draw(st.sampled_from(FORMS)): form(p)
+               for p in pairs]
+    if draw(st.booleans()):
+        bad = st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)).map(
+            lambda p: lambda: p)
+        entries.insert(draw(st.integers(0, len(entries))),
+                       draw(bad | st.sampled_from(ODD_ENTRIES)))
+    outer = draw(st.sampled_from([list, tuple, iter]))
+    f = draw(st.none() | st.integers(0, 6))
+    return g, lambda: outer([make() for make in entries]), f
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(resolve_cases())
+def test_resolve_pairs_matches_reference(case):
+    # A generator entry is spent by the time an error message unpacks it
+    # again, so both name the generator object: compared without its
+    # address.
+    g, pairs, f = case
+
+    def result(fn):
+        kind, value = outcome(lambda: fn(pairs(), g.n, g.directed,
+                                         g.edge_lookup, f))
+        return kind, re.sub(r" at 0x[0-9a-f]+", "", str(value))
+    assert result(resolve_pairs) == result(reference_resolve_pairs)
