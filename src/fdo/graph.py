@@ -122,21 +122,21 @@ def build_graph(n, directed, edge_list) -> Graph:
     """Validate an edge list and build the graph.
 
     Entries are (u, v) or (u, v, w); missing weights default to 1.  Rejects
-    self-loops, duplicate pairs, negative or non-finite weights, weights
-    that are not an ``int`` or ``float`` (``bool`` included), and ids that
-    are not an ``int`` (``bool`` included) in 0..n-1, naming the offending
-    entry.  A repeated pair is found in ``Graph.edge_lookup``, the one pair
+    entries of another shape, self-loops, duplicate pairs, negative or
+    non-finite weights, weights that are not an ``int`` or ``float``
+    (``bool`` included), and ids that are not an ``int`` (``bool``
+    included) in 0..n-1, naming the offending entry.  A repeated pair is found in ``Graph.edge_lookup``, the one pair
     dictionary, and an entry that is a (u, v, w) tuple is kept as the edge.
     """
     if n < 1:
         raise GraphError(f"vertex count must be positive, got {n}")
     edges = []
     for item in edge_list:
-        if len(item) == 2:
-            u, v = item
-            w = 1
-        else:
-            u, v, w = item
+        try:
+            u, v, w = item if len(item) == 3 else (*item, 1)
+        except (TypeError, ValueError):
+            raise GraphError(f"edge entry {item!r} is not (u, v) or "
+                             f"(u, v, w)") from None
         if not (type(u) is int and type(v) is int):
             raise GraphError(f"edge ({u!r},{v!r}) has an endpoint that is "
                              f"not an int")

@@ -144,8 +144,8 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="exact",
     """
     if g.directed or g.weighted:
         raise GraphError("low-diameter FDO requires an undirected unweighted graph")
-    if f < 1:
-        raise GraphError(f"failure budget must be >= 1, got {f}")
+    if type(f) is not int or f < 1:
+        raise GraphError(f"failure budget must be an int >= 1, got {f!r}")
     if backend not in ("exact", "sampled"):
         raise GraphError(f"unknown backend {backend!r}")
     dso_delta = delta if dso_delta is None else dso_delta

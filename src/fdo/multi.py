@@ -26,15 +26,12 @@ of components.  Disjoint cuts pair each cover edge with its own cut in
 O(k log k); nested ones label the edges' ends with their components in
 O(k^2), as an outer cut's cover edge may leave from an inner component.
 A cut with no cover edge is inf.  Other queries (a failed or shared cover
-edge) label the cut slices and scan their vertices' non-tree half-edges,
-``nontree[v]``, sorted by the same key.
-Each vertex of a component c stops at its first edge into the source's
-component 0 or at the first key at or above b0(c), the cheapest such edge
-seen so far: O(k + sum of the cut-subtree sizes) plus the half-edges below
-b0(c), and at most the slices' whole non-tree degree.  The spanning step
-runs inline on the at most k+1 components: one Prim pass from component 0
-over the cheapest edge per component pair, O(k*p) for p <= k(k+1)/2
-pairs, joins each other component by the swap edge to its parent.
+edge) label the cut slices and read every half-edge of their vertices in
+the graph's own adjacency rows, keeping the cheapest non-failed edge per
+component pair: O(k + sum of the cut-subtree sizes and their degrees).
+The spanning step runs inline on the at most k+1 components: one Prim
+pass from component 0 over those edges, O(k*p) for p <= k(k+1)/2 pairs,
+joins each other component by the swap edge to its parent.
 """
 from __future__ import annotations
 
@@ -54,8 +51,8 @@ class MultiFDO:
     The constructor is the one way to make the oracle, for a build and a
     load alike: it runs ``sssp(g, 0)`` on the connected, undirected graph
     g and derives ``dist``, ``maxdist``, ``swap_weight``, ``cut_root``,
-    the sorted ``nontree`` rows, ``cover`` and ``cover_gap`` from that tree
-    and g's edges.
+    ``cover`` and ``cover_gap`` from that tree and g's edges; the scan
+    reads g's adjacency rows, ``nbrs``.
     """
 
     kind = "multi"
@@ -64,8 +61,8 @@ class MultiFDO:
     def __init__(self, g: Graph, f: int, mode="paper"):
         if g.directed:
             raise GraphError("multi-failure FDO requires an undirected graph")
-        if f < 1:
-            raise GraphError(f"failure budget must be >= 1, got {f}")
+        if type(f) is not int or f < 1:
+            raise GraphError(f"failure budget must be an int >= 1, got {f!r}")
         if mode not in ("paper", "tight"):
             raise GraphError(f"unknown output mode {mode!r}")
         tree = sssp(g, 0)
@@ -74,6 +71,7 @@ class MultiFDO:
         self.n = n = g.n
         self.m = g.m
         self.edges = edges = g.edges
+        self.nbrs = g._out_nbrs             # (u, eid, w) rows, for the scan
         self.edge_lookup = g.edge_lookup    # (u, v) with u < v -> edge id
         self.f = f
         self.mode = mode
@@ -91,24 +89,17 @@ class MultiFDO:
                 swap_weight[eid] = dist[u] + w + dist[v]
                 off_tree.append(eid)
         off_tree.sort(key=swap_weight.__getitem__)
-        # Per vertex, its non-tree half-edges as (swap weight, eid, other
-        # end), sorted by key as they are appended, so a query stops each
-        # row at its component's cheapest edge to the source's component
-        # (_solve says why).  cover[v] is the first edge in key order
-        # whose tree path holds v's parent edge: the cheapest with exactly
-        # one end in subtree(v), or None.  Each edge paints the unpainted
-        # edges of its path (Tarjan's path painting); find[x] leads through
-        # painted vertices to x's nearest unpainted ancestor (path halving).
-        # Of two distinct such ancestors, the one with the larger tin is no
+        # cover[v] is the first edge in key order whose tree path holds
+        # v's parent edge: the cheapest with exactly one end in subtree(v),
+        # or None.  Each edge paints the unpainted edges of its path
+        # (Tarjan's path painting); find[x] leads through painted vertices
+        # to x's nearest unpainted ancestor (path halving).  Of two
+        # distinct such ancestors, the one with the larger tin is no
         # ancestor of the other, so its parent edge is on the path.
-        self.nontree = nontree = [[] for _ in range(n)]
         self.cover = cover = [None] * n
         find = list(range(n))
         for eid in off_tree:
             x, y, _ = edges[eid]
-            sw = swap_weight[eid]
-            nontree[x].append((sw, eid, y))
-            nontree[y].append((sw, eid, x))
             while True:
                 while find[x] != x:
                     find[x] = x = find[find[x]]
@@ -192,25 +183,13 @@ class MultiFDO:
         failed checks apply.
 
         Otherwise (and with ``force_general``) the scan labels the k failed
-        tree edges' subtrees and walks their vertices' sorted ``nontree``
-        rows, skipping internal and failed half-edges.  It keeps b0(c), the
-        cheapest non-failed edge from component c to the source's
-        component 0, and each vertex of c stops at its first edge into
-        component 0 or at the first key at or above b0(c); edges to other
-        cut components are kept per component pair on the way.  One Prim
-        pass over the b0 edges and the pair minima, p <= k(k+1)/2 edges,
-        then joins the components in O(k*p).
-
-        Why stopping is exact: the minimum spanning tree over the
-        components is unique, as the (swap weight, eid) keys are distinct.
-        A vertex stops before its cheapest edge to component 0 only at a
-        cheaper one, so each b0(c) is exact.  If both endpoints of an edge
-        e between components c and c', neither of them 0, stop before e,
-        then b0(c) and b0(c') are both cheaper than e: e is the heaviest
-        edge of the cycle c-0-c' and in no minimum spanning tree.  So every
-        tree edge is kept, Prim finds the same tree, and ``swaps``,
-        ``gap``, ``k`` and ``answer`` equal a full scan's.  A
-        component with no edge to component 0 never stops early.
+        tree edges' subtrees and reads every half-edge of their vertices,
+        skipping internal and failed ones, to keep the cheapest edge per
+        component pair.  One Prim pass over those p <= k(k+1)/2 edges then
+        joins the components in O(k*p).  Every edge of the minimum
+        spanning tree over the components is the cheapest edge between its
+        two components, so one full pass finds them all, and the tree is
+        unique, as the (swap weight, eid) keys are distinct.
         """
         cut_root = self.cut_root
         roots = [cut_root[e] for e in eids if e in cut_root]
@@ -270,40 +249,36 @@ class MultiFDO:
 
     def _reconnect(self, roots, eids):
         """The swap edge joining each cut root's component to its parent in
-        the minimum spanning tree over the components, by the sorted-row
-        scan and a Prim pass; None when the failures disconnect G."""
+        the minimum spanning tree over the components, by a scan of the cut
+        subtrees' adjacency rows and a Prim pass; None when the failures
+        disconnect G."""
         # Component c = i+1 is the subtree of roots[i] minus deeper cut
         # subtrees: roots sorted by tin, so the slices are labelled
         # outermost first and nested ones overwrite.  Vertices left
-        # unlabelled are in the source's component 0.
+        # unlabelled are in the source's component 0.  An unfailed tree
+        # edge has both ends in one component, so no tree-edge test is
+        # needed.
         tin, tout, euler = self.tin, self.tout, self.euler
         comp = {}
         for c, r in enumerate(roots, 1):
             comp.update(dict.fromkeys(euler[tin[r]:tout[r]], c))
-        # cheapest (swap weight, eid, c, c') per component pair, keyed by
-        # c*(k+1) + c' with c < c', so key c holds b0(c)
-        nontree = self.nontree
+        # cheapest (swap weight, eid, a, b) per component pair a < b, keyed
+        # by a*(k+1) + b
+        nbrs, swap_weight = self.nbrs, self.swap_weight
         crossing = {}
         k = len(roots)
         k1 = k + 1
-        top = (INF, self.m)         # above every (swap weight, eid) key
         for v, cv in comp.items():
-            stop = crossing.get(cv, top)
-            for half in nontree[v]:
-                if half >= stop:
-                    break
-                sw, eid, u = half
+            for u, eid, _ in nbrs[v]:
                 cu = comp.get(u, 0)
                 if cu == cv or eid in eids:
                     continue
-                if not cu:
-                    crossing[cv] = (sw, eid, 0, cv)
-                    break
-                key = cu * k1 + cv if cu < cv else cv * k1 + cu
+                a, b = (cu, cv) if cu < cv else (cv, cu)
+                key = a * k1 + b
+                sw = swap_weight[eid]
                 old = crossing.get(key)
-                # decided by eid, unless old is this edge from its other end
-                if old is None or half < old:
-                    crossing[key] = (sw, eid, cu, cv)
+                if old is None or sw < old[0] or sw == old[0] and eid < old[1]:
+                    crossing[key] = (sw, eid, a, b)
         return _prim(crossing.values(), k)
 
     def _orient(self, roots, covers):

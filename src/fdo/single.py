@@ -332,6 +332,9 @@ def _raise_by_subtree_repair(g, trees, values):
 def build_ecc_fdo(g: Graph, source=0) -> SingleFDO:
     if g.directed:
         raise GraphError("eccentricity FDO requires an undirected graph")
+    if type(source) is not int or not 0 <= source < g.n:
+        raise GraphError(f"source must be a vertex in 0..{g.n - 1}, "
+                         f"got {source!r}")
     tree = sssp(g, source)
     ecc = max(tree.dist)
     if ecc == INF:
@@ -391,8 +394,8 @@ def build_spanner_fdo(g: Graph, k: int) -> SingleFDO:
     source's BFS tree on a dense spanner), a few sources per bit-lane BFS,
     instead of a full diameter computation (n BFS runs, O(n*m)) per
     spanner edge."""
-    if k < 1:
-        raise GraphError(f"spanner parameter must be >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise GraphError(f"spanner parameter must be an int >= 1, got {k!r}")
     if g.directed or g.weighted:
         raise GraphError("spanner FDO requires an undirected unweighted graph")
     base = diameter(g)

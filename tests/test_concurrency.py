@@ -158,9 +158,9 @@ def test_snapshot_sees_nested_changes():
     # the check above would miss nothing a query could change in place
     o = build_multi_fdo(GRAPH, 2)
     before = snapshot(o)
-    o.nontree[0].append((0, 0, 0))
+    o.nbrs[0].append((0, 0, 0))
     assert snapshot(o) != before
-    o.nontree[0].pop()
+    o.nbrs[0].pop()
     assert snapshot(o) == before
     s = build_exact_fdo(GRAPH)
     before = snapshot(s)

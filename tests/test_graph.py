@@ -59,10 +59,15 @@ def test_build_rejects(bad, msg):
     ((0, 1.0), "edge (0,1.0)"),
     ((0, 1, True), "edge (0,1) has weight True"),
     ((0, 1, "1"), "edge (0,1) has weight '1'"),
+    ((0, 1, 1, 1), "edge entry (0, 1, 1, 1) is not (u, v) or (u, v, w)"),
+    ((0,), "edge entry (0,) is not"),
+    (5, "edge entry 5 is not"),
+    (None, "edge entry None is not"),
 ])
 def test_build_rejects_non_int_ids_and_weights(bad, entry):
-    # the bools used to build edge rows that oracle files cannot hold, and
-    # the other two raised TypeError
+    # the bools used to build edge rows that oracle files cannot hold, the
+    # weight '1' and the entries 5 and None raised TypeError, and the
+    # entries of one and of four values a bare ValueError
     with pytest.raises(GraphError, match=re.escape(entry)):
         build_graph(3, False, [bad])
 

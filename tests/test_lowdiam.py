@@ -3,8 +3,9 @@ from itertools import combinations
 import pytest
 
 from fdo import (GraphError, INF, SingleFDO, brute_diam, build_approx_fdo,
-                 build_exact_fdo, build_graph, build_lowdiam_fdo,
-                 build_sampled_fdso, dumps_oracle, gen_random, loads_oracle)
+                 build_ecc_fdo, build_exact_fdo, build_graph,
+                 build_lowdiam_fdo, build_multi_fdo, build_sampled_fdso,
+                 build_spanner_fdo, dumps_oracle, gen_random, loads_oracle)
 
 
 def chorded_c4():
@@ -127,6 +128,34 @@ def test_builders_refuse_floats_not_finite_and_positive(build, message):
     with pytest.raises(GraphError) as err:
         build(hub_graph(3, n=12, p=0.1))
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda g: build_multi_fdo(g, 2.0),
+                 "failure budget must be an int >= 1, got 2.0", id="multi-2.0"),
+    pytest.param(lambda g: build_multi_fdo(g, 2.5),
+                 "failure budget must be an int >= 1, got 2.5", id="multi-2.5"),
+    pytest.param(lambda g: build_multi_fdo(g, True),
+                 "failure budget must be an int >= 1, got True",
+                 id="multi-True"),
+    pytest.param(lambda g: build_spanner_fdo(g, 2.0),
+                 "spanner parameter must be an int >= 1, got 2.0",
+                 id="spanner-2.0"),
+    pytest.param(lambda g: build_lowdiam_fdo(g, 2.0, 2.0),
+                 "failure budget must be an int >= 1, got 2.0",
+                 id="lowdiam-2.0"),
+    pytest.param(lambda g: build_ecc_fdo(g, 1.0),
+                 "source must be a vertex in 0..11, got 1.0", id="ecc-1.0"),
+    pytest.param(lambda g: build_ecc_fdo(g, 99),
+                 "source must be a vertex in 0..11, got 99", id="ecc-99"),
+])
+def test_builders_refuse_counts_not_ints(build, message):
+    # the multi and spanner builds wrote files that loads_oracle refuses
+    # ("bad header value f=2.0"); the lowdiam and ecc builds ended in a
+    # TypeError, and source 99 in an IndexError
+    with pytest.raises(GraphError) as err:
+        build(hub_graph(3, n=12, p=0.1))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("f", [1, 2])
