@@ -162,25 +162,20 @@ def cmd_gen(args):
     inst = None
     seed = args.seed
     if args.kind in random_kinds:
-        g = gen_random(random_kinds[args.kind], seed, n=args.n, p=args.p,
-                       weight_max=args.weight_max)
+        g = gen_random(random_kinds[args.kind], seed, n=args.n, p=args.p)
     else:
         if args.kind == "dense-lb":
             inst = gen_dense_lb(random_payload(args.r, seed))
         elif args.kind == "sparse-lb":
             inst = gen_sparse_lb(random_payload(args.r, seed), args.n)
         elif args.kind == "weighted-lb":
+            if not args.eps_den:
+                raise GraphError("--eps-den must not be 0")
             inst = gen_weighted_lb(random_payload(args.r, seed),
                                    Fraction(args.eps_num, args.eps_den),
                                    n=args.n if args.n else None)
         elif args.kind == "multi-lb":
-            rng = random.Random(seed)
-            span = args.f // 2
-            count = args.f * args.k
-            kept = {(i, j) for i in range(count)
-                    for j in range(i + 1, min(i + span + 1, count))
-                    if rng.random() < 0.5}
-            inst = gen_multi_lb(args.f, args.k, args.n, kept)
+            inst = gen_multi_lb(args.f, args.k, args.n, random.Random(seed))
         else:   # multi-lb-f1
             rng = random.Random(seed)
             kept = {i for i in range(args.n // 2 - 1) if rng.random() < 0.5}
@@ -285,7 +280,6 @@ def make_parser():
     gp.add_argument("--manifest", default=None)
     gp.add_argument("--n", type=int, default=16)
     gp.add_argument("--p", type=float, default=0.25)
-    gp.add_argument("--weight-max", type=int, default=10)
     gp.add_argument("--r", type=int, default=3, help="gadget payload side")
     gp.add_argument("--f", type=int, default=2)
     gp.add_argument("--k", type=int, default=3)

@@ -1,63 +1,38 @@
 """Sampled distance sensitivity oracle backing the ``lowdiam`` builder.
 
 A randomized multi-failure oracle built from sampled spanning subgraphs
-that reports genuine paths (never underestimating).  It holds its k
-subgraphs as k-bit ints (see SampledFDSO), filled by one
-:func:`graph.lane_bfs` per source with subgraph i as lane i, in
-O(n * D * m) big-int operations, D the largest subgraph eccentricity, and
-keeps each source's levels; :func:`graph.lane_path` walks its paths.
+(Weimann & Yuster, FOCS 2010).  It holds its k subgraphs as k-bit ints
+(see SampledFDSO), filled by one :func:`graph.lane_bfs` per source with
+subgraph i as lane i, in O(n * D * m) big-int operations, D the largest
+subgraph eccentricity, and keeps each source's levels, which the
+``lowdiam`` builder reads and walks with :func:`graph.lane_path`.
 """
 from __future__ import annotations
 
 import math
 import random
 
-from .graph import (Graph, GraphError, INF, lane_bfs, lane_path,
-                    require_positive)
+from .graph import Graph, GraphError, INF, lane_bfs, require_positive
 
 
 class SampledFDSO:
-    """Path-reporting f-DSO over k sampled spanning subgraphs; bit i of a
-    mask stands for subgraph i.  ``alive[eid]`` marks the subgraphs with
-    edge eid; ``levels[s]`` are the :func:`graph.lane_bfs` levels of source
-    s, so ``levels[s][d][t]`` marks the subgraphs where t is exactly d hops
-    from s.  A query ANDs the complements of the failed edges' alive masks
-    into the survivor mask, answers with the first level whose mask at t
-    meets it, and walks the lowest such subgraph's path back with
-    :func:`graph.lane_path`.  Every reported distance is the length of a
-    genuine path avoiding the failures, so never below the true one, and
-    matches it with high probability over the build seed.  Nothing changes
-    after the build, so concurrent queries are safe.
+    """f-DSO over k sampled spanning subgraphs; bit i of a mask stands for
+    subgraph i.  ``alive[eid]`` marks the subgraphs with edge eid;
+    ``levels[s]`` are the :func:`graph.lane_bfs` levels of source s, so
+    ``levels[s][d][t]`` marks the subgraphs where t is exactly d hops from
+    s.  :meth:`survivors` ANDs the complements of the failed edges' alive
+    masks; the first level whose mask at t meets it is the s-t distance
+    over the surviving subgraphs, the length of a genuine path avoiding the
+    failures, so never below the true one, and equal to it with high
+    probability over the build seed.  Nothing changes after the build, so
+    concurrent reads are safe.
     """
 
-    def __init__(self, g, f, k, alive, levels):
-        self.g = g
+    def __init__(self, f, k, alive, levels):
         self.f = f
         self.k = k
         self.alive = alive
         self.levels = levels
-
-    def query(self, s, t, failed_eids):
-        """``(dist, path)`` of :meth:`query_details`."""
-        got = self.query_details(s, t, failed_eids)
-        return got["dist"], got["path"]
-
-    def query_details(self, s, t, failed_eids):
-        """``{"dist", "path", "survivors"}``: the minimum s-t distance over
-        the subgraphs avoiding the failed edges with a realizing vertex path
-        (inf and None when none connects), and how many subgraphs avoid
-        them.  Among subgraphs at the minimum the smallest index reports."""
-        surv = self.survivors(failed_eids)
-        dist, path = INF, None
-        levels = self.levels[s]
-        for d, level in enumerate(levels):
-            hit = level.get(t, 0) & surv
-            if hit:
-                dist = d
-                path = lane_path(levels, self.g._out_nbrs, self.alive, t, d,
-                                 hit & -hit)[0][::-1]
-                break
-        return {"dist": dist, "path": path, "survivors": surv.bit_count()}
 
     def survivors(self, failed_eids):
         """Mask of the subgraphs that lack every failed edge."""
@@ -83,8 +58,8 @@ def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
     """
     if g.directed or g.weighted:
         raise GraphError("sampled f-DSO requires an undirected unweighted graph")
-    if f < 1:
-        raise GraphError(f"need f >= 1, got f={f}")
+    if type(f) is not int or f < 1:
+        raise GraphError(f"failure budget must be an int >= 1, got {f!r}")
     require_positive(delta=delta, C=C)
     n, m = g.n, g.m
     try:
@@ -104,5 +79,5 @@ def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
                 alive[eid] ^= bit
     levels = [lane_bfs(g._out_nbrs, alive, {s: full}, full)[0]
               for s in range(n)]
-    return SampledFDSO(g, f, k, alive, levels)
+    return SampledFDSO(f, k, alive, levels)
 

@@ -266,19 +266,24 @@ def in_tree(g: Graph, root, excluded=frozenset()) -> ShortestPathTree:
                             _parents(g, root, dist, order, excluded, True))
 
 
-def preorder(children, root):
-    """Preorder of the tree at ``root``, visiting each ``children[v]`` list
-    in order; no vertex may be listed twice.  Returns ``(order, tin,
-    size)``: the subtree of v is ``order[tin[v]:tin[v] + size[v]]``, and
-    the vertices not reached are left out of ``order``."""
+def preorder(parent, root):
+    """Preorder of the tree at ``root`` given by a parent row as
+    :class:`ShortestPathTree` holds it (``(parent vertex, eid)`` or None),
+    children visited in ascending id.  Returns ``(order, tin, size)``: the
+    subtree of v is ``order[tin[v]:tin[v] + size[v]]``, and the vertices not
+    reached are left out of ``order``."""
+    children = [[] for _ in parent]
+    for v, entry in enumerate(parent):
+        if entry is not None:
+            children[entry[0]].append(v)
     order = []
     stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
         stack += reversed(children[v])
-    tin = [0] * len(children)
-    size = [1] * len(children)
+    tin = [0] * len(parent)
+    size = [1] * len(parent)
     for i, v in enumerate(order):
         tin[v] = i
     for v in reversed(order):

@@ -170,7 +170,9 @@ def _as_matrix(X):
 def gen_multi_lb(f: int, k: int, n: int, kept) -> GadgetInstance:
     """Star centered at the last vertex over v_0..v_{fk-1} plus auxiliaries,
     with an optional edge between v_i and v_j whenever |i-j| <= f/2.
-    ``kept`` is the retained subset of those index pairs.
+    ``kept`` is the retained subset of those index pairs, or a
+    ``random.Random`` that keeps each on a fair coin, in (i, j) order,
+    drawn after the parameters are checked.
 
     The decode query for pair (i,j) fails every other near edge at v_i plus
     v_i's star edge (padded with guaranteed non-edges to exactly f pairs);
@@ -183,9 +185,11 @@ def gen_multi_lb(f: int, k: int, n: int, kept) -> GadgetInstance:
     span = f // 2
     count = f * k
     center = n - 1
-    kept = frozenset((min(i, j), max(i, j)) for i, j in kept)
     candidates = [(i, j) for i in range(count)
                   for j in range(i + 1, min(i + span + 1, count))]
+    if isinstance(kept, random.Random):
+        kept = [pair for pair in candidates if kept.random() < 0.5]
+    kept = frozenset((min(i, j), max(i, j)) for i, j in kept)
     candidate_set = set(candidates)
     for pair in kept:
         if pair not in candidate_set:

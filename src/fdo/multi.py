@@ -77,9 +77,17 @@ class MultiFDO:
         self.mode = mode
         self.dist = dist = tree.dist
         self.maxdist = max(dist)
-        self._index_tree(tree.parent)
-        cut_root, tin = self.cut_root, self.tin
-        parent_vert = self.parent_vert
+        # Preorder intervals: nested, so the deepest failed tree edge
+        # enclosing a vertex identifies its component after the cut.  The
+        # subtree of v is the slice euler[tin[v]:tout[v]].  cut_root maps
+        # each tree edge to its child endpoint, the component root once it
+        # fails.
+        parent = tree.parent
+        self.cut_root = cut_root = {entry[1]: v for v, entry
+                                    in enumerate(parent) if entry is not None}
+        self.euler, self.tin, size = preorder(parent, 0)
+        tin = self.tin
+        self.tout = [t + s for t, s in zip(tin, size)]
         # Tree edges keep swap weight 0; the non-tree edges are walked once
         # in (swap weight, eid) order, a stable sort of ascending eids.
         self.swap_weight = swap_weight = [0] * len(edges)
@@ -110,7 +118,7 @@ class MultiFDO:
                 if tin[x] < tin[y]:
                     x, y = y, x
                 cover[x] = eid
-                find[x] = parent_vert[x]
+                find[x] = parent[x][0]
         # cover_gap[r]: the gap of cut root r joined by its cover edge,
         # swap_weight[cover[r]] - dist[r] if above 0, else (nan and no
         # cover too) the int 0, as _solve's gap loop would give it
@@ -120,24 +128,6 @@ class MultiFDO:
                 gap = swap_weight[eid] - dist[r]
                 if gap > 0:
                     cover_gap[r] = gap
-
-    def _index_tree(self, parent):
-        # Preorder intervals: nested, so the deepest failed tree edge
-        # enclosing a vertex identifies its component after the cut.  The
-        # subtree of v is the slice euler[tin[v]:tout[v]].  cut_root maps
-        # each tree edge to its child endpoint, the component root once it
-        # fails.
-        children = [[] for _ in range(self.n)]     # ascending, as v ascends
-        self.parent_vert = parent_vert = [None] * self.n
-        self.cut_root = cut_root = {}
-        for v, entry in enumerate(parent):
-            if entry is not None:
-                pv, eid = entry
-                parent_vert[v] = pv
-                children[pv].append(v)
-                cut_root[eid] = v
-        self.euler, self.tin, size = preorder(children, 0)
-        self.tout = [t + s for t, s in zip(self.tin, size)]
 
     # ------------------------------------------------------------------ query
 

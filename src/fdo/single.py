@@ -47,8 +47,8 @@ import math
 import random
 from heapq import heapify, heappop, heappush
 
-from .graph import (Graph, GraphError, INF, diameter, in_tree, is_connected,
-                    lane_bfs, lane_path, pair_key, preorder, reject_pair,
+from .graph import (Graph, GraphError, INF, diameter, in_tree, lane_bfs,
+                    lane_path, pair_key, preorder, reject_pair,
                     require_positive, sssp, strong_bridges)
 
 
@@ -284,12 +284,8 @@ def _raise_by_subtree_repair(g, trees, values):
                if entry is not None and values.get(entry[1], INF) != INF]
         if not cut:
             continue
-        dist, parent = tree.dist, tree.parent
-        children = [[] for _ in range(n)]
-        for v, entry in enumerate(parent):
-            if entry is not None:
-                children[entry[0]].append(v)
-        pre, tin, size = preorder(children, tree.source)
+        dist = tree.dist
+        pre, tin, size = preorder(tree.parent, tree.source)
         new = [INF] * n
         inside = [-1] * n       # tin of the subtree root whose run marked it
         for v, eid in cut:
@@ -493,9 +489,9 @@ def deterministic_pivots(g: Graph, theta: int, bridges=None):
     :func:`graph.lane_path` from s, whose parents ``in_tree(g, root, {e})``
     picks too, so the pivots are the same.
     Unit weights only: weighted graphs raise :class:`GraphError`, and so do
-    graphs that are not strongly connected.  A given ``bridges`` must be
-    ``strong_bridges(g)``, which refused such a graph: it saves both that
-    call and the connectivity check.
+    graphs that are not strongly connected, which ``strong_bridges(g)``
+    refuses.  A given ``bridges`` must be ``strong_bridges(g)``: it saves
+    that call.
     """
     if theta < 1:
         raise GraphError(f"theta must be >= 1, got {theta}")
@@ -503,8 +499,6 @@ def deterministic_pivots(g: Graph, theta: int, bridges=None):
         raise GraphError("deterministic pivots need an unweighted graph")
     prefix_len = min(theta, math.isqrt(g.n)) or 1
     if bridges is None:
-        if not is_connected(g):
-            raise GraphError("pivot construction needs a strongly connected graph")
         bridges = strong_bridges(g)
     pivots = set(greedy_hitting_set(_pivot_paths(g, 0, prefix_len, bridges)))
     pivots.add(0)

@@ -106,14 +106,14 @@ def enumerate_failures(g: Graph, f: int, cap=100_000, samples=2000, seed=0):
 
     Exhaustive over all subsets of size 1..f while C(m,f) stays within
     ``cap``; otherwise ``samples`` seeded uniform draws (size uniform in
-    1..f, then a uniform edge subset of that size).  ``f`` or ``samples``
-    below 1, which would check nothing, raises :class:`GraphError` at the
+    1..f, then a uniform edge subset of that size).  An ``f`` or
+    ``samples`` that is not an int >= 1 raises :class:`GraphError` at the
     call, not when the stream is read.
     """
-    if f < 1:
-        raise GraphError(f"failure budget must be >= 1, got {f}")
-    if samples < 1:
-        raise GraphError(f"sample count must be >= 1, got {samples}")
+    if type(f) is not int or f < 1:
+        raise GraphError(f"failure budget must be an int >= 1, got {f!r}")
+    if type(samples) is not int or samples < 1:
+        raise GraphError(f"sample count must be an int >= 1, got {samples!r}")
     pairs = [(u, v) for u, v, _ in g.edges]
     m = len(pairs)
     if comb(m, f) <= cap:

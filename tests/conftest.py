@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import fdo
 from fdo import build_graph
+from fdo.graph import lane_path
 
 
 @pytest.fixture
@@ -160,6 +161,25 @@ def connected_graphs(draw, max_n=12):
             seen.add(frozenset((u, v)))
             pairs.append((u, v))
     return build_graph(n, False, draw(st.permutations(pairs)))
+
+
+def sampled_query(g, dso, s, t, failed_eids):
+    """``{"dist", "path", "survivors"}`` read from the sampled f-DSO
+    ``dso`` built on g: the minimum s-t distance over the subgraphs
+    avoiding the failed edges with a realizing vertex path (inf and None
+    when none connects), and how many subgraphs avoid them.  Among
+    subgraphs at the minimum the smallest index reports."""
+    surv = dso.survivors(failed_eids)
+    dist, path = fdo.INF, None
+    levels = dso.levels[s]
+    for d, level in enumerate(levels):
+        hit = level.get(t, 0) & surv
+        if hit:
+            dist = d
+            path = lane_path(levels, g._out_nbrs, dso.alive, t, d,
+                             hit & -hit)[0][::-1]
+            break
+    return {"dist": dist, "path": path, "survivors": surv.bit_count()}
 
 
 def reference_lowdiam_table(g, f, dso):

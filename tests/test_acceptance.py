@@ -23,7 +23,7 @@ from fdo import (INF, brute_diam, brute_replacement,
 from fdo.single import greedy_spanner
 from fdo.verify import enumerate_failures
 
-from conftest import endpoints
+from conftest import endpoints, sampled_query
 
 EPS = 1e-9
 DEFAULT_SEED = 0xFD0    # the seed of the randomized builds below
@@ -397,7 +397,7 @@ def test_c8_sampled_distance_oracle():
             s, t = rng.sample(range(g.n), 2)
             eids = rng.sample(range(g.m), rng.randint(0, 2))
             pairs = [endpoints(g, e) for e in eids]
-            got = d.query_details(s, t, eids)
+            got = sampled_query(g, d, s, t, eids)
             val, path = got["dist"], got["path"]
             survivors += got["survivors"]
             truth = brute_replacement(g, s, t, pairs)

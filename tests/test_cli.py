@@ -53,12 +53,12 @@ def records(stdout):
 # ------------------------------------------------------------- the surface
 
 def test_option_counts():
-    # one spelling per knob: -h aside, 33 options (51 when audit could build
+    # one spelling per knob: -h aside, 32 options (51 when audit could build
     # and two more options chose a seed, 35 with build --scan-threshold and
-    # audit --records)
+    # audit --records, 33 with gen --weight-max)
     sub = next(a for a in make_parser()._actions if a.dest == "cmd")
     counts = {cmd: len(p._actions) - 1 for cmd, p in sub.choices.items()}
-    assert counts == {"build": 13, "query": 2, "gen": 12, "audit": 6}
+    assert counts == {"build": 13, "query": 2, "gen": 11, "audit": 6}
 
 
 def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
@@ -679,6 +679,46 @@ def test_gen_bad_kind_usage_error(capsys, tmp_path):
         main(["gen", "--kind", "nope", "--out", str(tmp_path / "x")])
 
 
+def refused_gen(capsys, tmp_path, flags):
+    """Run `fdo gen` with ``flags``, which it must refuse: exit 2, no output
+    and no graph file, and an `fdo: error:` line, not a traceback, as the
+    last line on stderr; returns that line."""
+    out = tmp_path / "g.txt"
+    try:
+        code = main(["gen", "--seed", "1", "--out", str(out), *flags])
+    except SystemExit as exc:   # argparse's own refusals
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert "Traceback" not in captured.err
+    return captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("flags, message", [
+    # a ZeroDivisionError and a ValueError traceback, exit 1, before
+    (["--kind", "weighted-lb", "--eps-den", "0"], "--eps-den must not be 0"),
+    (["--kind", "er-weighted", "--weight-max", "0"],
+     "unrecognized arguments: --weight-max 0"),
+    (["--kind", "er-weighted", "--weight-max", "-1"],
+     "unrecognized arguments: --weight-max -1"),
+], ids=["eps-den-0", "weight-max-0", "weight-max--1"])
+def test_gen_refuses_bad_input(capsys, tmp_path, flags, message):
+    assert refused_gen(capsys, tmp_path, flags) == f"fdo: error: {message}"
+
+
+def test_gen_multi_lb_refuses_before_drawing(capsys, monkeypatch, tmp_path):
+    # f=1000000 and k=3 have about 1.5e12 candidate pairs, each drawn on a
+    # coin: the refusal must come before the first draw
+    class NoDraws(random.Random):
+        def random(self):
+            raise AssertionError("a multi-lb candidate pair was drawn")
+
+    monkeypatch.setattr(random, "Random", NoDraws)
+    line = refused_gen(capsys, tmp_path, ["--kind", "multi-lb", "--f",
+                                          "1000000"])
+    assert line == "fdo: error: need f*k+1 <= n, got f=1000000, k=3, n=16"
+
+
 # ---------------------------------------------------------------------- audit
 
 def audit_built(capsys, tmp_path, graph, build_flags, audit_flags=()):
@@ -705,6 +745,13 @@ def test_audit_ecc_stretch_two(capsys, tmp_path, c4_file):
     code, recs = audit_built(capsys, tmp_path, c4_file, ["--kind", "ecc"])
     assert code == 0
     assert recs[-1]["violations"] == 0 and recs[-1]["stretch"] == 2.0
+
+
+def test_audit_approx_stretch_one_plus_eps(capsys, tmp_path, c4_file):
+    code, recs = audit_built(capsys, tmp_path, c4_file,
+                             ["--kind", "approx", "--eps", "0.25"])
+    assert code == 0
+    assert recs[-1]["violations"] == 0 and recs[-1]["stretch"] == 1.25
 
 
 def test_audit_spanner_computes_diameter_once(capsys, monkeypatch, tmp_path,
@@ -749,9 +796,9 @@ def test_audit_corrupted_oracle_nonzero_exit(capsys, tmp_path, c4_file):
     (["--stretch", "0.5"], "stretch must be finite and >= 1, got 0.5"),
     (["--stretch", "nan"], "stretch must be finite and >= 1, got nan"),
     (["--stretch", "0"], "stretch must be finite and >= 1, got 0.0"),
-    (["--failures", "-1"], "failure budget must be >= 1, got -1"),
-    (["--failures", "0"], "failure budget must be >= 1, got 0"),
-    (["--samples", "0"], "sample count must be >= 1, got 0"),
+    (["--failures", "-1"], "failure budget must be an int >= 1, got -1"),
+    (["--failures", "0"], "failure budget must be an int >= 1, got 0"),
+    (["--samples", "0"], "sample count must be an int >= 1, got 0"),
     (["--failures", "2"],
      "--failures 2 exceeds the oracle's failure budget f=1"),
 ], ids=["stretch-0.5", "stretch-nan", "stretch-0", "failures--1",

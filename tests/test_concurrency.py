@@ -1,12 +1,12 @@
 """Concurrent queries against one oracle.
 
-Every oracle kind, and the sampled distance oracle behind ``lowdiam``,
-documents itself as immutable after the build and safe for concurrent
-queries.  Four threads run one shuffled query stream, error queries
-included, on one oracle, built or loaded from its file.  Each thread's
-transcript must equal a serial run's, and a deep snapshot of the oracle
-(its slots, its ``__dict__`` and every container they hold) must be equal
-before and after.
+Every oracle kind documents itself as immutable after the build and safe
+for concurrent queries, and the sampled distance oracle behind
+``lowdiam`` as safe for concurrent reads.  Four threads run one shuffled
+query stream, error queries included, on one oracle, built or loaded
+from its file.  Each thread's transcript must equal a serial run's, and
+a deep snapshot of the oracle (its slots, its ``__dict__`` and every
+container they hold) must be equal before and after.
 """
 import random
 import sys
@@ -19,6 +19,8 @@ from fdo import (GraphError, build_approx_fdo, build_ecc_fdo,
                  build_exact_fdo, build_lowdiam_fdo, build_multi_fdo,
                  build_sampled_fdso, build_spanner_fdo, dumps_oracle,
                  gen_random, loads_oracle)
+
+from conftest import sampled_query
 
 THREADS = 4
 
@@ -148,7 +150,7 @@ def test_sampled_fdso_concurrent_queries():
     stream = sampled_stream(GRAPH, 2, random.Random(8))
     before = snapshot(d)
     serial, results = run_concurrently(
-        lambda item: d.query_details(*item), stream)
+        lambda item: sampled_query(GRAPH, d, *item), stream)
     assert any(tag == "error" for tag, _ in serial)
     assert all(r == serial for r in results)
     assert snapshot(d) == before

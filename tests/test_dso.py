@@ -5,7 +5,8 @@ import pytest
 from fdo import (GraphError, INF, build_graph, build_sampled_fdso,
                  brute_replacement, sssp)
 
-from conftest import endpoints, extract_path, small_graph_corpus
+from conftest import (endpoints, extract_path, sampled_query,
+                      small_graph_corpus)
 
 
 # --------------------------------------- single-failure replacement distances
@@ -85,28 +86,29 @@ def test_sampled_budget_rejected():
 def test_sampled_query_c4(c4):
     from fdo import brute_replacement as brute
     d = build_sampled_fdso(c4, f=1, delta=1.0, C=3.0, seed=7)
-    val, path = d.query(0, 2, [0])
-    assert val == 2 and path == [0, 3, 2]
+    got = sampled_query(c4, d, 0, 2, [0])
+    assert got["dist"] == 2 and got["path"] == [0, 3, 2]
     # no failures: min over subgraphs never undershoots, and with this many
     # subgraphs it matches the true distance under the committed seed
     for s in range(4):
         for t in range(4):
-            assert d.query(s, t, [])[0] == brute(c4, s, t, [])
+            got = sampled_query(c4, d, s, t, [])
+            assert got["dist"] == brute(c4, s, t, [])
 
 
 def test_sampled_query_bridge(p4):
     d = build_sampled_fdso(p4, f=1, delta=1.0, C=3.0, seed=7)
-    assert d.query(0, 3, [1]) == (INF, None)
+    got = sampled_query(p4, d, 0, 3, [1])
+    assert (got["dist"], got["path"]) == (INF, None)
 
 
 def test_sampled_query_details_counts_survivors(c4):
     d = build_sampled_fdso(c4, f=2, delta=1.0, C=3.0, seed=7)
-    assert d.query_details(0, 2, [])["survivors"] == d.k
-    got = d.query_details(0, 2, [0, 3])
+    assert sampled_query(c4, d, 0, 2, [])["survivors"] == d.k
+    got = sampled_query(c4, d, 0, 2, [0, 3])
     both = sum(1 for i in range(d.k)
                if drop_mask(d, 0) >> i & 1 and drop_mask(d, 3) >> i & 1)
     assert got["survivors"] == both
-    assert (got["dist"], got["path"]) == d.query(0, 2, [0, 3])
 
 
 def test_sampled_query_leaves_dso_unchanged(c4):
@@ -115,15 +117,14 @@ def test_sampled_query_leaves_dso_unchanged(c4):
     for s in range(4):
         for t in range(4):
             for eids in ([], [0], [1, 2]):
-                d.query(s, t, eids)
-                d.query_details(s, t, eids)
+                sampled_query(c4, d, s, t, eids)
     assert {name: repr(value) for name, value in vars(d).items()} == before
 
 
 def test_sampled_query_too_many_failures(c4):
     d = build_sampled_fdso(c4, f=1, delta=1.0, C=1.0, seed=7)
     with pytest.raises(GraphError, match="exceeds f"):
-        d.query(0, 2, [0, 1])
+        sampled_query(c4, d, 0, 2, [0, 1])
 
 
 def test_sampled_one_sided_and_paths_genuine():
@@ -136,7 +137,8 @@ def test_sampled_one_sided_and_paths_genuine():
         s, t = rng.sample(range(g.n), 2)
         eids = rng.sample(range(g.m), rng.randint(0, 2))
         pairs = [endpoints(g, e) for e in eids]
-        val, path = d.query(s, t, eids)
+        got = sampled_query(g, d, s, t, eids)
+        val, path = got["dist"], got["path"]
         truth = brute_replacement(g, s, t, pairs)
         assert val >= truth
         if val < INF:

@@ -112,6 +112,18 @@ def test_multi_lb_rejects_odd_f():
         gen_multi_lb(3, 2, 8, set())
 
 
+def test_multi_lb_pads_with_auxiliary_pairs():
+    # f=2, k=1: v_0, v_1, auxiliaries 2 and 3, center 4.  The query for
+    # (0, 1) fails only the star edge 0-4 and has no far v-pair, so the
+    # auxiliary pair 2-3 pads it; with n=4 there is no such pair.
+    inst = gen_multi_lb(2, 1, 5, set())
+    assert [q.pairs for q in inst.queries] == [((0, 4), (2, 3))]
+    assert brute_diam(inst.graph, inst.queries[0].pairs) == INF
+    with pytest.raises(GraphError, match="^instance too small to pad decode "
+                                         "queries to size f$"):
+        gen_multi_lb(2, 1, 4, set())
+
+
 def test_multi_lb_f1_semantics():
     inst = gen_multi_lb_f1(6, {0, 1})
     assert inst.decode(brute_answerer(inst.graph)) == frozenset({0, 1})

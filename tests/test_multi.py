@@ -3,8 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from fdo import (GraphError, INF, brute_diam, build_graph, build_multi_fdo,
-                 distances, enumerate_failures, gen_random, is_connected)
+from fdo import (GraphError, INF, MultiFDO, brute_diam, build_graph,
+                 build_multi_fdo, distances, enumerate_failures, gen_random,
+                 is_connected)
 
 from conftest import small_graph_corpus, zero_weight_graphs
 
@@ -61,6 +62,11 @@ def test_build_path(tri):
 def test_build_rejects_directed(dicycle3):
     with pytest.raises(GraphError, match="undirected"):
         build_multi_fdo(dicycle3, 2)
+
+
+def test_build_rejects_unknown_mode(tri):
+    with pytest.raises(GraphError, match="^unknown output mode 'bogus'$"):
+        MultiFDO(tri, 2, mode="bogus")
 
 
 def test_build_rejects_disconnected():

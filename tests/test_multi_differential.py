@@ -460,8 +460,9 @@ def test_nested_cuts_outer_cover_inside_inner_subtree(w):
     g = build_graph(8, False, [(u, v, w) for u, v in [
         (0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (0, 5), (5, 6), (6, 7),
         (4, 7)]])
+    parents = [None if p is None else p[0] for p in sssp(g, 0).parent]
+    assert parents == [None, 0, 1, 1, 2, 0, 5, 6]
     o = build_multi_fdo(g, 2)
-    assert o.parent_vert == [None, 0, 1, 1, 2, 0, 5, 6]
     assert o.cover[1] == g.edge_id(4, 7) and o.cover[2] == g.edge_id(3, 4)
     assert o.swap_weight[o.cover[1]] - o.dist[1] == 6 * w
     for oracle in (o, loads_oracle(dumps_oracle(o))):

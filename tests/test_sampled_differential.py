@@ -24,7 +24,7 @@ from fdo.dso import build_sampled_fdso
 from fdo.lowdiam import undominated
 
 from conftest import (check_pruned_oracle, connected_graphs,
-                      reference_lowdiam_table)
+                      reference_lowdiam_table, sampled_query)
 
 
 class ScalarSampledDSO:
@@ -117,7 +117,7 @@ def test_masks_match_scalar_construction(data):
     for failed in [[]] + sets:
         for s in range(g.n):
             for t in range(g.n):
-                got = new.query_details(s, t, failed)
+                got = sampled_query(g, new, s, t, failed)
                 assert (got["dist"], got["path"]) == ref.query(s, t, failed), \
                     (s, t, failed)
                 assert got["survivors"] == len(ref.surviving(sorted(failed)))

@@ -90,6 +90,9 @@ LOWDIAM_C4_FMT2 = ("FDO lowdiam 4 4 fmt=2 dir=0 f=2 delta=3 base=2\n"
 
 @pytest.mark.parametrize("text, msg", [
     ("garbage\n", "FDO header"),
+    # a header without its fmt= and dir= tokens, and one without base=
+    ("FDO exact 4 5\n", "^truncated oracle header 'FDO exact 4 5'$"),
+    ("FDO exact 4 5 fmt=2 dir=0\n", "^oracle header lacks base=$"),
     ("FDO exact 2 1 fmt=9 dir=0 base=1\nE 0 0 1 1\nD 0 1\n", "version"),
     # single-failure files of format 1, with their edge dictionary
     ("FDO exact 2 1 fmt=1 dir=0 base=1\nE 0 0 1 1\nD 0 1\n",

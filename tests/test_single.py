@@ -481,20 +481,25 @@ def test_deterministic_pivots_rejects_weighted():
 @pytest.mark.parametrize("g", NOT_STRONGLY_CONNECTED, ids=repr)
 def test_deterministic_pivots_rejects_not_strongly_connected(g):
     # no bridges given: deterministic_pivots finds them itself
-    with pytest.raises(GraphError, match="strongly connected"):
+    with pytest.raises(GraphError,
+                       match=r"^graph must be \(strongly\) connected$"):
         deterministic_pivots(g, 2)
 
 
 def test_pivot_build_checks_connectivity_once(monkeypatch):
     # build_approx_fdo refuses an infinite diam(G) and passes the bridges:
-    # deterministic_pivots runs no connectivity pass of its own then
-    def refused(*args):
-        raise AssertionError("is_connected ran")
+    # deterministic_pivots runs no strong_bridges pass of its own then
+    calls = []
 
-    monkeypatch.setattr(single, "is_connected", refused)
+    def spy(g):
+        calls.append(g)
+        return strong_bridges(g)
+
+    monkeypatch.setattr(single, "strong_bridges", spy)
     g = gen_random("er-undirected", seed=1, n=40, p=0.08)
     o = build_approx_fdo(g, 1.0, scan_threshold=0)
     assert o.params["mode"] == "pivot" and len(o.pivots) > 1
+    assert calls == [g]
 
 
 def reference_greedy_hitting_set(paths):

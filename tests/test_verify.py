@@ -4,8 +4,8 @@ import pytest
 
 from fdo import (INF, GraphError, audit, brute_diam, brute_replacement,
                  build_ecc_fdo, build_exact_fdo, build_graph,
-                 build_lowdiam_fdo, build_multi_fdo, dumps_oracle,
-                 enumerate_failures, gen_random, loads_oracle)
+                 build_lowdiam_fdo, build_multi_fdo, build_sampled_fdso,
+                 dumps_oracle, enumerate_failures, gen_random, loads_oracle)
 
 
 def test_brute_diam_examples(c4):
@@ -141,9 +141,9 @@ def test_enumerate_sampling_deterministic():
 
 
 @pytest.mark.parametrize("f, samples, message", [
-    (0, 2000, "failure budget must be >= 1, got 0"),
-    (-1, 2000, "failure budget must be >= 1, got -1"),
-    (1, 0, "sample count must be >= 1, got 0"),
+    (0, 2000, "failure budget must be an int >= 1, got 0"),
+    (-1, 2000, "failure budget must be an int >= 1, got -1"),
+    (1, 0, "sample count must be an int >= 1, got 0"),
 ])
 def test_enumerate_refuses_streams_that_check_nothing(c4, f, samples,
                                                       message):
@@ -151,3 +151,27 @@ def test_enumerate_refuses_streams_that_check_nothing(c4, f, samples,
     # stream would be exhaustive and not read samples at all
     with pytest.raises(GraphError, match=message):
         enumerate_failures(c4, f, samples=samples)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: build_sampled_fdso(g, 2.5, seed=1),
+     "failure budget must be an int >= 1, got 2.5"),
+    (lambda g: build_sampled_fdso(g, 2.0, seed=1),
+     "failure budget must be an int >= 1, got 2.0"),
+    (lambda g: build_sampled_fdso(g, True, seed=1),
+     "failure budget must be an int >= 1, got True"),
+    (lambda g: enumerate_failures(g, 2.5),
+     "failure budget must be an int >= 1, got 2.5"),
+    (lambda g: enumerate_failures(g, True),
+     "failure budget must be an int >= 1, got True"),
+    (lambda g: enumerate_failures(g, 1, samples=2.5),
+     "sample count must be an int >= 1, got 2.5"),
+    (lambda g: enumerate_failures(g, 1, samples=True),
+     "sample count must be an int >= 1, got True"),
+], ids=["dso-f-2.5", "dso-f-2.0", "dso-f-True", "enum-f-2.5", "enum-f-True",
+        "enum-samples-2.5", "enum-samples-True"])
+def test_counts_not_ints_refused(c4, call, message):
+    # a float count sampled subgraphs at n^(-delta/f) or ended in math.comb's
+    # TypeError; True passed as the count 1
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        call(c4)
