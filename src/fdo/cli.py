@@ -150,7 +150,6 @@ def cmd_query(args):
 
 def cmd_gen(args):
     import random
-    from fractions import Fraction
 
     from .instances import (format_manifest, gen_dense_lb, gen_multi_lb,
                             gen_multi_lb_f1, gen_random, gen_sparse_lb,
@@ -169,17 +168,12 @@ def cmd_gen(args):
         elif args.kind == "sparse-lb":
             inst = gen_sparse_lb(random_payload(args.r, seed), args.n)
         elif args.kind == "weighted-lb":
-            if not args.eps_den:
-                raise GraphError("--eps-den must not be 0")
-            inst = gen_weighted_lb(random_payload(args.r, seed),
-                                   Fraction(args.eps_num, args.eps_den),
+            inst = gen_weighted_lb(random_payload(args.r, seed), args.eps,
                                    n=args.n if args.n else None)
         elif args.kind == "multi-lb":
             inst = gen_multi_lb(args.f, args.k, args.n, random.Random(seed))
         else:   # multi-lb-f1
-            rng = random.Random(seed)
-            kept = {i for i in range(args.n // 2 - 1) if rng.random() < 0.5}
-            inst = gen_multi_lb_f1(args.n, kept)
+            inst = gen_multi_lb_f1(args.n, random.Random(seed))
         g = inst.graph
     save_graph(g, args.out)
     record = {"record": "gen", "kind": args.kind, "n": g.n, "m": g.m,
@@ -236,6 +230,14 @@ def cmd_audit(args):
 
 
 def make_parser():
+    def fraction(text):     # argparse names the type in its messages
+        from fractions import Fraction
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:   # which argparse would let through
+            raise argparse.ArgumentTypeError(
+                f"zero denominator in {text!r}") from None
+
     ap = argparse.ArgumentParser(
         prog="fdo",
         description="Fault-tolerant diameter oracles: build, query, gen, audit")
@@ -283,8 +285,8 @@ def make_parser():
     gp.add_argument("--r", type=int, default=3, help="gadget payload side")
     gp.add_argument("--f", type=int, default=2)
     gp.add_argument("--k", type=int, default=3)
-    gp.add_argument("--eps-num", type=int, default=1)
-    gp.add_argument("--eps-den", type=int, default=3)
+    gp.add_argument("--eps", type=fraction, default="1/3",
+                    help="weighted-lb: eps as a fraction, e.g. 1/4 or 0.25")
     gp.add_argument("--seed", type=int, required=True,
                     help="random graph or gadget payload seed")
     gp.set_defaults(func=cmd_gen)

@@ -58,10 +58,9 @@ class GadgetInstance:
         return tuple(tuple(bits[(i, j)] for j in range(c)) for i in range(r))
 
 
-def random_payload(r, seed, c=None):
+def random_payload(r, seed):
     rng = random.Random(seed)
-    c = r if c is None else c
-    return tuple(tuple(rng.randint(0, 1) for _ in range(c)) for _ in range(r))
+    return tuple(tuple(rng.randint(0, 1) for _ in range(r)) for _ in range(r))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +235,14 @@ def gen_multi_lb_f1(n: int, kept_idx) -> GadgetInstance:
     """Two parallel paths on n/2 vertices each, rung-matched; the first path
     and the matching are always present, the second path keeps only the
     chosen edges.  Failing the i-th first-path edge disconnects the graph
-    iff the i-th second-path edge is absent."""
+    iff the i-th second-path edge is absent.  ``kept_idx`` is the set of
+    kept indices, or a ``random.Random`` that keeps each index i < n/2 - 1
+    on a fair coin, in order, drawn after n is checked."""
     if n < 4 or n % 2:
         raise GraphError(f"need an even n >= 4, got {n}")
     half = n // 2
+    if isinstance(kept_idx, random.Random):
+        kept_idx = [i for i in range(half - 1) if kept_idx.random() < 0.5]
     kept_idx = frozenset(kept_idx)
     for i in kept_idx:
         if not 0 <= i < half - 1:

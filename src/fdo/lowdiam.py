@@ -16,8 +16,11 @@ lane of that hit, walked back from t (:func:`graph.lane_path`).  Exact
 backend: lane i keeps every edge outside the batch's i-th subset, so one
 lane BFS per (source, depth) replaces one BFS per (source, subset).
 Sampled backend (Weimann-Yuster): the lanes are the subgraphs of the
-sampled f-DSO, and a subset's mask those that lack all its edges.  A node
-then costs a level scan and a walk back, O(D) and O(D * degree).
+sampled f-DSO (:mod:`fdo.dso`, which holds only their edge masks), walked
+by one lane BFS per source that the table loop runs before the source's
+first depth and reads at every depth; a subset's mask is the subgraphs
+that lack all its edges.  A node then costs a level scan and a walk back,
+O(D) and O(D * degree).
 
 With the exact backend the answer equals the true diameter of G-F; with
 the sampled backend it never undershoots and matches with high probability
@@ -32,7 +35,9 @@ answer over the kept entries equals its answer over the whole table.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .graph import (Graph, GraphError, INF, diameter, lane_bfs, lane_path,
                     require_positive, resolve_pairs)
@@ -169,31 +174,32 @@ def build_lowdiam_fdo(g: Graph, f: int, delta: float, backend="exact",
             f"diameter {base} exceeds the admissible bound "
             f"n^(delta/f)/(f+1) = {bound:.3f}")
 
-    if backend == "exact":
-
-        def lanes(s, keys):
-            # lane i keeps every edge outside keys[i]
-            full = (1 << len(keys)) - 1
-            alive = [full] * g.m
-            for i, key in enumerate(keys):
-                for eid in key:
-                    alive[eid] ^= 1 << i
-            levels = lane_bfs(g._out_nbrs, alive, {s: full}, full)[0]
-            return levels, [1 << i for i in range(len(keys))], alive
-    else:
+    if backend == "sampled":
         from .dso import build_sampled_fdso
         dso = build_sampled_fdso(g, f, delta=dso_delta, C=dso_C, seed=seed)
-
-        def lanes(s, keys):
-            return dso.levels[s], [dso.survivors(key) for key in keys], dso.alive
+        every, alive = (1 << dso.k) - 1, dso.alive
 
     table = {(): base}     # diam(G), also when n=1 leaves no pair
     nodes = max_fanout = 0
     for s in range(g.n - 1):
+        if backend == "sampled":    # one lane BFS serves every depth
+            levels = lane_bfs(g._out_nbrs, alive, {s: every}, every)[0]
         # subset -> the targets t whose pair (s, t) has a tree node for it
         pending = {(): dict.fromkeys(range(s + 1, g.n))}
         for depth in range(f + 1):
-            levels, masks, alive = lanes(s, list(pending))
+            keys = list(pending)
+            if backend == "exact":
+                # lane i keeps every edge outside keys[i]
+                every = (1 << len(keys)) - 1
+                alive = [every] * g.m
+                for i, key in enumerate(keys):
+                    for eid in key:
+                        alive[eid] ^= 1 << i
+                levels = lane_bfs(g._out_nbrs, alive, {s: every}, every)[0]
+                masks = [1 << i for i in range(len(keys))]
+            else:       # the subgraphs that lack every edge of the subset
+                masks = [every ^ reduce(or_, [alive[eid] for eid in key], 0)
+                         for key in keys]
             children = {}
             for (key, targets), mask in zip(pending.items(), masks):
                 worst = table.get(key, -1)

@@ -1,14 +1,14 @@
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import strategies as st
 
 import fdo
 from fdo import build_graph
-from fdo.graph import lane_path
+from fdo.graph import lane_bfs, lane_path
 
 
 @pytest.fixture
@@ -163,15 +163,36 @@ def connected_graphs(draw, max_n=12):
     return build_graph(n, False, draw(st.permutations(pairs)))
 
 
+def every_connected_graph(n, weights=None, directed=False):
+    """Every connected (strongly connected, if ``directed``) labelled graph
+    on n vertices, edges in lexicographic order, with unit weights or with
+    each weight drawn from ``weights``."""
+    pairs = list((permutations if directed else combinations)(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
+        g = build_graph(n, directed, chosen)
+        if not fdo.is_connected(g):
+            continue
+        if weights is None:
+            yield g
+            continue
+        for ws in product(weights, repeat=len(chosen)):
+            yield build_graph(n, directed, [(u, v, w) for (u, v), w
+                                            in zip(chosen, ws)])
+
+
 def sampled_query(g, dso, s, t, failed_eids):
     """``{"dist", "path", "survivors"}`` read from the sampled f-DSO
     ``dso`` built on g: the minimum s-t distance over the subgraphs
     avoiding the failed edges with a realizing vertex path (inf and None
     when none connects), and how many subgraphs avoid them.  Among
     subgraphs at the minimum the smallest index reports."""
-    surv = dso.survivors(failed_eids)
+    every = (1 << dso.k) - 1
+    surv = every
+    for eid in failed_eids:
+        surv &= ~dso.alive[eid]
     dist, path = fdo.INF, None
-    levels = dso.levels[s]
+    levels = lane_bfs(g._out_nbrs, dso.alive, {s: every}, every)[0]
     for d, level in enumerate(levels):
         hit = level.get(t, 0) & surv
         if hit:

@@ -53,12 +53,13 @@ def records(stdout):
 # ------------------------------------------------------------- the surface
 
 def test_option_counts():
-    # one spelling per knob: -h aside, 32 options (51 when audit could build
+    # one spelling per knob: -h aside, 31 options (51 when audit could build
     # and two more options chose a seed, 35 with build --scan-threshold and
-    # audit --records, 33 with gen --weight-max)
+    # audit --records, 33 with gen --weight-max, 32 with gen --eps-num and
+    # --eps-den)
     sub = next(a for a in make_parser()._actions if a.dest == "cmd")
     counts = {cmd: len(p._actions) - 1 for cmd, p in sub.choices.items()}
-    assert counts == {"build": 13, "query": 2, "gen": 11, "audit": 6}
+    assert counts == {"build": 13, "query": 2, "gen": 10, "audit": 6}
 
 
 def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
@@ -622,25 +623,18 @@ def _pair_coins(seed, f, k):
             if rng.random() < 0.5}
 
 
-def _index_coins(seed, n):
-    # the CLI's multi-lb-f1 payload: index i < n/2 - 1 kept on a fair coin
-    rng = random.Random(seed)
-    return {i for i in range(n // 2 - 1) if rng.random() < 0.5}
-
-
 # Per gadget kind: `gen` flags, and the library build of the same seed
 GEN_GADGETS = {
     "dense-lb": (["--r", "2"], lambda s: gen_dense_lb(random_payload(2, s))),
     "sparse-lb": (["--r", "3", "--n", "14"],
                   lambda s: gen_sparse_lb(random_payload(3, s), 14)),
-    "weighted-lb": (["--r", "2", "--eps-num", "1", "--eps-den", "4",
-                     "--n", "9"],
+    "weighted-lb": (["--r", "2", "--eps", "1/4", "--n", "9"],
                     lambda s: gen_weighted_lb(random_payload(2, s),
                                               Fraction(1, 4), n=9)),
     "multi-lb": (["--f", "4", "--k", "2", "--n", "20"],
                  lambda s: gen_multi_lb(4, 2, 20, _pair_coins(s, 4, 2))),
     "multi-lb-f1": (["--n", "18"],
-                    lambda s: gen_multi_lb_f1(18, _index_coins(s, 18))),
+                    lambda s: gen_multi_lb_f1(18, random.Random(s))),
 }
 
 
@@ -694,16 +688,30 @@ def refused_gen(capsys, tmp_path, flags):
     return captured.err.splitlines()[-1]
 
 
-@pytest.mark.parametrize("flags, message", [
-    # a ZeroDivisionError and a ValueError traceback, exit 1, before
-    (["--kind", "weighted-lb", "--eps-den", "0"], "--eps-den must not be 0"),
+@pytest.mark.parametrize("flags, line", [
+    # Fraction("1/0") raises ZeroDivisionError, which argparse lets through
+    (["--kind", "weighted-lb", "--eps", "1/0"],
+     "fdo gen: error: argument --eps: zero denominator in '1/0'"),
+    (["--kind", "weighted-lb", "--eps", "x"],
+     "fdo gen: error: argument --eps: invalid fraction value: 'x'"),
+    (["--kind", "weighted-lb", "--eps", "2"],
+     "fdo: error: need 0 < eps < 2, got 2"),
     (["--kind", "er-weighted", "--weight-max", "0"],
-     "unrecognized arguments: --weight-max 0"),
+     "fdo: error: unrecognized arguments: --weight-max 0"),
     (["--kind", "er-weighted", "--weight-max", "-1"],
-     "unrecognized arguments: --weight-max -1"),
-], ids=["eps-den-0", "weight-max-0", "weight-max--1"])
-def test_gen_refuses_bad_input(capsys, tmp_path, flags, message):
-    assert refused_gen(capsys, tmp_path, flags) == f"fdo: error: {message}"
+     "fdo: error: unrecognized arguments: --weight-max -1"),
+], ids=["eps-1/0", "eps-x", "eps-2", "weight-max-0", "weight-max--1"])
+def test_gen_refuses_bad_input(capsys, tmp_path, flags, line):
+    assert refused_gen(capsys, tmp_path, flags) == line
+
+
+def test_gen_eps_reads_a_fraction():
+    def eps(*flags):
+        return make_parser().parse_args(["gen", "--kind", "weighted-lb",
+                                         "--seed", "1", "--out", "x",
+                                         *flags]).eps
+    assert eps("--eps", "1/4") == eps("--eps", "0.25") == Fraction(1, 4)
+    assert eps() == Fraction(1, 3)
 
 
 def test_gen_multi_lb_refuses_before_drawing(capsys, monkeypatch, tmp_path):
@@ -717,6 +725,19 @@ def test_gen_multi_lb_refuses_before_drawing(capsys, monkeypatch, tmp_path):
     line = refused_gen(capsys, tmp_path, ["--kind", "multi-lb", "--f",
                                           "1000000"])
     assert line == "fdo: error: need f*k+1 <= n, got f=1000000, k=3, n=16"
+
+
+def test_gen_multi_lb_f1_refuses_before_drawing(capsys, monkeypatch,
+                                                tmp_path):
+    # an odd n is refused before the first of its n/2 - 1 coins
+    class NoDraws(random.Random):
+        def random(self):
+            raise AssertionError("a multi-lb-f1 index was drawn")
+
+    monkeypatch.setattr(random, "Random", NoDraws)
+    line = refused_gen(capsys, tmp_path, ["--kind", "multi-lb-f1", "--n",
+                                          "4000001"])
+    assert line == "fdo: error: need an even n >= 4, got 4000001"
 
 
 # ---------------------------------------------------------------------- audit

@@ -51,6 +51,15 @@ def drop_mask(d, eid):
     return ~d.alive[eid] & (1 << d.k) - 1
 
 
+def test_sampled_fdso_holds_only_masks():
+    # the record is the subgraph count and the edge masks; walking them is
+    # the reader's work
+    import fdo.dso
+    d = build_sampled_fdso(cycle(8), f=2, delta=1.0, C=1.0, seed=3)
+    assert d._fields == ("k", "alive") and d == (d.k, d.alive)
+    assert not hasattr(fdo.dso, "lane_bfs")
+
+
 def test_sampled_subgraph_count_formula():
     # ceil(3 * 1 * 8 * ln 8) = 50
     d = build_sampled_fdso(cycle(8), f=1, delta=1.0, C=3.0, seed=3)
@@ -113,18 +122,12 @@ def test_sampled_query_details_counts_survivors(c4):
 
 def test_sampled_query_leaves_dso_unchanged(c4):
     d = build_sampled_fdso(c4, f=2, delta=1.0, C=3.0, seed=7)
-    before = {name: repr(value) for name, value in vars(d).items()}
+    before = repr(d)
     for s in range(4):
         for t in range(4):
             for eids in ([], [0], [1, 2]):
                 sampled_query(c4, d, s, t, eids)
-    assert {name: repr(value) for name, value in vars(d).items()} == before
-
-
-def test_sampled_query_too_many_failures(c4):
-    d = build_sampled_fdso(c4, f=1, delta=1.0, C=1.0, seed=7)
-    with pytest.raises(GraphError, match="exceeds f"):
-        sampled_query(c4, d, 0, 2, [0, 1])
+    assert repr(d) == before
 
 
 def test_sampled_one_sided_and_paths_genuine():

@@ -9,7 +9,7 @@ from fdo import (GraphError, INF, brute_diam, build_graph, diameter, distances,
                  eccentricity, gen_random, in_tree,
                  is_connected, parse_graph, save_graph, load_graph, sssp,
                  strong_bridges)
-from fdo.graph import format_graph, lane_bfs, lane_path
+from fdo.graph import DIST_EPS, dist_eq, format_graph, lane_bfs, lane_path
 
 from conftest import (NOT_STRONGLY_CONNECTED, connected_graphs, endpoints,
                       extract_path, parse_capped, small_graph_corpus, weight,
@@ -73,6 +73,12 @@ def test_build_rejects_non_int_ids_and_weights(bad, entry):
 
 
 # ----------------------------------------------------------------------- sssp
+
+def test_dist_eq():
+    assert dist_eq(INF, INF) and dist_eq(1.0, 1.0 + DIST_EPS / 2)
+    assert not dist_eq(INF, 1.0) and not dist_eq(1.0, INF)
+    assert not dist_eq(1.0, 1.0 + 2 * DIST_EPS)
+
 
 def test_sssp_c4(c4):
     assert sssp(c4, 0).dist == [0, 1, 2, 1]

@@ -7,7 +7,7 @@ from fdo import (GraphError, INF, brute_diam, build_exact_fdo,
                  build_multi_fdo, diameter, gen_dense_lb, gen_multi_lb,
                  gen_multi_lb_f1, gen_random, gen_sparse_lb, gen_weighted_lb,
                  is_connected, random_payload)
-from fdo.instances import format_manifest
+from fdo.instances import DecodeQuery, format_manifest
 
 
 def brute_answerer(g):
@@ -122,6 +122,41 @@ def test_multi_lb_pads_with_auxiliary_pairs():
     with pytest.raises(GraphError, match="^instance too small to pad decode "
                                          "queries to size f$"):
         gen_multi_lb(2, 1, 4, set())
+
+
+def test_multi_lb_pads_inside_the_auxiliary_pairs():
+    # n=6: auxiliaries 2, 3 and 4; the first pair 2-3 fills the query
+    inst = gen_multi_lb(2, 1, 6, set())
+    assert [q.pairs for q in inst.queries] == [((0, 5), (2, 3))]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: gen_sparse_lb(((1,),), 5), "payload side must be >= 2, got 1"),
+    (lambda: gen_weighted_lb(((1,),), Fraction(1, 2)),
+     "payload side must be >= 2, got 1"),
+    (lambda: gen_weighted_lb(random_payload(2, 0), Fraction(1, 2), n=7),
+     "need n >= 4r = 8, got 7"),
+    (lambda: gen_multi_lb(2, 1, 5, {(0, 2)}),
+     "kept pair (0, 2) is not a candidate edge"),
+    (lambda: gen_multi_lb_f1(7, set()), "need an even n >= 4, got 7"),
+    (lambda: gen_multi_lb_f1(2, set()), "need an even n >= 4, got 2"),
+    (lambda: gen_multi_lb_f1(6, {2}), "kept index 2 out of range 0..1"),
+    (lambda: gen_multi_lb_f1(6, {-1}), "kept index -1 out of range 0..1"),
+], ids=["sparse-r1", "weighted-r1", "weighted-n7", "multi-lb-kept",
+        "multi-lb-f1-odd", "multi-lb-f1-small", "multi-lb-f1-index-2",
+        "multi-lb-f1-index--1"])
+def test_gadgets_refuse_bad_parameters(build, message):
+    with pytest.raises(GraphError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_read_bit_refuses_an_answer_off_both_values():
+    q = DecodeQuery((0, 1), ((2, 3),), 2, 3)
+    assert (q.read_bit(2), q.read_bit(3)) == (1, 0)
+    with pytest.raises(GraphError) as err:
+        q.read_bit(5)
+    assert str(err.value) == "decode answer 5 matches neither 2 nor 3 at (0, 1)"
 
 
 def test_multi_lb_f1_semantics():

@@ -158,6 +158,22 @@ def test_builders_refuse_counts_not_ints(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("g", [
+    build_graph(3, True, [(0, 1), (1, 2), (2, 0)]),
+    build_graph(3, False, [(0, 1, 2), (1, 2, 1), (2, 0, 1)]),
+], ids=["digraph", "weighted"])
+@pytest.mark.parametrize("build, message", [
+    (lambda g: build_lowdiam_fdo(g, 2, 3.0),
+     "low-diameter FDO requires an undirected unweighted graph"),
+    (lambda g: build_sampled_fdso(g, 2, seed=1),
+     "sampled f-DSO requires an undirected unweighted graph"),
+], ids=["lowdiam", "dso"])
+def test_builders_refuse_digraphs_and_weights(g, build, message):
+    with pytest.raises(GraphError) as err:
+        build(g)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("f", [1, 2])
 def test_unknown_backend_refused(f):
     # f=1 returns the exact single-failure oracle, after the check
@@ -249,3 +265,23 @@ def test_sampled_backend_one_sided():
         total += 1
         mismatches += ans != truth
     assert mismatches / total <= 0.001
+
+
+def test_sampled_build_walks_each_source_once(monkeypatch):
+    # one lane BFS over the sampled masks per source s < n - 1, read at
+    # every depth; none for the last source, which has no pair (s, t > s)
+    import fdo.lowdiam
+    g = hub_graph(3, n=14)
+    dso = build_sampled_fdso(g, 2, delta=1.0, seed=1)
+    lane_bfs = fdo.lowdiam.lane_bfs
+    sources = []
+
+    def spy(nbrs, alive, frontier, full):
+        assert alive == dso.alive and full == (1 << dso.k) - 1
+        sources.extend(frontier)
+        return lane_bfs(nbrs, alive, frontier, full)
+
+    monkeypatch.setattr(fdo.lowdiam, "lane_bfs", spy)
+    build_lowdiam_fdo(g, 2, delta=2.0, backend="sampled", seed=1,
+                      dso_delta=1.0)
+    assert sources == list(range(g.n - 1))

@@ -38,6 +38,8 @@ from fdo import (INF, brute_diam, build_graph, build_multi_fdo, dumps_oracle,
 from fdo.graph import DIST_EPS, resolve_pairs, sssp
 from fdo.multi import MultiFDO
 
+from conftest import every_connected_graph
+
 WEIGHTS = {
     "unit": None,
     "int": st.integers(0, 3),
@@ -473,29 +475,6 @@ def test_nested_cuts_outer_cover_inside_inner_subtree(w):
             assert detail["gap"] == 5 * w
 
 
-def connected_graphs(n, weights=None):
-    """Every connected labelled graph on n vertices, edges in lexicographic
-    order, with unit weights or with each weight drawn from ``weights``."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        chosen = [p for i, p in enumerate(pairs) if mask >> i & 1]
-        comp = list(range(n))
-        for u, v in chosen:
-            while comp[u] != u:
-                u = comp[u]
-            while comp[v] != v:
-                v = comp[v]
-            comp[u] = v
-        if sum(comp[v] == v for v in range(n)) != 1:
-            continue
-        if weights is None:
-            yield build_graph(n, False, chosen)
-            continue
-        for ws in itertools.product(weights, repeat=len(chosen)):
-            yield build_graph(n, False, [(u, v, w)
-                                         for (u, v), w in zip(chosen, ws)])
-
-
 def test_small_scope_nested_cuts_match_reference(monkeypatch):
     # Every connected graph with n <= 5 on unit weights and with n = 4 on
     # weights {0, 1, 2}, as multi f=3 in both modes, built and loaded: each
@@ -505,8 +484,8 @@ def test_small_scope_nested_cuts_match_reference(monkeypatch):
     # nested sets, and those of the built oracles answered without a scan.
     scans = scan_spy(monkeypatch)
     graphs = itertools.chain(
-        *(connected_graphs(n) for n in range(1, 6)),
-        connected_graphs(4, (0, 1, 2)))
+        *(every_connected_graph(n) for n in range(1, 6)),
+        every_connected_graph(4, (0, 1, 2)))
     counts = [0, 0, 0]
     for g in graphs:
         counts[0] += 1
@@ -547,7 +526,7 @@ def test_cover_gap_answers_keep_their_type(weights, monkeypatch):
     # and the cuts answered without a scan.
     scans = scan_spy(monkeypatch)
     counts = dict.fromkeys(["0", "0.0", "table"], 0)
-    for g in connected_graphs(4, weights):
+    for g in every_connected_graph(4, weights):
         for mode in ("paper", "tight"):
             o = build_multi_fdo(g, 2, mode)
             loaded = loads_oracle(dumps_oracle(o))

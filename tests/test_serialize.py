@@ -145,6 +145,15 @@ def test_loader_rejects(text, msg):
         loads_oracle(text)
 
 
+def test_dumps_refuses_an_unknown_kind():
+    class Odd:
+        kind = "odd"
+
+    with pytest.raises(GraphError) as err:
+        dumps_oracle(Odd())
+    assert str(err.value) == "cannot serialize oracle kind 'odd'"
+
+
 C4 = build_graph(4, False, [(0, 1), (1, 2), (2, 3), (3, 0)])
 C4_BUILDS = {
     "exact": build_exact_fdo,

@@ -386,6 +386,13 @@ def test_off_path_stability():
 
 # --------------------------------------------------------------------- pivots
 
+@pytest.mark.parametrize("pick", [random_pivots, deterministic_pivots])
+def test_pivots_refuse_theta_below_one(c4, pick):
+    with pytest.raises(GraphError) as err:
+        pick(c4, 0)
+    assert str(err.value) == "theta must be >= 1, got 0"
+
+
 def test_random_pivots_clamped(c4):
     # theta below C*ln(n) clamps the probability at one: everything sampled
     assert random_pivots(c4, 1, C=3.0, seed=5) == [0, 1, 2, 3]
