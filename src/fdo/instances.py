@@ -170,12 +170,13 @@ def gen_multi_lb(f: int, k: int, n: int, kept) -> GadgetInstance:
     """Star centered at the last vertex over v_0..v_{fk-1} plus auxiliaries,
     with an optional edge between v_i and v_j whenever |i-j| <= f/2.
     ``kept`` is the retained subset of those index pairs, or a
-    ``random.Random`` that keeps each on a fair coin, in (i, j) order,
-    drawn after the parameters are checked.
+    ``random.Random`` that keeps each on a fair coin, in (i, j) order.
 
     The decode query for pair (i,j) fails every other near edge at v_i plus
     v_i's star edge (padded with guaranteed non-edges to exactly f pairs);
-    the graph stays connected iff the probed edge is present.
+    the graph stays connected iff the probed edge is present.  The queries
+    depend on f, k and n alone, so they are built, and an instance too
+    small to pad them refused, before the first coin is drawn.
     """
     if f < 2 or f % 2:
         raise GraphError(f"failure budget must be even and >= 2, got {f}")
@@ -186,6 +187,13 @@ def gen_multi_lb(f: int, k: int, n: int, kept) -> GadgetInstance:
     center = n - 1
     candidates = [(i, j) for i in range(count)
                   for j in range(i + 1, min(i + span + 1, count))]
+    queries = []
+    for i, j in candidates:
+        near = [(i, x) for x in range(max(0, i - span), min(count, i + span + 1))
+                if x != i and x != j]
+        pairs = near + [(i, center)]
+        pairs += _pad_nonedges(f - len(pairs), i, j, span, count, n, pairs)
+        queries.append(DecodeQuery((i, j), tuple(pairs), None, INF))
     if isinstance(kept, random.Random):
         kept = [pair for pair in candidates if kept.random() < 0.5]
     kept = frozenset((min(i, j), max(i, j)) for i, j in kept)
@@ -196,13 +204,6 @@ def gen_multi_lb(f: int, k: int, n: int, kept) -> GadgetInstance:
     edges = [(i, center) for i in range(n - 1)]
     edges += sorted(kept)
     g = build_graph(n, False, edges)
-    queries = []
-    for i, j in candidates:
-        near = [(i, x) for x in range(max(0, i - span), min(count, i + span + 1))
-                if x != i and x != j]
-        pairs = near + [(i, center)]
-        pairs += _pad_nonedges(f - len(pairs), i, j, span, count, n, pairs)
-        queries.append(DecodeQuery((i, j), tuple(pairs), None, INF))
     return GadgetInstance("multi-lb", g, kept, queries,
                           {"f": f, "k": k, "n": n})
 

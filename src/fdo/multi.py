@@ -19,19 +19,21 @@ graphs", STOC 2010).  ``cover[v]``, the cheapest non-tree edge by
 ``(swap weight, eid)`` with exactly one end in subtree(v), comes from one
 union-find pass over the non-tree edges in key order (Tarjan's path
 painting, "Sensitivity analysis of minimum spanning trees and shortest
-path trees", IPL 1982).  Cuts with k distinct, unfailed cover edges
-reconnect from it, nested or not: by the cut property those edges are the
-minimum spanning tree over the components, as each cut subtree is a union
-of components.  Disjoint cuts pair each cover edge with its own cut in
-O(k log k); nested ones label the edges' ends with their components in
-O(k^2), as an outer cut's cover edge may leave from an inner component.
-A cut with no cover edge is inf.  Other queries (a failed or shared cover
-edge) label the cut slices and read every half-edge of their vertices in
-the graph's own adjacency rows, keeping the cheapest non-failed edge per
-component pair: O(k + sum of the cut-subtree sizes and their degrees).
-The spanning step runs inline on the at most k+1 components: one Prim
-pass from component 0 over those edges, O(k*p) for p <= k(k+1)/2 pairs,
-joins each other component by the swap edge to its parent.
+path trees", IPL 1982), which stores each cut root's cover gap as it
+paints.  One pass over the cut roots in preorder tells the cases apart.
+Cuts with k distinct, unfailed cover edges reconnect from the table,
+nested or not: by the cut property those edges are the minimum spanning
+tree over the components, as each cut subtree is a union of components.
+Disjoint cuts pair each cover edge with its own cut in that pass; nested
+ones label the edges' ends with their components in O(k^2), as an outer
+cut's cover edge may leave from an inner component.  A cut with no cover
+edge is inf.  Other queries (a failed or shared cover edge) label the cut
+slices and read every half-edge of their vertices in the graph's own
+adjacency rows, keeping the cheapest non-failed edge per component pair:
+O(k + sum of the cut-subtree sizes and their degrees).  The spanning step
+runs inline on the at most k+1 components: one Prim pass from component 0
+over those edges, O(k*p) for p <= k(k+1)/2 pairs, joins each other
+component by the swap edge to its parent.
 """
 from __future__ import annotations
 
@@ -105,9 +107,14 @@ class MultiFDO:
         # distinct such ancestors, the one with the larger tin is no
         # ancestor of the other, so its parent edge is on the path.
         self.cover = cover = [None] * n
+        # cover_gap[v]: the gap of cut root v joined by its cover edge,
+        # swap_weight[cover[v]] - dist[v] if above 0, else (nan and no
+        # cover too) the int 0, as _solve's gap loop would give it
+        self.cover_gap = cover_gap = [0] * n
         find = list(range(n))
         for eid in off_tree:
             x, y, _ = edges[eid]
+            sw = swap_weight[eid]
             while True:
                 while find[x] != x:
                     find[x] = x = find[find[x]]
@@ -118,16 +125,10 @@ class MultiFDO:
                 if tin[x] < tin[y]:
                     x, y = y, x
                 cover[x] = eid
-                find[x] = parent[x][0]
-        # cover_gap[r]: the gap of cut root r joined by its cover edge,
-        # swap_weight[cover[r]] - dist[r] if above 0, else (nan and no
-        # cover too) the int 0, as _solve's gap loop would give it
-        self.cover_gap = cover_gap = [0] * n
-        for r, eid in enumerate(cover):
-            if eid is not None:
-                gap = swap_weight[eid] - dist[r]
+                gap = sw - dist[x]
                 if gap > 0:
-                    cover_gap[r] = gap
+                    cover_gap[x] = gap
+                find[x] = parent[x][0]
 
     # ------------------------------------------------------------------ query
 
@@ -169,72 +170,67 @@ class MultiFDO:
         component, so ``_orient`` labels both ends of each edge and roots
         the tree at component 0 by the Prim pass of the scan.  A cut root
         whose cover is None has only its failed tree edge out of its
-        subtree: the answer is inf.  With k = 1 only the None and the
-        failed checks apply.
+        subtree: the answer is inf.
 
-        Otherwise (and with ``force_general``) the scan labels the k failed
-        tree edges' subtrees and reads every half-edge of their vertices,
-        skipping internal and failed ones, to keep the cheapest edge per
-        component pair.  One Prim pass over those p <= k(k+1)/2 edges then
-        joins the components in O(k*p).  Every edge of the minimum
-        spanning tree over the components is the cheapest edge between its
-        two components, so one full pass finds them all, and the tree is
-        unique, as the (swap weight, eid) keys are distinct.
+        One loop over the roots in tin order (sorted only when k > 1)
+        ends at inf on a None cover, marks "scan" for a failed cover edge
+        or one an earlier root took and "nested" for a root inside the
+        slice of the last root that did not nest, and keeps the first
+        largest ``cover_gap``.  Neither mark: the disjoint answer.  Nested
+        only: ``_orient``; scan, or ``force_general`` (which skips the
+        loop): ``_reconnect``; both then take one gap loop.
+
+        The scan labels the k failed tree edges' subtrees and reads every
+        half-edge of their vertices, skipping internal and failed ones, to
+        keep the cheapest edge per component pair.  One Prim pass over
+        those p <= k(k+1)/2 edges then joins the components in O(k*p):
+        each edge of the (unique) minimum spanning tree over the
+        components is the cheapest edge between its two components.
         """
         cut_root = self.cut_root
-        roots = [cut_root[e] for e in eids if e in cut_root]
+        roots = []
+        for e in eids:      # not a comprehension: its call costs f=1 queries
+            if e in cut_root:
+                roots.append(cut_root[e])
         k = len(roots)
         if not k:
             return 0, 0, [], 2 * self.maxdist
         tin = self.tin
         if k > 1:
             roots.sort(key=tin.__getitem__)
-        swaps = None
-        if k == 1 and not force_general:
-            # the one cut's cover edge, unless there is none or it failed
-            r = roots[0]
-            swap = self.cover[r]
+        tout, cover, cover_gap = self.tout, self.cover, self.cover_gap
+        swaps = []
+        scan, nested = force_general, False
+        end = gap = 0
+        for r in () if force_general else roots:
+            swap = cover[r]
             if swap is None:
-                return 1, 0, None, INF
-            if swap not in eids:
-                gap = self.cover_gap[r]
-                mult = self.f if self.mode == "paper" else 1
-                return 1, gap, [swap], mult * gap + 2 * self.maxdist
-        elif not force_general:
-            cover = self.cover
-            swaps = [cover[r] for r in roots]
-            if None in swaps:
                 return k, 0, None, INF
-            used = set(swaps)
-            if len(used) < k or not used.isdisjoint(eids):
-                swaps = None    # a cover edge shared by two cuts, or failed
+            if swap in eids or swap in swaps:
+                scan = True     # a failed cover edge, or one of two cuts
+            if tin[r] < end:
+                nested = True   # in the last root that did not nest
             else:
-                tout = self.tout
-                end = 0
-                for r in roots:
-                    if tin[r] < end:    # nested in the previous root
-                        swaps = self._orient(roots, swaps)
-                        break
-                    end = tout[r]
-                else:
-                    cover_gap = self.cover_gap
-                    gap = 0
-                    for r in roots:
-                        if cover_gap[r] > gap:
-                            gap = cover_gap[r]
-                    mult = self.f if self.mode == "paper" else k
-                    return k, gap, swaps, mult * gap + 2 * self.maxdist
-        if swaps is None:
+                end = tout[r]
+            g = cover_gap[r]
+            if g > gap:
+                gap = g
+            swaps.append(swap)
+        mult = self.f if self.mode == "paper" else k
+        if scan:
             swaps = self._reconnect(roots, eids)
             if swaps is None:
                 return k, 0, None, INF
+        elif nested:
+            swaps = self._orient(roots, swaps)
+        else:
+            return k, gap, swaps, mult * gap + 2 * self.maxdist
         swap_weight, dist = self.swap_weight, self.dist
         gap = 0
         for r, eid in zip(roots, swaps):
             g = swap_weight[eid] - dist[r]
             if g > gap:     # nor nan: never below 0
                 gap = g
-        mult = self.f if self.mode == "paper" else k
         return k, gap, swaps, mult * gap + 2 * self.maxdist
 
     def _reconnect(self, roots, eids):

@@ -462,9 +462,10 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
 
 
 def random_pivots(g: Graph, theta: int, C=3.0, seed=0):
-    """Each vertex kept independently with probability min(1, C*ln(n)/theta)."""
-    if theta < 1:
-        raise GraphError(f"theta must be >= 1, got {theta}")
+    """Each vertex kept independently with probability min(1, C*ln(n)/theta),
+    for an int theta >= 1."""
+    if type(theta) is not int or theta < 1:
+        raise GraphError(f"theta must be an int >= 1, got {theta!r}")
     p = min(1.0, C * math.log(max(g.n, 2)) / theta)
     rng = random.Random(seed)
     return sorted(v for v in range(g.n) if rng.random() < p)
@@ -472,8 +473,8 @@ def random_pivots(g: Graph, theta: int, C=3.0, seed=0):
 
 def deterministic_pivots(g: Graph, theta: int, bridges=None):
     """Pivot set covering every surviving single-failure graph: for each
-    vertex s and non-bridge edge e there is a pivot within distance theta of
-    s in G-e.
+    vertex s and non-bridge edge e there is a pivot within distance theta,
+    an int >= 1, of s in G-e.
 
     Built by hitting short prefixes of the paths toward a fixed root, both
     in the base graph and in each G-e for the edges e on the base
@@ -493,8 +494,8 @@ def deterministic_pivots(g: Graph, theta: int, bridges=None):
     refuses.  A given ``bridges`` must be ``strong_bridges(g)``: it saves
     that call.
     """
-    if theta < 1:
-        raise GraphError(f"theta must be >= 1, got {theta}")
+    if type(theta) is not int or theta < 1:
+        raise GraphError(f"theta must be an int >= 1, got {theta!r}")
     if g.weighted:
         raise GraphError("deterministic pivots need an unweighted graph")
     prefix_len = min(theta, math.isqrt(g.n)) or 1

@@ -181,18 +181,33 @@ def every_connected_graph(n, weights=None, directed=False):
                                             in zip(chosen, ws)])
 
 
+# (g, dso, {source: lane_bfs levels}) of the last pair sampled_query read,
+# matched by identity; holding g and dso keeps a new object from taking
+# over the identity of a freed one
+_sampled_levels = (None, None, {})
+
+
 def sampled_query(g, dso, s, t, failed_eids):
     """``{"dist", "path", "survivors"}`` read from the sampled f-DSO
     ``dso`` built on g: the minimum s-t distance over the subgraphs
     avoiding the failed edges with a realizing vertex path (inf and None
     when none connects), and how many subgraphs avoid them.  Among
-    subgraphs at the minimum the smallest index reports."""
+    subgraphs at the minimum the smallest index reports.  The lane BFS
+    from s is run once per source for the last (g, dso) pair asked."""
+    global _sampled_levels
     every = (1 << dso.k) - 1
     surv = every
     for eid in failed_eids:
         surv &= ~dso.alive[eid]
     dist, path = fdo.INF, None
-    levels = lane_bfs(g._out_nbrs, dso.alive, {s: every}, every)[0]
+    cached_g, cached_dso, by_source = _sampled_levels
+    if cached_g is not g or cached_dso is not dso:
+        by_source = {}
+        _sampled_levels = (g, dso, by_source)
+    levels = by_source.get(s)
+    if levels is None:
+        levels = by_source[s] = lane_bfs(g._out_nbrs, dso.alive,
+                                         {s: every}, every)[0]
     for d, level in enumerate(levels):
         hit = level.get(t, 0) & surv
         if hit:

@@ -6,7 +6,6 @@ fdo.verify at the tolerance stated in the criterion; runtime budgets are
 asserted as part of the criterion.
 """
 import hashlib
-import math
 import random
 import time
 from fractions import Fraction

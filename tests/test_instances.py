@@ -1,5 +1,5 @@
+import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -122,6 +122,20 @@ def test_multi_lb_pads_with_auxiliary_pairs():
     with pytest.raises(GraphError, match="^instance too small to pad decode "
                                          "queries to size f$"):
         gen_multi_lb(2, 1, 4, set())
+
+
+@pytest.mark.parametrize("f, k, n", [(2, 1, 4), (4, 1, 6)])
+def test_multi_lb_refuses_to_pad_before_drawing(f, k, n):
+    # the decode queries depend on f, k and n alone: an instance too small
+    # to pad them is refused before the first of its coins
+    class NoDraws(random.Random):
+        def random(self):
+            raise AssertionError("a multi-lb candidate pair was drawn")
+
+    with pytest.raises(GraphError) as err:
+        gen_multi_lb(f, k, n, NoDraws(1))
+    assert str(err.value) == ("instance too small to pad decode queries "
+                              "to size f")
 
 
 def test_multi_lb_pads_inside_the_auxiliary_pairs():

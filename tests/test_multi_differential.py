@@ -404,7 +404,8 @@ def test_cover_table_cases_match_reference(kind, monkeypatch):
     # answered from the table, a cut that nothing covers answered inf) and
     # of each fallback trigger alone (a failed cover edge, two cuts sharing
     # a cover edge), built and loaded, against the reference.  Only the
-    # triggers run the subtree scan.
+    # triggers run the subtree scan.  The three outcomes of one cut (its
+    # cover edge unfailed, failed, or none) are counted on their own too.
     scans = scan_spy(monkeypatch)
     o = build_multi_fdo(with_tail(PRUNING_GRAPHS[kind](14)), 6)
     loaded = loads_oracle(dumps_oracle(o))
@@ -421,21 +422,27 @@ def test_cover_table_cases_match_reference(kind, monkeypatch):
               for a in es for b in es
               if a < b and cover_case(o, [a, b]) == "shared-cover"]
 
+    bare = [e for e in tree if o.cover[o.cut_root[e]] is None]
+
     def failed_cover():
         cuts = rng.sample(tree, rng.randint(1, 3))
         return cuts + [o.cover[o.cut_root[rng.choice(cuts)]]]
 
     draws = [lambda: rng.sample(tree, rng.randint(1, 4)),
              lambda: list(rng.choice(nested)), failed_cover,
-             lambda: list(rng.choice(shared))]
+             lambda: list(rng.choice(shared)), lambda: [rng.choice(tree)],
+             lambda: [rng.choice(bare)]]
     counts = dict.fromkeys(["disjoint", "nested", "failed-cover",
-                            "shared-cover", "no-cover"], 0)
+                            "shared-cover", "no-cover", "one-cut-disjoint",
+                            "one-cut-failed-cover", "one-cut-no-cover"], 0)
     for _ in range(250):
         for draw in draws:
             eids = [e for e in draw() if e is not None]    # None: no cover
             case = cover_case(o, eids)
             if case is not None:
                 counts[case] += 1
+                if sum(e in o.cut_root for e in eids) == 1:
+                    counts["one-cut-" + case] += 1
             pairs = oriented(rng, o, eids)
             want = list(reference_details(o, pairs).items())
             for oracle in (o, loaded):

@@ -390,7 +390,18 @@ def test_off_path_stability():
 def test_pivots_refuse_theta_below_one(c4, pick):
     with pytest.raises(GraphError) as err:
         pick(c4, 0)
-    assert str(err.value) == "theta must be >= 1, got 0"
+    assert str(err.value) == "theta must be an int >= 1, got 0"
+
+
+@pytest.mark.parametrize("pick", [random_pivots, deterministic_pivots])
+@pytest.mark.parametrize("theta", [2.5, math.nan, True],
+                         ids=["2.5", "nan", "True"])
+def test_pivots_refuse_non_int_theta(c4, pick, theta):
+    # 2.5 would end in range()'s TypeError, nan in the pivot set [0] with
+    # no covering guarantee
+    with pytest.raises(GraphError) as err:
+        pick(c4, theta)
+    assert str(err.value) == f"theta must be an int >= 1, got {theta!r}"
 
 
 def test_random_pivots_clamped(c4):

@@ -7,10 +7,13 @@ at most f edges (exactly one for the single-failure kinds) the answer must
 lie in [truth, w * truth], truth from ``brute_diam``: w = 1 for ``exact``,
 exact-scan ``approx`` and exact ``lowdiam``, 2 for ``ecc``, 1 + 2/diam(G)
 for ``spanner`` k=2, 1 + eps for pivot-mode ``approx`` (eps=1) and f + 2
-for ``multi``; sampled ``lowdiam`` must never answer below the truth.
-Infinity must match infinity, except that sampled ``lowdiam`` may answer
-inf above a finite truth.  The loaded oracle must give the built one's
-answer, by ``repr``.
+for ``multi`` (f=2 and f=3); sampled ``lowdiam`` must never answer below
+the truth.  Infinity must match infinity, except that sampled ``lowdiam``
+may answer inf above a finite truth.  The loaded oracle must give the
+built one's answer, by ``repr``.
+
+On every connected graph with n = 5, ``multi`` f=3 in both modes must give
+the same transcript from its cover table as from the scan alone.
 """
 import itertools
 
@@ -44,6 +47,10 @@ KINDS = {
                     lambda g: 4),
     "multi-tight": (lambda g: build_multi_fdo(g, 2, "tight"), 2,
                     lambda g: 4),
+    "multi3-paper": (lambda g: build_multi_fdo(g, 3, "paper"), 3,
+                     lambda g: 5),
+    "multi3-tight": (lambda g: build_multi_fdo(g, 3, "tight"), 3,
+                     lambda g: 5),
     "lowdiam": (lambda g: build_lowdiam_fdo(g, 2, 6.0), 2, lambda g: 1),
     "lowdiam-sampled": (lambda g: build_lowdiam_fdo(
         g, 2, 6.0, backend="sampled", seed=1, dso_delta=1.0), 2,
@@ -51,8 +58,10 @@ KINDS = {
 }
 
 UNIT = ["exact", "ecc", "spanner", "approx-scan", "approx-pivot",
-        "multi-paper", "multi-tight", "lowdiam", "lowdiam-sampled"]
-WEIGHTED = ["exact", "ecc", "multi-paper", "multi-tight"]
+        "multi-paper", "multi-tight", "multi3-paper", "multi3-tight",
+        "lowdiam", "lowdiam-sampled"]
+WEIGHTED = ["exact", "ecc", "multi-paper", "multi-tight", "multi3-paper",
+            "multi3-tight"]
 DIGRAPH = ["exact", "approx-scan", "approx-pivot"]
 
 
@@ -99,4 +108,25 @@ def test_every_small_graph_every_kind():
     assert checks == {"exact": 367, "ecc": 289, "spanner": 154,
                       "approx-scan": 232, "approx-pivot": 232,
                       "multi-paper": 714, "multi-tight": 714,
+                      "multi3-paper": 898, "multi3-tight": 898,
                       "lowdiam": 417, "lowdiam-sampled": 417}
+
+
+def test_multi_cover_table_is_the_scan_on_every_n5_graph():
+    # every failure set of at most three edges in both modes, whichever of
+    # the table's outcomes (disjoint, nested, inf) or the scan answers it,
+    # against force_general, key order included
+    graphs = checks = 0
+    for g in every_connected_graph(5):
+        graphs += 1
+        for mode in ("paper", "tight"):
+            o = build_multi_fdo(g, 3, mode)
+            for size in range(4):
+                for eids in itertools.combinations(range(g.m), size):
+                    pairs = [g.edges[e][:2] for e in eids]
+                    assert (list(o.query_details(pairs).items())
+                            == list(o.query_details(
+                                pairs, force_general=True).items())), (
+                                    mode, g.edges, pairs)
+                    checks += 1
+    assert (graphs, checks) == (728, 2 * 29598)
