@@ -30,25 +30,32 @@ class SampledFDSO(NamedTuple):
     alive: list
 
 
-def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0,
-                       max_subgraphs=50_000) -> SampledFDSO:
+# build_sampled_fdso refuses to sample more subgraphs than this.
+MAX_SUBGRAPHS = 50_000
+
+
+def build_sampled_fdso(g: Graph, f, delta=1.0, C=3.0, seed=0) -> SampledFDSO:
     """Sample k = ceil(C * f * n^delta * ln n) spanning subgraphs, each edge
     dropped independently with probability n^(-delta/f); subgraph i draws
-    from its own stream derived from (seed, i), in edge-id order.  Only the
-    masks are built: a reader runs its own lane BFS over them.
+    from its own stream seeded with seed * 2654435761 + i, in edge-id order,
+    so the seed must be an int: None does not multiply, and a float such as
+    1e10 rounds every stream to one.  Only the masks are built: a reader
+    runs its own lane BFS over them.
     """
     if g.directed or g.weighted:
         raise GraphError("sampled f-DSO requires an undirected unweighted graph")
     if type(f) is not int or f < 1:
         raise GraphError(f"failure budget must be an int >= 1, got {f!r}")
     require_positive(delta=delta, C=C)
+    if type(seed) is not int:
+        raise GraphError(f"sampled f-DSO needs an int seed, got {seed!r}")
     n, m = g.n, g.m
     try:
         k = math.ceil(C * f * (n ** delta) * math.log(n))
     except OverflowError:
         k = INF     # over every budget
-    if k > max_subgraphs:
-        raise GraphError(f"subgraph count k={k} exceeds budget {max_subgraphs}")
+    if k > MAX_SUBGRAPHS:
+        raise GraphError(f"subgraph count k={k} exceeds budget {MAX_SUBGRAPHS}")
     drop_p = n ** (-delta / f)
     alive = [(1 << k) - 1] * m
     for i in range(k):

@@ -1,4 +1,5 @@
-"""Graph core: immutable graphs, shortest-path trees, diameters, bridges.
+"""Graph core: immutable graphs, shortest-path trees (one :func:`sssp`, from
+a source or to it), BFS-tree edges, diameters, bridges.
 
 Distances are plain numbers (exact ints on unit/integer weights, floats
 otherwise) with ``math.inf`` for unreachable; addition saturates and
@@ -169,10 +170,10 @@ def build_graph(n, directed, edge_list) -> Graph:
 
 
 class ShortestPathTree:
-    """Parent/distance structure from a source (sssp) or to a root (in_tree).
+    """Parent/distance structure of :func:`sssp`, from a source or to it.
 
-    parent[v] is (next_vertex, edge_id) toward the source/root, None at the
-    source and at unreachable vertices.
+    parent[v] is (next_vertex, edge_id) one step toward the source, None at
+    the source and at unreachable vertices.
     """
     __slots__ = ("source", "dist", "parent")
 
@@ -251,27 +252,21 @@ def _parents(g, root, dist, order, excluded, reverse):
     return parent
 
 
-def sssp(g: Graph, source, excluded=frozenset()) -> ShortestPathTree:
-    """Shortest-path tree from ``source`` in g minus the excluded edge ids."""
-    dist, order = _search(g, source, excluded, False)
-    return ShortestPathTree(source, dist,
-                            _parents(g, source, dist, order, excluded, False))
-
-
-def in_tree(g: Graph, root, excluded=frozenset()) -> ShortestPathTree:
-    """Tree of shortest paths TO ``root`` (edge-reversed search).  Identical
-    to sssp on undirected graphs."""
-    dist, order = _search(g, root, excluded, True)
-    return ShortestPathTree(root, dist,
-                            _parents(g, root, dist, order, excluded, True))
+def sssp(g: Graph, source, excluded=frozenset(),
+         reverse=False) -> ShortestPathTree:
+    """Shortest-path tree from (or, with reverse=True, to) ``source`` in g
+    minus the excluded edge ids; reverse=True is the same on undirected g."""
+    dist, order = _search(g, source, excluded, reverse)
+    parent = _parents(g, source, dist, order, excluded, reverse)
+    return ShortestPathTree(source, dist, parent)
 
 
 def preorder(parent, root):
     """Preorder of the tree at ``root`` given by a parent row as
     :class:`ShortestPathTree` holds it (``(parent vertex, eid)`` or None),
-    children visited in ascending id.  Returns ``(order, tin, size)``: the
-    subtree of v is ``order[tin[v]:tin[v] + size[v]]``, and the vertices not
-    reached are left out of ``order``."""
+    children visited in ascending id.  Returns ``(order, tin, tout)``: the
+    subtree of v is ``order[tin[v]:tout[v]]``, and the vertices not reached
+    are left out of ``order``."""
     children = [[] for _ in parent]
     for v, entry in enumerate(parent):
         if entry is not None:
@@ -283,13 +278,30 @@ def preorder(parent, root):
         order.append(v)
         stack += reversed(children[v])
     tin = [0] * len(parent)
-    size = [1] * len(parent)
+    tout = [0] * len(parent)
     for i, v in enumerate(order):
         tin[v] = i
+    # a subtree ends where the subtree of its last child ends
     for v in reversed(order):
-        for c in children[v]:
-            size[v] += size[c]
-    return order, tin, size
+        kids = children[v]
+        tout[v] = tout[kids[-1]] if kids else tin[v] + 1
+    return order, tin, tout
+
+
+def bfs_tree_eids(nbrs, s):
+    """Edge ids of a BFS tree from s over ``nbrs`` rows as ``Graph._out_nbrs``
+    holds them: one per vertex reached but s, from a vertex a level closer."""
+    seen = [False] * len(nbrs)
+    seen[s] = True
+    order = [s]
+    eids = []
+    for u in order:  # the list grows while it is walked: a FIFO queue
+        for v, eid, _ in nbrs[u]:
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+                eids.append(eid)
+    return eids
 
 
 def lane_bfs(nbrs, alive, start, full):
@@ -357,11 +369,6 @@ def _lane_levels(nbrs, alive, start, unreached):
         frontier = level
 
 
-def eccentricity(g: Graph, v, excluded=frozenset()):
-    """max_t d(v,t) in g minus excluded; inf when some vertex is unreachable."""
-    return max(distances(g, v, excluded))
-
-
 def diameter(g: Graph, excluded=frozenset()):
     """Exact diameter of g minus excluded edge ids (inf if disconnected).
 
@@ -371,7 +378,7 @@ def diameter(g: Graph, excluded=frozenset()):
     infinite.  Other weights take one Dijkstra row per source.
     """
     if g.weighted:
-        return max(eccentricity(g, v, excluded) for v in range(g.n))
+        return max(max(distances(g, v, excluded)) for v in range(g.n))
     full = (1 << g.n) - 1
     alive = [full] * g.m
     for eid in excluded:
@@ -396,19 +403,17 @@ def is_connected(g: Graph, excluded=frozenset()) -> bool:
 def strong_bridges(g: Graph) -> set:
     """Edges whose removal disconnects (strongly, if directed) the graph.
 
-    An edge in neither the out-tree from 0 nor the in-tree to 0 leaves both
-    trees whole, so it cannot be a strong bridge.  One :func:`lane_bfs` per
-    tree, from 0 in its direction, gives each tree edge a lane without it;
-    the bridges are the lanes that miss a vertex.  Weights play no part.
+    An edge outside a spanning out-tree from 0 and an in-tree to 0, each a
+    :func:`bfs_tree_eids` tree, leaves both whole: it is no strong bridge.
+    One :func:`lane_bfs` per tree, from 0 in its direction, gives each tree
+    edge a lane without it; the lanes that miss a vertex, whatever the
+    weights, are the bridges.
     """
-    trees = [(sssp(g, 0), g._out_nbrs)]
-    if g.directed:
-        trees.append((in_tree(g, 0), g._in_nbrs))
     bridges = set()
-    for tree, nbrs in trees:
-        if INF in tree.dist:
+    for nbrs in (g._out_nbrs, g._in_nbrs) if g.directed else (g._out_nbrs,):
+        eids = bfs_tree_eids(nbrs, 0)
+        if len(eids) < g.n - 1:
             raise GraphError("graph must be (strongly) connected")
-        eids = [p[1] for p in tree.parent if p is not None]
         full = (1 << len(eids)) - 1
         alive = [full] * g.m
         for i, eid in enumerate(eids):

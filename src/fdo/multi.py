@@ -87,9 +87,8 @@ class MultiFDO:
         parent = tree.parent
         self.cut_root = cut_root = {entry[1]: v for v, entry
                                     in enumerate(parent) if entry is not None}
-        self.euler, self.tin, size = preorder(parent, 0)
+        self.euler, self.tin, self.tout = preorder(parent, 0)
         tin = self.tin
-        self.tout = [t + s for t, s in zip(tin, size)]
         # Tree edges keep swap weight 0; the non-tree edges are walked once
         # in (swap weight, eid) order, a stable sort of ascending eids.
         self.swap_weight = swap_weight = [0] * len(edges)

@@ -47,8 +47,8 @@ import math
 import random
 from heapq import heapify, heappop, heappush
 
-from .graph import (Graph, GraphError, INF, diameter, in_tree, lane_bfs,
-                    lane_path, pair_key, preorder, reject_pair,
+from .graph import (Graph, GraphError, INF, bfs_tree_eids, diameter,
+                    lane_bfs, lane_path, pair_key, preorder, reject_pair,
                     require_positive, sssp, strong_bridges)
 
 
@@ -199,24 +199,9 @@ def raise_by_replacement_ecc(g: Graph, sources, values):
         _raise_by_lanes(g, sources, cut, values, nbrs)
         return
     for s in sources:  # a tree edge read as m holds no entry: no lane
-        _raise_by_lanes(g, [s], [eid for eid in _bfs_tree_eids(nbrs, s)
+        _raise_by_lanes(g, [s], [eid for eid in bfs_tree_eids(nbrs, s)
                                  if values.get(eid, INF) != INF],
                         values, nbrs)
-
-
-def _bfs_tree_eids(nbrs, s):
-    # the edge ids of one BFS tree from s
-    seen = [False] * len(nbrs)
-    seen[s] = True
-    order = [s]
-    eids = []
-    for u in order:  # the list grows while it is walked: a FIFO queue
-        for v, eid, _ in nbrs[u]:
-            if not seen[v]:
-                seen[v] = True
-                order.append(v)
-                eids.append(eid)
-    return eids
 
 
 def _raise_by_lanes(g, sources, cut, values, nbrs):
@@ -285,12 +270,12 @@ def _raise_by_subtree_repair(g, trees, values):
         if not cut:
             continue
         dist = tree.dist
-        pre, tin, size = preorder(tree.parent, tree.source)
+        pre, tin, tout = preorder(tree.parent, tree.source)
         new = [INF] * n
         inside = [-1] * n       # tin of the subtree root whose run marked it
         for v, eid in cut:
             lo = tin[v]
-            sub = pre[lo:lo + size[v]]
+            sub = pre[lo:tout[v]]
             for x in sub:
                 inside[x] = lo
             heap = []
@@ -463,9 +448,13 @@ def build_approx_fdo(g: Graph, epsilon, pivot_mode="deterministic", seed=None,
 
 def random_pivots(g: Graph, theta: int, C=3.0, seed=0):
     """Each vertex kept independently with probability min(1, C*ln(n)/theta),
-    for an int theta >= 1."""
+    for an int theta >= 1, a finite C > 0 and a seed that is not None (a
+    draw from OS entropy would not repeat)."""
     if type(theta) is not int or theta < 1:
         raise GraphError(f"theta must be an int >= 1, got {theta!r}")
+    require_positive(C=C)
+    if seed is None:
+        raise GraphError("random pivots require a seed")
     p = min(1.0, C * math.log(max(g.n, 2)) / theta)
     rng = random.Random(seed)
     return sorted(v for v in range(g.n) if rng.random() < p)
@@ -486,9 +475,9 @@ def deterministic_pivots(g: Graph, theta: int, bridges=None):
 
     The prefixes in every G-e come from one :func:`graph.lane_bfs` toward
     the root with a lane per non-bridge edge e on the base prefixes, not
-    from one :func:`graph.in_tree` per e: each is lane e's
-    :func:`graph.lane_path` from s, whose parents ``in_tree(g, root, {e})``
-    picks too, so the pivots are the same.
+    from one :func:`graph.sssp` tree to the root per e: each is lane e's
+    :func:`graph.lane_path` from s, whose parents ``sssp(g, root, {e},
+    reverse=True)`` picks too, so the pivots are the same.
     Unit weights only: weighted graphs raise :class:`GraphError`, and so do
     graphs that are not strongly connected, which ``strong_bridges(g)``
     refuses.  A given ``bridges`` must be ``strong_bridges(g)``: it saves
@@ -512,8 +501,8 @@ def _pivot_paths(g, root, length, bridges):
     # non-bridge edge e of that base prefix, where s is farther than that.
     # Lane e of one lane BFS toward the root keeps every edge but e, and a
     # detour prefix is lane e's lane_path from s, ``length`` steps over
-    # out-edges: the parents in_tree(g, root, {e}) picks.
-    base = in_tree(g, root)
+    # out-edges: the parents sssp(g, root, {e}, reverse=True) picks.
+    base = sssp(g, root, reverse=True)
     prefixes = [_prefix_toward_root(base, s, length) for s in range(g.n)]
     lane = {}
     for _, eids in prefixes:

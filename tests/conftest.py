@@ -56,8 +56,8 @@ def extract_path(tree, endpoint, toward_root=False):
     """Tree path between source/root and ``endpoint`` as (vertices,
     edge_ids), or None when the endpoint is unreachable: the reference for
     the lane walk ``graph.lane_path``.  An ``sssp`` tree gives the
-    source->endpoint order, an ``in_tree`` tree (``toward_root``) the
-    endpoint->root order."""
+    source->endpoint order, one with ``reverse=True`` (``toward_root``)
+    the endpoint->root order."""
     if tree.dist[endpoint] == fdo.INF:
         return None
     verts = [endpoint]

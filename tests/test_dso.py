@@ -4,6 +4,7 @@ import pytest
 
 from fdo import (GraphError, INF, build_graph, build_sampled_fdso,
                  brute_replacement, sssp)
+from fdo import dso
 
 from conftest import (endpoints, extract_path, sampled_query,
                       small_graph_corpus)
@@ -86,10 +87,19 @@ def test_sampled_drop_lists_match_subgraphs():
     assert all(0 <= mask < 1 << d.k for mask in d.alive)
 
 
-def test_sampled_budget_rejected():
+def test_sampled_budget_rejected(monkeypatch):
+    monkeypatch.setattr(dso, "MAX_SUBGRAPHS", 10)
     with pytest.raises(GraphError, match="k="):
-        build_sampled_fdso(cycle(8), f=1, delta=1.0, C=3.0, seed=1,
-                           max_subgraphs=10)
+        build_sampled_fdso(cycle(8), f=1, delta=1.0, C=3.0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [None, 1e10, True], ids=repr)
+def test_sampled_refuses_a_seed_that_is_not_an_int(seed):
+    # seed * 2654435761 raised a TypeError on None, and at 1e10 every
+    # stream's float seed rounded to one: 50 equal subgraphs on cycle(8)
+    with pytest.raises(GraphError) as err:
+        build_sampled_fdso(cycle(8), 1, seed=seed)
+    assert str(err.value) == f"sampled f-DSO needs an int seed, got {seed!r}"
 
 
 def test_sampled_query_c4(c4):

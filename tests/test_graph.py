@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdo import (GraphError, INF, brute_diam, build_graph, diameter, distances,
-                 eccentricity, gen_random, in_tree,
-                 is_connected, parse_graph, save_graph, load_graph, sssp,
-                 strong_bridges)
-from fdo.graph import DIST_EPS, dist_eq, format_graph, lane_bfs, lane_path
+                 gen_random, is_connected, parse_graph, save_graph,
+                 load_graph, sssp, strong_bridges)
+from fdo import graph
+from fdo.graph import (DIST_EPS, bfs_tree_eids, dist_eq, format_graph,
+                       lane_bfs, lane_path, preorder)
 
 from conftest import (NOT_STRONGLY_CONNECTED, connected_graphs, endpoints,
                       extract_path, parse_capped, small_graph_corpus, weight,
@@ -126,7 +127,7 @@ def test_zero_weight_parents_form_trees():
     # edges whose weights add up to its distance
     for g in zero_weight_sweep():
         for root in range(g.n):
-            for tree in (sssp(g, root), in_tree(g, root)):
+            for tree in (sssp(g, root), sssp(g, root, reverse=True)):
                 for v in range(g.n):
                     if tree.dist[v] == INF:
                         assert tree.parent[v] is None
@@ -141,12 +142,110 @@ def test_zero_weight_parents_form_trees():
 
 
 def test_in_tree_directed(dicycle3):
-    assert in_tree(dicycle3, 0).dist == [0, 2, 1]
-    assert in_tree(dicycle3, 0, {2}).dist == [0, INF, INF]
+    # the tree to 0: sssp with reverse=True
+    assert sssp(dicycle3, 0, reverse=True).dist == [0, 2, 1]
+    assert sssp(dicycle3, 0, {2}, reverse=True).dist == [0, INF, INF]
 
 
 def test_in_tree_undirected_matches_sssp(c4):
-    assert in_tree(c4, 2).dist == sssp(c4, 2).dist
+    into, out = sssp(c4, 2, reverse=True), sssp(c4, 2)
+    assert (into.dist, into.parent) == (out.dist, out.parent)
+
+
+@st.composite
+def digraphs(draw, max_n=9):
+    """A digraph, not always strongly connected, on unit weights or on
+    weights from {0, 1, 2, 3}, and a set of its edge ids to exclude."""
+    n = draw(st.integers(2, max_n))
+    arcs = sorted(draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1))
+                               .filter(lambda a: a[0] != a[1]),
+                               min_size=1, max_size=3 * n)))
+    if draw(st.booleans()):
+        arcs = [(u, v, draw(st.integers(0, 3))) for u, v in arcs]
+    g = build_graph(n, True, arcs)
+    return g, draw(st.sets(st.integers(0, g.m - 1), max_size=3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=digraphs(), data=st.data())
+def test_sssp_reverse_is_sssp_on_reversed_digraph(case, data):
+    # the tree to r is the tree from r over the reversed arcs, edge ids kept
+    g, ex = case
+    rev = build_graph(g.n, True, [(v, u, w) for u, v, w in g.edges])
+    r = data.draw(st.integers(0, g.n - 1))
+    for excluded in (frozenset(), ex):
+        into, out = sssp(g, r, excluded, reverse=True), sssp(rev, r, excluded)
+        assert (into.dist, into.parent) == (out.dist, out.parent)
+
+
+# ----------------------------------------------------------------- tree walks
+
+@st.composite
+def tree_cases(draw, kind):
+    """(graph, root, excluded edge ids): a connected unit graph or a
+    digraph with a drawn excluded set, or (``cut``) a connected unit graph
+    whose excluded set holds every edge at a vertex other than the root,
+    which leaves that vertex unreached."""
+    if kind == "digraph":
+        g, excluded = draw(digraphs())
+    else:
+        g = draw(connected_graphs(max_n=10))
+        excluded = draw(st.sets(st.integers(0, g.m - 1), max_size=3))
+    root = draw(st.integers(0, g.n - 1))
+    if kind == "cut":
+        v = draw(st.integers(0, g.n - 1).filter(lambda v: v != root))
+        excluded = {eid for eid, (a, b, _) in enumerate(g.edges)
+                    if v in (a, b)}
+    return g, root, frozenset(excluded)
+
+
+@pytest.mark.parametrize("kind", ["undirected", "digraph", "cut"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_preorder_slices_are_subtrees(kind, data):
+    g, root, excluded = data.draw(tree_cases(kind))
+    for reverse in (False, True):
+        tree = sssp(g, root, excluded, reverse)
+        order, tin, tout = preorder(tree.parent, root)
+        reached = [v for v in range(g.n) if tree.dist[v] < INF]
+        assert order[0] == root and sorted(order) == reached
+        below = {v: {v} for v in reached}     # v's descendants, v included
+        for v in reached:
+            x = v
+            while tree.parent[x] is not None:
+                x = tree.parent[x][0]
+                below[x].add(v)
+        for v in reached:
+            sub = order[tin[v]:tout[v]]
+            assert sub[0] == v and len(sub) == len(below[v])
+            assert set(sub) == below[v]
+            kids = [c for c in reached if tree.parent[c]
+                    and tree.parent[c][0] == v]
+            assert sorted(kids, key=tin.__getitem__) == kids
+
+
+@pytest.mark.parametrize("kind", ["undirected", "digraph", "cut"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bfs_tree_eids_one_edge_per_reached_vertex(kind, data):
+    # each edge enters a vertex one BFS level below its other end, and
+    # each vertex reached but s is entered once
+    g, s, excluded = data.draw(tree_cases(kind))
+    g = build_graph(g.n, g.directed, [(u, v) for eid, (u, v, _)
+                                      in enumerate(g.edges)
+                                      if eid not in excluded])
+    for reverse, nbrs in ((False, g._out_nbrs), (True, g._in_nbrs)):
+        level = distances(g, s, reverse=reverse)
+        heads = []
+        for eid in bfs_tree_eids(nbrs, s):
+            a, b, _ = g.edges[eid]
+            if reverse if g.directed else level[a] > level[b]:
+                a, b = b, a     # a -> b is the way the BFS went
+            assert level[b] == level[a] + 1
+            heads.append(b)
+        assert sorted(heads) == [v for v in range(g.n)
+                                 if v != s and level[v] < INF]
 
 
 # ----------------------------------------------------------- ecc and diameter
@@ -158,8 +257,9 @@ def test_diameter_examples(c4, star5):
 
 
 def test_eccentricity(c4):
-    assert eccentricity(c4, 0) == 2
-    assert eccentricity(c4, 0, {0}) == 3
+    # the eccentricity of a vertex is the largest entry of its distance row
+    assert max(distances(c4, 0)) == 2
+    assert max(distances(c4, 0, {0})) == 3
 
 
 @st.composite
@@ -214,6 +314,26 @@ def test_strong_bridges_refuses_not_strongly_connected(g):
     with pytest.raises(GraphError, match=re.escape(
             "graph must be (strongly) connected")):
         strong_bridges(g)
+
+
+def test_strong_bridges_reads_no_shortest_path_tree(monkeypatch):
+    # the bridges come from BFS trees and lane BFS runs alone: no sssp,
+    # parent rows or Dijkstra, on weighted graphs too
+    graphs = [gen_random("er-strongly-connected-digraph", 1, n=30, p=0.1),
+              gen_random("er-weighted", 2, n=20, p=0.2),
+              # a weighted 40-cycle with a chord and a pendant edge, 41
+              build_graph(41, False, [(i, (i + 1) % 40, 1 + i % 3)
+                                      for i in range(40)]
+                          + [(0, 20, 5), (39, 40, 2)])]
+    expect = [strong_bridges(g) for g in graphs]
+    assert expect[2] == {41}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("strong_bridges built a shortest-path tree")
+
+    for name in ("sssp", "_parents", "_search"):
+        monkeypatch.setattr(graph, name, refuse)
+    assert [strong_bridges(g) for g in graphs] == expect
 
 
 def test_strong_bridges_equals_infinite_diameter():

@@ -8,8 +8,7 @@ from fdo import (GraphError, INF, SingleFDO, brute_diam, build_approx_fdo,
                  build_ecc_fdo, build_exact_fdo, build_graph,
                  build_spanner_fdo, deterministic_pivots,
                  diameter, distances, dumps_oracle, gen_random,
-                 greedy_hitting_set, in_tree, random_pivots, sssp,
-                 strong_bridges)
+                 greedy_hitting_set, random_pivots, sssp, strong_bridges)
 
 from fdo import single
 from fdo.single import greedy_spanner, raise_by_replacement_ecc
@@ -404,6 +403,23 @@ def test_pivots_refuse_non_int_theta(c4, pick, theta):
     assert str(err.value) == f"theta must be an int >= 1, got {theta!r}"
 
 
+@pytest.mark.parametrize("C", [-1.0, 0, math.nan, math.inf],
+                         ids=["-1", "0", "nan", "inf"])
+def test_random_pivots_refuse_bad_C(C):
+    # -1 and 0 kept no vertex, nan every vertex (min(1.0, nan) is 1.0)
+    g = gen_random("er-undirected", 3, n=30, p=0.2)
+    with pytest.raises(GraphError) as err:
+        random_pivots(g, 5, C=C, seed=1)
+    assert str(err.value) == f"C must be positive and finite, got {C}"
+
+
+def test_random_pivots_refuse_no_seed():
+    # seed=None would draw from OS entropy: no two runs alike
+    g = gen_random("er-undirected", 3, n=30, p=0.2)
+    with pytest.raises(GraphError, match="^random pivots require a seed$"):
+        random_pivots(g, 40, seed=None)
+
+
 def test_random_pivots_clamped(c4):
     # theta below C*ln(n) clamps the probability at one: everything sampled
     assert random_pivots(c4, 1, C=3.0, seed=5) == [0, 1, 2, 3]
@@ -445,9 +461,10 @@ def test_deterministic_pivots_cover_property():
 
 
 def reference_pivot_paths(g, root, length, bridges):
-    # the paths as one in_tree per cut edge gave them: base prefixes, and
-    # the prefix toward the root in G-e for each non-bridge edge e on them
-    base = in_tree(g, root)
+    # the paths as one tree to the root per cut edge gave them: base
+    # prefixes, and the prefix toward the root in G-e for each non-bridge
+    # edge e on them
+    base = sssp(g, root, reverse=True)
     detour_trees = {}
     paths = []
     for s in range(g.n):
@@ -460,7 +477,7 @@ def reference_pivot_paths(g, root, length, bridges):
             if eid in bridges:
                 continue
             if eid not in detour_trees:
-                detour_trees[eid] = in_tree(g, root, {eid})
+                detour_trees[eid] = sssp(g, root, {eid}, reverse=True)
             te = detour_trees[eid]
             if te.dist[s] > length:
                 got = extract_path(te, s, toward_root=True)
